@@ -9,7 +9,7 @@ candidates whose degree bound falls below ``c(u) + 1`` (Theorem 4.15)
 with a cascading shrink (Algorithm 5).
 
 The per-node exploration itself lives in :mod:`repro.anchors.kernels`
-behind interchangeable backends (``dict`` / ``flat`` / ``numpy``); this
+behind interchangeable backends (``dict`` / ``flat``); this
 module owns everything around it — node iteration order, reuse, the
 Figure-13 counters, verification — which is why the backends are
 byte-identical by construction on those observables.
@@ -129,7 +129,7 @@ def find_followers(
             exactly this coreness (per-node explorations are independent,
             so skipping nodes is sound). OLAK uses this to search only
             the (k-1)-shell.
-        kernel: follower-search backend (``dict`` / ``flat`` / ``numpy``);
+        kernel: follower-search backend (``dict`` / ``flat``);
             ``None`` reads ``REPRO_KERNEL`` and falls back to the
             default. Backends differ in wall-clock only — follower sets
             and counters are byte-identical (``docs/kernels.md``).
@@ -143,12 +143,7 @@ def find_followers(
         raise ValueError(f"candidate {x!r} is already anchored")
     report = FollowerReport(anchor=x)
     own_node = state.node_id(x)
-    # Cached kernel tables prove the graph has a CSR view: skip the
-    # per-call view lookup on the hot path (GAC calls this once per
-    # evaluated candidate).
-    name = _kernels.resolve_kernel(
-        kernel, graph=None if state.kernel_tables is not None else state.graph
-    )
+    name = _kernels.requested_kernel(kernel)
     with _obs.span(f"followers.search[{name}]", anchor=x):
         tables = state.kernel_tables
         fresh_tables = (

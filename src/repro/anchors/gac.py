@@ -184,10 +184,10 @@ def greedy_anchored_coreness(
             result is byte-identical to the serial scan for every
             ``workers`` value — parallelism changes wall-clock only.
             The pool falls back to the serial scan when it cannot help
-            (tiny graphs, verification on, no CSR view, spawn failure),
+            (tiny graphs, verification on, pool start-up failure),
             recording a ``gac.parallel_fallback.*`` gauge.
-        kernel: follower-search backend (``dict`` / ``flat`` /
-            ``numpy``, see :mod:`repro.anchors.kernels`); ``None``
+        kernel: follower-search backend (``dict`` / ``flat``, see
+            :mod:`repro.anchors.kernels`); ``None``
             defers to ``REPRO_KERNEL`` and then the default. Resolved
             once per run — the whole run, parent and workers, uses one
             concrete backend. Like ``workers`` this is a wall-clock

@@ -7,32 +7,23 @@ swappable *backends* behind one tiny interface:
 
 ``dict``
     The original dict-of-sets implementation, kept verbatim as the
-    oracle (:mod:`repro.anchors.kernels.dict_backend`). Works on any
-    graph, including ones with no CSR view.
+    oracle (:mod:`repro.anchors.kernels.dict_backend`) that tests and
+    the bench grid's reference leg select explicitly.
 ``flat``
     Flat-array rewrite against the interned CSR ids
     (:mod:`repro.anchors.kernels.flat_backend`): dense per-id tables,
     an int-packed ``(shell, layer, id)`` heap key, generation-stamped
-    scratch arrays. The default whenever a CSR view exists.
-``numpy``
-    Optional vectorized escape hatch
-    (:mod:`repro.anchors.kernels.numpy_backend`): the per-pop degree
-    bound and push-candidate filtering run as numpy array operations
-    over the flat tables. Falls back to ``flat`` when numpy is not
-    installed.
+    scratch arrays. The production kernel and the default.
 
-Every backend is *byte-identical* to the dict oracle — follower sets,
-Figure-13 counters, heap pop counts, anchor sequences — enforced by the
+Both backends are *byte-identical* — follower sets, Figure-13
+counters, heap pop counts, anchor sequences — enforced by the
 differential harness in ``tests/test_properties.py`` and the backend
-matrix in ``tests/test_kernels.py``; the backends change wall-clock
-only, exactly like ``REPRO_CSR`` for the substrate kernels.
+matrix in ``tests/test_kernels.py``; the backend changes wall-clock
+only.
 
 Selection precedence (``docs/kernels.md``): an explicit ``kernel=``
 kwarg (or ``--kernel`` CLI flag, which feeds it) beats the
 ``REPRO_KERNEL`` environment variable, which beats the default.
-Availability fallbacks (``numpy`` missing, no CSR view) resolve the
-*requested* name to the *concrete* backend and are gauged so a run that
-silently degraded is diagnosable.
 """
 
 from __future__ import annotations
@@ -40,7 +31,6 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Callable, Protocol
 
-from repro import obs as _obs
 from repro.graphs.csr import csr_view
 
 if TYPE_CHECKING:
@@ -66,11 +56,11 @@ class FollowerExplorer(Protocol):
         ...
 
 #: The recognized backend names, in documentation order.
-KERNELS = ("dict", "flat", "numpy")
+KERNELS = ("dict", "flat")
 #: Environment knob read when no explicit ``kernel=`` is given.
 ENV_KERNEL = "REPRO_KERNEL"
 #: Requested when neither kwarg nor environment chooses: the flat CSR
-#: kernel, degrading to ``dict`` per graph when no CSR view exists.
+#: kernel.
 DEFAULT_KERNEL = "flat"
 
 
@@ -94,32 +84,19 @@ def requested_kernel(kernel: "str | None" = None) -> str:
     return kernel
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend can actually run (the library imports)."""
-    from repro.anchors.kernels import numpy_backend
-
-    return numpy_backend.available()
-
-
 def resolve_kernel(
     kernel: "str | None" = None, graph: "Graph | None" = None
 ) -> str:
-    """The concrete backend a search will run, after fallbacks.
+    """The backend a run will use: :func:`requested_kernel`, checked.
 
-    ``numpy`` degrades to ``flat`` when the library is missing; ``flat``
-    (and therefore ``numpy``) degrades to ``dict`` when ``graph`` is
-    given but has no CSR view (``REPRO_CSR=0`` or unorderable labels).
-    Each degradation records a ``kernels.fallback.*`` gauge. Callers
-    that resolve once per run (GAC, OLAK) pass the graph so the whole
-    run — parent and workers — agrees on one concrete name.
+    Callers that resolve once per run (GAC, OLAK) pass the graph: the
+    flat kernel needs its interned CSR view, which is built here, so a
+    graph it cannot index fails up front with a one-line
+    :class:`~repro.errors.GraphError` instead of mid-search.
     """
     name = requested_kernel(kernel)
-    if name == "numpy" and not numpy_available():
-        _obs.gauge("kernels.fallback.numpy_unavailable", 1.0)
-        name = "flat"
-    if name != "dict" and graph is not None and csr_view(graph) is None:
-        _obs.gauge("kernels.fallback.no_csr", 1.0)
-        name = "dict"
+    if name == "flat" and graph is not None:
+        csr_view(graph)
     return name
 
 
@@ -136,10 +113,6 @@ def _factory(name: str) -> "Callable[[AnchoredState, Vertex], FollowerExplorer]"
             from repro.anchors.kernels import flat_backend
 
             factory = flat_backend.flat_explorer
-        elif name == "numpy":
-            from repro.anchors.kernels import numpy_backend
-
-            factory = numpy_backend.NumpyExplorer
         else:
             from repro.anchors.kernels import dict_backend
 
@@ -153,17 +126,7 @@ def make_explorer(
 ) -> FollowerExplorer:
     """A per-candidate explorer: ``explore_nodes(todo) -> [(nid, set, pops)]``.
 
-    ``name`` must be concrete (pass it through :func:`resolve_kernel`
-    first); as a final guard, flat-family backends still degrade to
-    ``dict`` here when the state's graph has no CSR view, so a caller
-    that resolved without a graph can never crash on a dict-only one.
-    (Cached tables on the state prove a view exists — the common case
-    skips the lookup.)
+    ``name`` must be a checked backend name (pass it through
+    :func:`resolve_kernel` first).
     """
-    if (
-        name != "dict"
-        and state.kernel_tables is None
-        and csr_view(state.graph) is None
-    ):
-        name = "dict"
     return _factory(name)(state, x)

@@ -4,9 +4,9 @@ This is the original :func:`repro.anchors.followers.find_followers`
 inner loop, moved verbatim behind the kernel interface: per-vertex
 ``dict`` status/bound tables keyed by vertex label, heap entries ordered
 by ``(shell-layer pair, canonical sort key, vertex)``. It needs nothing
-but the :class:`~repro.anchors.state.AnchoredState` dicts, so it is the
-backend of last resort (graphs with no CSR view) and the oracle every
-flat-array backend must match byte for byte.
+but the :class:`~repro.anchors.state.AnchoredState` dicts and shares no
+table code with the flat backend, which makes it the oracle the flat
+backend must match byte for byte.
 """
 
 from __future__ import annotations

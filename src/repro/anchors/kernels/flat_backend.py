@@ -65,9 +65,7 @@ class FlatTables:
         shift / shift2 / idmask: the packed heap-key geometry.
         gen / packed: generation-packed scratch; ``packed[i] < (gen << 2)``
             means untouched by the current exploration (UNEXPLORED).
-        status / dplus: per-id scratch — the byte statuses are the numpy
-            backend's (it keeps its own generation stamps), the bound
-            values are shared.
+        dplus: per-id scratch for the Theorem 4.15 degree bound.
         support: per-id neighbor rows pre-filtered to ``core >= core(owner)``
             — the neighbors that would pass the oracle's
             ``c(x) <= c(u)`` support test if the owner were the
@@ -114,7 +112,6 @@ class FlatTables:
         "idmask",
         "gen",
         "packed",
-        "status",
         "dplus",
         "support",
         "cgen",
@@ -171,7 +168,6 @@ class FlatTables:
             self._split(i)
         self.gen = 0
         self.packed = [0] * n
-        self.status = bytearray(n)
         self.dplus = [0] * n
         self.cgen = 0
         self.xmark = [0] * n
@@ -334,10 +330,7 @@ def tables_for(state: AnchoredState) -> FlatTables:  # lint: obs-ok cache access
         and tables.anchors is state.anchors
     ):
         return tables
-    csr = csr_view(state.graph)
-    if csr is None:  # pragma: no cover - make_explorer routes these to dict
-        raise RuntimeError("flat follower kernel needs a CSR view")
-    tables = FlatTables(state, csr)
+    tables = FlatTables(state, csr_view(state.graph))
     state.kernel_tables = tables
     return tables
 

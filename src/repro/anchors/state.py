@@ -75,7 +75,7 @@ class AnchoredState:
             self.fixed_support = rebuilt.fixed_support
             self.same_shell = rebuilt.same_shell
         # Flat per-id mirrors for the follower kernels, built lazily on
-        # first flat/numpy exploration and kept current by
+        # first flat exploration and kept current by
         # ``apply_anchor`` (see repro.anchors.kernels.flat_backend).
         self.kernel_tables: FlatTables | None = None
 

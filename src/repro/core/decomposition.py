@@ -116,32 +116,26 @@ def core_decomposition(
     """Coreness of every vertex via the Batagelj–Zaveršnik bucket algorithm.
 
     Anchors are never deleted (degree treated as infinite). Runs in
-    O(m + n), on the flat-array CSR kernel when the graph has a CSR view
-    (see :mod:`repro.graphs.csr`) and on the original dict-bucket
-    implementation otherwise — the two produce identical decompositions.
-    The returned decomposition has empty ``shell_layer`` and ``order``;
+    O(m + n) on the flat-array kernel over the graph's interned CSR view
+    (see :mod:`repro.graphs.csr`). The returned decomposition has empty ``shell_layer`` and ``order``;
     use :func:`peel_decomposition` when those are needed. ``verify=True``
     force-enables the runtime invariant checks for this call (``None``
     defers to ``REPRO_VERIFY``).
 
     Raises:
         AnchorNotFoundError: if any anchor vertex is absent from the graph.
+        GraphError: if the vertex labels are mutually unorderable.
     """
     anchor_set = frozenset(anchors)
     _require_anchors_present(graph, anchor_set)
     if graph.num_vertices == 0:
         return CoreDecomposition(coreness={}, anchors=anchor_set)
 
-    with _obs.span("decomposition.bucket", n=graph.num_vertices) as sp:
+    with _obs.span("decomposition.bucket", n=graph.num_vertices):
         csr = csr_view(graph)
-        if isinstance(sp, _obs.Span):
-            sp.args["path"] = "dict" if csr is None else "csr"
-        if csr is None:
-            coreness = _bucket_coreness_dict(graph, anchor_set)
-        else:
-            anchor_ids = sorted(csr.index[a] for a in anchor_set)
-            coreness = dict(zip(csr.labels, bucket_coreness(csr, anchor_ids)))
-    # Both kernels process each non-anchor vertex exactly once.
+        anchor_ids = sorted(csr.index[a] for a in anchor_set)
+        coreness = dict(zip(csr.labels, bucket_coreness(csr, anchor_ids)))
+    # The bucket pass processes each non-anchor vertex exactly once.
     _obs.add(_obs.BUCKET_POPS, graph.num_vertices - len(anchor_set))
 
     _effective_anchor_coreness(graph, anchor_set, coreness)
@@ -152,72 +146,6 @@ def core_decomposition(
 
             verify_decomposition(graph, anchor_set, result)
     return result
-
-
-def _bucket_coreness_dict(
-    graph: Graph, anchor_set: frozenset[Vertex]
-) -> dict[Vertex, int]:
-    """The dict-bucket Batagelj–Zaveršnik pass (pre-CSR implementation).
-
-    Fallback for graphs without a CSR view (unorderable labels,
-    ``REPRO_CSR=0``) and the reference the substrate benchmark measures
-    the CSR kernel against. Returns non-anchor coreness only; callers
-    run :func:`_effective_anchor_coreness` afterwards.
-    """
-    coreness: dict[Vertex, int] = {}
-    degree: dict[Vertex, int] = {}
-    max_deg = 0
-    for u in graph.vertices():
-        d = graph.degree(u)
-        degree[u] = d
-        if u not in anchor_set and d > max_deg:
-            max_deg = d
-
-    # Bucket b holds unprocessed non-anchor vertices of current degree b.
-    buckets: list[set[Vertex]] = [set() for _ in range(max_deg + 1)]
-    for u in graph.vertices():
-        if u not in anchor_set:
-            buckets[min(degree[u], max_deg)].add(u)
-
-    processed: set[Vertex] = set()
-    current_core = 0
-    remaining = graph.num_vertices - len(anchor_set)
-    d = 0
-    while remaining > 0:
-        while d <= max_deg and not buckets[d]:
-            d += 1
-        if d > max_deg:
-            break
-        u = buckets[d].pop()
-        processed.add(u)
-        remaining -= 1
-        current_core = max(current_core, d)
-        coreness[u] = current_core
-        for v in graph.neighbors(u):  # lint: order-ok commutative decrements
-            if v in anchor_set or v in processed:
-                continue
-            dv = degree[v]
-            if dv > d:
-                buckets[min(dv, max_deg)].discard(v)
-                degree[v] = dv - 1
-                buckets[min(dv - 1, max_deg)].add(v)
-        # Degrees only drop, so the minimum can fall by at most 1 per step.
-        if d > 0:
-            d -= 1
-    return coreness
-
-
-def _core_decomposition_dict(
-    graph: Graph, anchors: Iterable[Vertex] = ()
-) -> CoreDecomposition:
-    """End-to-end dict-path core decomposition (bench/test reference)."""
-    anchor_set = frozenset(anchors)
-    _require_anchors_present(graph, anchor_set)
-    if graph.num_vertices == 0:
-        return CoreDecomposition(coreness={}, anchors=anchor_set)
-    coreness = _bucket_coreness_dict(graph, anchor_set)
-    _effective_anchor_coreness(graph, anchor_set, coreness)
-    return CoreDecomposition(coreness=coreness, anchors=anchor_set)
 
 
 def peel_decomposition(
@@ -235,29 +163,25 @@ def peel_decomposition(
 
     Raises:
         AnchorNotFoundError: if any anchor vertex is absent from the graph.
+        GraphError: if the vertex labels are mutually unorderable.
     """
     anchor_set = frozenset(anchors)
     _require_anchors_present(graph, anchor_set)
 
-    with _obs.span("decomposition.peel", n=graph.num_vertices) as sp:
+    with _obs.span("decomposition.peel", n=graph.num_vertices):
         csr = csr_view(graph)
-        if isinstance(sp, _obs.Span):
-            sp.args["path"] = "dict" if csr is None else "csr"
-        if csr is None:
-            coreness, shell_layer, order = _peel_dict(graph, anchor_set)
-        else:
-            anchor_ids = sorted(csr.index[a] for a in anchor_set)
-            core, layer_of, id_order = peel_layers(csr, anchor_ids)
-            labels = csr.labels
-            coreness = {}
-            shell_layer = {}
-            order = []
-            for i in id_order:
-                u = labels[i]
-                coreness[u] = core[i]
-                shell_layer[u] = (core[i], layer_of[i])
-                order.append(u)
-    # Both kernels delete each non-anchor vertex exactly once.
+        anchor_ids = sorted(csr.index[a] for a in anchor_set)
+        core, layer_of, id_order = peel_layers(csr, anchor_ids)
+        labels = csr.labels
+        coreness: dict[Vertex, int] = {}
+        shell_layer: dict[Vertex, ShellLayer] = {}
+        order: list[Vertex] = []
+        for i in id_order:
+            u = labels[i]
+            coreness[u] = core[i]
+            shell_layer[u] = (core[i], layer_of[i])
+            order.append(u)
+    # The peel deletes each non-anchor vertex exactly once.
     _obs.add(_obs.PEEL_POPS, graph.num_vertices - len(anchor_set))
 
     _effective_anchor_coreness(graph, anchor_set, coreness)
@@ -277,80 +201,6 @@ def peel_decomposition(
             verify_decomposition(graph, anchor_set, result)
             verify_shell_layers(graph, result)
     return result
-
-
-def _peel_dict(
-    graph: Graph, anchor_set: frozenset[Vertex]
-) -> tuple[dict[Vertex, int], dict[Vertex, ShellLayer], list[Vertex]]:
-    """The dict-bucket batch peel (pre-CSR implementation).
-
-    Fallback for graphs without a CSR view and the reference the
-    substrate benchmark measures :func:`repro.graphs.csr.peel_layers`
-    against. Returns non-anchor coreness, shell layers, and deletion
-    order; callers append the anchor epilogue.
-    """
-    coreness: dict[Vertex, int] = {}
-    shell_layer: dict[Vertex, ShellLayer] = {}
-    order: list[Vertex] = []
-
-    degree: dict[Vertex, int] = {
-        u: graph.degree(u) for u in graph.vertices() if u not in anchor_set
-    }
-    # Vertices bucketed by *current* degree; round k consumes bucket k-1
-    # (survivors of round k-1 all have degree >= k-1).
-    buckets: dict[int, set[Vertex]] = {}
-    for u, d in degree.items():
-        buckets.setdefault(d, set()).add(u)
-
-    remaining = len(degree)
-    alive = set(degree)
-    k = 1
-    while remaining > 0:
-        frontier = sorted(buckets.pop(k - 1, ()), key=_sort_key)
-        layer = 0
-        while frontier:
-            layer += 1
-            for u in frontier:
-                coreness[u] = k - 1
-                shell_layer[u] = (k - 1, layer)
-                order.append(u)
-                alive.discard(u)
-            remaining -= len(frontier)
-            next_frontier: list[Vertex] = []
-            for u in frontier:
-                # next_frontier is deduplicated and sorted before use, so
-                # the neighbor scan order below never reaches the output.
-                for v in graph.neighbors(u):  # lint: order-ok resorted below
-                    if v not in alive:
-                        continue
-                    dv = degree[v]
-                    buckets[dv].discard(v)
-                    degree[v] = dv - 1
-                    buckets.setdefault(dv - 1, set()).add(v)
-                    if dv - 1 == k - 1:
-                        next_frontier.append(v)
-            # A vertex may be decremented past the threshold by several
-            # frontier neighbors; deduplicate while keeping determinism.
-            frontier = sorted(set(next_frontier), key=_sort_key)
-        k += 1
-
-    return coreness, shell_layer, order
-
-
-def _peel_decomposition_dict(
-    graph: Graph, anchors: Iterable[Vertex] = ()
-) -> CoreDecomposition:
-    """End-to-end dict-path peel decomposition (bench/test reference)."""
-    anchor_set = frozenset(anchors)
-    _require_anchors_present(graph, anchor_set)
-    coreness, shell_layer, order = _peel_dict(graph, anchor_set)
-    _effective_anchor_coreness(graph, anchor_set, coreness)
-    for a in sorted(anchor_set, key=_sort_key):
-        shell_layer[a] = (coreness[a], 0)
-        order.append(a)
-    return CoreDecomposition(
-        coreness=coreness, shell_layer=shell_layer, order=order, anchors=anchor_set
-    )
 
 
 # The package-wide deterministic vertex ordering key; re-exported here

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.decomposition import CoreDecomposition, _sort_key
-from repro.graphs.csr import CSRGraph, csr_view
+from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 
 NodeId = Vertex  # a tree node is identified by its smallest vertex id
@@ -117,85 +117,12 @@ class CoreComponentTree:
         are one component at every level (exactly the paper's Algorithm
         1 semantics, where anchors are never deleted).
 
-        Runs on the flat-array CSR view when the graph has one (see
-        :mod:`repro.graphs.csr`) and on the original dict union-find
-        otherwise; both produce the identical canonical tree.
+        Runs on the graph's interned CSR view (see
+        :mod:`repro.graphs.csr`): vertices are CSR ids, the union-find
+        is two plain lists, and neighbor scans walk the flat arrays.
+        Only the final canonicalized nodes carry original labels.
         """
         csr = csr_view(graph)
-        if csr is not None:
-            return cls._build_csr(csr, decomposition)
-        return cls._build_dict(graph, decomposition)
-
-    @classmethod
-    def _build_dict(
-        cls, graph: Graph, decomposition: CoreDecomposition
-    ) -> "CoreComponentTree":
-        """Dict union-find build (fallback + bench reference path)."""
-        tree = cls()
-        coreness = decomposition.coreness
-        anchors = decomposition.anchors
-        by_coreness: dict[int, list[Vertex]] = {}
-        for u in graph.vertices():
-            if u not in anchors:
-                by_coreness.setdefault(coreness[u], []).append(u)
-
-        uf = _UnionFind()
-        # Anchors join the union-find up front as universal connectors
-        # (present at every level); they never join a node's vertex set.
-        for a in anchors:
-            uf.make(a)
-        # Union-find grouping is order-free: node ids are canonicalized
-        # to the minimum member and children re-sorted after the build.
-        for a in anchors:  # lint: order-ok canonicalized below
-            for v in graph.neighbors(a):  # lint: order-ok canonicalized below
-                if v in anchors:
-                    uf.union(a, v)
-        # current node representing each union-find component, keyed by root
-        current: dict[Vertex, TreeNode] = {}
-        for k in sorted(by_coreness, reverse=True):
-            group = by_coreness[k]
-            for u in group:
-                uf.make(u)
-            for u in group:
-                for v in graph.neighbors(u):  # lint: order-ok canonicalized below
-                    if v in uf.parent and (v in anchors or coreness[v] >= k):
-                        uf.union(u, v)
-            # Every component touched at this level gets a fresh node.
-            new_nodes: dict[Vertex, TreeNode] = {}
-            for u in group:
-                root = uf.find(u)
-                node = new_nodes.get(root)
-                if node is None:
-                    node = TreeNode(k=k)
-                    new_nodes[root] = node
-                node.vertices.add(u)
-            # Re-parent old component nodes swallowed by the new level.
-            survivors: dict[Vertex, TreeNode] = {}
-            for old_root, node in current.items():
-                root = uf.find(old_root)
-                parent = new_nodes.get(root)
-                if parent is None:
-                    survivors[root] = node
-                else:
-                    node.parent = parent
-                    parent.children.append(node)
-            survivors.update(new_nodes)
-            current = survivors
-
-        cls._canonicalize(tree, list(current.values()))
-        return tree
-
-    @classmethod
-    def _build_csr(
-        cls, csr: CSRGraph, decomposition: CoreDecomposition
-    ) -> "CoreComponentTree":
-        """Flat-array build: the same level sweep on list-based union-find.
-
-        Identical grouping logic to :meth:`_build_dict`, but vertices
-        are CSR ids, the union-find is two plain lists, and neighbor
-        scans walk the flat arrays. Only the final canonicalized nodes
-        carry original labels.
-        """
         tree = cls()
         coreness = decomposition.coreness
         anchors = decomposition.anchors
@@ -232,7 +159,10 @@ class CoreComponentTree:
             parent[rv] = ru
             size[ru] += size[rv]
 
-        # Anchors join up front as universal connectors (cf. _build_dict).
+        # Anchors join the union-find up front as universal connectors
+        # (present at every level); they never join a node's vertex set.
+        # Union-find grouping is order-free: node ids are canonicalized
+        # to the minimum member and children re-sorted after the build.
         for i in range(n):
             if is_anchor[i]:
                 made[i] = 1
@@ -251,6 +181,7 @@ class CoreComponentTree:
                     v = nbrs[j]
                     if made[v] and (is_anchor[v] or core_arr[v] >= k):
                         union(u, v)
+            # Every component touched at this level gets a fresh node.
             new_nodes: dict[int, TreeNode] = {}
             for u in group:
                 root = find(u)
@@ -259,6 +190,7 @@ class CoreComponentTree:
                     node = TreeNode(k=k)
                     new_nodes[root] = node
                 node.vertices.add(labels[u])
+            # Re-parent old component nodes swallowed by the new level.
             survivors: dict[int, TreeNode] = {}
             for old_root, node in current.items():
                 root = find(old_root)
@@ -369,78 +301,11 @@ class TreeAdjacency:
         self.fixed_support: dict[Vertex, int] = {}
         self.same_shell: dict[Vertex, list[Vertex]] = {}
         track_support = anchors is not None
+        # CSR rows are already in canonical (ascending-id = sorted-label)
+        # order, which keeps same_shell lists stable across hash seeds
+        # (and equal to an incremental refresh); coreness, anchor
+        # membership, and node ids resolve through flat per-id arrays.
         csr = csr_view(graph)
-        if csr is not None:
-            self._fill_csr(csr, decomposition, tree, track_support=track_support)
-        else:
-            self._fill_dict(graph, decomposition, tree, track_support=track_support)
-
-    def _fill_dict(
-        self,
-        graph: Graph,
-        decomposition: CoreDecomposition,
-        tree: CoreComponentTree,
-        *,
-        track_support: bool,
-    ) -> None:
-        """The original adjacency-set pass (fallback + bench reference)."""
-        coreness = decomposition.coreness
-        node_of = tree.node_of
-        anchor_set = decomposition.anchors
-        for u in graph.vertices():
-            cu = coreness[u]
-            tca_u: dict[NodeId, set[Vertex]] = {}
-            sn_u: set[NodeId] = set()
-            pn_u: set[NodeId] = set()
-            fixed = 0
-            same: list[Vertex] = []
-            # Canonical neighbor order keeps same_shell lists stable
-            # across hash seeds (and equal to an incremental refresh).
-            for v in sorted(graph.neighbors(u), key=_sort_key):
-                cv = coreness[v]
-                if v in anchor_set:
-                    # anchors live in no tree node; they support u at
-                    # every level (counted in fixed_support below)
-                    if track_support:
-                        fixed += 1
-                    continue
-                nid = node_of[v].node_id
-                bucket = tca_u.get(nid)
-                if bucket is None:
-                    tca_u[nid] = {v}
-                else:
-                    bucket.add(v)
-                if cv >= cu:
-                    sn_u.add(nid)
-                else:
-                    pn_u.add(nid)
-                if track_support:
-                    if cv > cu:
-                        fixed += 1
-                    elif cv == cu:
-                        same.append(v)
-            self.tca[u] = tca_u
-            self.sn[u] = sn_u
-            self.pn[u] = pn_u
-            if track_support:
-                self.fixed_support[u] = fixed
-                self.same_shell[u] = same
-
-    def _fill_csr(
-        self,
-        csr: CSRGraph,
-        decomposition: CoreDecomposition,
-        tree: CoreComponentTree,
-        *,
-        track_support: bool,
-    ) -> None:
-        """Flat-array adjacency pass over the CSR view.
-
-        CSR rows are already in canonical (ascending-id = sorted-label)
-        order, so the per-vertex ``sorted(..., key=_sort_key)`` of the
-        dict pass disappears; coreness, anchor membership, and node ids
-        are resolved through flat per-id arrays instead of dict hops.
-        """
         coreness = decomposition.coreness
         anchor_set = decomposition.anchors
         node_of = tree.node_of

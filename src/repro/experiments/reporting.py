@@ -124,12 +124,12 @@ def _jsonable(value: object) -> object:
 class PerfBaseline:
     """Machine-readable perf baseline for A/B wall-clock comparisons.
 
-    Serialized to ``BENCH_substrate.json`` / ``BENCH_gac.json`` at the
-    repository root by the benches: one entry per measured primitive
+    Serialized to ``BENCH_gac.json`` at the repository root by the GAC
+    bench: one entry per measured primitive
     holding the baseline-path and fast-path wall-clock (best of
     ``best_of`` repeats) and the resulting speedup, plus the replica's
     sizes so timings can be normalized. ``labels`` names the two
-    measured columns — the substrate bench keeps the historical
+    measured columns — the historical default is
     ``("dict_s", "csr_s")``, the GAC bench uses
     ``("serial_s", "parallel_s")`` so the entry keys say what was
     actually timed. ``schema`` is bumped whenever the JSON layout

@@ -26,7 +26,7 @@ from repro.graphs.generators import (
     powerlaw_social_graph,
     watts_strogatz_graph,
 )
-from repro.graphs.csr import CSRGraph, csr_enabled, csr_view
+from repro.graphs.csr import CSRGraph, csr_view
 from repro.graphs.graph import Edge, Graph, Vertex, vertex_sort_key
 from repro.graphs.io import iter_edge_list, read_edge_list, write_edge_list
 
@@ -35,7 +35,6 @@ __all__ = [
     "Edge",
     "Graph",
     "Vertex",
-    "csr_enabled",
     "csr_view",
     "vertex_sort_key",
     "attach_celebrity_fans",

@@ -14,28 +14,26 @@ against instead:
 * ``indptr`` / ``neighbors`` are ``array('i')`` flat arrays (the classic
   CSR pair), each neighbor row sorted by id;
 * ``labels`` / ``index`` translate new ids back to the original labels
-  and vice versa, so results leave this module keyed exactly as the
-  dict-based implementations produced them.
+  and vice versa, so results leave this module keyed by the original
+  labels.
 
 Views are *interned*: :func:`csr_view` caches the snapshot on the graph
 itself, keyed by the graph's mutation counter, so repeated
 decompositions of the same (unmutated) graph — the common case in the
-greedy anchor loops — build the flat arrays once. Graphs with mutually
-unorderable labels (where sorted interning is impossible) simply have no
-CSR view; callers fall back to the dict implementations. Setting the
-environment variable ``REPRO_CSR=0`` disables the view globally, which
-forces every caller onto the dict paths (the benchmark suite uses this
-to measure the speedup).
+greedy anchor loops — build the flat arrays once. Every algorithm runs
+on this view, so a graph whose labels are mutually unorderable (no
+canonical id assignment exists) is rejected with a
+:class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Iterable
 from typing import cast
 
 from repro import obs as _obs
+from repro.errors import GraphError
 from repro.graphs.graph import Graph, Vertex, vertex_sort_key
 
 
@@ -88,8 +86,8 @@ class CSRGraph:
 
         Raises:
             TypeError: if the vertex labels are mutually unorderable
-                (no canonical id assignment exists); callers should
-                treat this as "no CSR view available".
+                (no canonical id assignment exists); :func:`csr_view`
+                turns this into a one-line :class:`GraphError`.
         """
         labels = sorted(graph.vertices(), key=vertex_sort_key)
         index = {u: i for i, u in enumerate(labels)}
@@ -185,34 +183,52 @@ class CSRGraph:
         return f"CSRGraph(n={self.num_vertices}, m={self.num_edges})"
 
 
-def csr_enabled() -> bool:
-    """Whether the CSR fast paths are active (``REPRO_CSR=0`` disables)."""
-    return os.environ.get("REPRO_CSR", "1") != "0"
-
-
-def csr_view(graph: Graph) -> CSRGraph | None:
-    """The interned CSR view of ``graph``, or ``None`` if unavailable.
+def csr_view(graph: Graph) -> CSRGraph:
+    """The interned CSR view of ``graph``.
 
     The view is cached on the graph keyed by its mutation counter: any
-    mutation invalidates it and the next call re-interns. ``None`` is
-    returned (and also cached) when the labels are mutually unorderable,
-    or unconditionally when ``REPRO_CSR=0``.
+    mutation invalidates it and the next call re-interns.
+
+    Raises:
+        GraphError: if the vertex labels are mutually unorderable, naming
+            the label types that cannot be ordered.
     """
-    if not csr_enabled():
-        return None
     version = graph._version
     cached = graph._csr_cache
     if cached is not None and cached[0] == version:
         _obs.add(_obs.CSR_CACHE_HITS)
-        return cast("CSRGraph | None", cached[1])
+        return cast(CSRGraph, cached[1])
     with _obs.span("csr.build", n=graph.num_vertices, m=graph.num_edges):
         try:
-            view: CSRGraph | None = CSRGraph.from_graph(graph)
+            view = CSRGraph.from_graph(graph)
         except TypeError:
-            view = None
+            raise GraphError(
+                "vertex labels cannot be ordered for the CSR view: "
+                + ", ".join(_unorderable_types(graph))
+            ) from None
     _obs.add(_obs.CSR_BUILDS)
     graph._csr_cache = (version, view)
     return view
+
+
+def _unorderable_types(graph: Graph) -> list[str]:
+    """Names of the label types whose members do not sort among themselves.
+
+    :func:`vertex_sort_key` only compares labels of the same type, so a
+    failed interning is pinned on the types that fail a per-type sort
+    (falling back to every type present if none fails on its own).
+    """
+    by_type: dict[type, list[Vertex]] = {}
+    for u in graph.vertices():
+        by_type.setdefault(type(u), []).append(u)
+    names = sorted(t.__name__ for t in by_type)
+    bad: list[str] = []
+    for t, members in by_type.items():
+        try:
+            sorted(members, key=vertex_sort_key)
+        except TypeError:
+            bad.append(t.__name__)
+    return sorted(bad) or names
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +361,7 @@ def peel_layers(
 ) -> tuple[list[int], list[int], list[int]]:
     """Algorithm-1 batch peel per id: coreness, shell layer, and order.
 
-    Mirrors the dict implementation batch for batch: round ``k`` deletes
+    The paper's batched min-degree peel: round ``k`` deletes
     successive frontiers of ids with degree below ``k``; the 1-based
     frontier number within the round is the id's shell layer, frontiers
     are consumed in ascending id order (= canonical label order under
@@ -354,9 +370,8 @@ def peel_layers(
 
     Buckets are lazy append-only lists: an id is appended to
     ``buckets[d]`` when its degree *becomes* ``d``, and stale entries
-    (degree moved on) are skipped at collection time, replacing the
-    dict path's per-decrement ``set.discard``/``set.add`` pair with one
-    ``list.append``.
+    (degree moved on) are skipped at collection time, so a decrement
+    costs one ``list.append`` instead of a bucket-set move.
     """
     n = csr.num_vertices
     core = [0] * n

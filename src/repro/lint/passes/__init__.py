@@ -1,13 +1,12 @@
-"""Whole-program lint passes (L1–L5) and their registry.
+"""Whole-program lint passes (L1–L4) and their registry.
 
 Importing this package registers every pass; see
 :mod:`repro.lint.passes.base` for the interface and
 :mod:`repro.lint.program` for the project model they consume.
 """
 
-from repro.lint.passes import containment, contract, layering, obscoverage, purity
+from repro.lint.passes import contract, layering, obscoverage, purity
 from repro.lint.passes.base import PASS_REGISTRY, ProgramPass, all_passes
-from repro.lint.passes.containment import CONTAINED_IMPORTS, ImportContainmentPass
 from repro.lint.passes.contract import CheckpointContractPass
 from repro.lint.passes.layering import LAYER_NAMES, LAYER_OF_UNIT, LayeringPass
 from repro.lint.passes.obscoverage import HOT_UNITS, ObsCoveragePass
@@ -30,9 +29,6 @@ __all__ = [
     "ObsCoveragePass",
     "HOT_UNITS",
     "CheckpointContractPass",
-    "ImportContainmentPass",
-    "CONTAINED_IMPORTS",
-    "containment",
     "contract",
     "layering",
     "obscoverage",

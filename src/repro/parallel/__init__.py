@@ -20,9 +20,8 @@ counters as the serial scan, for every ``N``:
   executor wrapper (chunked dispatch with latency-adaptive sizing,
   dispatch-ordered results, broken-pool detection);
 * :mod:`repro.parallel.util` — worker-count resolution
-  (``REPRO_PARALLEL``), chunk-size/result-channel knobs
-  (``REPRO_PARALLEL_CHUNK`` / ``REPRO_PARALLEL_RESULTS``), the O(d)
-  bucket h-index, chunking.
+  (``REPRO_PARALLEL``), the chunk-size knob (``REPRO_PARALLEL_CHUNK``),
+  the O(d) bucket h-index, chunking.
 
 The deterministic two-phase scan that drives the pool lives in
 :mod:`repro.anchors.gac`; the contract and the lifecycle are documented
@@ -34,7 +33,6 @@ from typing import TYPE_CHECKING
 
 from repro.parallel.util import (
     ENV_CHUNK,
-    ENV_RESULTS,
     ENV_START,
     ENV_WORKERS,
     bucket_h_index,
@@ -86,7 +84,6 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "ENV_CHUNK",
-    "ENV_RESULTS",
     "ENV_START",
     "ENV_WORKERS",
     "AttachedCSR",

@@ -15,7 +15,7 @@ per task; chunk sizes adapt to the previous dispatch's measured
 per-task latency (``REPRO_PARALLEL_CHUNK`` pins them for tests);
 results return through a preallocated :class:`~repro.parallel.shm.SharedResults`
 block of fixed-width int rows instead of pickled ``TaskResult`` objects
-(``REPRO_PARALLEL_RESULTS=pickle`` restores the legacy channel).
+(only a result too big for its row spills to the pickle channel).
 Adaptive sizing is results-safe because the greedy's replay phase
 discards speculative extras — a bigger or smaller chunk can only change
 *work*, never the selected anchor.
@@ -52,12 +52,7 @@ from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 from repro.parallel import worker as _worker
 from repro.parallel.shm import ResultsHandle, SharedCSR, SharedResults
-from repro.parallel.util import (
-    ENV_RESULTS,
-    ENV_START,
-    chunked,
-    resolve_chunk_override,
-)
+from repro.parallel.util import ENV_START, chunked, resolve_chunk_override
 from repro.parallel.worker import ROW_FIXED_INTS
 
 #: First-dispatch fallback before any latency measurement exists: keep
@@ -132,8 +127,9 @@ class CandidateScanPool:
             (defaults to ``REPRO_PARALLEL_START``, then ``fork``).
 
     Raises:
-        PoolUnavailable: no CSR view (``REPRO_CSR=0`` or unorderable
-            labels), a bad worker count, or executor start-up failure.
+        PoolUnavailable: a bad worker count, or executor start-up failure.
+        GraphError: the vertex labels are mutually unorderable (no CSR
+            view to export).
     """
 
     __slots__ = (
@@ -146,7 +142,6 @@ class CandidateScanPool:
         "_labels",
         "_index",
         "_latency",
-        "_use_shm_results",
         "_chunk_seq",
         "_busy_by_pid",
         "_busy_total",
@@ -165,10 +160,6 @@ class CandidateScanPool:
         if workers < 2:
             raise PoolUnavailable(f"need >= 2 workers for a pool, got {workers}")
         csr = csr_view(graph)
-        if csr is None:
-            raise PoolUnavailable(
-                "graph has no CSR view (REPRO_CSR=0 or unorderable labels)"
-            )
         self.workers = workers
         self.broken = False
         #: Worker span events merged into the parent trace so far.
@@ -182,9 +173,6 @@ class CandidateScanPool:
         self._elapsed_total = 0.0
         self._queue_wait_total = 0.0
         self._results: SharedResults | None = None
-        self._use_shm_results = (
-            os.environ.get(ENV_RESULTS, "").strip().lower() != "pickle"
-        )
         self._shared = SharedCSR.export(csr)
         try:
             self._executor = ProcessPoolExecutor(
@@ -237,14 +225,12 @@ class CandidateScanPool:
     # ------------------------------------------------------------------
     # Result rows
     # ------------------------------------------------------------------
-    def _ensure_results(self, n: int) -> "ResultsHandle | None":
-        """A result block with at least ``n`` rows, or ``None`` in pickle mode.
+    def _ensure_results(self, n: int) -> ResultsHandle:
+        """A result block with at least ``n`` rows.
 
         Grows geometrically; a grown block gets a fresh shm name, which
         is what tells workers to re-attach.
         """
-        if not self._use_shm_results:
-            return None
         current = self._results
         if current is not None and current.handle.rows >= n:
             return current.handle
@@ -264,7 +250,7 @@ class CandidateScanPool:
         the serial scan.
         """
         results = self._results
-        assert results is not None  # only called when a handle was dispatched
+        assert results is not None  # evaluate ensured the block first
         row = results.row(slot)
         expected = self._index[candidate] + 1
         if row[0] != expected:
@@ -332,7 +318,7 @@ class CandidateScanPool:
             returns = list(self._executor.map(_worker.evaluate_chunk, payloads))
             elapsed = _obs.clock() - start
             overflows = [chunk_return[0] for chunk_return in returns]
-            results, overflowed = self._merge(payloads, overflows, handle)
+            results, overflowed = self._merge(payloads, overflows)
             self._record_health(
                 [chunk_return[1] for chunk_return in returns], start, elapsed
             )
@@ -416,7 +402,6 @@ class CandidateScanPool:
         self,
         payloads: "list[_worker.ChunkPayload]",
         overflows: "list[_worker.ChunkOverflow]",
-        handle: "ResultsHandle | None",
     ) -> tuple[list[_worker.TaskResult], int]:
         """Stitch shared rows and pickle-channel overflows into task order."""
         results: list[_worker.TaskResult] = []
@@ -429,11 +414,6 @@ class CandidateScanPool:
                 spilled = by_offset.get(offset)
                 if spilled is not None:
                     results.append(spilled)
-                elif handle is None:
-                    raise RuntimeError(
-                        f"pickle-mode worker returned no result for task "
-                        f"offset {offset}"
-                    )
                 else:
                     results.append(self._decode_row(slot_base + offset, candidate))
         return results, overflowed

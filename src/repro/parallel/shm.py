@@ -15,8 +15,8 @@ counter deltas, inline per-node counts — into the disjoint row slot the
 parent assigned to that task, so no two writers ever touch the same
 bytes and no lock is needed. Results that do not fit a row (oversized
 count sets, unknown counter names) fall back to the executor's pickle
-channel per task. The export cost is paid once and amortized across
-rounds (``BENCH_substrate.json`` records export ≈ 13× attach).
+channel per task. The export cost is paid once per pool and amortized
+across rounds.
 
 Lifecycle and crash safety
 --------------------------

@@ -22,9 +22,6 @@ ENV_START = "REPRO_PARALLEL_START"
 #: Fixed executor chunk size override (positive int); unset / unparsable
 #: means the pool adapts the size from measured per-task latency.
 ENV_CHUNK = "REPRO_PARALLEL_CHUNK"
-#: Result-channel override: ``pickle`` forces the legacy per-task pickle
-#: return path instead of the shared-memory result rows (debug knob).
-ENV_RESULTS = "REPRO_PARALLEL_RESULTS"
 
 
 def resolve_chunk_override() -> int | None:  # lint: obs-ok trivial config resolution

@@ -21,7 +21,7 @@ run, naive method). ``apply_anchor``'s oracle — structural equality
 with a fresh build — is what keeps this byte-identical.
 
 Results return through the parent's :class:`~repro.parallel.shm.SharedResults`
-block when one is attached: each task encodes ``(candidate id, follower
+block: each task encodes ``(candidate id, follower
 total, counter deltas, inline per-node counts)`` as a fixed-width int
 row in the disjoint slot the parent assigned. Rows that cannot hold a
 result (oversized count sets, counter names outside the agreed table)
@@ -87,11 +87,8 @@ Task = tuple[Vertex, "dict[NodeId, int] | None"]
 #: lifetime; whether this chunk records and ships worker spans).
 ChunkMeta = tuple[int, bool]
 #: One dispatched chunk: (header, first result slot, result-block
-#: handle — ``None`` forces the pickle channel — the tasks, and the
-#: shipping directives).
-ChunkPayload = tuple[
-    ChunkHeader, int, "ResultsHandle | None", "tuple[Task, ...]", ChunkMeta
-]
+#: handle, the tasks, and the shipping directives).
+ChunkPayload = tuple[ChunkHeader, int, ResultsHandle, "tuple[Task, ...]", ChunkMeta]
 #: One result: (candidate, follower total, per-node counts for the
 #: reuse cache — ``None`` on the naive path — and the counter deltas
 #: this evaluation produced).
@@ -227,12 +224,12 @@ def _state_for(epoch: int, lineage: "tuple[Vertex, ...]") -> _WorkerState:
     return worker
 
 
-def _results_for(handle: "ResultsHandle | None") -> "AttachedResults | None":
+def _results_for(handle: ResultsHandle) -> AttachedResults:
     """The cached result-block attachment, re-attached when the parent
     grew (and therefore renamed) the block."""
     worker = _state
-    if worker is None or handle is None:
-        return None
+    if worker is None:
+        raise RuntimeError("worker used before init_worker ran")
     cached = worker.results
     if cached is not None and cached.handle.name == handle.name:
         return cached
@@ -290,8 +287,7 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
     """Evaluate one chunk of candidates; results go to shared rows.
 
     The overflow half of the return holds only the results that did not
-    fit their row (or everything, as ``(offset, result)`` pairs, when
-    the parent dispatched without a result block); the telemetry half
+    fit their row, as ``(offset, result)`` pairs; the telemetry half
     carries the worker pid, chunk id, execute start/end clocks,
     lineage-cache deltas, and — for traced chunks — the span batch. A
     traced chunk wraps its task loop in a ``worker.chunk`` span (inner
@@ -332,7 +328,7 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
                     total = report.total
                     counts = dict(report.counts)
                 deltas = window.counters()
-                encoded = results is not None and _encode_row(
+                encoded = _encode_row(
                     results,
                     slot_base + offset,
                     worker,

@@ -1,12 +1,10 @@
 """Tests for the interchangeable follower-search kernels.
 
-Backend selection precedence and loud failure on typos, the
-availability fallbacks (numpy missing, no CSR view) with their
-diagnosability gauges, byte-identity of GAC and OLAK across the full
-``kernel x workers`` matrix, counter parity through
-``FollowerCounters.from_window``, and correctness of the incremental
-flat-table maintenance (``apply_update``) against a fresh build. See
-``docs/kernels.md`` for the contract these tests pin.
+Backend selection precedence and loud failure on typos, byte-identity
+of GAC and OLAK across the full ``kernel x workers`` matrix, counter
+parity through ``FollowerCounters.from_window``, and correctness of the
+incremental flat-table maintenance (``apply_update``) against a fresh
+build. See ``docs/kernels.md`` for the contract these tests pin.
 """
 
 from __future__ import annotations
@@ -25,10 +23,6 @@ from repro.olak.olak import olak
 
 from conftest import graph_and_vertex
 
-#: Every backend the current environment can actually run.
-AVAILABLE_KERNELS = ("dict", "flat") + (
-    ("numpy",) if kernels.numpy_available() else ()
-)
 
 FAST = settings(max_examples=25, deadline=None)
 
@@ -66,37 +60,6 @@ class TestSelection:
 
 
 # ----------------------------------------------------------------------
-# Availability fallbacks, gauged so a degraded run is diagnosable
-
-
-class TestFallbacks:
-    def test_numpy_falls_back_to_flat_when_unavailable(self, monkeypatch):
-        from repro.anchors.kernels import numpy_backend
-
-        monkeypatch.setattr(numpy_backend, "_np", None)
-        name = kernels.resolve_kernel("numpy")
-        assert name == "flat"
-        assert obs.gauges_snapshot()["kernels.fallback.numpy_unavailable"] == 1
-
-    def test_flat_falls_back_to_dict_without_csr(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSR", "0")
-        graph = registry.load("arxiv")
-        assert kernels.resolve_kernel("flat", graph=graph) == "dict"
-        assert obs.gauges_snapshot()["kernels.fallback.no_csr"] == 1
-
-    def test_find_followers_works_without_csr(self, monkeypatch):
-        """An explicit flat request on a CSR-less graph degrades, not crashes."""
-        monkeypatch.setenv("REPRO_CSR", "0")
-        graph = registry.load("arxiv")
-        state = AnchoredState.build(graph)
-        x = min(graph.vertices(), key=lambda u: (graph.degree(u), u))
-        baseline = find_followers(AnchoredState.build(graph), x, kernel="dict")
-        report = find_followers(state, x, kernel="flat")
-        assert report.counts == baseline.counts
-        assert report.members == baseline.members
-
-
-# ----------------------------------------------------------------------
 # Byte-identity across the kernel x workers matrix (the tentpole
 # contract): anchors, gains, follower totals, Figure-13 counters.
 
@@ -116,7 +79,7 @@ class TestMatrixIdentity:
     def test_gac_identical_across_kernels_and_workers(self):
         graph = registry.load("arxiv")
         reference = _gac_observables(gac(graph, 3, kernel="dict", workers=0))
-        for kernel in AVAILABLE_KERNELS:
+        for kernel in kernels.KERNELS:
             for workers in (0, 2, 4):
                 if kernel == "dict" and workers == 0:
                     continue
@@ -128,7 +91,7 @@ class TestMatrixIdentity:
     def test_olak_identical_across_kernels(self):
         graph = registry.load("arxiv")
         reference = None
-        for kernel in AVAILABLE_KERNELS:
+        for kernel in kernels.KERNELS:
             result = olak(graph, 3, 3, kernel=kernel)
             observed = (
                 result.anchors,
@@ -155,7 +118,7 @@ def test_counters_from_window_parity_across_backends_arxiv_b5():
     """
     graph = registry.load("arxiv")
     reference = None
-    for kernel in AVAILABLE_KERNELS:
+    for kernel in kernels.KERNELS:
         window = obs.window()
         result = gac(graph, 5, kernel=kernel, workers=0)
         observed = (

@@ -23,12 +23,14 @@ import repro.parallel.worker as worker_mod
 from repro import obs
 from repro.anchors.gac import gac, gac_u, greedy_anchored_coreness
 from repro.datasets import registry
+from repro.errors import GraphError
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph
 from repro.parallel import (
     CandidateScanPool,
     PoolUnavailable,
     SharedCSR,
+    SharedResults,
     attach,
     bucket_h_index,
     chunked,
@@ -178,13 +180,8 @@ class TestPoolConstruction:
     def test_rejects_graph_without_csr_view(self):
         # complex labels are mutually unorderable -> no CSR interning
         graph = Graph.from_edges([(1j, 2j), (2j, 3j), (1j, 3j)])
-        with pytest.raises(PoolUnavailable, match="CSR"):
+        with pytest.raises(GraphError, match="complex"):
             CandidateScanPool(graph, 2)
-
-    def test_rejects_when_csr_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSR", "0")
-        with pytest.raises(PoolUnavailable):
-            CandidateScanPool(small_random_graph(0), 2)
 
     def test_small_graph_falls_back_with_gauge(self):
         graph = small_random_graph(2)  # 40 vertices < _MIN_PARALLEL_CANDIDATES
@@ -274,7 +271,7 @@ class TestScanDeterminism:
 
 
 # ----------------------------------------------------------------------
-# chunked dispatch: sizing knobs and result channels never change results
+# chunked dispatch: sizing knobs and row overflow never change results
 # ----------------------------------------------------------------------
 class TestChunkedDispatch:
     _reference: tuple | None = None
@@ -298,13 +295,6 @@ class TestChunkedDispatch:
             monkeypatch.setenv("REPRO_PARALLEL_CHUNK", chunk)
         graph, reference = self._serial()
         run = gac(graph, 3, tie_break="id", workers=workers)
-        assert _result_tuple(run) == reference
-
-    @needs_shm
-    def test_pickle_result_channel_identical(self, tiny_pools, monkeypatch):
-        graph, reference = self._serial()
-        monkeypatch.setenv("REPRO_PARALLEL_RESULTS", "pickle")
-        run = gac(graph, 3, tie_break="id", workers=2)
         assert _result_tuple(run) == reference
 
     @needs_shm
@@ -469,15 +459,24 @@ class TestWorkerLineageCache:
     def test_incremental_advance_matches_fresh_build(self):
         """Extending the lineage advances the cached state in place and
         keeps every follower total equal to a fresh-build oracle."""
+        from types import SimpleNamespace
+
+        import repro.parallel.pool as pool_mod
         from repro.anchors.followers import find_followers
         from repro.anchors.state import AnchoredState
         from repro.core.decomposition import _sort_key
 
         graph = small_random_graph(2, n=60, m=160)
-        shared = SharedCSR.export(csr_view(graph))
+        csr = csr_view(graph)
+        shared = SharedCSR.export(csr)
+        rows = SharedResults.create(8, pool_mod._ROW_INTS)
+        # The parent's row decoder, bound to this block and graph.
+        decoder = SimpleNamespace(
+            _results=rows, _index=csr.index, _labels=csr.labels
+        )
         saved_state = worker_mod._state
         try:
-            worker_mod.init_worker(shared.handle, "tree")
+            worker_mod.init_worker(shared.handle, "tree", pool_mod._COUNTER_NAMES)
             anchors_in_order = sorted(graph.vertices(), key=_sort_key)[:3]
             cached_ids = []
             for epoch in range(3):
@@ -490,14 +489,12 @@ class TestWorkerLineageCache:
                 payload = (
                     (epoch, lineage, None),  # kernel None: worker resolves
                     0,
-                    None,  # pickle channel: everything comes back inline
+                    rows.handle,
                     tuple((u, None) for u in candidates),
                     (epoch, False),  # chunk id, untraced
                 )
                 overflow, telemetry = worker_mod.evaluate_chunk(payload)
-                assert [offset for offset, _ in overflow] == list(
-                    range(len(candidates))
-                )
+                assert len(overflow) < len(candidates)  # rows carry results
                 pid, chunk_id, exec_start, exec_end, cache_stats, batch = telemetry
                 assert pid == os.getpid()
                 assert chunk_id == epoch
@@ -511,21 +508,27 @@ class TestWorkerLineageCache:
                 assert hits == len(candidates) - 1  # rest of chunk reuses it
                 cached_ids.append(id(worker_mod._state.state))
                 oracle = AnchoredState.build(graph, frozenset(lineage))
-                for offset, (candidate, total, counts, _deltas) in overflow:
+                spilled = dict(overflow)
+                for offset, u in enumerate(candidates):
+                    result = spilled.get(offset) or CandidateScanPool._decode_row(
+                        decoder, offset, u
+                    )
+                    candidate, total, counts, _deltas = result
                     report = find_followers(oracle, candidate)
-                    assert candidate == candidates[offset]
+                    assert candidate == u
                     assert total == report.total
                     assert counts == dict(report.counts)
             # the same AnchoredState object advanced across epochs —
             # proof the incremental path ran instead of a rebuild
             assert cached_ids[1] == cached_ids[2]
         finally:
-            attachment = (
-                worker_mod._state.attachment if worker_mod._state else None
-            )
+            state = worker_mod._state
             worker_mod._state = saved_state
-            if attachment is not None:
-                attachment.close()
+            if state is not None:
+                if state.results is not None:
+                    state.results.close()
+                state.attachment.close()
+            rows.close()
             shared.close()
 
 

@@ -101,7 +101,7 @@ class TestPerfBaseline:
         baseline = self._baseline()
         baseline.csr_build_s = 0.002
         baseline.notes.append("a note")
-        path = baseline.write(tmp_path / "BENCH_substrate.json")
+        path = baseline.write(tmp_path / "baseline.json")
         payload = json.loads(path.read_text())
         assert payload["schema"] == 4
         assert payload["mode"] == "smoke"
