@@ -4,72 +4,16 @@ Expected shape: Baseline (full decomposition per candidate) is slowest
 by a wide margin — feasible only on the smallest dataset, like in the
 paper — and the engineered variants order GAC <= GAC-U <= GAC-U-R.
 
-A second test times the parallel candidate scan against the serial one
-and writes ``BENCH_gac.json`` at the repository root (schema-4
-:class:`~repro.experiments.reporting.PerfBaseline` with honest
-``serial_s`` / ``parallel_s`` column labels and the runner's
-``host_cores``): per worker count, the summed ``gac.candidate_scan``
-span seconds and the whole-run wall-clock, serial vs parallel, each
-best-of-:data:`GAC_BEST_OF` repeats off-smoke so speedup claims aren't
-single-run noise. On a host with fewer cores than a leg's workers the
-processes time-slice, so that leg's ``parallel_s`` is *refused*: the
-entry records ``null`` with ``"starved": true`` (the run still happens
-— identity is asserted — but a starved wall-clock must never enter the
-committed trajectory). Result identity is asserted on every repeat —
-the parallel scan is a wall-clock knob, never a results knob — while
-the speedup gate only applies off-smoke on machines with enough cores
-to actually run the workers concurrently
-(``scripts/check_gac_regression.py`` applies the same gate against the
-committed trajectory in CI).
-
-The serial leg runs the default ``flat`` follower kernel and an extra
-dict-oracle reference leg (identity asserted against the flat result,
-so the bench itself re-proves the backends byte-identical); the
-oracle's ``followers.search[dict]`` phase lands in the ``serial/``
-namespace next to ``followers.search[flat]``, giving the CI kernel
-gate its in-run A/B reference (``docs/kernels.md``).
-
-Alongside the timings the baseline now carries per-phase profiles
-(``serial/…`` and ``w<N>/…`` namespaces, diffable with ``python -m
-repro.obs diff``) and the best parallel run's merged multi-process
-Chrome trace — parent lane, one lane per worker pid, resource-gauge
-timeline — is written next to it for CI to validate and upload.
-
-Environment knobs (parallel-scan baseline only):
-    REPRO_BENCH_SMOKE=1       small replica + tiny budget (the CI mode)
-    REPRO_BENCH_GAC_DATASET   override the replica name
-    REPRO_BENCH_GAC_OUT       override the output path
-    REPRO_BENCH_GAC_TRACE_OUT override the merged trace artifact path
+Serial-vs-parallel scan timings and the follower-kernel A/B live in the
+workload grid (``python -m repro.bench run``, ``BENCH_grid.json``; see
+``docs/benchmarking.md``).
 """
-
-import json
-import os
-import time
-from pathlib import Path
 
 from conftest import run_once
 
-from repro import obs
-from repro.anchors.gac import gac
-from repro.datasets import registry
 from repro.experiments import fig12
-from repro.experiments.reporting import PerfBaseline
 
 DATASETS = ["brightkite", "gowalla", "stanford"]
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
-GAC_DATASET = os.environ.get(
-    "REPRO_BENCH_GAC_DATASET", "brightkite" if SMOKE else "livejournal"
-)
-GAC_BUDGET = 2 if SMOKE else 6
-GAC_WORKER_COUNTS = (2,) if SMOKE else (2, 4)
-GAC_BEST_OF = 1 if SMOKE else 3
-_DEFAULT_GAC_OUT = Path(__file__).resolve().parent.parent / "BENCH_gac.json"
-GAC_OUT_PATH = Path(os.environ.get("REPRO_BENCH_GAC_OUT", _DEFAULT_GAC_OUT))
-_DEFAULT_GAC_TRACE = Path(__file__).resolve().parent.parent / "BENCH_gac_trace.json"
-GAC_TRACE_PATH = Path(
-    os.environ.get("REPRO_BENCH_GAC_TRACE_OUT", _DEFAULT_GAC_TRACE)
-)
 
 
 def test_fig12_runtime(benchmark, save_report):
@@ -89,194 +33,3 @@ def test_fig12_runtime(benchmark, save_report):
     )
     for name, times in result.data["runtimes"].items():
         assert times["GAC"] <= 1.5 * times["GAC-U-R"], name
-
-
-def _result_tuple(result):
-    """Everything the determinism contract covers, as one comparable value."""
-    return (
-        result.anchors,
-        result.gains,
-        result.followers,
-        result.truncated,
-        [vars(t.counters) for t in result.traces],
-        [t.candidate_count for t in result.traces],
-    )
-
-
-def _gac_scan_run(workers, kernel="flat"):
-    """One traced GAC run; returns (result, wall, scan_s, events, samples).
-
-    Scan seconds sum the ``gac.candidate_scan`` span, which wraps both
-    the serial loop and the parallel dispatch+replay, so the two sides
-    pay the same tracing overhead and the ratio stays honest (parallel
-    runs additionally ship worker spans back — a per-chunk batch, paid
-    identically on every repeat). Events include the worker-lane spans;
-    samples are the run's resource-gauge timeline. The kernel is pinned
-    explicitly so a ``REPRO_KERNEL`` ambient in the environment cannot
-    silently relabel the recorded phases.
-    """
-    graph = registry.load(GAC_DATASET)
-    window = obs.window()
-    with obs.ResourceSampler() as sampler:
-        t0 = time.perf_counter()
-        with obs.tracing(True):
-            result = gac(graph, GAC_BUDGET, workers=workers, kernel=kernel)
-        wall = time.perf_counter() - t0
-    events = window.events()
-    stats = {s.name: s for s in obs.phase_profile(events)}
-    scan = stats["gac.candidate_scan"].total_s
-    return result, wall, scan, events, sampler.samples
-
-
-def _best_gac_runs(workers, reference=None, kernel="flat"):
-    """Best-of-``GAC_BEST_OF`` run for one worker count.
-
-    Returns ``(result_tuple, min_wall, min_scan, events, samples)`` where
-    the events/samples come from the best-wall repeat. Identity against
-    ``reference`` (the serial result tuple) is asserted on *every*
-    repeat, not just the fastest — a nondeterministic run must never
-    hide behind a better-timed sibling.
-    """
-    walls, scans = [], []
-    result_tuple = None
-    best = None
-    for _ in range(GAC_BEST_OF):
-        result, wall, scan, events, samples = _gac_scan_run(
-            workers=workers, kernel=kernel
-        )
-        result_tuple = _result_tuple(result)
-        if reference is not None:
-            assert result_tuple == reference, (workers, kernel)
-        if best is None or wall < best[0]:
-            best = (wall, events, samples)
-        walls.append(wall)
-        scans.append(scan)
-    return result_tuple, min(walls), min(scans), best[1], best[2]
-
-
-def _run_gac_baseline():
-    graph = registry.load(GAC_DATASET)
-    baseline = PerfBaseline(
-        name="gac-parallel-scan-baseline",
-        dataset=GAC_DATASET,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        mode="smoke" if SMOKE else "full",
-        best_of=GAC_BEST_OF,
-        labels=("serial_s", "parallel_s"),
-        host_cores=len(os.sched_getaffinity(0)),
-    )
-    serial_tuple, serial_wall, serial_scan, serial_events, _ = _best_gac_runs(
-        workers=0
-    )
-    obs.record_phases(baseline, obs.phase_profile(serial_events), prefix="serial/")
-    # Dict-oracle reference leg: same workload on the dict kernel, byte
-    # identity asserted against the flat result. Only its
-    # followers.search[dict] phase is recorded — the in-run A/B the CI
-    # kernel gate compares against followers.search[flat] above.
-    _, _, _, dict_events, _ = _best_gac_runs(
-        workers=0, reference=serial_tuple, kernel="dict"
-    )
-    obs.record_phases(
-        baseline,
-        [
-            s
-            for s in obs.phase_profile(dict_events)
-            if s.name == "followers.search[dict]"
-        ],
-        prefix="serial/",
-    )
-    host_cores = baseline.host_cores or 0
-    trace_events, trace_samples = serial_events, []
-    for workers in GAC_WORKER_COUNTS:
-        # The determinism contract holds unconditionally — before any
-        # timing is recorded, every parallel repeat must reproduce the
-        # serial GreedyResult byte for byte, Figure-13 counters included.
-        _, parallel_wall, parallel_scan, events, samples = _best_gac_runs(
-            workers=workers, reference=serial_tuple
-        )
-        if host_cores < workers:
-            # Starved leg: the processes time-sliced, so the wall-clock
-            # measures scheduling, not the scan. Refuse the trajectory
-            # point — null columns with an explicit flag.
-            baseline.record_starved(f"candidate_scan_w{workers}", serial_scan)
-            baseline.record_starved(f"gac_total_w{workers}", serial_wall)
-        else:
-            baseline.record(
-                f"candidate_scan_w{workers}", serial_scan, parallel_scan
-            )
-            baseline.record(f"gac_total_w{workers}", serial_wall, parallel_wall)
-        obs.record_phases(
-            baseline, obs.phase_profile(events), prefix=f"w{workers}/"
-        )
-        # The uploaded trace is the best run at the highest worker count:
-        # parent lane + one lane per worker pid + resource timeline.
-        trace_events, trace_samples = events, samples
-    obs.write_chrome_trace(GAC_TRACE_PATH, trace_events, None, trace_samples)
-    baseline.notes.append(
-        "serial_s = serial (workers=0) seconds, parallel_s = parallel "
-        "seconds; candidate_scan_w* sums the gac.candidate_scan span, "
-        "gac_total_w* is the whole greedy run"
-    )
-    baseline.notes.append(
-        f"budget={GAC_BUDGET}; every parallel repeat asserted identical to "
-        "serial before recording"
-    )
-    baseline.notes.append(
-        "legs with host_cores < workers time-slice, so parallel_s is "
-        "refused: null columns with starved: true (identity still "
-        "asserted); the CI gate only applies at host_cores >= 4"
-    )
-    baseline.notes.append(
-        "phases are namespaced serial/ and w<N>/ per configuration "
-        "(best-wall repeat); serial/ carries followers.search[flat] plus "
-        "the dict-oracle reference followers.search[dict] (same workload, "
-        "identity asserted) for the kernel gate; merged multi-worker "
-        f"Chrome trace written to {GAC_TRACE_PATH.name}"
-    )
-    baseline.write(GAC_OUT_PATH)
-    return baseline
-
-
-def test_gac_parallel_scan_baseline(benchmark):
-    baseline = run_once(benchmark, _run_gac_baseline)
-    assert GAC_OUT_PATH.exists()
-    entries = {str(e["primitive"]): e for e in baseline.primitives}
-    cores = baseline.host_cores or 0
-    for workers in GAC_WORKER_COUNTS:
-        entry = entries[f"candidate_scan_w{workers}"]
-        if cores < workers:
-            # Starved legs must refuse the trajectory, not poison it.
-            assert entry["parallel_s"] is None and entry["starved"] is True
-            assert entry["speedup"] is None
-        else:
-            assert isinstance(entry["parallel_s"], float)
-            assert "starved" not in entry
-
-    # Phase profiles landed under every configuration namespace…
-    prefixes = {str(e["phase"]).split("/", 1)[0] for e in baseline.phases}
-    assert prefixes >= {"serial"} | {f"w{w}" for w in GAC_WORKER_COUNTS}
-    # …the serial namespace carries both kernel-labeled follower phases
-    # (the CI kernel gate's A/B pair)…
-    phase_names = {str(e["phase"]) for e in baseline.phases}
-    assert "serial/followers.search[flat]" in phase_names
-    assert "serial/followers.search[dict]" in phase_names
-    # …and the merged trace artifact is a valid multi-process trace with
-    # a resource timeline. Worker lanes only exist when the pool engaged
-    # (shm available and no fallback), signalled by shipped spans.
-    assert obs.validate_chrome_trace(GAC_TRACE_PATH) == []
-    document = json.loads(GAC_TRACE_PATH.read_text(encoding="utf-8"))
-    rows = document["traceEvents"]
-    assert any(r["ph"] == "C" and r["name"] == "resource.cpu_s" for r in rows)
-    if obs.get(obs.PARALLEL_SPANS_SHIPPED):
-        lanes = {r["pid"] for r in rows if r["ph"] == "X"}
-        assert len(lanes) >= 2, "expected at least one worker span lane"
-
-    # The speedup gate needs real cores: on a 1-CPU runner the worker
-    # processes time-slice one core and the dispatch overhead dominates,
-    # which says nothing about the scan itself. Smoke replicas are also
-    # too small to amortize the pool spin-up.
-    cores = len(os.sched_getaffinity(0))
-    if not SMOKE and cores >= 4 and 4 in GAC_WORKER_COUNTS:
-        speedup = baseline.speedup("candidate_scan_w4")
-        assert speedup is not None and speedup >= 1.5

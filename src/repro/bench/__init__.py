@@ -8,12 +8,13 @@ against. Two commands (``python -m repro.bench``):
   asserted across repeats and against the serial reference, recording
   variance-aware statistics and per-cell :mod:`repro.obs` phase
   profiles into a schema-5 ``BENCH_grid.json``;
-* ``gate`` — the unified regression gate: the legacy
-  ``BENCH_gac.json`` rules (absorbed from
-  ``scripts/check_gac_regression.py``, which now delegates here) plus
-  their per-cell generalization for grid artifacts, with
-  :mod:`repro.obs.diffs` variance thresholds and honest starved-host
-  skips.
+* ``gate`` — the regression gate over two grid artifacts: per-cell
+  headline speedups with host-class trajectories, the kernel
+  reference-pair floor, :mod:`repro.obs.diffs` variance thresholds and
+  honest starved-host skips.
+
+``BENCH_grid.json`` is the only perf artifact either command reads or
+writes.
 
 See ``docs/benchmarking.md``.
 """

@@ -8,12 +8,14 @@ Commands:
   ``--smoke`` shrinks the grid to one cell per axis (first dataset,
   smallest budget, serial + smallest parallel leg, single repeat) —
   the CI mode;
-* ``gate`` — apply the unified regression gate to a fresh artifact
-  against the committed trajectory (see :mod:`repro.bench.gate`).
+* ``gate`` — apply the regression gate to a fresh grid artifact
+  against the committed ``BENCH_grid.json`` (see
+  :mod:`repro.bench.gate`).
 
-Exit status: 0 success / pass, 1 identity violation or regression,
-2 bad input (unreadable grid spec, unknown dataset, malformed or
-future-schema baseline) — never a bare traceback for a bad input.
+Exit status: 0 success / pass, 1 identity or gain-check violation or
+regression, 2 bad input (unreadable grid spec, unknown dataset,
+malformed or non-schema-5 baseline) — never a bare traceback for a bad
+input.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from repro.bench import gate as gate_mod
 from repro.bench.grid import load_grid
 from repro.bench.runner import IdentityError, run_grid
-from repro.errors import DatasetError
+from repro.errors import DatasetError, VerificationError
 
 DEFAULT_GRID = Path("benchmarks") / "grids" / "gac_grid.json"
 DEFAULT_OUT = Path("BENCH_grid.json")
@@ -69,6 +71,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except IdentityError as exc:
         print(f"bench run: IDENTITY FAILURE — {exc}", file=sys.stderr)
         return 1
+    except VerificationError as exc:
+        print(f"bench run: GAIN CHECK FAILURE — {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     baseline.write(out)
     for entry in baseline.cells:
@@ -90,14 +95,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gate(args: argparse.Namespace) -> int:
-    return gate_mod.main(args.gate_args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Workload-grid bench runner and unified regression gate.",
+        description="Workload-grid bench runner and regression gate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -132,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gate = sub.add_parser(
         "gate",
-        help="unified regression gate (legacy and grid artifacts)",
+        help="regression gate for schema-5 grid artifacts",
+        parents=[gate_mod.build_parser()],
         add_help=False,
     )
-    p_gate.add_argument("gate_args", nargs=argparse.REMAINDER)
-    p_gate.set_defaults(func=_cmd_gate)
+    p_gate.set_defaults(func=gate_mod.run)
     return parser
 
 

@@ -1,47 +1,31 @@
-"""The unified bench regression gate: ``python -m repro.bench gate``.
+"""The bench regression gate: ``python -m repro.bench gate``.
 
-One gate, two artifact generations:
+Gates a fresh schema-5 ``BENCH_grid.json`` artifact (from ``python -m
+repro.bench run``) against the committed one, per cell:
 
-* **legacy mode** (fresh artifact schema <= 4, the ``BENCH_gac.json``
-  family): the exact rules ``scripts/check_gac_regression.py`` applied
-  — that script now delegates here, and a parity test pins the
-  verdicts. The headline w4-speedup rule only applies when the fresh
-  run's ``host_cores`` clears ``--min-cores`` (starved hosts SKIP,
-  never fabricate), the committed trajectory may only move up (minus
-  ``--tolerance`` runner noise), and the follower-kernel gate holds
-  the committed dict/flat pair to ``--kernel-floor`` with
-  :mod:`repro.obs.diffs` variance thresholds on same-workload
-  comparisons.
-
-* **grid mode** (fresh artifact schema 5, ``BENCH_grid.json`` from
-  ``python -m repro.bench run``): the same rules generalized per cell:
-
-  - *headline*: every fresh cell with ``workers >= --min-workers``
-    must hold ``--floor`` speedup against its serial reference;
-    starved cells are SKIPped (their stats are ``null`` by
-    construction — the runner refuses time-sliced measurements).
-    A committed cell with the same cell id **and the same
-    host_cores class** raises the floor to its speedup minus
-    ``--tolerance`` — the trajectory may only move up, and
-    measurements from different hardware classes never gate each
-    other;
-  - *kernel*: the **reference pair** — the serial dict/flat
-    follower-search pair with the largest dict total at or above
-    ``--kernel-ref-floor`` seconds — must hold ``--kernel-floor``
-    inside the committed artifact *and* inside the fresh one (both
-    are within-run A/B pairs, so host speed cancels); when committed
-    and fresh share the reference workload and host class, fresh
-    flat is additionally gated against committed dict with the
-    committed ratio (minus the diffs relative tolerance) raising the
-    floor. Pairs on smaller workloads are printed report-only —
-    their searches run microseconds and the ratio measures span
-    overhead, not the kernel;
-  - a report-only :mod:`repro.obs.diffs` phase breakdown names which
-    per-cell phases moved, so a FAIL points at the regressing phase.
+- *headline*: every fresh cell with ``workers >= --min-workers`` must
+  hold ``--floor`` speedup against its serial reference; starved cells
+  are SKIPped (their stats are ``null`` by construction — the runner
+  refuses time-sliced measurements). A committed cell with the same
+  cell id **and the same host_cores class** raises the floor to its
+  speedup minus ``--tolerance`` — the trajectory may only move up, and
+  measurements from different hardware classes never gate each other;
+- *kernel*: the **reference pair** — the serial dict/flat
+  follower-search pair with the largest dict total at or above
+  ``--kernel-ref-floor`` seconds — must hold ``--kernel-floor`` inside
+  the committed artifact *and* inside the fresh one (both are within-run
+  A/B pairs, so host speed cancels); when committed and fresh share the
+  reference workload and host class, fresh flat is additionally gated
+  against committed dict with the committed ratio (minus the diffs
+  relative tolerance) raising the floor. Pairs on smaller workloads are
+  printed report-only — their searches run microseconds and the ratio
+  measures span overhead, not the kernel;
+- a report-only :mod:`repro.obs.diffs` phase breakdown names which
+  per-cell phases moved, so a FAIL points at the regressing phase.
 
 Exit status: 0 pass / skipped-not-applicable, 1 regression, 2 bad
-input (unreadable, truncated, or future-schema artifacts report a
-one-line error).
+input (unreadable, truncated, malformed or other-schema artifacts
+report a one-line error).
 """
 
 from __future__ import annotations
@@ -50,42 +34,26 @@ import argparse
 from pathlib import Path
 
 from repro.experiments.reporting import PerfBaseline
-from repro.obs.diffs import (
-    DEFAULT_ABS_FLOOR_S,
-    DEFAULT_REL_TOL,
-    diff_baselines,
-    diff_table,
-)
+from repro.obs.diffs import DEFAULT_REL_TOL, diff_baselines, diff_table
 
-#: Phase labels the kernel gate reads (``docs/kernels.md``).
-KERNEL_PHASE_FLAT = "serial/followers.search[flat]"
-KERNEL_PHASE_DICT = "serial/followers.search[dict]"
-#: The dict-era label written before backends existed (schema <= 3).
-KERNEL_PHASE_LEGACY = "serial/followers.search"
-
-#: Grid mode: a dict/flat pair only carries the kernel acceptance
-#: criterion when its dict leg is at least this long — on smaller
-#: workloads the per-search cost is microseconds and the ratio
-#: measures span overhead, not the kernel (``docs/kernels.md``).
+#: A dict/flat pair only carries the kernel acceptance criterion when
+#: its dict leg is at least this long — on smaller workloads the
+#: per-search cost is microseconds and the ratio measures span
+#: overhead, not the kernel (``docs/kernels.md``).
 KERNEL_REFERENCE_FLOOR_S = 0.25
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        description="unified bench regression gate (legacy BENCH_gac.json "
-        "and schema-5 BENCH_grid.json artifacts)"
+        prog="python -m repro.bench gate",
+        description="bench regression gate for schema-5 BENCH_grid.json artifacts",
     )
     parser.add_argument("fresh", type=Path, help="freshly benchmarked artifact")
     parser.add_argument(
         "--committed",
         type=Path,
-        default=Path("BENCH_gac.json"),
-        help="committed trajectory to gate against (default: ./BENCH_gac.json)",
-    )
-    parser.add_argument(
-        "--primitive",
-        default="candidate_scan_w4",
-        help="legacy mode: baseline entry to gate (default: candidate_scan_w4)",
+        default=Path("BENCH_grid.json"),
+        help="committed trajectory to gate against (default: ./BENCH_grid.json)",
     )
     parser.add_argument(
         "--floor",
@@ -94,17 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum acceptable speedup on a gate-eligible host (default: 1.5)",
     )
     parser.add_argument(
-        "--min-cores",
-        type=int,
-        default=4,
-        help="legacy mode: host cores below which the headline gate is not "
-        "applicable (default: 4)",
-    )
-    parser.add_argument(
         "--min-workers",
         type=int,
         default=4,
-        help="grid mode: cells with at least this many workers carry the "
+        help="cells with at least this many workers carry the "
         "headline speedup gate (default: 4)",
     )
     parser.add_argument(
@@ -124,110 +85,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-ref-floor",
         type=float,
         default=KERNEL_REFERENCE_FLOOR_S,
-        help="grid mode: minimum dict-leg seconds for a pair to carry the "
+        help="minimum dict-leg seconds for a pair to carry the "
         f"kernel acceptance criterion (default: {KERNEL_REFERENCE_FLOOR_S})",
     )
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """The gate entry point — also what the legacy script delegates to."""
-    args = build_parser().parse_args(argv)
+    """The gate entry point."""
+    return run(build_parser().parse_args(argv))
 
+
+def run(args: argparse.Namespace) -> int:
+    """Gate ``args.fresh`` against ``args.committed`` (parsed options)."""
     try:
         fresh = PerfBaseline.load(args.fresh)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"check_gac_regression: cannot read fresh baseline: {exc}")
+    except (OSError, ValueError) as exc:
+        print(f"bench gate: cannot read fresh baseline: {exc}")
         return 2
 
     committed: PerfBaseline | None = None
     if args.committed.exists():
         try:
             committed = PerfBaseline.load(args.committed)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"check_gac_regression: cannot read committed baseline: {exc}")
+        except (OSError, ValueError) as exc:
+            print(f"bench gate: cannot read committed baseline: {exc}")
             return 2
 
-    if fresh.schema >= 5:
-        return _grid_gate(args, committed, fresh)
-    if committed is not None and committed.schema >= 5:
-        print(
-            "bench gate: note — committed artifact is a schema-5 grid but "
-            "the fresh one is legacy; gating against the fixed floors only"
-        )
-        committed = None
-    return _legacy_gate(args, committed, fresh)
-
-
-# ----------------------------------------------------------------------
-# Legacy mode — the rules scripts/check_gac_regression.py shipped with,
-# moved verbatim (prints included: the parity test compares verdicts).
-# ----------------------------------------------------------------------
-def _speedup(baseline: PerfBaseline, primitive: str) -> float | None:
-    value = baseline.speedup(primitive)
-    return value if isinstance(value, float) and value > 0 else None
-
-
-def _legacy_gate(
-    args: argparse.Namespace,
-    committed: "PerfBaseline | None",
-    fresh: PerfBaseline,
-) -> int:
     kernel_ok = (
-        _kernel_gate(committed, fresh, floor=args.kernel_floor)
+        _grid_kernel_gate(args, committed, fresh)
         if args.kernel_floor > 0
         else True
     )
-
-    cores = fresh.host_cores
-    if cores is None or cores < args.min_cores:
-        print(
-            f"check_gac_regression: SKIP — fresh run has host_cores={cores} "
-            f"(< {args.min_cores}); workers time-slice, speedup is meaningless"
-        )
-        return 0 if kernel_ok else 1
-
-    speedup = _speedup(fresh, args.primitive)
-    if speedup is None:
-        print(
-            f"check_gac_regression: FAIL — {args.primitive} missing from "
-            f"{args.fresh} (recorded: "
-            f"{sorted(e.get('primitive') for e in fresh.primitives)})"
-        )
-        return 1
-
-    floor = args.floor
-    committed_note = "no committed gate-eligible baseline"
-    if committed is not None:
-        committed_speedup = _speedup(committed, args.primitive)
-        committed_cores = committed.host_cores
-        if (
-            committed_speedup is not None
-            and committed_cores is not None
-            and committed_cores >= args.min_cores
-        ):
-            trajectory = committed_speedup * (1.0 - args.tolerance)
-            if trajectory > floor:
-                floor = trajectory
-            committed_note = (
-                f"committed {args.primitive}={committed_speedup:.3f}x "
-                f"on {committed_cores} cores"
-            )
-        else:
-            committed_note = (
-                f"committed baseline not gate-eligible "
-                f"(host_cores={committed_cores}, "
-                f"speedup={committed_speedup})"
-            )
-
-    verdict = "PASS" if speedup >= floor else "FAIL"
-    print(
-        f"check_gac_regression: {verdict} — {args.primitive} "
-        f"{speedup:.3f}x on {cores} cores (floor {floor:.3f}x; "
-        f"{committed_note})"
-    )
+    headline_ok = _grid_headline_gate(args, committed, fresh)
     _phase_breakdown(committed, fresh)
-    return 0 if verdict == "PASS" and kernel_ok else 1
+    return 0 if kernel_ok and headline_ok else 1
 
 
 def _phase(baseline: "PerfBaseline | None", name: str) -> "tuple[float, int] | None":
@@ -245,97 +137,6 @@ def _phase(baseline: "PerfBaseline | None", name: str) -> "tuple[float, int] | N
                 int(calls) if isinstance(calls, (int, float)) else 0,
             )
     return None
-
-
-def _kernel_gate(
-    committed: "PerfBaseline | None",
-    fresh: PerfBaseline,
-    *,
-    floor: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor_s: float = DEFAULT_ABS_FLOOR_S,
-) -> bool:
-    """Gate the flat follower kernel against the dict oracle's phase.
-
-    Returns True on pass or not-applicable; prints one verdict line
-    either way. See the module docstring for the reference-selection
-    and trajectory rules.
-    """
-    flat = _phase(fresh, KERNEL_PHASE_FLAT)
-    if flat is None:
-        if fresh.phases:
-            print(
-                "kernel gate: FAIL — fresh baseline records phases but "
-                f"no {KERNEL_PHASE_FLAT} (did the bench stop measuring "
-                "the flat backend?)"
-            )
-            return False
-        print("kernel gate: SKIP — fresh baseline carries no phase profile")
-        return True
-    committed_dict = _phase(committed, KERNEL_PHASE_DICT) or _phase(
-        committed, KERNEL_PHASE_LEGACY
-    )
-    committed_flat = _phase(committed, KERNEL_PHASE_FLAT)
-    ok = True
-
-    # 1. The committed trajectory itself must hold the acceptance
-    #    criterion: its own dict/flat pair (same workload by
-    #    construction) at or above the floor.
-    committed_ratio: "float | None" = None
-    if (
-        committed_dict is not None
-        and committed_flat is not None
-        and committed_flat[0] > 0.0
-        and committed_dict[1] == committed_flat[1]
-        and committed_dict[0] >= abs_floor_s
-    ):
-        committed_ratio = committed_dict[0] / committed_flat[0]
-        verdict = "PASS" if committed_ratio >= floor else "FAIL"
-        print(
-            f"kernel gate: {verdict} — committed baseline records flat "
-            f"beating dict {committed_ratio:.3f}x on its own workload "
-            f"(floor {floor:.3f}x)"
-        )
-        ok = verdict == "PASS"
-
-    # 2. Fresh vs committed, gated only on a matching workload; the
-    #    committed ratio (noise-tolerant) may only be improved upon.
-    if committed_dict is not None and committed_dict[1] == flat[1] > 0:
-        if committed_dict[0] < abs_floor_s or flat[0] <= 0.0:
-            print(
-                "kernel gate: SKIP — committed dict phase "
-                f"{committed_dict[0]:.4f}s is under the {abs_floor_s:.3f}s "
-                "classification floor"
-            )
-            return ok
-        required = floor
-        if committed_ratio is not None:
-            trajectory = committed_ratio * (1.0 - rel_tol)
-            if trajectory > required:
-                required = trajectory
-        ratio = committed_dict[0] / flat[0]
-        verdict = "PASS" if ratio >= required else "FAIL"
-        print(
-            f"kernel gate: {verdict} — fresh flat beats the committed dict "
-            f"phase {ratio:.3f}x (same workload; floor {required:.3f}x)"
-        )
-        return ok and verdict == "PASS"
-
-    # 3. Different workload: the fresh in-run A/B is diagnostic only.
-    fresh_dict = _phase(fresh, KERNEL_PHASE_DICT)
-    if fresh_dict is not None and flat[0] > 0.0:
-        print(
-            "kernel gate: report-only — fresh workload differs from the "
-            f"committed one; in-run flat-over-dict ratio "
-            f"{fresh_dict[0] / flat[0]:.3f}x "
-            f"({fresh_dict[0]:.4f}s dict / {flat[0]:.4f}s flat)"
-        )
-    else:
-        print(
-            "kernel gate: report-only — fresh workload differs from the "
-            "committed one and records no in-run dict reference"
-        )
-    return ok
 
 
 def _phase_breakdown(committed: "PerfBaseline | None", fresh: PerfBaseline) -> None:
@@ -366,9 +167,6 @@ def _phase_breakdown(committed: "PerfBaseline | None", fresh: PerfBaseline) -> N
     print(diff_table(deltas, title="phase diff — committed vs fresh").format())
 
 
-# ----------------------------------------------------------------------
-# Grid mode — the same rules generalized per schema-5 cell.
-# ----------------------------------------------------------------------
 def _cell_index(baseline: "PerfBaseline | None") -> dict[str, dict[str, object]]:
     if baseline is None:
         return {}
@@ -588,25 +386,3 @@ def _grid_headline_gate(
         )
         ok = ok and verdict == "PASS"
     return ok
-
-
-def _grid_gate(
-    args: argparse.Namespace,
-    committed: "PerfBaseline | None",
-    fresh: PerfBaseline,
-) -> int:
-    if committed is not None and committed.schema < 5:
-        print(
-            "bench gate: note — committed artifact is legacy "
-            f"(schema {committed.schema}) but the fresh one is a grid; "
-            "gating against the fixed floors only"
-        )
-        committed = None
-    kernel_ok = (
-        _grid_kernel_gate(args, committed, fresh)
-        if args.kernel_floor > 0
-        else True
-    )
-    headline_ok = _grid_headline_gate(args, committed, fresh)
-    _phase_breakdown(committed, fresh)
-    return 0 if kernel_ok and headline_ok else 1

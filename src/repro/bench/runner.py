@@ -6,14 +6,18 @@ enforced before any timing is recorded: each repeat's full result tuple
 candidate counts) must be byte-identical to the cell's first repeat
 *and* to the serial default-kernel reference cell of its (dataset,
 budget, strategy) group — workers and kernels are wall-clock knobs,
-never result knobs. A violation raises :class:`IdentityError` and the
-CLI exits 1; no artifact is written.
+never result knobs. Each group's reference cell is also checked once
+against an independent oracle: its summed greedy gains must equal
+:func:`repro.verify.reference.reference_gain` of its anchor set, so every
+recorded timing is of a verified answer. A violation raises
+:class:`IdentityError` or :class:`repro.errors.VerificationError` and
+the CLI exits 1; no artifact is written.
 
 Starved cells — ``workers > host_cores`` — time-slice, so their
 wall-clock measures the scheduler, not the scan. They still run once
 (the identity assertion holds unconditionally) but their statistics
-are *refused*: ``null`` stats with ``"starved": true``, the same
-honesty rule schema 4 introduced for primitives. The gate skips them.
+are *refused*: ``null`` stats with ``"starved": true``. The gate skips
+them.
 
 Recorded per cell: variance-aware wall/scan statistics
 (min/median/max/spread over the repeats), the speedup against the
@@ -35,12 +39,16 @@ from repro.anchors.gac import GreedyResult, gac
 from repro.anchors.kernels import KERNELS
 from repro.bench.grid import Cell, GridSpec
 from repro.datasets import registry
+from repro.errors import VerificationError
 from repro.experiments.reporting import PerfBaseline
 from repro.graphs.graph import Graph
+from repro.verify.reference import reference_gain
 
-#: One run's observable outcome: (result tuple, wall seconds, scan
-#: seconds, span events, resource samples).
-RunOutcome = tuple[object, float, float, list[obs.SpanEvent], list[obs.ResourceSample]]
+#: One run's observable outcome: (result, wall seconds, scan seconds,
+#: span events, resource samples).
+RunOutcome = tuple[
+    GreedyResult, float, float, list[obs.SpanEvent], list[obs.ResourceSample]
+]
 
 
 class IdentityError(AssertionError):
@@ -79,7 +87,7 @@ def _run_anchor(graph: Graph, cell: Cell) -> RunOutcome:
     events = window.events()
     stats = {s.name: s for s in obs.phase_profile(events)}
     scan = stats["gac.candidate_scan"].total_s
-    return _result_tuple(result), wall, scan, events, sampler.samples
+    return result, wall, scan, events, sampler.samples
 
 
 #: Strategy axis registry: slug -> runner. ``anchor`` is the paper's
@@ -122,6 +130,8 @@ def run_grid(
             any cell runs, so a typo cannot waste a sweep).
         repro.errors.DatasetError: unknown dataset name.
         IdentityError: a repeat or cell diverged from its reference.
+        repro.errors.VerificationError: a reference cell's summed gains
+            disagree with the reference peel.
     """
     for kernel in (*spec.kernels, *spec.serial_kernels):
         if kernel not in KERNELS:
@@ -138,8 +148,6 @@ def run_grid(
         num_edges=sum(g.num_edges for g in graphs.values()),
         mode=mode,
         best_of=spec.best_of,
-        schema=5,
-        labels=("serial_s", "parallel_s"),
         host_cores=host_cores,
         grid=spec.as_dict(),
     )
@@ -162,7 +170,8 @@ def run_grid(
             None
         )
         for _ in range(repeats):
-            result_tuple, wall, scan, events, samples = run(graph, cell)
+            result, wall, scan, events, samples = run(graph, cell)
+            result_tuple = _result_tuple(result)
             if first_tuple is None:
                 first_tuple = result_tuple
             elif result_tuple != first_tuple:
@@ -184,6 +193,12 @@ def run_grid(
         is_reference = cell == spec.reference(cell)
         if is_reference:
             serial_scan_min[cell.group] = min(scans)
+            expected = reference_gain(graph, frozenset(result.anchors))
+            if sum(result.gains) != expected:
+                raise VerificationError(
+                    f"cell {cell.cell_id}: summed gains {sum(result.gains)} "
+                    f"!= reference-peel gain {expected} of its anchor set"
+                )
         entry: dict[str, object] = {
             "cell": cell.cell_id,
             "dataset": cell.dataset,

@@ -122,31 +122,16 @@ def _jsonable(value: object) -> object:
 
 @dataclass
 class PerfBaseline:
-    """Machine-readable perf baseline for A/B wall-clock comparisons.
+    """Machine-readable perf baseline: the schema-5 workload-grid artifact.
 
-    Serialized to ``BENCH_gac.json`` at the repository root by the GAC
-    bench: one entry per measured primitive
-    holding the baseline-path and fast-path wall-clock (best of
-    ``best_of`` repeats) and the resulting speedup, plus the replica's
-    sizes so timings can be normalized. ``labels`` names the two
-    measured columns — the historical default is
-    ``("dict_s", "csr_s")``, the GAC bench uses
-    ``("serial_s", "parallel_s")`` so the entry keys say what was
-    actually timed. ``schema`` is bumped whenever the JSON layout
-    changes so downstream consumers can detect drift (2: added the
-    ``phases`` per-phase breakdown from ``repro.obs``; 3: explicit
-    ``labels`` column names and ``host_cores``; 4: starved primitives
-    record a ``null`` fast-path column with ``"starved": true`` instead
-    of a meaningless time-sliced measurement, and follower-search phase
-    names carry the kernel backend label —
-    ``serial/followers.search[flat]`` — per ``docs/kernels.md``;
-    5: workload-grid artifacts from :mod:`repro.bench` — ``grid``
-    echoes the grid spec the runner swept and ``cells`` holds one
-    entry per dataset × budget × workers × kernel × strategy cell
-    with variance-aware wall/scan statistics (min/median/max/spread
-    over the recorded repeats) instead of two-column ``primitives``;
-    per-cell phase profiles land in ``phases`` under a ``<cell>/``
-    prefix — see ``docs/benchmarking.md``).
+    Written to ``BENCH_grid.json`` by :mod:`repro.bench`: ``grid``
+    echoes the grid spec the runner swept, ``cells`` holds one entry
+    per dataset × budget × workers × kernel × strategy cell with
+    variance-aware wall/scan statistics (min/median/max/spread over the
+    recorded repeats), and per-cell phase profiles land in ``phases``
+    under a ``<cell>/`` prefix (see ``docs/benchmarking.md``).
+    ``schema`` is bumped whenever the JSON layout changes so consumers
+    detect drift instead of misreading it.
     """
 
     name: str
@@ -155,76 +140,12 @@ class PerfBaseline:
     num_edges: int
     mode: str = "full"
     best_of: int = 1
-    schema: int = 4
-    labels: tuple[str, str] = ("dict_s", "csr_s")
+    schema: int = 5
     host_cores: int | None = None
-    csr_build_s: float | None = None
-    primitives: list[dict[str, object]] = field(default_factory=list)
     phases: list[dict[str, object]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    #: Schema-5 grid artifacts: one entry per swept cell (see
-    #: ``docs/benchmarking.md``) and an echo of the grid spec.
     cells: list[dict[str, object]] = field(default_factory=list)
     grid: dict[str, object] | None = None
-
-    def record(self, primitive: str, base_s: float, fast_s: float) -> dict[str, object]:
-        """Append one primitive's timings; speedup is ``base_s / fast_s``.
-
-        The two timings land under the column names in :attr:`labels`.
-        """
-        base_label, fast_label = self.labels
-        entry: dict[str, object] = {
-            "primitive": primitive,
-            base_label: round(base_s, 6),
-            fast_label: round(fast_s, 6),
-            "speedup": round(base_s / fast_s, 3) if fast_s > 0 else None,
-        }
-        self.primitives.append(entry)
-        return entry
-
-    def record_starved(self, primitive: str, base_s: float) -> dict[str, object]:
-        """Append a primitive whose fast path could not be measured.
-
-        A parallel leg on a host with fewer cores than workers
-        time-slices; recording its wall-clock would poison the
-        committed trajectory (the gate compares against it across
-        commits). The entry keeps the baseline column, records ``None``
-        for the fast path and speedup, and flags ``starved`` so
-        consumers can tell "not measured" from "not recorded".
-        """
-        base_label, fast_label = self.labels
-        entry: dict[str, object] = {
-            "primitive": primitive,
-            base_label: round(base_s, 6),
-            fast_label: None,
-            "speedup": None,
-            "starved": True,
-        }
-        self.primitives.append(entry)
-        return entry
-
-    def speedup(self, primitive: str) -> float | None:
-        """The recorded speedup for ``primitive`` (None if absent)."""
-        for entry in self.primitives:
-            if entry["primitive"] == primitive:
-                value = entry["speedup"]
-                return float(value) if isinstance(value, (int, float)) else None
-        return None
-
-    def as_table(self) -> Table:
-        """A printable view of the recorded primitives."""
-        base_label, fast_label = self.labels
-        table = Table(
-            title=f"perf baseline — {self.dataset} "
-            f"(n={self.num_vertices}, m={self.num_edges}, "
-            f"best of {self.best_of}, {self.mode})",
-            headers=["primitive", base_label, fast_label, "speedup"],
-        )
-        for entry in self.primitives:
-            table.rows.append(
-                [entry["primitive"], entry[base_label], entry[fast_label], entry["speedup"]]
-            )
-        return table
 
     def to_json(self) -> str:
         payload: dict[str, object] = {
@@ -237,16 +158,12 @@ class PerfBaseline:
                 "num_edges": self.num_edges,
             },
             "best_of": self.best_of,
-            "labels": list(self.labels),
             "host_cores": self.host_cores,
-            "csr_build_s": self.csr_build_s,
-            "primitives": self.primitives,
             "phases": self.phases,
             "notes": list(self.notes),
+            "grid": self.grid,
+            "cells": self.cells,
         }
-        if self.schema >= 5:
-            payload["grid"] = self.grid
-            payload["cells"] = self.cells
         return json.dumps(payload, indent=1)
 
     def write(self, path: Path) -> Path:
@@ -258,12 +175,10 @@ class PerfBaseline:
     def load(cls, path: Path) -> "PerfBaseline":
         """Rehydrate a baseline written by :meth:`write`.
 
-        Accepts schema 2 (implicit ``dict_s``/``csr_s`` columns, no
-        ``host_cores``), 3, 4 (starved entries, backend-labeled
-        phases), and 5 (workload-grid ``cells``); anything else —
-        including truncated or garbled JSON — raises ``ValueError``
-        with a one-line message so CI gates fail loudly on drift
-        rather than comparing mislabeled columns.
+        Accepts schema 5 only. Anything else — other schemas, truncated
+        or garbled JSON, fields of the wrong type — raises ``ValueError``
+        with a one-line message naming ``path``, so gates report bad
+        input instead of comparing misread values.
         """
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -272,31 +187,50 @@ class PerfBaseline:
         if not isinstance(payload, dict):
             raise ValueError(f"baseline payload is not a JSON object in {path}")
         schema = payload.get("schema")
-        if schema not in (2, 3, 4, 5):
+        if not (_is_int(schema) and schema == 5):
             raise ValueError(f"unsupported PerfBaseline schema {schema!r} in {path}")
         if not isinstance(payload.get("name"), str):
             raise ValueError(f"baseline carries no 'name' string in {path}")
-        labels = payload.get("labels", ["dict_s", "csr_s"])
-        if not (isinstance(labels, list) and len(labels) == 2):
-            raise ValueError(f"malformed labels {labels!r} in {path}")
         dataset = payload.get("dataset", {})
-        if not isinstance(dataset, dict):
+        if not (
+            isinstance(dataset, dict)
+            and _is_int(dataset.get("num_vertices", 0))
+            and _is_int(dataset.get("num_edges", 0))
+        ):
             raise ValueError(f"malformed dataset block {dataset!r} in {path}")
+        best_of = payload.get("best_of", 1)
+        if not _is_int(best_of):
+            raise ValueError(f"'best_of' must be an int, got {best_of!r} in {path}")
+        host_cores = payload.get("host_cores")
+        if host_cores is not None and not _is_int(host_cores):
+            raise ValueError(
+                f"'host_cores' must be an int or null, got {host_cores!r} in {path}"
+            )
+        for key in ("cells", "phases"):
+            rows = payload.get(key, [])
+            if not (
+                isinstance(rows, list) and all(isinstance(r, dict) for r in rows)
+            ):
+                raise ValueError(f"{key!r} must be a list of objects in {path}")
+        notes = payload.get("notes", [])
+        if not isinstance(notes, list):
+            raise ValueError(f"'notes' must be a list in {path}")
         grid = payload.get("grid")
         return cls(
             name=payload["name"],
             dataset=dataset.get("name", ""),
-            num_vertices=int(dataset.get("num_vertices", 0)),
-            num_edges=int(dataset.get("num_edges", 0)),
+            num_vertices=dataset.get("num_vertices", 0),
+            num_edges=dataset.get("num_edges", 0),
             mode=payload.get("mode", "full"),
-            best_of=int(payload.get("best_of", 1)),
-            schema=int(schema),
-            labels=(str(labels[0]), str(labels[1])),
-            host_cores=payload.get("host_cores"),
-            csr_build_s=payload.get("csr_build_s"),
-            primitives=list(payload.get("primitives", [])),
+            best_of=best_of,
+            schema=schema,
+            host_cores=host_cores,
             phases=list(payload.get("phases", [])),
-            notes=list(payload.get("notes", [])),
+            notes=list(notes),
             cells=list(payload.get("cells", [])),
             grid=grid if isinstance(grid, dict) else None,
         )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

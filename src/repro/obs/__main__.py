@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser(
         "diff", help="compare phase profiles of two PerfBaseline artifacts"
     )
-    p_diff.add_argument("baseline", help="baseline BENCH_*.json")
-    p_diff.add_argument("candidate", help="candidate BENCH_*.json")
+    p_diff.add_argument("baseline", help="baseline BENCH_grid.json")
+    p_diff.add_argument("candidate", help="candidate BENCH_grid.json")
     p_diff.add_argument(
         "--rel-tol",
         type=float,

@@ -1,7 +1,7 @@
 """Phase-profile diffing between two PerfBaseline artifacts.
 
-``python -m repro.obs diff BASELINE.json CANDIDATE.json`` compares the
-``phases`` lists two bench runs recorded (see
+``python -m repro.obs diff BENCH_grid.json BENCH_grid.fresh.json``
+compares the ``phases`` lists two bench runs recorded (see
 :func:`repro.obs.export.record_phases`) and classifies every phase:
 
 * ``regressed`` / ``improved`` — the candidate total moved outside the
@@ -27,7 +27,8 @@ The thresholds are **variance-aware** rather than a bare ratio:
 The CLI is report-only by default (exit 0 either way, the CI posture
 while trajectories accumulate); ``--fail-on-regression`` turns
 regressions into exit 1, and ``--json`` emits the machine-readable
-payload other gates (``scripts/check_gac_regression.py``) consume.
+payload. ``python -m repro.bench gate`` reuses :func:`diff_baselines`
+for its report-only phase breakdown.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ Three consumers of the span collector and counter registry:
   aggregation rendered as an ASCII table through
   :class:`repro.experiments.reporting.Table`;
 * :func:`record_phases` — merges a phase profile into a
-  :class:`repro.experiments.reporting.PerfBaseline` so ``BENCH_*.json``
-  artifacts carry per-phase breakdowns next to the primitive timings.
+  :class:`repro.experiments.reporting.PerfBaseline` so the
+  ``BENCH_grid.json`` artifact carries per-phase breakdowns next to the
+  cell timings.
 
 ``repro.experiments.reporting`` is imported lazily inside the functions
 that need it: the experiments package imports the algorithm modules,

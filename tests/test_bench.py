@@ -1,20 +1,16 @@
-"""Tests for repro.bench — the workload-grid runner and unified gate.
+"""Tests for repro.bench — the workload-grid runner and its gate.
 
-Covers the grid-spec grammar, the runner's identity/starvation
-contracts, the schema-5 grid gate rules (headline per-cell speedup
-with host-class trajectories, kernel reference-pair floors, starved
-skips), the CLI's exit-code contract (0 pass / 1 regression or
-identity failure / 2 bad input), and — the acceptance criterion — a
-verdict-parity matrix pinning ``python -m repro.bench gate`` to every
-verdict the old ``scripts/check_gac_regression.py`` gave on schema-4
-baselines, including starved-host skips. A slow-marked smoke test
-drives ``python -m repro.bench run`` + ``gate`` end-to-end in a
-subprocess on a two-cell toy grid.
+Covers the grid-spec grammar, the runner's identity/starvation and
+checked-gain contracts, the schema-5 gate rules (headline per-cell
+speedup with host-class trajectories, kernel reference-pair floors,
+starved skips), and the CLI's exit-code contract (0 pass / 1
+regression, identity or gain-check failure / 2 bad input). A
+slow-marked smoke test drives ``python -m repro.bench run`` + ``gate``
+end-to-end in a subprocess on a two-cell toy grid.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import subprocess
 import sys
@@ -22,16 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import GridSpec, IdentityError, load_grid, run_grid
+from repro.bench import GridSpec, load_grid, run_grid
 from repro.bench import gate as bench_gate
+from repro.bench import runner as bench_runner
 from repro.bench.__main__ import main as bench_main
 from repro.experiments.reporting import PerfBaseline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-_SCRIPT = REPO_ROOT / "scripts" / "check_gac_regression.py"
-_spec = importlib.util.spec_from_file_location("check_gac_regression", _SCRIPT)
-legacy_script = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(legacy_script)
 
 
 def _write_spec(path: Path, **overrides) -> Path:
@@ -261,8 +254,6 @@ def _grid_baseline(
         dataset="toy",
         num_vertices=10,
         num_edges=20,
-        schema=5,
-        labels=("serial_s", "parallel_s"),
         host_cores=host_cores,
     )
     baseline.cells = cells if cells is not None else []
@@ -440,174 +431,17 @@ class TestGridKernelGate:
         fresh = _grid_baseline(cells=cells + [_w4_cell(2.0)], phases=phases)
         assert _run_grid_gate(tmp_path, fresh, fresh) == 0
 
-    def test_legacy_committed_against_grid_fresh_uses_fixed_floors(self, tmp_path):
-        legacy = PerfBaseline(
-            name="legacy",
-            dataset="toy",
-            num_vertices=10,
-            num_edges=20,
-            labels=("serial_s", "parallel_s"),
-            host_cores=4,
-        )
-        legacy.record("candidate_scan_w4", 2.0, 1.0)
-        cells, phases = _serial_cells_with_pair(2.0, 1.0)
-        fresh = _grid_baseline(cells=cells + [_w4_cell(1.6)], phases=phases)
-        assert _run_grid_gate(tmp_path, legacy, fresh) == 0
 
-
-# ----------------------------------------------------------------------
-# Verdict parity: the unified gate must reproduce every verdict the old
-# scripts/check_gac_regression.py gave on schema-4 baselines. Each
-# scenario pins the historical exit status and runs through BOTH entry
-# points (the script shim and ``repro.bench gate``).
-# ----------------------------------------------------------------------
-def _legacy_baseline(
-    phases: "dict[str, tuple[float, int]]",
-    host_cores: int = 1,
-    speedup_pair: "tuple[float, float] | None" = (2.0, 1.0),
-    starved_primitive: bool = False,
-) -> PerfBaseline:
-    baseline = PerfBaseline(
-        name="gac-parallel-scan-baseline",
-        dataset="toy",
-        num_vertices=10,
-        num_edges=20,
-        labels=("serial_s", "parallel_s"),
-        host_cores=host_cores,
-    )
-    for name, (total, calls) in phases.items():
-        baseline.phases.append(
-            {"phase": name, "calls": calls, "total_s": total, "self_s": total}
-        )
-    if starved_primitive:
-        baseline.record_starved("candidate_scan_w4", 2.0)
-    elif speedup_pair is not None:
-        baseline.record("candidate_scan_w4", *speedup_pair)
-    return baseline
-
-
-GOOD_PAIR = {
-    "serial/followers.search[dict]": (2.0, 100),
-    "serial/followers.search[flat]": (1.0, 100),
-}
-
-#: (label, committed factory, fresh factory, expected exit status) —
-#: the expected values are the documented verdicts of the pre-move
-#: script, frozen here so the absorbed gate cannot drift.
-PARITY_MATRIX = [
-    (
-        "starved-fresh-skips-headline-kernel-passes",
-        lambda: _legacy_baseline(GOOD_PAIR),
-        lambda: _legacy_baseline({"serial/followers.search[flat]": (0.9, 100)}),
-        0,
-    ),
-    (
-        "starved-fresh-skips-headline-kernel-fails",
-        lambda: _legacy_baseline(GOOD_PAIR),
-        lambda: _legacy_baseline({"serial/followers.search[flat]": (1.5, 100)}),
-        1,
-    ),
-    (
-        "eligible-hosts-pass-at-floor",
-        lambda: _legacy_baseline(GOOD_PAIR, host_cores=4),
-        lambda: _legacy_baseline(
-            {"serial/followers.search[flat]": (0.9, 100)}, host_cores=4
-        ),
-        0,
-    ),
-    (
-        "eligible-host-speedup-below-floor-fails",
-        lambda: _legacy_baseline(GOOD_PAIR, host_cores=4),
-        lambda: _legacy_baseline(
-            {"serial/followers.search[flat]": (0.9, 100)},
-            host_cores=4,
-            speedup_pair=(2.0, 2.0),
-        ),
-        1,
-    ),
-    (
-        "starved-committed-baseline-never-lowers-the-bar",
-        lambda: _legacy_baseline(GOOD_PAIR, host_cores=1),
-        lambda: _legacy_baseline(
-            {"serial/followers.search[flat]": (0.9, 100)},
-            host_cores=4,
-            speedup_pair=(2.0, 1.2),  # 1.67x: clears 1.5x fixed floor
-        ),
-        0,
-    ),
-    (
-        "starved-fresh-primitive-reads-as-missing",
-        lambda: _legacy_baseline(GOOD_PAIR, host_cores=4),
-        lambda: _legacy_baseline(
-            {"serial/followers.search[flat]": (0.9, 100)},
-            host_cores=4,
-            starved_primitive=True,
-        ),
-        1,
-    ),
-    (
-        "trajectory-only-up",
-        lambda: _legacy_baseline(
-            GOOD_PAIR, host_cores=4, speedup_pair=(3.0, 1.0)
-        ),
-        lambda: _legacy_baseline(
-            {"serial/followers.search[flat]": (0.9, 100)},
-            host_cores=4,
-            speedup_pair=(2.0, 1.0),  # 2.0x < 3.0x * 0.9
-        ),
-        1,
-    ),
-    (
-        "cross-workload-kernel-is-report-only",
-        lambda: _legacy_baseline(GOOD_PAIR),
-        lambda: _legacy_baseline(
-            {
-                "serial/followers.search[flat]": (0.05, 2467),
-                "serial/followers.search[dict]": (0.05, 2467),
-            }
-        ),
-        0,
-    ),
-    (
-        "no-committed-baseline-fixed-floors",
-        None,
-        lambda: _legacy_baseline(
-            {"serial/followers.search[flat]": (0.9, 100)}, host_cores=4
-        ),
-        0,
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "entry", [pytest.param(e, id=e[0]) for e in PARITY_MATRIX]
-)
-def test_gate_verdict_parity_on_schema4(tmp_path, entry):
-    _, committed_factory, fresh_factory, expected = entry
-    fresh_path = tmp_path / "fresh.json"
-    fresh_factory().write(fresh_path)
-    argv = [str(fresh_path)]
-    if committed_factory is not None:
-        committed_path = tmp_path / "committed.json"
-        committed_factory().write(committed_path)
-        argv += ["--committed", str(committed_path)]
-    else:
-        argv += ["--committed", str(tmp_path / "absent.json")]
-    assert bench_gate.main(list(argv)) == expected
-    assert legacy_script.main(list(argv)) == expected
-
-
-def test_gate_accepts_the_committed_repo_artifact():
-    """Committing a BENCH_gac.json that fails its own gate breaks CI —
-    gate the checked-in artifact against itself as a repo invariant."""
-    committed = REPO_ROOT / "BENCH_gac.json"
-    assert (
-        bench_gate.main([str(committed), "--committed", str(committed)]) == 0
-    )
+def test_gate_accepts_the_committed_repo_artifact(monkeypatch):
+    """Run from the repo root with no ``--committed``, the gate defaults
+    to the checked-in artifact and must accept it gated against itself."""
+    monkeypatch.chdir(REPO_ROOT)
+    assert bench_gate.main(["BENCH_grid.json"]) == 0
 
 
 def test_grid_gate_accepts_the_committed_grid_artifact():
-    """Same invariant for the schema-5 grid artifact."""
+    """Committing a BENCH_grid.json that fails its own gate breaks CI —
+    gate the checked-in artifact against itself as a repo invariant."""
     committed = REPO_ROOT / "BENCH_grid.json"
     assert (
         bench_gate.main([str(committed), "--committed", str(committed)]) == 0
@@ -636,11 +470,60 @@ class TestCLI:
         )
         assert bench_main(["run", "--grid", str(spec)]) == 2
 
-    def test_gate_bad_inputs_exit_2(self, tmp_path):
-        for bad in ("{not json", '{"schema": 99}', '{"schema": 5}'):
+    def test_gate_bad_inputs_exit_2(self, tmp_path, capsys):
+        legacy = json.dumps(
+            {
+                "name": "gac-parallel-scan-baseline",
+                "schema": 4,
+                "labels": ["serial_s", "parallel_s"],
+                "host_cores": 1,
+                "primitives": [],
+                "phases": [],
+                "notes": [],
+            }
+        )
+        for bad in (
+            "{not json",
+            '{"schema": 99}',
+            '{"schema": 5}',
+            legacy,
+            '{"schema": 5, "name": "x", "best_of": null}',
+            '{"schema": 5, "name": "x", "cells": 5}',
+            '{"schema": 5, "name": "x", "phases": [1]}',
+            '{"schema": 5, "name": "x", "host_cores": "four"}',
+            '{"schema": 5, "name": "x", "notes": "n"}',
+        ):
             path = tmp_path / "bad.json"
             path.write_text(bad, encoding="utf-8")
-            assert bench_main(["gate", str(path)]) == 2
+            assert bench_main(["gate", str(path)]) == 2, bad
+            out = capsys.readouterr().out
+            assert out.startswith("bench gate: cannot read fresh baseline:")
+            assert out.count("\n") == 1, out
+            if bad is legacy:
+                assert "unsupported PerfBaseline schema 4" in out
+
+    def test_run_gain_mismatch_exits_1_without_artifact(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        grid = _write_spec(
+            tmp_path / "g.json",
+            best_of=1,
+            axes={
+                "datasets": ["brightkite"],
+                "budgets": [1],
+                "workers": [0],
+                "kernels": ["flat"],
+                "strategies": ["anchor"],
+            },
+            serial_kernels=[],
+        )
+        monkeypatch.setattr(bench_runner, "reference_gain", lambda *a: -1)
+        out = tmp_path / "out.json"
+        argv = ["run", "--grid", str(grid), "--out", str(out)]
+        argv += ["--trace-out", str(tmp_path / "trace.json")]
+        assert bench_main(argv) == 1
+        assert not out.exists()
+        assert "GAIN CHECK FAILURE" in capsys.readouterr().err
 
 
 @pytest.mark.slow

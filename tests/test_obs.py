@@ -245,7 +245,7 @@ class TestExporters:
         )
         obs.record_phases(baseline, obs.phase_profile(self._events()))
         payload = json.loads(baseline.to_json())
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert {row["phase"] for row in payload["phases"]} == {
             "phase.a",
             "phase.b",

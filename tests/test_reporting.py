@@ -76,174 +76,39 @@ class TestJsonExport:
 
 class TestPerfBaseline:
     def _baseline(self):
-        baseline = PerfBaseline(
-            name="substrate-perf-baseline",
+        return PerfBaseline(
+            name="grid",
             dataset="toy",
             num_vertices=10,
             num_edges=20,
             mode="smoke",
             best_of=3,
+            host_cores=4,
         )
-        baseline.record("bucket_decomposition", 0.04, 0.01)
-        baseline.record("zero_guard", 0.5, 0.0)
-        return baseline
-
-    def test_record_and_speedup(self):
-        baseline = self._baseline()
-        speedup = baseline.speedup("bucket_decomposition")
-        assert speedup == 4.0  # lint: float-eq-ok round(3) exact
-        assert baseline.speedup("zero_guard") is None  # fast_s == 0 guarded
-        assert baseline.speedup("missing") is None
 
     def test_json_roundtrip(self, tmp_path):
         import json
 
         baseline = self._baseline()
-        baseline.csr_build_s = 0.002
         baseline.notes.append("a note")
         path = baseline.write(tmp_path / "baseline.json")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == 4
+        assert payload["schema"] == 5
         assert payload["mode"] == "smoke"
         assert payload["phases"] == []
-        assert payload["labels"] == ["dict_s", "csr_s"]
-        assert payload["host_cores"] is None
+        assert payload["host_cores"] == 4
         assert payload["dataset"] == {
             "name": "toy",
             "num_vertices": 10,
             "num_edges": 20,
         }
-        assert payload["csr_build_s"] == 0.002  # lint: float-eq-ok exact json
-        assert payload["primitives"][0] == {
-            "primitive": "bucket_decomposition",
-            "dict_s": 0.04,
-            "csr_s": 0.01,
-            "speedup": 4.0,
-        }
         assert payload["notes"] == ["a note"]
-
-    def test_as_table(self):
-        table = self._baseline().as_table()
-        assert "toy" in table.title
-        assert table.headers == ["primitive", "dict_s", "csr_s", "speedup"]
-        assert len(table.rows) == 2
-
-    def test_custom_labels_name_the_columns(self):
-        baseline = PerfBaseline(
-            name="gac-parallel-baseline",
-            dataset="toy",
-            num_vertices=10,
-            num_edges=20,
-            labels=("serial_s", "parallel_s"),
-            host_cores=4,
-        )
-        entry = baseline.record("candidate_scan_w4", 2.0, 1.0)
-        assert entry == {
-            "primitive": "candidate_scan_w4",
-            "serial_s": 2.0,
-            "parallel_s": 1.0,
-            "speedup": 2.0,
-        }
-        table = baseline.as_table()
-        assert table.headers == ["primitive", "serial_s", "parallel_s", "speedup"]
+        assert payload["grid"] is None and payload["cells"] == []
 
     def test_load_round_trips_current_schema(self, tmp_path):
-        baseline = PerfBaseline(
-            name="gac-parallel-baseline",
-            dataset="toy",
-            num_vertices=10,
-            num_edges=20,
-            labels=("serial_s", "parallel_s"),
-            host_cores=4,
-        )
-        baseline.record("candidate_scan_w4", 2.0, 1.0)
-        path = baseline.write(tmp_path / "BENCH_gac.json")
-        loaded = PerfBaseline.load(path)
-        assert loaded.labels == ("serial_s", "parallel_s")
-        assert loaded.host_cores == 4
-        assert loaded.speedup("candidate_scan_w4") == 2.0  # lint: float-eq-ok round(3) exact
-        assert loaded.primitives == baseline.primitives
-
-    def test_record_starved_writes_null_not_a_time(self):
-        baseline = PerfBaseline(
-            name="gac-parallel-baseline",
-            dataset="toy",
-            num_vertices=10,
-            num_edges=20,
-            labels=("serial_s", "parallel_s"),
-            host_cores=1,
-        )
-        entry = baseline.record_starved("candidate_scan_w4", 2.0)
-        assert entry == {
-            "primitive": "candidate_scan_w4",
-            "serial_s": 2.0,
-            "parallel_s": None,
-            "speedup": None,
-            "starved": True,
-        }
-        # The gate's reader sees "no usable speedup", not a bogus one.
-        assert baseline.speedup("candidate_scan_w4") is None
-
-    def test_load_round_trips_schema4_starved_entry(self, tmp_path):
-        baseline = PerfBaseline(
-            name="gac-parallel-baseline",
-            dataset="toy",
-            num_vertices=10,
-            num_edges=20,
-            labels=("serial_s", "parallel_s"),
-            host_cores=1,
-        )
-        baseline.record_starved("candidate_scan_w2", 2.0)
-        loaded = PerfBaseline.load(baseline.write(tmp_path / "BENCH_gac.json"))
-        assert loaded.schema == 4
-        assert loaded.primitives == baseline.primitives
-
-    def test_load_accepts_schema3(self, tmp_path):
-        import json
-
-        payload = {
-            "name": "gac-parallel-baseline",
-            "schema": 3,
-            "mode": "full",
-            "dataset": {"name": "toy", "num_vertices": 10, "num_edges": 20},
-            "best_of": 3,
-            "labels": ["serial_s", "parallel_s"],
-            "host_cores": 4,
-            "csr_build_s": None,
-            "primitives": [
-                {"primitive": "p", "serial_s": 0.4, "parallel_s": 0.1, "speedup": 4.0}
-            ],
-            "phases": [],
-            "notes": [],
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        loaded = PerfBaseline.load(path)
-        assert loaded.schema == 3
-        assert loaded.speedup("p") == 4.0  # lint: float-eq-ok exact json
-
-    def test_load_accepts_schema2_with_implicit_labels(self, tmp_path):
-        import json
-
-        payload = {
-            "name": "substrate-perf-baseline",
-            "schema": 2,
-            "mode": "full",
-            "dataset": {"name": "toy", "num_vertices": 10, "num_edges": 20},
-            "best_of": 3,
-            "csr_build_s": None,
-            "primitives": [
-                {"primitive": "p", "dict_s": 0.4, "csr_s": 0.1, "speedup": 4.0}
-            ],
-            "phases": [],
-            "notes": [],
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        loaded = PerfBaseline.load(path)
-        assert loaded.labels == ("dict_s", "csr_s")
-        assert loaded.host_cores is None
-        assert loaded.speedup("p") == 4.0  # lint: float-eq-ok exact json
+        baseline = self._baseline()
+        loaded = PerfBaseline.load(baseline.write(tmp_path / "BENCH_grid.json"))
+        assert loaded == baseline
 
     def test_load_rejects_unknown_schema(self, tmp_path):
         import json
@@ -255,7 +120,7 @@ class TestPerfBaseline:
 
 
 class TestPerfBaselineSchemaMatrix:
-    """The full load() contract: schemas 2-5 load, everything else is a
+    """The full load() contract: schema 5 loads, everything else is a
     one-line ValueError naming the offending file."""
 
     def _schema5(self) -> PerfBaseline:
@@ -264,8 +129,6 @@ class TestPerfBaselineSchemaMatrix:
             dataset="toy",
             num_vertices=10,
             num_edges=20,
-            schema=5,
-            labels=("serial_s", "parallel_s"),
             host_cores=4,
         )
         baseline.grid = {"name": "g", "spec_schema": 1}
@@ -292,18 +155,15 @@ class TestPerfBaselineSchemaMatrix:
         assert loaded.grid == baseline.grid
         assert loaded.cells == baseline.cells
 
-    def test_schema4_payload_omits_grid_keys(self, tmp_path):
+    def test_payload_carries_no_legacy_keys(self, tmp_path):
         import json
 
-        baseline = PerfBaseline(
-            name="gac", dataset="toy", num_vertices=10, num_edges=20
-        )
         payload = json.loads(
-            (baseline.write(tmp_path / "BENCH_gac.json")).read_text()
+            self._schema5().write(tmp_path / "BENCH_grid.json").read_text()
         )
-        assert "cells" not in payload and "grid" not in payload
+        assert not {"labels", "csr_build_s", "primitives"} & set(payload)
 
-    @pytest.mark.parametrize("schema", [2, 3, 4, 5])
+    @pytest.mark.parametrize("schema", [5])
     def test_every_supported_schema_loads(self, tmp_path, schema):
         import json
 
@@ -313,17 +173,12 @@ class TestPerfBaselineSchemaMatrix:
             "mode": "full",
             "dataset": {"name": "toy", "num_vertices": 10, "num_edges": 20},
             "best_of": 3,
-            "csr_build_s": None,
-            "primitives": [],
+            "host_cores": 4,
             "phases": [],
             "notes": [],
+            "cells": [],
+            "grid": None,
         }
-        if schema >= 3:
-            payload["labels"] = ["serial_s", "parallel_s"]
-            payload["host_cores"] = 4
-        if schema >= 5:
-            payload["cells"] = []
-            payload["grid"] = None
         path = tmp_path / "b.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert PerfBaseline.load(path).schema == schema
@@ -333,19 +188,32 @@ class TestPerfBaselineSchemaMatrix:
         [
             ("{truncated", "not valid JSON"),
             ("[1, 2]", "not a JSON object"),
-            ('{"schema": 4}', "name"),
-            ('{"name": "x", "schema": null}', "schema"),
-            ('{"name": "x", "schema": 6}', "schema"),
+            ('{"schema": 5}', "name"),
+            ('{"name": "x", "schema": null}', "schema None"),
+            ('{"name": "x", "schema": 2}', "schema 2"),
+            ('{"name": "x", "schema": 3}', "schema 3"),
             (
-                '{"name": "x", "schema": 4, "dataset": "toy"}',
+                '{"name": "gac-parallel-scan-baseline", "schema": 4, '
+                '"labels": ["serial_s", "parallel_s"], "host_cores": 1, '
+                '"primitives": [], "phases": [], "notes": []}',
+                "schema 4",
+            ),
+            ('{"name": "x", "schema": 6}', "schema 6"),
+            ('{"name": "x", "schema": 5.0}', "schema 5.0"),
+            ('{"name": "x", "schema": 5, "dataset": "toy"}', "dataset"),
+            (
+                '{"name": "x", "schema": 5, '
+                '"dataset": {"name": "t", "num_vertices": "1"}}',
                 "dataset",
             ),
-            (
-                '{"name": "x", "schema": 4, '
-                '"dataset": {"name": "t", "num_vertices": 1, "num_edges": 1}, '
-                '"labels": ["only-one"]}',
-                "labels",
-            ),
+            ('{"schema": 5, "name": "x", "best_of": null}', "best_of"),
+            ('{"schema": 5, "name": "x", "best_of": 2.5}', "best_of"),
+            ('{"schema": 5, "name": "x", "host_cores": "four"}', "host_cores"),
+            ('{"schema": 5, "name": "x", "host_cores": true}', "host_cores"),
+            ('{"schema": 5, "name": "x", "cells": 5}', "cells"),
+            ('{"schema": 5, "name": "x", "cells": [1]}', "cells"),
+            ('{"schema": 5, "name": "x", "phases": {}}', "phases"),
+            ('{"schema": 5, "name": "x", "notes": "n"}', "notes"),
         ],
     )
     def test_rejections_are_one_line_valueerrors(self, tmp_path, text, fragment):
