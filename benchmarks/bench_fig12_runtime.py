@@ -4,9 +4,9 @@ Expected shape: Baseline (full decomposition per candidate) is slowest
 by a wide margin — feasible only on the smallest dataset, like in the
 paper — and the engineered variants order GAC <= GAC-U <= GAC-U-R.
 
-Serial-vs-parallel scan timings and the follower-kernel A/B live in the
-workload grid (``python -m repro.bench run``, ``BENCH_grid.json``; see
-``docs/benchmarking.md``).
+Serial-vs-parallel whole-run timings live in the end-to-end benchmark
+(``benchmarks/e2e/run.py``, workloads ``gac-lj-b6`` and ``gac-lj-b6-w2``;
+see ``docs/benchmarking.md``).
 """
 
 from conftest import run_once

@@ -1,14 +1,14 @@
 """Interchangeable follower-search kernels (the Algorithm 4/5 inner loop).
 
-The follower search is the hot path of every greedy anchor scan — the
-committed livejournal baseline spends ~45% of its serial GAC run inside
+The follower search is the hot path of every greedy anchor scan — about
+a third of a serial GAC run on livejournal is spent inside
 ``followers.search`` — so the per-node exploration is factored into
 swappable *backends* behind one tiny interface:
 
 ``dict``
     The original dict-of-sets implementation, kept verbatim as the
-    oracle (:mod:`repro.anchors.kernels.dict_backend`) that tests and
-    the bench grid's reference leg select explicitly.
+    oracle (:mod:`repro.anchors.kernels.dict_backend`) that tests
+    select explicitly.
 ``flat``
     Flat-array rewrite against the interned CSR ids
     (:mod:`repro.anchors.kernels.flat_backend`): dense per-id tables,

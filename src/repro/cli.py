@@ -36,6 +36,7 @@ from repro.anchors.heuristics import HEURISTICS
 from repro.cascade import departure_cascade
 from repro.core.decomposition import core_decomposition, coreness_gain, peel_decomposition
 from repro.datasets import registry
+from repro.errors import BudgetError, CheckpointError, DatasetError, ParseError
 from repro.graphs.graph import Graph
 from repro.graphs.io import read_edge_list
 from repro.olak.olak import olak
@@ -294,7 +295,18 @@ def main(argv: list[str] | None = None) -> int:
         # refuses to swallow leading --flags, so bypass it entirely).
         return _cmd_lint(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        DatasetError,
+        FileNotFoundError,
+        ParseError,
+        BudgetError,
+        CheckpointError,
+    ) as exc:
+        # Bad input is the caller's fault: one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

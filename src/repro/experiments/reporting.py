@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 
 def _cell(value: object) -> str:
@@ -118,119 +117,3 @@ def _jsonable(value: object) -> object:
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     return str(value)
-
-
-@dataclass
-class PerfBaseline:
-    """Machine-readable perf baseline: the schema-5 workload-grid artifact.
-
-    Written to ``BENCH_grid.json`` by :mod:`repro.bench`: ``grid``
-    echoes the grid spec the runner swept, ``cells`` holds one entry
-    per dataset × budget × workers × kernel × strategy cell with
-    variance-aware wall/scan statistics (min/median/max/spread over the
-    recorded repeats), and per-cell phase profiles land in ``phases``
-    under a ``<cell>/`` prefix (see ``docs/benchmarking.md``).
-    ``schema`` is bumped whenever the JSON layout changes so consumers
-    detect drift instead of misreading it.
-    """
-
-    name: str
-    dataset: str
-    num_vertices: int
-    num_edges: int
-    mode: str = "full"
-    best_of: int = 1
-    schema: int = 5
-    host_cores: int | None = None
-    phases: list[dict[str, object]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    cells: list[dict[str, object]] = field(default_factory=list)
-    grid: dict[str, object] | None = None
-
-    def to_json(self) -> str:
-        payload: dict[str, object] = {
-            "name": self.name,
-            "schema": self.schema,
-            "mode": self.mode,
-            "dataset": {
-                "name": self.dataset,
-                "num_vertices": self.num_vertices,
-                "num_edges": self.num_edges,
-            },
-            "best_of": self.best_of,
-            "host_cores": self.host_cores,
-            "phases": self.phases,
-            "notes": list(self.notes),
-            "grid": self.grid,
-            "cells": self.cells,
-        }
-        return json.dumps(payload, indent=1)
-
-    def write(self, path: Path) -> Path:
-        """Persist the JSON payload (trailing newline included)."""
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-        return path
-
-    @classmethod
-    def load(cls, path: Path) -> "PerfBaseline":
-        """Rehydrate a baseline written by :meth:`write`.
-
-        Accepts schema 5 only. Anything else — other schemas, truncated
-        or garbled JSON, fields of the wrong type — raises ``ValueError``
-        with a one-line message naming ``path``, so gates report bad
-        input instead of comparing misread values.
-        """
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON ({exc}) in {path}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError(f"baseline payload is not a JSON object in {path}")
-        schema = payload.get("schema")
-        if not (_is_int(schema) and schema == 5):
-            raise ValueError(f"unsupported PerfBaseline schema {schema!r} in {path}")
-        if not isinstance(payload.get("name"), str):
-            raise ValueError(f"baseline carries no 'name' string in {path}")
-        dataset = payload.get("dataset", {})
-        if not (
-            isinstance(dataset, dict)
-            and _is_int(dataset.get("num_vertices", 0))
-            and _is_int(dataset.get("num_edges", 0))
-        ):
-            raise ValueError(f"malformed dataset block {dataset!r} in {path}")
-        best_of = payload.get("best_of", 1)
-        if not _is_int(best_of):
-            raise ValueError(f"'best_of' must be an int, got {best_of!r} in {path}")
-        host_cores = payload.get("host_cores")
-        if host_cores is not None and not _is_int(host_cores):
-            raise ValueError(
-                f"'host_cores' must be an int or null, got {host_cores!r} in {path}"
-            )
-        for key in ("cells", "phases"):
-            rows = payload.get(key, [])
-            if not (
-                isinstance(rows, list) and all(isinstance(r, dict) for r in rows)
-            ):
-                raise ValueError(f"{key!r} must be a list of objects in {path}")
-        notes = payload.get("notes", [])
-        if not isinstance(notes, list):
-            raise ValueError(f"'notes' must be a list in {path}")
-        grid = payload.get("grid")
-        return cls(
-            name=payload["name"],
-            dataset=dataset.get("name", ""),
-            num_vertices=dataset.get("num_vertices", 0),
-            num_edges=dataset.get("num_edges", 0),
-            mode=payload.get("mode", "full"),
-            best_of=best_of,
-            schema=schema,
-            host_cores=host_cores,
-            phases=list(payload.get("phases", [])),
-            notes=list(notes),
-            cells=list(payload.get("cells", [])),
-            grid=grid if isinstance(grid, dict) else None,
-        )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

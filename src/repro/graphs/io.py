@@ -18,9 +18,11 @@ _COMMENT_PREFIXES = ("#", "%")
 
 
 def _open_text(path: Path, mode: str) -> IO[str]:
+    # Undecodable bytes read back as lone surrogates, so the parser can
+    # name the exact line instead of the chunk the decoder choked on.
     if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, mode + "t", encoding="utf-8", errors="surrogateescape")
+    return open(path, mode, encoding="utf-8", errors="surrogateescape")
 
 
 def iter_edge_list(path: str | Path) -> Iterator[tuple[int, int]]:
@@ -31,11 +33,17 @@ def iter_edge_list(path: str | Path) -> Iterator[tuple[int, int]]:
     fields; extra fields (weights, timestamps) are ignored.
 
     Raises:
-        ParseError: on a malformed data line, with the line number.
+        ParseError: on a malformed data line or bytes that are not UTF-8,
+            with the line number.
     """
     path = Path(path)
     with _open_text(path, "r") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: not valid UTF-8 text") from exc
             stripped = line.strip()
             if not stripped or stripped.startswith(_COMMENT_PREFIXES):
                 continue

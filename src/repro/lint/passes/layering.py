@@ -49,7 +49,6 @@ LAYER_OF_UNIT: dict[str, int] = {
     # 4 — application: entry points that may see everything.
     "cli": 4,
     "experiments": 4,
-    "bench": 4,
     "": 4,  # the root package __init__ is an entry point
     "__main__": 4,  # as is ``python -m repro``
 }

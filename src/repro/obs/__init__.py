@@ -11,8 +11,8 @@ requires (Figure 12 runtime breakdowns, Figure 13 work counters):
 * **counters/gauges** — the registry is the single home for work
   counters (bucket pops, CSR builds/cache hits, heap pops, reuse hits,
   prunings); always on, muted only under :func:`suspended`;
-* **exporters** — Chrome trace-event JSON artifacts, ASCII phase
-  profiles, and per-phase merges into ``PerfBaseline`` bench artifacts;
+* **exporters** — Chrome trace-event JSON artifacts and ASCII phase
+  profiles;
 * **report command** — ``python -m repro.obs report`` runs an
   instrumented GAC pass and prints/writes all of the above;
   ``python -m repro.obs validate TRACE.json`` gates CI artifacts.
@@ -21,20 +21,12 @@ Tracing on vs off never changes algorithm results — spans and counters
 observe, they do not steer. See ``docs/observability.md``.
 """
 
-from repro.obs.diffs import (
-    PhaseDelta,
-    diff_baselines,
-    diff_payload,
-    diff_phases,
-    diff_table,
-)
 from repro.obs.export import (
     PhaseStat,
     chrome_trace,
     counters_table,
     phase_profile,
     profile_table,
-    record_phases,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -110,7 +102,6 @@ __all__ = [
     "REUSED_NODES",
     "VISITED_VERTICES",
     "NullSpan",
-    "PhaseDelta",
     "PhaseStat",
     "ResourceSample",
     "ResourceSampler",
@@ -122,10 +113,6 @@ __all__ = [
     "clock",
     "counters_snapshot",
     "counters_table",
-    "diff_baselines",
-    "diff_payload",
-    "diff_phases",
-    "diff_table",
     "events",
     "gauge",
     "gauges_snapshot",
@@ -133,7 +120,6 @@ __all__ = [
     "phase_profile",
     "profile_table",
     "record_imported",
-    "record_phases",
     "reset",
     "span",
     "suspended",

@@ -7,25 +7,20 @@ Commands:
   and write a Chrome trace-event JSON artifact with per-worker span
   lanes and a resource-gauge timeline (tracing is forced on);
 * ``validate`` — check a trace artifact; exit 1 if it is empty or
-  malformed (the CI gate for uploaded traces);
-* ``diff``     — compare the phase profiles of two ``PerfBaseline``
-  artifacts with variance-aware thresholds; report-only by default,
-  ``--fail-on-regression`` makes regressions exit 1.
+  malformed (the CI gate for uploaded traces).
 
-Exit status: 0 on success, 1 on validation/diff findings, 2 on usage
-errors (unknown dataset, unreadable input file) — never a bare
-traceback for a bad input path.
+Exit status: 0 on success, 1 on validation findings, 2 on usage errors
+(unknown dataset, unreadable or malformed input file, bad budget) —
+never a bare traceback for a bad input.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from repro import obs
-from repro.obs.diffs import DEFAULT_ABS_FLOOR_S, DEFAULT_REL_TOL
 
 DEFAULT_TRACE_OUT = Path("obs_trace.json")
 
@@ -58,7 +53,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # stay usable in minimal environments (CI artifact checks).
     from repro.anchors.gac import gac, gac_u, gac_u_r
     from repro.datasets import registry
-    from repro.errors import DatasetError
+    from repro.errors import BudgetError, DatasetError, ParseError
     from repro.graphs.io import read_edge_list
 
     try:
@@ -68,15 +63,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         else:
             graph = registry.load(args.dataset)
             source = args.dataset
-    except DatasetError as exc:
+    except (DatasetError, ParseError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(f"cannot read edge list {args.edges}: {exc}")
     variant = {"gac": gac, "gac-u": gac_u, "gac-u-r": gac_u_r}[args.variant]
 
     run_window = obs.window()
-    with obs.ResourceSampler() as sampler, obs.tracing(True):
-        result = variant(graph, args.budget, workers=args.workers)
+    try:
+        with obs.ResourceSampler() as sampler, obs.tracing(True):
+            result = variant(graph, args.budget, workers=args.workers)
+    except BudgetError as exc:
+        return _fail(str(exc))
 
     label = f"{args.variant} on {source}"
     if args.workers:
@@ -124,49 +122,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diff(args: argparse.Namespace) -> int:
-    from repro.experiments.reporting import PerfBaseline
-
-    loaded = []
-    for path in (args.baseline, args.candidate):
-        try:
-            loaded.append(PerfBaseline.load(Path(path)))
-        except OSError as exc:
-            return _fail(f"cannot read baseline {path}: {exc}")
-        except ValueError as exc:
-            return _fail(f"malformed baseline {path}: {exc}")
-    baseline, candidate = loaded
-    deltas = obs.diff_baselines(
-        baseline, candidate, rel_tol=args.rel_tol, abs_floor_s=args.abs_floor
-    )
-    payload = obs.diff_payload(deltas)
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        if not deltas:
-            print(
-                "no phase profiles to compare (neither artifact has a "
-                "'phases' breakdown)"
-            )
-        else:
-            print(
-                obs.diff_table(
-                    deltas,
-                    title=f"phase diff — {args.baseline} vs {args.candidate}",
-                ).format()
-            )
-    regressed = payload["regressed"]
-    assert isinstance(regressed, list)
-    if regressed:
-        print(
-            f"{len(regressed)} phase(s) regressed: {', '.join(regressed)}",
-            file=sys.stderr,
-        )
-        if args.fail_on_regression:
-            return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -202,33 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("path", help="trace JSON file to check")
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_diff = sub.add_parser(
-        "diff", help="compare phase profiles of two PerfBaseline artifacts"
-    )
-    p_diff.add_argument("baseline", help="baseline BENCH_grid.json")
-    p_diff.add_argument("candidate", help="candidate BENCH_grid.json")
-    p_diff.add_argument(
-        "--rel-tol",
-        type=float,
-        default=DEFAULT_REL_TOL,
-        help=f"fractional variance band around the baseline (default {DEFAULT_REL_TOL})",
-    )
-    p_diff.add_argument(
-        "--abs-floor",
-        type=float,
-        default=DEFAULT_ABS_FLOOR_S,
-        help="absolute slack in seconds below which deltas never classify "
-        f"(default {DEFAULT_ABS_FLOOR_S})",
-    )
-    p_diff.add_argument(
-        "--json", action="store_true", help="emit the machine-readable payload"
-    )
-    p_diff.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit 1 when any phase regressed (default: report only)",
-    )
-    p_diff.set_defaults(func=_cmd_diff)
     return parser
 
 

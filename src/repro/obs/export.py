@@ -1,6 +1,6 @@
 """Exporters for the observability runtime.
 
-Three consumers of the span collector and counter registry:
+Two consumers of the span collector and counter registry:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — a Chrome
   trace-event JSON artifact (open in ``chrome://tracing`` or Perfetto);
@@ -8,11 +8,7 @@ Three consumers of the span collector and counter registry:
   trace is empty or malformed;
 * :func:`phase_profile` / :func:`profile_table` — per-span-name
   aggregation rendered as an ASCII table through
-  :class:`repro.experiments.reporting.Table`;
-* :func:`record_phases` — merges a phase profile into a
-  :class:`repro.experiments.reporting.PerfBaseline` so the
-  ``BENCH_grid.json`` artifact carries per-phase breakdowns next to the
-  cell timings.
+  :class:`repro.experiments.reporting.Table`.
 
 ``repro.experiments.reporting`` is imported lazily inside the functions
 that need it: the experiments package imports the algorithm modules,
@@ -30,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.obs import runtime
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
-    from repro.experiments.reporting import PerfBaseline, Table
+    from repro.experiments.reporting import Table
     from repro.obs.resources import ResourceSample
 
 
@@ -99,26 +95,6 @@ def counters_table(
     for name in sorted(counters):
         table.rows.append([name, counters[name]])
     return table
-
-
-def record_phases(
-    baseline: "PerfBaseline", stats: list[PhaseStat], prefix: str = ""
-) -> None:
-    """Merge a phase profile into a perf baseline's ``phases`` list.
-
-    ``prefix`` namespaces the phase names (``"serial/"``, ``"w4/"``) so
-    one baseline can carry profiles from several configurations and
-    ``python -m repro.obs diff`` compares like with like.
-    """
-    for stat in stats:
-        baseline.phases.append(
-            {
-                "phase": prefix + stat.name,
-                "calls": stat.calls,
-                "total_s": round(stat.total_s, 6),
-                "self_s": round(stat.self_s, 6),
-            }
-        )
 
 
 # ----------------------------------------------------------------------

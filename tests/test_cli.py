@@ -91,6 +91,33 @@ class TestCascade:
         assert "survivors" in capsys.readouterr().out
 
 
+class TestBadInput:
+    """Bad input exits 2 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        ("argv", "content"),
+        [
+            (["stats", "--dataset", "nope"], None),
+            (["stats", "--edges", "{missing}"], None),
+            (["stats", "--edges", "{file}"], b"foo\n"),
+            (["stats", "--edges", "{file}"], b"\xff\xfe\n"),
+            (["anchor", "--edges", "{edges}", "-b", "-1"], None),
+            (["anchor", "--edges", "{edges}", "-b", "1", "--resume", "{file}"],
+             b"not a checkpoint\n"),
+        ],
+        ids=["dataset", "missing-file", "parse", "not-utf8", "budget", "checkpoint"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, edge_file, capsys, argv, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        paths = {"missing": tmp_path / "missing.txt", "file": path, "edges": edge_file}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestDatasets:
     def test_listing(self, capsys):
         assert main(["datasets"]) == 0

@@ -3,6 +3,8 @@
 import gzip
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParseError
 from repro.graphs.graph import Graph
@@ -80,3 +82,16 @@ def test_write_sorted_and_counted(tmp_path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert lines == ["1\t2", "1\t3"]
     assert "# nodes: 3 edges: 2" in path.read_text()
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_parse_or_raise_parse_error(tmp_path_factory, data):
+    """Any byte string loads as a graph or fails as ``ParseError``, nothing else."""
+    path = tmp_path_factory.mktemp("fuzz") / "g.txt"
+    path.write_bytes(data)
+    try:
+        graph = read_edge_list(path)
+    except ParseError:
+        return
+    assert isinstance(graph, Graph)

@@ -20,6 +20,7 @@ from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
 from repro.datasets import registry
 from repro.olak.olak import olak
+from repro.verify.reference import reference_gain
 
 from conftest import graph_and_vertex
 
@@ -78,7 +79,9 @@ def _gac_observables(result):
 class TestMatrixIdentity:
     def test_gac_identical_across_kernels_and_workers(self):
         graph = registry.load("arxiv")
-        reference = _gac_observables(gac(graph, 3, kernel="dict", workers=0))
+        base = gac(graph, 3, kernel="dict", workers=0)
+        assert sum(base.gains) == reference_gain(graph, frozenset(base.anchors))
+        reference = _gac_observables(base)
         for kernel in kernels.KERNELS:
             for workers in (0, 2, 4):
                 if kernel == "dict" and workers == 0:
