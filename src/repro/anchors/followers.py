@@ -8,11 +8,12 @@ explores only the candidate followers reachable via upstair paths
 candidates whose degree bound falls below ``c(u) + 1`` (Theorem 4.15)
 with a cascading shrink (Algorithm 5).
 
-The per-node exploration itself lives in :mod:`repro.anchors.kernels`
-behind interchangeable backends (``dict`` / ``flat``); this
-module owns everything around it — node iteration order, reuse, the
-Figure-13 counters, verification — which is why the backends are
-byte-identical by construction on those observables.
+The per-node exploration itself is the flat kernel
+(:mod:`repro.anchors.kernels.flat_backend`); this module owns
+everything around it — node iteration order, reuse, the Figure-13
+counters, verification — so the dict oracle the tests substitute for
+it (:mod:`repro.anchors.kernels.dict_backend`) is byte-identical by
+construction on those observables.
 
 ``followers_naive`` is the brute-force oracle (two full decompositions);
 the test suite asserts both agree on randomized graphs.
@@ -24,13 +25,17 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 from repro import obs as _obs
-from repro.anchors import kernels as _kernels
+from repro.anchors.kernels.flat_backend import flat_explorer, tables_for
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import CoreDecomposition, _sort_key, core_decomposition
+from repro.core.decomposition import CoreDecomposition, core_decomposition
 from repro.core.tree import NodeId
 from repro.graphs.graph import Graph, Vertex
 from repro.lint.markers import pure
 from repro.verify import enabled as _verify_enabled
+
+#: The per-candidate explorer factory. Module attribute so the tests can
+#: substitute the dict oracle (``DictExplorer``) for the flat kernel.
+_explorer = flat_explorer
 
 
 @dataclass
@@ -114,7 +119,6 @@ def find_followers(
     reusable_counts: Mapping[NodeId, int] | None = None,
     counters: FollowerCounters | None = None,
     only_coreness: int | None = None,
-    kernel: str | None = None,
 ) -> FollowerReport:
     """Compute ``F[x][id]`` for every node ``id`` in ``sn(x)`` (Algorithm 4).
 
@@ -129,10 +133,6 @@ def find_followers(
             exactly this coreness (per-node explorations are independent,
             so skipping nodes is sound). OLAK uses this to search only
             the (k-1)-shell.
-        kernel: follower-search backend (``dict`` / ``flat``);
-            ``None`` reads ``REPRO_KERNEL`` and falls back to the
-            default. Backends differ in wall-clock only — follower sets
-            and counters are byte-identical (``docs/kernels.md``).
 
     Returns:
         A :class:`FollowerReport` whose total is the coreness gain of
@@ -143,23 +143,11 @@ def find_followers(
         raise ValueError(f"candidate {x!r} is already anchored")
     report = FollowerReport(anchor=x)
     own_node = state.node_id(x)
-    name = _kernels.requested_kernel(kernel)
-    with _obs.span(f"followers.search[{name}]", anchor=x):
-        tables = state.kernel_tables
-        fresh_tables = (
-            tables is not None
-            and name != "dict"
-            and tables.decomposition is state.decomposition
-            and tables.anchors is state.anchors
-        )
-        if fresh_tables:
-            # Current tables (same identity guard as ``tables_for``)
-            # carry ``sn(x)`` presorted per id: ascending interned id is
-            # the canonical vertex_sort_key order, so this is the keyed
-            # sort below, precomputed.
-            order: "Collection[NodeId]" = tables.sn_ids[tables.index[x]]
-        else:
-            order = sorted(state.sn(x), key=_sort_key)
+    with _obs.span("followers.search", anchor=x):
+        # The flat tables carry ``sn(x)`` presorted per id: ascending
+        # interned id is the canonical vertex_sort_key order.
+        tables = tables_for(state)
+        order: "Collection[NodeId]" = tables.sn_ids[tables.index[x]]
         reused = visited = 0
         todo: list[tuple[NodeId, bool]] = []
         for nid in order:
@@ -171,16 +159,11 @@ def find_followers(
                 continue
             todo.append((nid, nid == own_node))
         # A fully-reused candidate (every node answered from the cache)
-        # never touches the backend at all; otherwise the backend gets
+        # never touches the kernel at all; otherwise the kernel gets
         # the surviving node list in one batched call so it can hoist
         # its per-candidate table bindings out of the per-node loop.
         if todo:
-            if fresh_tables and name == "flat":
-                # Verified-current tables short-circuit the factory
-                # dispatch straight to the flyweight explorer.
-                explorer: _kernels.FollowerExplorer = tables.explorer_for(x)
-            else:
-                explorer = _kernels.make_explorer(name, state, x)
+            explorer = _explorer(state, x)
             counts = report.counts
             members = report.members
             for nid, survivors, pops in explorer.explore_nodes(todo):

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
-from repro.anchors import kernels as _kernels
 from repro.anchors.bounds import UpperBounds, compute_upper_bounds, refined_total
 from repro.anchors.followers import (
     FollowerCounters,
@@ -53,6 +52,7 @@ from repro.core.tree import NodeId
 from repro.errors import BudgetError, CheckpointError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts gac.round_commit
+from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 from repro.verify import enabled as _verify_enabled
 from repro.verify import verification as _verification
@@ -146,7 +146,6 @@ def greedy_anchored_coreness(
     verify: bool | None = None,
     obs: bool | None = None,
     workers: int | None = None,
-    kernel: str | None = None,
     faults: "FaultPlan | str | None" = None,
     checkpoint: "str | os.PathLike[str] | None" = None,
     checkpoint_every: int = 1,
@@ -186,14 +185,6 @@ def greedy_anchored_coreness(
             The pool falls back to the serial scan when it cannot help
             (tiny graphs, verification on, pool start-up failure),
             recording a ``gac.parallel_fallback.*`` gauge.
-        kernel: follower-search backend (``dict`` / ``flat``, see
-            :mod:`repro.anchors.kernels`); ``None``
-            defers to ``REPRO_KERNEL`` and then the default. Resolved
-            once per run — the whole run, parent and workers, uses one
-            concrete backend. Like ``workers`` this is a wall-clock
-            knob, never a results knob: outputs are byte-identical
-            across backends (and it is deliberately absent from
-            checkpoint params, so a resume may switch backends).
         faults: a :class:`repro.faults.FaultPlan` (or spec string) armed
             for this run only; ``None`` defers to ``REPRO_FAULTS``.
         checkpoint: write a round-granular snapshot to this path (see
@@ -237,10 +228,9 @@ def greedy_anchored_coreness(
         _obs.tracing(obs),
         _obs.span("gac.run", budget=budget),
     ):
-        # Resolve the backend once, against the actual graph: the whole
-        # run — every candidate evaluation, in the parent and in every
-        # worker — agrees on one concrete name.
-        kernel_name = _kernels.resolve_kernel(kernel, graph=graph)
+        # Build the CSR view the flat kernel searches up front, so a graph
+        # with unorderable labels fails here with one GraphError line.
+        csr_view(graph)
         return _run_greedy(
             graph,
             budget,
@@ -254,7 +244,6 @@ def greedy_anchored_coreness(
             time_limit=time_limit,
             start=start,
             workers=workers,
-            kernel=kernel_name,
             checkpoint_path=checkpoint,
             checkpoint_every=checkpoint_every,
             resume_path=resume,
@@ -275,7 +264,6 @@ def _run_greedy(
     time_limit: float | None,
     start: float,
     workers: int | None,
-    kernel: str = _kernels.DEFAULT_KERNEL,
     checkpoint_path: "str | os.PathLike[str] | None" = None,
     checkpoint_every: int = 1,
     resume_path: "str | os.PathLike[str] | None" = None,
@@ -372,7 +360,6 @@ def _run_greedy(
                     deadline=deadline,
                     pool=pool,
                     lineage=initial_sorted + tuple(result.anchors),
-                    kernel=kernel,
                 )
                 if pool is not None and pool.broken:
                     # A worker died or a dispatch failed: the scan already
@@ -401,7 +388,7 @@ def _run_greedy(
                 # bookkeeping, not part of the measured candidate search.
                 with _obs.suspended():
                     result.followers[best] = _follower_set(
-                        state, best, follower_method, kernel
+                        state, best, follower_method
                     )
                 result.traces.append(
                     IterationTrace(
@@ -557,7 +544,6 @@ def _select_best(
     deadline: float | None = None,
     pool: "CandidateScanPool | None" = None,
     lineage: tuple[Vertex, ...] = (),
-    kernel: str = _kernels.DEFAULT_KERNEL,
 ) -> tuple[Vertex | None, int, bool]:
     """One greedy iteration: the candidate with the best marginal gain.
 
@@ -609,7 +595,6 @@ def _select_best(
                 base_coreness=base_coreness,
                 deadline=deadline,
                 lineage=lineage,
-                kernel=kernel,
             )
             if outcome is not None:
                 return outcome
@@ -625,7 +610,6 @@ def _select_best(
             node_k=node_k,
             base_coreness=base_coreness,
             deadline=deadline,
-            kernel=kernel,
         )
 
 
@@ -642,7 +626,6 @@ def _scan_serial(
     node_k: dict[NodeId, int],
     base_coreness: dict[Vertex, int],
     deadline: float | None,
-    kernel: str = _kernels.DEFAULT_KERNEL,
 ) -> tuple[Vertex | None, int, bool]:
     """The serial candidate scan — the oracle the parallel scan must match."""
     best: Vertex | None = None
@@ -666,7 +649,7 @@ def _scan_serial(
             _obs.add(_obs.EVALUATED_CANDIDATES)
         else:
             cached = cache.valid_counts(u, state) if reuse else None
-            report = find_followers(state, u, reusable_counts=cached, kernel=kernel)
+            report = find_followers(state, u, reusable_counts=cached)
             if reuse:
                 cache.store(report, node_k)
             follower_count = report.total
@@ -696,7 +679,6 @@ def _scan_parallel(
     base_coreness: dict[Vertex, int],
     deadline: float | None,
     lineage: tuple[Vertex, ...] = (),
-    kernel: str = _kernels.DEFAULT_KERNEL,
 ) -> tuple[Vertex | None, int, bool] | None:
     """Dispatch the candidate scan to the pool, then replay the serial merge.
 
@@ -763,7 +745,7 @@ def _scan_parallel(
                 if tasks:
                     chunk_count += 1
                     for candidate, total, counts, deltas in pool.evaluate(
-                        epoch, anchors, tasks, kernel=kernel
+                        epoch, anchors, tasks
                     ):
                         own_gain = coreness[candidate] - base_coreness[candidate]
                         evaluated[candidate] = (total - own_gain, counts, deltas)
@@ -890,7 +872,6 @@ def _follower_set(
     state: AnchoredState,
     anchor: Vertex,
     follower_method: FollowerMethod,
-    kernel: str = _kernels.DEFAULT_KERNEL,
 ) -> frozenset[Vertex]:
     """The exact follower set of the chosen anchor (fresh, no reuse)."""
     if follower_method == "naive":
@@ -899,7 +880,7 @@ def _follower_set(
                 state.graph, anchor, anchors=state.anchors, base=state.decomposition
             )
         )
-    return frozenset(find_followers(state, anchor, kernel=kernel).all_members())
+    return frozenset(find_followers(state, anchor).all_members())
 
 
 def gac(graph: Graph, budget: int, **kwargs) -> GreedyResult:

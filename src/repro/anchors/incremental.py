@@ -138,8 +138,8 @@ def apply_anchor(
     for v in component:
         touched |= graph.neighbors(v)
     _refresh_adjacency(state, touched)
-    # Keep the flat kernel tables (if this state has been explored by a
-    # flat-family follower backend) in sync with the same increment.
+    # Keep the flat kernel tables (if this state has been searched yet)
+    # in sync with the same increment.
     if state.kernel_tables is not None:
         state.kernel_tables.apply_update(state, touched)
 

@@ -30,7 +30,6 @@ import sys
 from repro import faults as _faults  # lint: fault-ok CLI arms/lists the catalog
 from repro import obs
 from repro.analysis.stats import graph_stats
-from repro.anchors import kernels
 from repro.anchors.gac import gac
 from repro.anchors.heuristics import HEURISTICS
 from repro.cascade import departure_cascade
@@ -123,22 +122,18 @@ def _cmd_anchor(args: argparse.Namespace) -> int:
                 graph,
                 args.budget,
                 workers=args.workers,
-                kernel=args.kernel,
                 **persistence,
             )
             anchors, gain = result.anchors, result.total_gain
         elif args.method == "olak":
             if args.k is None:
                 raise SystemExit("error: --k is required for olak")
-            olak_result = olak(
-                graph, args.k, args.budget, kernel=args.kernel, **persistence
-            )
+            olak_result = olak(graph, args.k, args.budget, **persistence)
             anchors, gain = olak_result.anchors, olak_result.coreness_gain
         else:
-            if args.checkpoint or args.resume or args.faults or args.kernel:
+            if args.checkpoint or args.resume or args.faults:
                 raise SystemExit(
-                    "error: --checkpoint/--resume/--faults/--kernel apply to "
-                    "gac and olak only"
+                    "error: --checkpoint/--resume/--faults apply to gac and olak only"
                 )
             fn = HEURISTICS[args.method]
             kwargs = {"seed": args.seed} if args.method == "Rand" else {}
@@ -216,15 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate-scan worker processes (gac only; default: "
         "REPRO_PARALLEL, else serial). Results are identical for every "
         "value — this knob trades processes for wall-clock only.",
-    )
-    p_anchor.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(kernels.KERNELS),
-        help="follower-search backend (gac/olak; default: REPRO_KERNEL, "
-        "else flat when a CSR view exists). Results are identical for "
-        "every backend — this knob trades implementations for "
-        "wall-clock only.",
     )
     p_anchor.add_argument(
         "--checkpoint",

@@ -8,6 +8,7 @@ format so real data can be dropped in when available.
 from __future__ import annotations
 
 import gzip
+import zlib
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -34,9 +35,17 @@ def iter_edge_list(path: str | Path) -> Iterator[tuple[int, int]]:
 
     Raises:
         ParseError: on a malformed data line or bytes that are not UTF-8,
-            with the line number.
+            with the line number; on a ``.gz`` file that is not a valid,
+            complete gzip stream, with the path.
     """
     path = Path(path)
+    try:
+        yield from _parse_lines(path)
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"{path}: not a valid gzip stream ({exc})") from exc
+
+
+def _parse_lines(path: Path) -> Iterator[tuple[int, int]]:
     with _open_text(path, "r") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.isascii():

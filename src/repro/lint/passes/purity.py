@@ -60,9 +60,6 @@ _SHARED_TYPES = frozenset(
         "SharedCSR",
         "AttachedCSR",
         "SharedCSRHandle",
-        "SharedResults",
-        "AttachedResults",
-        "ResultsHandle",
         "memoryview",
     }
 )
@@ -269,7 +266,7 @@ class WorkerPurityPass:
                 if isinstance(func, ast.Attribute)
                 else func.id if isinstance(func, ast.Name) else ""
             )
-            if called in {"attach", "attach_results", "export"} or called in _SHARED_TYPES:
+            if called in {"attach", "export"} or called in _SHARED_TYPES:
                 shared.add(stmt.targets[0].id)
         return shared
 

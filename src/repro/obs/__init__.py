@@ -43,7 +43,6 @@ from repro.obs.runtime import (
     OLAK_ITERATIONS,
     PARALLEL_CHUNKS,
     PARALLEL_DISPATCHES,
-    PARALLEL_RESULT_OVERFLOWS,
     PARALLEL_SPAN_BATCHES,
     PARALLEL_SPANS_SHIPPED,
     PARALLEL_STATE_ADVANCES,
@@ -88,7 +87,6 @@ __all__ = [
     "OLAK_ITERATIONS",
     "PARALLEL_CHUNKS",
     "PARALLEL_DISPATCHES",
-    "PARALLEL_RESULT_OVERFLOWS",
     "PARALLEL_SPAN_BATCHES",
     "PARALLEL_SPANS_SHIPPED",
     "PARALLEL_STATE_ADVANCES",

@@ -71,8 +71,6 @@ PARALLEL_TASKS = "parallel.tasks"
 PARALLEL_DISPATCHES = "parallel.dispatches"
 #: Task chunks actually shipped to workers (payload pickles).
 PARALLEL_CHUNKS = "parallel.chunks"
-#: Worker results that fell back to the pickle channel (row overflow).
-PARALLEL_RESULT_OVERFLOWS = "parallel.result_overflows"
 #: Worker span batches merged into the parent trace (repro.parallel).
 PARALLEL_SPAN_BATCHES = "parallel.span_batches"
 #: Worker-recorded span events shipped back and merged by the parent.
@@ -106,6 +104,10 @@ def tracing_enabled() -> bool:
         return False
     if _forced is not None:
         return _forced
+    return _env_tracing()
+
+
+def _env_tracing() -> bool:
     return os.environ.get(_ENV_FLAG, "").strip().lower() not in {"", "0", "false", "off"}
 
 
@@ -113,14 +115,19 @@ def tracing_enabled() -> bool:
 def tracing(force: bool | None = None) -> Iterator[None]:
     """Force span recording on (``True``) / off (``False``) for a block.
 
-    ``None`` leaves the environment-driven behavior untouched, which
-    lets APIs thread an ``obs=`` kwarg straight through (mirroring
-    ``repro.verify.verification``).
+    ``None`` defers to ``REPRO_TRACE``, which lets APIs thread an
+    ``obs=`` kwarg straight through (mirroring
+    ``repro.verify.verification``). The environment is read once, on
+    entering an unforced block, and pinned for the whole block, so a
+    span on the hot path reads a module global instead of
+    ``os.environ``.
     """
     global _forced
     if force is None:
-        yield
-        return
+        if _forced is not None:
+            yield
+            return
+        force = _env_tracing()
     previous = _forced
     _forced = force
     try:

@@ -1,10 +1,9 @@
 """Cross-process span shipping: the worker-side tracing API.
 
-Pool workers cannot write into the parent's span collector, and the
-shared result rows are fixed-width ints that cannot hold span names —
-so spans recorded inside a worker travel back as a **compact batch of
-plain tuples** piggybacked on the chunk's pickle return (the same
-channel oversized results already overflow to). The protocol:
+Pool workers cannot write into the parent's span collector, so spans
+recorded inside a worker travel back as a **compact batch of plain
+tuples** piggybacked on the chunk's pickle return, next to the chunk's
+results. The protocol:
 
 * the parent decides *per dispatch* whether workers should trace
   (``tracing_enabled()`` at dispatch time, shipped as a flag in the

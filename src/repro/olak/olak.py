@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
-from repro.anchors import kernels as _kernels
 from repro.anchors.followers import find_followers
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
@@ -31,6 +30,7 @@ from repro.core.decomposition import _sort_key, core_decomposition
 from repro.errors import BudgetError, CheckpointError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts olak.round_commit
+from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 from repro.verify import enabled as _verify_enabled
 from repro.verify import verification as _verification
@@ -74,7 +74,6 @@ def olak(
     *,
     verify: bool | None = None,
     obs: bool | None = None,
-    kernel: str | None = None,
     faults: "FaultPlan | str | None" = None,
     checkpoint: "str | os.PathLike[str] | None" = None,
     checkpoint_every: int = 1,
@@ -91,10 +90,6 @@ def olak(
             (``False``) for this run; ``None`` defers to ``REPRO_VERIFY``.
         obs: force span tracing on (``True``) or off (``False``) for
             this run; ``None`` defers to ``REPRO_TRACE``.
-        kernel: follower-search backend (``dict`` / ``flat``, see
-            :mod:`repro.anchors.kernels`); ``None``
-            defers to ``REPRO_KERNEL``. A wall-clock knob only —
-            results are byte-identical across backends.
         faults: a :class:`repro.faults.FaultPlan` (or spec string) armed
             for this run only; ``None`` defers to ``REPRO_FAULTS``.
         checkpoint: write a round-granular snapshot to this path after
@@ -123,11 +118,13 @@ def olak(
         _obs.tracing(obs),
         _obs.span("olak.run", k=k, budget=budget),
     ):
+        # Build the CSR view the flat kernel searches up front, so a graph
+        # with unorderable labels fails here with one GraphError line.
+        csr_view(graph)
         return _run_olak(
             graph,
             k,
             budget,
-            kernel=_kernels.resolve_kernel(kernel, graph=graph),
             checkpoint_path=checkpoint,
             checkpoint_every=checkpoint_every,
             resume_path=resume,
@@ -139,7 +136,6 @@ def _run_olak(
     k: int,
     budget: int,
     *,
-    kernel: str = _kernels.DEFAULT_KERNEL,
     checkpoint_path: "str | os.PathLike[str] | None" = None,
     checkpoint_every: int = 1,
     resume_path: "str | os.PathLike[str] | None" = None,
@@ -164,7 +160,7 @@ def _run_olak(
 
     while len(result.anchors) < budget:
         with _obs.span("olak.iteration", iteration=len(result.anchors)):
-            best, best_followers = _select_best(state, k, kernel)
+            best, best_followers = _select_best(state, k)
             if best is None:
                 break
             # The reported followers must be exactly the (k-1)-coreness
@@ -263,7 +259,7 @@ def _write_olak_checkpoint(
 
 
 def _select_best(
-    state: AnchoredState, k: int, kernel: str = _kernels.DEFAULT_KERNEL
+    state: AnchoredState, k: int
 ) -> tuple[Vertex | None, frozenset[Vertex]]:
     """The candidate whose anchoring adds the most vertices to the k-core.
 
@@ -295,7 +291,7 @@ def _select_best(
     best_followers: frozenset[Vertex] = frozenset()
     with _obs.span("olak.candidate_scan", candidates=len(candidates)):
         for u in sorted(candidates, key=_sort_key):
-            report = find_followers(state, u, only_coreness=k - 1, kernel=kernel)
+            report = find_followers(state, u, only_coreness=k - 1)
             followers = report.all_members()
             if best is None or len(followers) > len(best_followers):
                 best = u

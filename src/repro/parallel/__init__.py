@@ -10,18 +10,16 @@ counters as the serial scan, for every ``N``:
 
 * :mod:`repro.parallel.shm` — the graph travels once (interned CSR
   buffers exported to POSIX shared memory, attached zero-copy in each
-  worker) and fixed-width result rows travel back the same way
-  (:class:`SharedResults`), so neither direction pickles per task;
+  worker), so it is never pickled per task;
 * :mod:`repro.parallel.worker` — per-process state (graph, persistent
   lineage-keyed anchored state advanced by incremental anchor deltas)
-  plus the chunk evaluator, tracing/verification forced off, counter
-  deltas shipped back per task;
+  plus the chunk evaluator, tracing/verification forced off; each
+  chunk returns its tasks' results and counter deltas;
 * :mod:`repro.parallel.pool` — :class:`CandidateScanPool`, the parent's
   executor wrapper (chunked dispatch with latency-adaptive sizing,
   dispatch-ordered results, broken-pool detection);
 * :mod:`repro.parallel.util` — worker-count resolution
-  (``REPRO_PARALLEL``), the chunk-size knob (``REPRO_PARALLEL_CHUNK``),
-  the O(d) bucket h-index, chunking.
+  (``REPRO_PARALLEL``), the O(d) bucket h-index, chunking.
 
 The deterministic two-phase scan that drives the pool lives in
 :mod:`repro.anchors.gac`; the contract and the lifecycle are documented
@@ -31,28 +29,11 @@ in ``docs/parallelism.md``. Lint rule R8 keeps ``multiprocessing`` /
 
 from typing import TYPE_CHECKING
 
-from repro.parallel.util import (
-    ENV_CHUNK,
-    ENV_START,
-    ENV_WORKERS,
-    bucket_h_index,
-    chunked,
-    resolve_chunk_override,
-    resolve_workers,
-)
+from repro.parallel.util import ENV_WORKERS, bucket_h_index, chunked, resolve_workers
 
 if TYPE_CHECKING:
     from repro.parallel.pool import CandidateScanPool, PoolUnavailable
-    from repro.parallel.shm import (
-        AttachedCSR,
-        AttachedResults,
-        ResultsHandle,
-        SharedCSR,
-        SharedCSRHandle,
-        SharedResults,
-        attach,
-        attach_results,
-    )
+    from repro.parallel.shm import AttachedCSR, SharedCSR, SharedCSRHandle, attach
 
 # The heavy halves (multiprocessing, shared memory, and the anchors
 # modules the worker pulls in) load lazily via PEP 562 so that light
@@ -63,13 +44,9 @@ _LAZY = {
     "CandidateScanPool": "repro.parallel.pool",
     "PoolUnavailable": "repro.parallel.pool",
     "AttachedCSR": "repro.parallel.shm",
-    "AttachedResults": "repro.parallel.shm",
-    "ResultsHandle": "repro.parallel.shm",
     "SharedCSR": "repro.parallel.shm",
     "SharedCSRHandle": "repro.parallel.shm",
-    "SharedResults": "repro.parallel.shm",
     "attach": "repro.parallel.shm",
-    "attach_results": "repro.parallel.shm",
 }
 
 
@@ -83,21 +60,14 @@ def __getattr__(name: str) -> object:
 
 
 __all__ = [
-    "ENV_CHUNK",
-    "ENV_START",
     "ENV_WORKERS",
     "AttachedCSR",
-    "AttachedResults",
     "CandidateScanPool",
     "PoolUnavailable",
-    "ResultsHandle",
     "SharedCSR",
     "SharedCSRHandle",
-    "SharedResults",
     "attach",
-    "attach_results",
     "bucket_h_index",
     "chunked",
-    "resolve_chunk_override",
     "resolve_workers",
 ]

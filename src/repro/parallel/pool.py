@@ -9,16 +9,13 @@ determinism-preserving two-phase scan (bound-sorted chunks, threshold
 barriers, serial replay merge) lives with the greedy in
 :mod:`repro.anchors.gac`.
 
-Dispatch economics (the PR-4 slowdown fix): the epoch header — round
-number plus the anchor lineage — is pickled once per *chunk*, not once
-per task; chunk sizes adapt to the previous dispatch's measured
-per-task latency (``REPRO_PARALLEL_CHUNK`` pins them for tests);
-results return through a preallocated :class:`~repro.parallel.shm.SharedResults`
-block of fixed-width int rows instead of pickled ``TaskResult`` objects
-(only a result too big for its row spills to the pickle channel).
-Adaptive sizing is results-safe because the greedy's replay phase
-discards speculative extras — a bigger or smaller chunk can only change
-*work*, never the selected anchor.
+Dispatch economics: the epoch header — round number plus the anchor
+lineage — is pickled once per *chunk*, not once per task; chunk sizes
+adapt to the previous dispatch's measured per-task latency; each chunk's
+``TaskResult`` tuples ride back on its return value. Adaptive sizing is
+results-safe because the greedy's replay phase discards speculative
+extras — a bigger or smaller chunk can only change *work*, never the
+selected anchor.
 
 Observability: every chunk return piggybacks a small telemetry tuple
 (worker pid, execute start/end clocks, lineage-cache deltas, and — for
@@ -30,7 +27,7 @@ cache hit/advance/rebuild counts) and merges shipped spans into the
 parent trace with per-worker pid lanes. Telemetry observes only: the
 merged results are byte-identical whether or not tracing is on.
 
-Failure model: any worker/pickling/executor/decode error marks the pool
+Failure model: any worker/pickling/executor/protocol error marks the pool
 ``broken`` and propagates to the caller, which falls back to the serial
 scan — dispatch never mutates shared algorithm state, so a failed batch
 leaves the round exactly where the serial scan would start it. A hard
@@ -41,7 +38,6 @@ worker death surfaces as ``BrokenProcessPool`` (the executor, unlike
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 from repro import obs as _obs
@@ -51,9 +47,8 @@ from repro.obs import shipping as _shipping
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 from repro.parallel import worker as _worker
-from repro.parallel.shm import ResultsHandle, SharedCSR, SharedResults
-from repro.parallel.util import ENV_START, chunked, resolve_chunk_override
-from repro.parallel.worker import ROW_FIXED_INTS
+from repro.parallel.shm import SharedCSR
+from repro.parallel.util import chunked
 
 #: First-dispatch fallback before any latency measurement exists: keep
 #: chunks small enough for load balancing but large enough to amortize
@@ -69,49 +64,21 @@ _TARGET_DISPATCH_SECONDS = 0.10
 _CHUNK_PER_WORKER = 8
 #: Hard cap on the adaptive dispatch window.
 _MAX_DISPATCH = 65536
-#: Inline per-node count pairs a result row can hold before the result
-#: overflows to the pickle channel.
-_ROW_COUNT_PAIRS = 24
-#: The fixed counter table shipped to workers at init: the only delta
-#: names a result row can encode (everything a follower evaluation can
-#: legitimately touch). An unknown name overflows to pickle — correct,
-#: just slower — so extending the obs registry never corrupts rows.
-_COUNTER_NAMES = (
-    _obs.BUCKET_POPS,
-    _obs.PEEL_POPS,
-    _obs.CSR_BUILDS,
-    _obs.CSR_CACHE_HITS,
-    _obs.EXPLORED_NODES,
-    _obs.REUSED_NODES,
-    _obs.VISITED_VERTICES,
-    _obs.EVALUATED_CANDIDATES,
-    _obs.PRUNED_CANDIDATES,
-    _obs.REUSE_SERVED,
-    _obs.REUSE_DROPPED,
-)
-_ROW_INTS = ROW_FIXED_INTS + len(_COUNTER_NAMES) + 2 * _ROW_COUNT_PAIRS
-#: Initial result-block rows; grown geometrically on demand.
-_MIN_RESULT_ROWS = 256
 
 
 class PoolUnavailable(RuntimeError):
     """A candidate-scan pool cannot be built in this configuration."""
 
 
-def _start_method(override: str | None = None) -> str:
-    """The multiprocessing start method: override, env, else prefer fork.
+def _start_method() -> str | None:
+    """``fork`` where the platform has it, else its default (``None``).
 
     ``fork`` makes worker start-up (and therefore small-graph runs)
     dramatically cheaper than ``spawn``; results are identical either
     way because workers rebuild all state from the shared CSR + task
-    payloads. Unknown or unavailable requests fall back silently — the
-    knob tunes speed, never semantics.
+    payloads.
     """
-    requested = (override or os.environ.get(ENV_START, "")).strip()
-    available = multiprocessing.get_all_start_methods()
-    if requested in available:
-        return requested
-    return "fork" if "fork" in available else available[0]
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 class CandidateScanPool:
@@ -123,8 +90,6 @@ class CandidateScanPool:
         workers: process count (must be >= 2 — the caller handles the
             serial cases).
         follower_method: ``"tree"`` (Algorithm 4) or ``"naive"``.
-        start_method: optional multiprocessing start-method override
-            (defaults to ``REPRO_PARALLEL_START``, then ``fork``).
 
     Raises:
         PoolUnavailable: a bad worker count, or executor start-up failure.
@@ -138,9 +103,6 @@ class CandidateScanPool:
         "spans_shipped",
         "_shared",
         "_executor",
-        "_results",
-        "_labels",
-        "_index",
         "_latency",
         "_chunk_seq",
         "_busy_by_pid",
@@ -155,7 +117,6 @@ class CandidateScanPool:
         workers: int,
         *,
         follower_method: str = "tree",
-        start_method: str | None = None,
     ) -> None:
         if workers < 2:
             raise PoolUnavailable(f"need >= 2 workers for a pool, got {workers}")
@@ -164,22 +125,19 @@ class CandidateScanPool:
         self.broken = False
         #: Worker span events merged into the parent trace so far.
         self.spans_shipped = 0
-        self._labels = csr.labels
-        self._index = csr.index
         self._latency: float | None = None
         self._chunk_seq = 0
         self._busy_by_pid: dict[int, float] = {}
         self._busy_total = 0.0
         self._elapsed_total = 0.0
         self._queue_wait_total = 0.0
-        self._results: SharedResults | None = None
         self._shared = SharedCSR.export(csr)
         try:
             self._executor = ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=multiprocessing.get_context(_start_method(start_method)),
+                mp_context=multiprocessing.get_context(_start_method()),
                 initializer=_worker.init_worker,
-                initargs=(self._shared.handle, follower_method, _COUNTER_NAMES),
+                initargs=(self._shared.handle, follower_method),
             )
         except Exception as exc:
             self._shared.close()
@@ -191,15 +149,11 @@ class CandidateScanPool:
     def _chunk_tasks(self, n: int) -> int:
         """Tasks per chunk for an ``n``-task dispatch.
 
-        ``REPRO_PARALLEL_CHUNK`` pins the size (clamped to the dispatch);
-        otherwise the measured per-task latency sizes chunks to about
+        The measured per-task latency sizes chunks to about
         :data:`_TARGET_CHUNK_SECONDS` each, capped so every worker still
-        gets work. Before any measurement exists, fall back to the PR-4
-        static split.
+        gets work. Before any measurement exists, fall back to a static
+        split of :data:`_TARGET_BATCHES_PER_WORKER` chunks per worker.
         """
-        override = resolve_chunk_override()
-        if override is not None:
-            return max(1, min(override, n))
         if self._latency is not None and self._latency > 0:
             size = round(_TARGET_CHUNK_SECONDS / self._latency)
         else:
@@ -214,67 +168,13 @@ class CandidateScanPool:
         :data:`_TARGET_DISPATCH_SECONDS` of per-task work — small enough
         that the simulated threshold stays fresh (little wasted
         speculation), large enough that barrier overhead amortizes.
-        Floor of two full chunks per worker; pre-latency it reproduces
-        the PR-4 static window.
+        Floor of two full chunks per worker; pre-latency it is a static
+        :data:`_CHUNK_PER_WORKER` candidates per worker.
         """
         if self._latency is not None and self._latency > 0:
             size = round(_TARGET_DISPATCH_SECONDS / self._latency)
             return max(2 * self.workers, min(size, _MAX_DISPATCH))
         return max(16, _CHUNK_PER_WORKER * self.workers)
-
-    # ------------------------------------------------------------------
-    # Result rows
-    # ------------------------------------------------------------------
-    def _ensure_results(self, n: int) -> ResultsHandle:
-        """A result block with at least ``n`` rows.
-
-        Grows geometrically; a grown block gets a fresh shm name, which
-        is what tells workers to re-attach.
-        """
-        current = self._results
-        if current is not None and current.handle.rows >= n:
-            return current.handle
-        rows = max(n, _MIN_RESULT_ROWS)
-        if current is not None:
-            rows = max(rows, 2 * current.handle.rows)
-            current.close()
-        self._results = SharedResults.create(rows, _ROW_INTS)
-        return self._results.handle
-
-    def _decode_row(self, slot: int, candidate: Vertex) -> _worker.TaskResult:
-        """Decode the shared row at ``slot`` back into a ``TaskResult``.
-
-        The row's first int is the candidate id **plus one** (a zeroed,
-        never-written row can never validate); a mismatch means the
-        protocol broke and the whole dispatch is discarded in favor of
-        the serial scan.
-        """
-        results = self._results
-        assert results is not None  # evaluate ensured the block first
-        row = results.row(slot)
-        expected = self._index[candidate] + 1
-        if row[0] != expected:
-            raise RuntimeError(
-                f"result row {slot} holds candidate tag {row[0]}, "
-                f"expected {expected} — shared-row protocol violation"
-            )
-        total = row[1]
-        n_counts = row[2]
-        deltas: dict[str, int] = {}
-        for at, name in enumerate(_COUNTER_NAMES):
-            value = row[ROW_FIXED_INTS + at]
-            if value:
-                deltas[name] = value
-        if n_counts < 0:
-            counts: dict[NodeId, int] | None = None
-        else:
-            labels = self._labels
-            base = ROW_FIXED_INTS + len(_COUNTER_NAMES)
-            counts = {}
-            for pair in range(n_counts):
-                at = base + 2 * pair
-                counts[labels[row[at]]] = row[at + 1]
-        return (candidate, total, counts, deltas)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -284,41 +184,30 @@ class CandidateScanPool:
         epoch: int,
         anchors: tuple[Vertex, ...],
         tasks: "list[tuple[Vertex, dict[NodeId, int] | None]]",
-        kernel: "str | None" = None,
     ) -> list[_worker.TaskResult]:
         """Evaluate one batch of candidates; results in dispatch order.
 
         ``anchors`` is the anchor *lineage* in application order (sorted
         initial anchors, then selections) — workers key their persistent
-        state cache on it. ``kernel`` is the concrete follower-kernel
-        name the parent resolved; it rides in the chunk header so every
-        worker evaluation runs the backend the serial scan would (a
-        spawned worker does not inherit the parent's kwargs, only its
-        environment). Any failure (worker crash, pickling error, broken
-        executor, row-decode mismatch) marks the pool broken and
-        re-raises; the caller falls back to the serial scan for the
-        whole round.
+        state cache on it. Any failure (worker crash, pickling error,
+        broken executor, a result for the wrong candidate) marks the
+        pool broken and re-raises; the caller falls back to the serial
+        scan for the whole round.
         """
         n = len(tasks)
-        header: _worker.ChunkHeader = (epoch, anchors, kernel)
+        header: _worker.ChunkHeader = (epoch, anchors)
         trace = _obs.tracing_enabled()
         try:
-            handle = self._ensure_results(n)
             size = self._chunk_tasks(n)
             payloads: list[_worker.ChunkPayload] = []
-            slot_base = 0
             for chunk in chunked(tasks, size):
-                payloads.append(
-                    (header, slot_base, handle, tuple(chunk), (self._chunk_seq, trace))
-                )
+                payloads.append((header, tuple(chunk), (self._chunk_seq, trace)))
                 self._chunk_seq += 1
-                slot_base += len(chunk)
             _fault_point("parallel.dispatch")
             start = _obs.clock()
             returns = list(self._executor.map(_worker.evaluate_chunk, payloads))
             elapsed = _obs.clock() - start
-            overflows = [chunk_return[0] for chunk_return in returns]
-            results, overflowed = self._merge(payloads, overflows)
+            results = _merge(payloads, [chunk_return[0] for chunk_return in returns])
             self._record_health(
                 [chunk_return[1] for chunk_return in returns], start, elapsed
             )
@@ -337,8 +226,6 @@ class CandidateScanPool:
         _obs.add(_obs.PARALLEL_TASKS, n)
         _obs.add(_obs.PARALLEL_CHUNKS, len(payloads))
         _obs.add(_obs.PARALLEL_DISPATCHES)
-        if overflowed:
-            _obs.add(_obs.PARALLEL_RESULT_OVERFLOWS, overflowed)
         return results
 
     def _record_health(
@@ -398,50 +285,55 @@ class CandidateScanPool:
         for pid, busy_s in sorted(self._busy_by_pid.items()):
             _obs.gauge(f"parallel.worker.{pid}.busy_s", busy_s)
 
-    def _merge(
-        self,
-        payloads: "list[_worker.ChunkPayload]",
-        overflows: "list[_worker.ChunkOverflow]",
-    ) -> tuple[list[_worker.TaskResult], int]:
-        """Stitch shared rows and pickle-channel overflows into task order."""
-        results: list[_worker.TaskResult] = []
-        overflowed = 0
-        for payload, chunk_overflow in zip(payloads, overflows):
-            _header, slot_base, _handle, chunk_tasks, _meta = payload
-            by_offset = dict(chunk_overflow)
-            overflowed += len(chunk_overflow)
-            for offset, (candidate, _reusable) in enumerate(chunk_tasks):
-                spilled = by_offset.get(offset)
-                if spilled is not None:
-                    results.append(spilled)
-                else:
-                    results.append(self._decode_row(slot_base + offset, candidate))
-        return results, overflowed
-
     def close(self) -> None:
-        """Shut the executor down and release every shared-memory block.
+        """Shut the executor down, wait for its workers, release the graph block.
 
-        Teardown failures are swallowed (gauged as ``parallel.close_error``):
-        the scan results are already merged by the time the pool closes,
-        and a cleanup error must not fail a finished run. Each block gets
-        its own attempt — an executor-shutdown error can no longer skip
-        the shared releases (the PR-4 leak), and the OS reclaims anything
-        still mapped at process exit. Hosts the ``shm.exporter_finalize``
-        fault site once per block.
+        Waits for the worker processes to exit, so none outlives the
+        run that started it. Teardown failures are swallowed (gauged as
+        ``parallel.close_error``): the scan results are already merged by
+        the time the pool closes, and a cleanup error must not fail a
+        finished run. The shared block gets its own attempt — an
+        executor-shutdown error can never skip its release, and the OS
+        reclaims anything still mapped at process exit. Hosts the
+        ``shm.exporter_finalize`` fault site.
         """
         try:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor.shutdown(wait=True, cancel_futures=True)
         except Exception:
             _obs.gauge("parallel.close_error", 1.0)
-        for block in (self._results, self._shared):
-            if block is None:
-                continue
-            try:
-                _fault_point("shm.exporter_finalize")
-                block.close()
-            except Exception:
-                _obs.gauge("parallel.close_error", 1.0)
+        try:
+            _fault_point("shm.exporter_finalize")
+            self._shared.close()
+        except Exception:
+            _obs.gauge("parallel.close_error", 1.0)
 
     def __repr__(self) -> str:
         state = "broken" if self.broken else "ready"
         return f"CandidateScanPool(workers={self.workers}, {state})"
+
+
+def _merge(
+    payloads: "list[_worker.ChunkPayload]",
+    returned: "list[list[_worker.TaskResult]]",
+) -> list[_worker.TaskResult]:
+    """Concatenate the chunks' results in task order, checking each one.
+
+    Every result must name the candidate of the task in its position; a
+    mismatch means the chunk protocol broke, and the whole dispatch is
+    discarded in favor of the serial scan.
+    """
+    results: list[_worker.TaskResult] = []
+    for (_header, chunk_tasks, _meta), chunk_results in zip(payloads, returned):
+        if len(chunk_results) != len(chunk_tasks):
+            raise RuntimeError(
+                f"chunk returned {len(chunk_results)} results for "
+                f"{len(chunk_tasks)} tasks — chunk protocol violation"
+            )
+        for (candidate, _reusable), result in zip(chunk_tasks, chunk_results):
+            if result[0] != candidate:
+                raise RuntimeError(
+                    f"result for candidate {result[0]!r} where {candidate!r} "
+                    "was dispatched — chunk protocol violation"
+                )
+            results.append(result)
+    return results

@@ -16,27 +16,6 @@ T = TypeVar("T")
 #: Worker-count environment knob read when ``workers=None`` is passed to
 #: the greedy entry points (0 / unset / unparsable all mean serial).
 ENV_WORKERS = "REPRO_PARALLEL"
-#: Start-method override (``fork`` / ``spawn`` / ``forkserver``); unset
-#: or unavailable falls back to ``fork`` where the platform has it.
-ENV_START = "REPRO_PARALLEL_START"
-#: Fixed executor chunk size override (positive int); unset / unparsable
-#: means the pool adapts the size from measured per-task latency.
-ENV_CHUNK = "REPRO_PARALLEL_CHUNK"
-
-
-def resolve_chunk_override() -> int | None:  # lint: obs-ok trivial config resolution
-    """The ``REPRO_PARALLEL_CHUNK`` override, or ``None`` for adaptive.
-
-    Absent, empty, unparsable, or non-positive values all mean "adapt".
-    """
-    raw = os.environ.get(ENV_CHUNK, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def bucket_h_index(  # lint: obs-ok pure O(n) arithmetic

@@ -20,14 +20,9 @@ rebuild happens only when the lineage diverges (fresh pool, resumed
 run, naive method). ``apply_anchor``'s oracle — structural equality
 with a fresh build — is what keeps this byte-identical.
 
-Results return through the parent's :class:`~repro.parallel.shm.SharedResults`
-block: each task encodes ``(candidate id, follower
-total, counter deltas, inline per-node counts)`` as a fixed-width int
-row in the disjoint slot the parent assigned. Rows that cannot hold a
-result (oversized count sets, counter names outside the agreed table)
-fall back to the executor's pickle channel per task — the overflow list
-is the chunk's return value, so the common case ships back an empty
-list.
+Results ride the chunk's return value: one ``(candidate, follower
+total, per-node counts, counter deltas)`` tuple per task, in task order,
+pickled once per chunk by the executor.
 
 Determinism contract: a worker's state for a lineage equals
 ``AnchoredState.build(graph, set(lineage))`` structurally, and every
@@ -53,7 +48,6 @@ from __future__ import annotations
 
 import atexit
 import os
-from array import array
 
 from repro import obs as _obs
 from repro.obs import shipping as _shipping
@@ -64,38 +58,24 @@ from repro.core.decomposition import CoreDecomposition, core_decomposition
 from repro.core.tree import NodeId
 from repro.faults import fault_point as _fault_point
 from repro.graphs.graph import Graph, Vertex
-from repro.parallel.shm import (
-    AttachedCSR,
-    AttachedResults,
-    ResultsHandle,
-    SharedCSRHandle,
-    attach,
-    attach_results,
-)
+from repro.parallel.shm import AttachedCSR, SharedCSRHandle, attach
 from repro.verify import verification as _verification
 
 #: Chunk header, pickled once per chunk: (round epoch, anchors in
-#: application order — sorted initial anchors first, then selections —
-#: and the concrete follower-kernel name the parent resolved, so every
-#: worker evaluation runs the same backend as the serial scan would;
-#: ``None`` lets the worker resolve its own environment).
-ChunkHeader = tuple[int, "tuple[Vertex, ...]", "str | None"]
+#: application order — sorted initial anchors first, then selections).
+ChunkHeader = tuple[int, "tuple[Vertex, ...]"]
 #: One candidate evaluation: (candidate, validated reuse counts —
 #: ``None`` on the no-reuse / naive paths).
 Task = tuple[Vertex, "dict[NodeId, int] | None"]
 #: Per-chunk shipping directives: (chunk id, unique within a pool's
 #: lifetime; whether this chunk records and ships worker spans).
 ChunkMeta = tuple[int, bool]
-#: One dispatched chunk: (header, first result slot, result-block
-#: handle, the tasks, and the shipping directives).
-ChunkPayload = tuple[ChunkHeader, int, ResultsHandle, "tuple[Task, ...]", ChunkMeta]
+#: One dispatched chunk: (header, the tasks, and the shipping directives).
+ChunkPayload = tuple[ChunkHeader, "tuple[Task, ...]", ChunkMeta]
 #: One result: (candidate, follower total, per-node counts for the
 #: reuse cache — ``None`` on the naive path — and the counter deltas
 #: this evaluation produced).
 TaskResult = tuple[Vertex, int, "dict[NodeId, int] | None", "dict[str, int]"]
-#: A chunk's pickle-channel return: only the results that did not fit
-#: their shared row, as (offset within the chunk, result).
-ChunkOverflow = list[tuple[int, TaskResult]]
 #: Worker-side telemetry piggybacked on every chunk return: (worker
 #: pid, echoed chunk id, execute start/end ``obs.clock`` readings —
 #: ``CLOCK_MONOTONIC``, comparable with the parent's dispatch clock on
@@ -104,17 +84,9 @@ ChunkOverflow = list[tuple[int, TaskResult]]
 ChunkTelemetry = tuple[
     int, int, float, float, "tuple[int, int, int]", "_shipping.SpanBatch | None"
 ]
-#: What ``evaluate_chunk`` returns over the executor's pickle channel.
-ChunkReturn = tuple[ChunkOverflow, ChunkTelemetry]
-
-#: Row layout: [candidate id + 1, follower total, n_counts] + one int
-#: per agreed counter name + ``(node id, count)`` pairs. The +1 tag
-#: means a zeroed (never-written) row can never validate on the parent
-#: side. ``n_counts`` is -1 when the result carries no reuse counts
-#: (naive / no-reuse paths).
-ROW_FIXED_INTS = 3
-_NO_COUNTS = -1
-_INT_MAX = 2**31 - 1
+#: What ``evaluate_chunk`` returns: every task's result, in task order,
+#: plus the chunk's telemetry.
+ChunkReturn = tuple["list[TaskResult]", ChunkTelemetry]
 
 
 class _WorkerState:
@@ -124,13 +96,10 @@ class _WorkerState:
         "attachment",
         "graph",
         "follower_method",
-        "counter_names",
-        "counter_pos",
         "epoch",
         "lineage",
         "state",
         "base",
-        "results",
         "cache_stats",
     )
 
@@ -139,18 +108,14 @@ class _WorkerState:
         attachment: AttachedCSR,
         graph: Graph,
         follower_method: str,
-        counter_names: tuple[str, ...],
     ) -> None:
         self.attachment = attachment
         self.graph = graph
         self.follower_method = follower_method
-        self.counter_names = counter_names
-        self.counter_pos = {name: i for i, name in enumerate(counter_names)}
         self.epoch = -1
         self.lineage: tuple[Vertex, ...] | None = None
         self.state: AnchoredState | None = None
         self.base: CoreDecomposition | None = None
-        self.results: AttachedResults | None = None
         #: Cumulative lineage-cache [hits, advances, rebuilds]; chunks
         #: ship per-chunk deltas of these to the parent's registry.
         self.cache_stats: list[int] = [0, 0, 0]
@@ -162,12 +127,10 @@ _state: _WorkerState | None = None
 def init_worker(  # lint: obs-ok runs once before any traced dispatch; nothing to ship
     handle: SharedCSRHandle,
     follower_method: str,
-    counter_names: tuple[str, ...] = (),
 ) -> None:
     """Pool initializer: attach the shared CSR and build the graph once.
 
-    ``counter_names`` is the parent's fixed counter table — the agreed
-    row encoding for counter deltas. Hosts the ``worker.shm_attach``
+    Hosts the ``worker.shm_attach``
     fault site (armed via the inherited ``REPRO_FAULTS`` environment): a
     failed attach means the pool never becomes healthy and the first
     dispatch falls back to the serial scan.
@@ -177,7 +140,7 @@ def init_worker(  # lint: obs-ok runs once before any traced dispatch; nothing t
     attachment = attach(handle)
     with _obs.tracing(False), _obs.suspended():
         graph = attachment.csr.to_graph()
-    _state = _WorkerState(attachment, graph, follower_method, counter_names)
+    _state = _WorkerState(attachment, graph, follower_method)
     # Release the memoryviews before the mapping at interpreter exit;
     # the reverse order raises BufferError during teardown.
     atexit.register(attachment.close)
@@ -224,90 +187,27 @@ def _state_for(epoch: int, lineage: "tuple[Vertex, ...]") -> _WorkerState:
     return worker
 
 
-def _results_for(handle: ResultsHandle) -> AttachedResults:
-    """The cached result-block attachment, re-attached when the parent
-    grew (and therefore renamed) the block."""
-    worker = _state
-    if worker is None:
-        raise RuntimeError("worker used before init_worker ran")
-    cached = worker.results
-    if cached is not None and cached.handle.name == handle.name:
-        return cached
-    if cached is not None:
-        cached.close()
-    worker.results = attach_results(handle)
-    return worker.results
-
-
-def _encode_row(
-    results: AttachedResults,
-    slot: int,
-    worker: _WorkerState,
-    candidate_id: int,
-    total: int,
-    counts: "dict[NodeId, int] | None",
-    deltas: "dict[str, int]",
-) -> bool:
-    """Encode one result into its shared row; False → pickle fallback.
-
-    A result overflows when its count set exceeds the row's inline pair
-    capacity, a counter name is outside the agreed table, or any value
-    exceeds the row's 32-bit ints (graph-bounded values never do; the
-    guard keeps a silent wrap impossible).
-    """
-    pos = worker.counter_pos
-    names = worker.counter_names
-    width = results.handle.row_ints
-    pair_capacity = (width - ROW_FIXED_INTS - len(names)) // 2
-    index = worker.attachment.csr.index
-    delta_vector = [0] * len(names)
-    for name, value in deltas.items():
-        at = pos.get(name)
-        if at is None or value > _INT_MAX:
-            return False
-        delta_vector[at] = value
-    if counts is None:
-        row = [candidate_id + 1, total, _NO_COUNTS]
-        row.extend(delta_vector)
-    else:
-        if len(counts) > pair_capacity:
-            return False
-        row = [candidate_id + 1, total, len(counts)]
-        row.extend(delta_vector)
-        for nid, count in counts.items():
-            if count > _INT_MAX:
-                return False
-            row.append(index[nid])
-            row.append(count)
-    results.write_row(slot, array("i", row))
-    return True
-
-
 def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
-    """Evaluate one chunk of candidates; results go to shared rows.
+    """Evaluate one chunk of candidates; results return with the chunk.
 
-    The overflow half of the return holds only the results that did not
-    fit their row, as ``(offset, result)`` pairs; the telemetry half
-    carries the worker pid, chunk id, execute start/end clocks,
-    lineage-cache deltas, and — for traced chunks — the span batch. A
-    traced chunk wraps its task loop in a ``worker.chunk`` span (inner
-    ``followers.search`` spans nest under it), recorded via
-    :func:`repro.obs.shipping.worker_tracing`. Hosts the
-    ``worker.task_start`` and ``worker.follower_eval`` fault sites per
-    task; both fire *before* the counter window opens, so an armed
+    The first half of the return holds every task's ``TaskResult`` in
+    task order; the telemetry half carries the worker pid, chunk id,
+    execute start/end clocks, lineage-cache deltas, and — for traced
+    chunks — the span batch. A traced chunk wraps its task loop in a
+    ``worker.chunk`` span (inner ``followers.search`` spans nest under
+    it), recorded via :func:`repro.obs.shipping.worker_tracing`. Hosts
+    the ``worker.task_start`` and ``worker.follower_eval`` fault sites
+    per task; both fire *before* the counter window opens, so an armed
     ``delay`` never leaks extra counts into the shipped deltas.
     """
-    (epoch, lineage, kernel), slot_base, results_handle, tasks, (chunk_id, trace) = (
-        payload
-    )
-    overflow: ChunkOverflow = []
+    (epoch, lineage), tasks, (chunk_id, trace) = payload
+    results: list[TaskResult] = []
     started = _obs.clock()
     stats_base = tuple(_state.cache_stats) if _state is not None else (0, 0, 0)
     with _shipping.worker_tracing(trace) as capture, _verification(False):
-        results = _results_for(results_handle)
         anchors = frozenset(lineage)
         with _obs.span("worker.chunk", chunk=chunk_id, tasks=len(tasks)):
-            for offset, (candidate, reusable) in enumerate(tasks):
+            for candidate, reusable in tasks:
                 _fault_point("worker.task_start")
                 worker = _state_for(epoch, lineage)
                 _fault_point("worker.follower_eval")
@@ -322,23 +222,10 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
                 else:
                     state = worker.state
                     assert state is not None  # _state_for always builds one
-                    report = find_followers(
-                        state, candidate, reusable_counts=reusable, kernel=kernel
-                    )
+                    report = find_followers(state, candidate, reusable_counts=reusable)
                     total = report.total
                     counts = dict(report.counts)
-                deltas = window.counters()
-                encoded = _encode_row(
-                    results,
-                    slot_base + offset,
-                    worker,
-                    worker.attachment.csr.index[candidate],
-                    total,
-                    counts,
-                    deltas,
-                )
-                if not encoded:
-                    overflow.append((offset, (candidate, total, counts, deltas)))
+                results.append((candidate, total, counts, window.counters()))
     stats_now = _state.cache_stats if _state is not None else [0, 0, 0]
     telemetry: ChunkTelemetry = (
         os.getpid(),
@@ -352,4 +239,4 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
         ),
         capture.batch(),
     )
-    return overflow, telemetry
+    return results, telemetry

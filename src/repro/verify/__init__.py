@@ -31,6 +31,9 @@ _DEFAULT_EDGE_LIMIT = 4000
 #: Forced on/off override (set by the ``verification`` context manager
 #: / ``verify=`` kwargs); ``None`` defers to the environment.
 _forced: bool | None = None
+#: ``REPRO_VERIFY`` as read once on entering an unforced
+#: ``verification(None)`` block; ``None`` outside such a block.
+_pinned: str | None = None
 #: Re-entrancy depth: reference implementations call the very functions
 #: they validate, so checks are suspended while a check runs.
 _suspended: int = 0
@@ -42,7 +45,7 @@ def enabled() -> bool:
         return False
     if _forced is not None:
         return _forced
-    return _env_value() not in {"", "0", "false", "off"}
+    return _on(_env_value())
 
 
 def thorough() -> bool:
@@ -68,19 +71,36 @@ def edge_limit(cost_factor: int = 1) -> int:
 
 
 def _env_value() -> str:
+    if _pinned is not None:
+        return _pinned
     return os.environ.get(_ENV_FLAG, "").strip().lower()
+
+
+def _on(value: str) -> bool:
+    return value not in {"", "0", "false", "off"}
 
 
 @contextmanager
 def verification(force: bool | None = None) -> Iterator[None]:
     """Force verification on (``True``) / off (``False``) for a block.
 
-    ``None`` leaves the environment-driven behavior untouched, which
-    lets APIs thread their ``verify`` kwarg straight through.
+    ``None`` defers to ``REPRO_VERIFY``, which lets APIs thread their
+    ``verify`` kwarg straight through. The environment is read once, on
+    entering the outermost unforced block, and that value holds for the
+    whole block: the hot path then reads a module global instead of
+    ``os.environ`` on every check.
     """
-    global _forced
+    global _forced, _pinned
     if force is None:
-        yield
+        if _forced is not None:
+            yield
+            return
+        value = _env_value()
+        _pinned, _forced = value, _on(value)
+        try:
+            yield
+        finally:
+            _pinned, _forced = None, None
         return
     previous = _forced
     _forced = force

@@ -58,6 +58,15 @@ def path4() -> Graph:
     return Graph.from_edges([(0, 1), (1, 2), (2, 3)])
 
 
+def pin_chunk_size(monkeypatch: pytest.MonkeyPatch, size: int) -> None:
+    """Pin the candidate-scan pool's tasks per chunk (clamped to the dispatch)."""
+    from repro.parallel.pool import CandidateScanPool
+
+    monkeypatch.setattr(
+        CandidateScanPool, "_chunk_tasks", lambda self, n: max(1, min(size, n))
+    )
+
+
 def small_random_graph(seed: int, n: int = 40, m: int = 90) -> Graph:
     """A deterministic small random graph for cross-validation tests."""
     if seed % 2 == 0:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import gzip
+
 import pytest
 
 from repro.cli import main
@@ -104,14 +106,32 @@ class TestBadInput:
             (["anchor", "--edges", "{edges}", "-b", "-1"], None),
             (["anchor", "--edges", "{edges}", "-b", "1", "--resume", "{file}"],
              b"not a checkpoint\n"),
+            (["stats", "--edges", "{gz}"], b"not gzip bytes\n"),
+            (["stats", "--edges", "{gz}"], gzip.compress(b"0 1\n1 2\n" * 500)[:40]),
         ],
-        ids=["dataset", "missing-file", "parse", "not-utf8", "budget", "checkpoint"],
+        ids=[
+            "dataset",
+            "missing-file",
+            "parse",
+            "not-utf8",
+            "budget",
+            "checkpoint",
+            "not-gzip",
+            "truncated-gzip",
+        ],
     )
     def test_exits_2_with_one_line(self, tmp_path, edge_file, capsys, argv, content):
         path = tmp_path / "input.txt"
+        gz = tmp_path / "input.txt.gz"
         if content is not None:
             path.write_bytes(content)
-        paths = {"missing": tmp_path / "missing.txt", "file": path, "edges": edge_file}
+            gz.write_bytes(content)
+        paths = {
+            "missing": tmp_path / "missing.txt",
+            "file": path,
+            "gz": gz,
+            "edges": edge_file,
+        }
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

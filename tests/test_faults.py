@@ -13,7 +13,6 @@ gauge — and byte-identical results versus the uninterrupted run.
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import os
 import pickle
 import tempfile
@@ -28,9 +27,7 @@ from repro.faults import FaultInjected, FaultPlan, FaultSpecError
 from repro.graphs.graph import Graph
 from repro.olak.olak import olak
 
-from conftest import SHM_UNAVAILABLE, small_random_graph
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+from conftest import SHM_UNAVAILABLE, pin_chunk_size, small_random_graph
 
 
 @pytest.fixture(autouse=True)
@@ -232,8 +229,6 @@ def _parallel_fault_run(monkeypatch, spec, *, gauge, counted_site=None):
     if SHM_UNAVAILABLE is not None:
         pytest.skip(f"needs POSIX shared memory: {SHM_UNAVAILABLE}")
     monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
-    if _HAS_FORK:
-        monkeypatch.setenv("REPRO_PARALLEL_START", "fork")
     graph = small_random_graph(1, n=60, m=160)
     serial = gac(graph, 3, tie_break="id")
     before = obs.get(faults.INJECTED_PREFIX + counted_site) if counted_site else 0
@@ -301,7 +296,7 @@ def test_crash_mid_chunk_falls_back_identically(monkeypatch):
     """A worker dying partway through a multi-task chunk (raise on its
     5th task, chunks pinned wide enough to guarantee mid-chunk impact)
     must discard the whole dispatch and fall back to the serial scan."""
-    monkeypatch.setenv("REPRO_PARALLEL_CHUNK", "10000")
+    pin_chunk_size(monkeypatch, 10000)
     _parallel_fault_run(
         monkeypatch,
         "worker.task_start=raise@5",
@@ -411,8 +406,6 @@ class TestDelay:
         if SHM_UNAVAILABLE is not None:
             pytest.skip(f"needs POSIX shared memory: {SHM_UNAVAILABLE}")
         monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
-        if _HAS_FORK:
-            monkeypatch.setenv("REPRO_PARALLEL_START", "fork")
         graph = small_random_graph(1, n=60, m=160)
         serial = gac(graph, 2, tie_break="id")
         monkeypatch.setenv(faults.ENV_FAULTS, "worker.follower_eval=delay:0.001")

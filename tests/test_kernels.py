@@ -1,68 +1,57 @@
-"""Tests for the interchangeable follower-search kernels.
+"""Tests for the flat follower kernel against the dict oracle.
 
-Backend selection precedence and loud failure on typos, byte-identity
-of GAC and OLAK across the full ``kernel x workers`` matrix, counter
-parity through ``FollowerCounters.from_window``, and correctness of the
-incremental flat-table maintenance (``apply_update``) against a fresh
-build. See ``docs/kernels.md`` for the contract these tests pin.
+The flat kernel is the only search production runs; ``DictExplorer``
+is kept as the oracle it must match byte for byte. These tests pin
+GAC identity across worker counts (with the Figure-13 counters and the
+reference-peel gain), GAC and OLAK counter parity with the oracle
+substituted into :func:`repro.anchors.followers.find_followers`, and
+the incremental flat-table maintenance (``apply_update``) across
+several anchorings against the oracle on a fresh build. See
+``docs/kernels.md`` for the contract.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.anchors import followers as followers_mod
 from repro.anchors import kernels
 from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.dict_backend import DictExplorer
+from repro.anchors.kernels.flat_backend import flat_explorer, tables_for
 from repro.anchors.state import AnchoredState
+from repro.core.decomposition import _sort_key
 from repro.datasets import registry
 from repro.olak.olak import olak
 from repro.verify.reference import reference_gain
 
-from conftest import graph_and_vertex
+from conftest import graph_strategy
 
 
 FAST = settings(max_examples=25, deadline=None)
 
 
-# ----------------------------------------------------------------------
-# Selection precedence: kwarg > REPRO_KERNEL > default
-
-
 class TestSelection:
-    def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_KERNEL, raising=False)
-        assert kernels.requested_kernel() == "flat"
+    def test_default_is_flat(self):
+        assert kernels.resolve_kernel() == "flat"
+        assert kernels.resolve_kernel("flat") == "flat"
 
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, "dict")
-        assert kernels.requested_kernel() == "dict"
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, "dict")
-        assert kernels.requested_kernel("flat") == "flat"
-
-    def test_empty_env_means_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, "  ")
-        assert kernels.requested_kernel() == "flat"
-
-    @pytest.mark.parametrize("source", ["kwarg", "env"])
-    def test_unknown_name_fails_loudly(self, monkeypatch, source):
-        if source == "env":
-            monkeypatch.setenv(kernels.ENV_KERNEL, "cuda")
-            with pytest.raises(ValueError, match="cuda"):
-                kernels.requested_kernel()
-        else:
-            with pytest.raises(ValueError, match="cuda"):
-                kernels.requested_kernel("cuda")
+    @pytest.mark.parametrize("name", ["dict", "cuda"])
+    def test_unknown_name_fails_loudly(self, name):
+        # The dict backend is a test oracle, never a selectable kernel.
+        with pytest.raises(ValueError, match=name):
+            kernels.resolve_kernel(name)
 
 
 # ----------------------------------------------------------------------
-# Byte-identity across the kernel x workers matrix (the tentpole
-# contract): anchors, gains, follower totals, Figure-13 counters.
+# Byte-identity against the dict oracle and across worker counts:
+# anchors, gains, follower sets, Figure-13 counters. The oracle is
+# substituted for the flat kernel through ``followers._explorer``.
 
 
 def _gac_observables(result):
@@ -77,87 +66,126 @@ def _gac_observables(result):
 
 
 class TestMatrixIdentity:
-    def test_gac_identical_across_kernels_and_workers(self):
+    def test_gac_identical_across_kernels_and_workers(self, monkeypatch):
         graph = registry.load("arxiv")
-        base = gac(graph, 3, kernel="dict", workers=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(followers_mod, "_explorer", DictExplorer)
+            base = gac(graph, 3, workers=0)
         assert sum(base.gains) == reference_gain(graph, frozenset(base.anchors))
         reference = _gac_observables(base)
-        for kernel in kernels.KERNELS:
-            for workers in (0, 2, 4):
-                if kernel == "dict" and workers == 0:
-                    continue
-                observed = _gac_observables(
-                    gac(graph, 3, kernel=kernel, workers=workers)
-                )
-                assert observed == reference, (kernel, workers)
+        for workers in (0, 2, 4):
+            observed = _gac_observables(gac(graph, 3, workers=workers))
+            assert observed == reference, workers
 
-    def test_olak_identical_across_kernels(self):
+    def test_olak_identical_across_kernels(self, monkeypatch):
         graph = registry.load("arxiv")
-        reference = None
-        for kernel in kernels.KERNELS:
-            result = olak(graph, 3, 3, kernel=kernel)
-            observed = (
+
+        def observed():
+            result = olak(graph, 3, 3)
+            return (
                 result.anchors,
                 result.followers,
                 result.kcore_growth,
                 result.coreness_gain,
             )
-            if reference is None:
-                reference = observed
-            else:
-                assert observed == reference, kernel
+
+        flat = observed()
+        monkeypatch.setattr(followers_mod, "_explorer", DictExplorer)
+        assert observed() == flat
 
 
 # ----------------------------------------------------------------------
 # Counter parity through the registry window (the Figure-13 facade)
 
 
-def test_counters_from_window_parity_across_backends_arxiv_b5():
-    """The arxiv b=5 run reports identical counters from every backend.
+def _windowed_gac(graph):
+    window = obs.window()
+    result = gac(graph, 5, workers=0)
+    return vars(FollowerCounters.from_window(window)), result.anchors, result.gains
+
+
+def test_counters_from_window_parity_across_backends_arxiv_b5(monkeypatch):
+    """The arxiv b=5 run reports identical counters on flat and the oracle.
 
     ``FollowerCounters.from_window`` reads registry deltas, so this
-    also proves the backends increment the *registry* identically —
+    also proves the kernel increments the *registry* like the oracle —
     not just the per-trace accumulators.
     """
     graph = registry.load("arxiv")
-    reference = None
-    for kernel in kernels.KERNELS:
-        window = obs.window()
-        result = gac(graph, 5, kernel=kernel, workers=0)
-        observed = (
-            vars(FollowerCounters.from_window(window)),
-            result.anchors,
-            result.gains,
-        )
-        if reference is None:
-            reference = observed
-        else:
-            assert observed == reference, kernel
+    flat = _windowed_gac(graph)
+    monkeypatch.setattr(followers_mod, "_explorer", DictExplorer)
+    assert _windowed_gac(graph) == flat
+
+
+def test_oracle_seam_reaches_the_dict_backend(monkeypatch):
+    """The substitution really runs ``DictExplorer``, not the flat kernel."""
+    built = []
+
+    class Recording(DictExplorer):
+        def __init__(self, state, x):
+            built.append(x)
+            super().__init__(state, x)
+
+    monkeypatch.setattr(followers_mod, "_explorer", Recording)
+    graph = registry.load("arxiv")
+    state = AnchoredState.build(graph)
+    x = sorted(graph.vertices(), key=_sort_key)[0]
+    find_followers(state, x)
+    assert built == [x]
 
 
 # ----------------------------------------------------------------------
-# Incremental table maintenance: after apply_anchor the cached flat
-# tables must answer exactly like a from-scratch build (covers core
-# moves, layer-only moves staling neighbor splits, support-row and
-# sn_ids refresh).
+# Incremental table maintenance: after a sequence of apply_anchor calls
+# the cached flat tables must answer exactly like the dict oracle on a
+# from-scratch build (covers core moves, layer-only moves staling
+# neighbor splits, support-row and sn_ids refresh).
 
 
-@given(graph_and_vertex(max_vertices=16))
+def _explore_all(explorer, state, x):
+    """Every ``sn(x)`` node explored: (node id, survivors, heap pops)."""
+    own = state.node_id(x)
+    todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
+    return explorer.explore_nodes(todo)
+
+
+@st.composite
+def _graph_and_anchors(draw):
+    graph = draw(graph_strategy(max_vertices=16))
+    anchors = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=graph.num_vertices - 1),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return graph, anchors
+
+
+@given(_graph_and_anchors())
 @FAST
 def test_incremental_tables_match_fresh_build(pair):
-    graph, x = pair
+    graph, anchors = pair
+    assume(graph.num_vertices > len(anchors))
     state = AnchoredState.build(graph)
-    # Warm the cached tables pre-anchor so apply_anchor takes the
+    # Warm the cached tables pre-anchor so every apply_anchor takes the
     # incremental apply_update path instead of a rebuild.
-    seed = next(iter(sorted(graph.vertices())))
-    find_followers(state, seed, kernel="flat")
-    assert state.kernel_tables is not None
-    apply_anchor(state, x)
-    fresh = AnchoredState.build(graph, {x})
+    find_followers(state, sorted(graph.vertices())[0])
+    tables = state.kernel_tables
+    assert tables is not None
+    for x in anchors:
+        apply_anchor(state, x)
+    assert tables_for(state) is tables  # updated in place, never rebuilt
+    fresh = AnchoredState.build(graph, anchors)
     for u in sorted(graph.vertices()):
-        if u == x:
+        if u in anchors:
             continue
-        incremental = find_followers(state, u, kernel="flat")
-        scratch = find_followers(fresh, u, kernel="dict")
+        assert _explore_all(flat_explorer(state, u), state, u) == _explore_all(
+            DictExplorer(fresh, u), fresh, u
+        ), u
+        incremental = find_followers(state, u)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(followers_mod, "_explorer", DictExplorer)
+            scratch = find_followers(fresh, u)
         assert incremental.counts == scratch.counts, u
         assert incremental.members == scratch.members, u

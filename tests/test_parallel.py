@@ -30,14 +30,13 @@ from repro.parallel import (
     CandidateScanPool,
     PoolUnavailable,
     SharedCSR,
-    SharedResults,
     attach,
     bucket_h_index,
     chunked,
     resolve_workers,
 )
 
-from conftest import needs_shm, small_random_graph
+from conftest import needs_shm, pin_chunk_size, small_random_graph
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -271,7 +270,7 @@ class TestScanDeterminism:
 
 
 # ----------------------------------------------------------------------
-# chunked dispatch: sizing knobs and row overflow never change results
+# chunked dispatch: chunk sizes never change results
 # ----------------------------------------------------------------------
 class TestChunkedDispatch:
     _reference: tuple | None = None
@@ -286,38 +285,19 @@ class TestChunkedDispatch:
 
     @pytest.mark.parametrize("workers", [0, 2, 4])
     @pytest.mark.parametrize(
-        "chunk", [None, "1", "10000"], ids=["adaptive", "one", "oversized"]
+        "chunk", [None, 1, 10000], ids=["adaptive", "one", "oversized"]
     )
     def test_chunk_size_matrix_identical(self, tiny_pools, monkeypatch, workers, chunk):
-        if chunk is None:
-            monkeypatch.delenv("REPRO_PARALLEL_CHUNK", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PARALLEL_CHUNK", chunk)
+        if chunk is not None:
+            pin_chunk_size(monkeypatch, chunk)
         graph, reference = self._serial()
         run = gac(graph, 3, tie_break="id", workers=workers)
         assert _result_tuple(run) == reference
 
     @needs_shm
-    def test_row_overflow_falls_back_to_pickle(self, tiny_pools, monkeypatch):
-        """Rows too narrow for any count set spill per task, same results."""
-        import repro.parallel.pool as pool_mod
-
-        # No inline pairs: every tree-path result with counts overflows.
-        monkeypatch.setattr(
-            pool_mod,
-            "_ROW_INTS",
-            pool_mod.ROW_FIXED_INTS + len(pool_mod._COUNTER_NAMES),
-        )
-        graph, reference = self._serial()
-        before = obs.get(obs.PARALLEL_RESULT_OVERFLOWS)
-        run = gac(graph, 3, tie_break="id", workers=2)
-        assert _result_tuple(run) == reference
-        assert obs.get(obs.PARALLEL_RESULT_OVERFLOWS) > before
-
-    @needs_shm
     def test_chunk_counter_records_real_chunks(self, monkeypatch):
         """PARALLEL_CHUNKS counts shipped chunks, not dispatch calls."""
-        monkeypatch.setenv("REPRO_PARALLEL_CHUNK", "1")
+        pin_chunk_size(monkeypatch, 1)
         graph = small_random_graph(1, n=60, m=160)
         pool = CandidateScanPool(graph, 2)
         try:
@@ -327,7 +307,7 @@ class TestChunkedDispatch:
             results = pool.evaluate(0, (), tasks)
             assert obs.get(obs.PARALLEL_CHUNKS) - chunks_before == len(tasks)
             assert obs.get(obs.PARALLEL_DISPATCHES) - dispatches_before == 1
-            # decoded rows reproduce the serial oracle
+            # the returned results reproduce the serial oracle
             from repro.anchors.followers import find_followers
             from repro.anchors.state import AnchoredState
 
@@ -349,7 +329,6 @@ class TestChunkedDispatch:
         real_shutdown = executor.shutdown
         try:
             pool.evaluate(0, (), [(u, None) for u in sorted(graph.vertices())[:4]])
-            assert pool._results is not None
 
             def _boom(*args, **kwargs):
                 raise RuntimeError("synthetic shutdown failure")
@@ -357,7 +336,6 @@ class TestChunkedDispatch:
             monkeypatch.setattr(executor, "shutdown", _boom)
             pool.close()
             assert pool._shared.closed
-            assert pool._results.closed
             error = obs.gauges_snapshot().get("parallel.close_error")
             assert error == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
             # The registry must stay fully readable after the crash path —
@@ -369,6 +347,16 @@ class TestChunkedDispatch:
             pool.close()  # idempotent: second close is a no-op, no raise
         finally:
             real_shutdown(wait=False, cancel_futures=True)
+
+
+    @needs_shm
+    def test_no_worker_outlives_the_run(self):
+        """close() waits for its workers: none is alive once gac returns."""
+        graph = registry.load("brightkite")
+        tasks_before = obs.get(obs.PARALLEL_TASKS)
+        gac(graph, 2, workers=2)
+        assert obs.get(obs.PARALLEL_TASKS) > tasks_before  # the pool ran
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -443,10 +431,7 @@ class TestPoolHealth:
         graph = small_random_graph(1, n=60, m=160)
         pool = CandidateScanPool(graph, 2)
         try:
-            gauges = obs.gauges_snapshot()
-            assert gauges.get("shm.csr_bytes", 0) > 0
-            pool.evaluate(0, (), [(u, None) for u in sorted(graph.vertices())[:4]])
-            assert obs.gauges_snapshot().get("shm.result_bytes", 0) > 0
+            assert obs.gauges_snapshot().get("shm.csr_bytes", 0) > 0
         finally:
             pool.close()
 
@@ -459,24 +444,15 @@ class TestWorkerLineageCache:
     def test_incremental_advance_matches_fresh_build(self):
         """Extending the lineage advances the cached state in place and
         keeps every follower total equal to a fresh-build oracle."""
-        from types import SimpleNamespace
-
-        import repro.parallel.pool as pool_mod
         from repro.anchors.followers import find_followers
         from repro.anchors.state import AnchoredState
         from repro.core.decomposition import _sort_key
 
         graph = small_random_graph(2, n=60, m=160)
-        csr = csr_view(graph)
-        shared = SharedCSR.export(csr)
-        rows = SharedResults.create(8, pool_mod._ROW_INTS)
-        # The parent's row decoder, bound to this block and graph.
-        decoder = SimpleNamespace(
-            _results=rows, _index=csr.index, _labels=csr.labels
-        )
+        shared = SharedCSR.export(csr_view(graph))
         saved_state = worker_mod._state
         try:
-            worker_mod.init_worker(shared.handle, "tree", pool_mod._COUNTER_NAMES)
+            worker_mod.init_worker(shared.handle, "tree")
             anchors_in_order = sorted(graph.vertices(), key=_sort_key)[:3]
             cached_ids = []
             for epoch in range(3):
@@ -487,14 +463,12 @@ class TestWorkerLineageCache:
                     if u not in lineage
                 ][:6]
                 payload = (
-                    (epoch, lineage, None),  # kernel None: worker resolves
-                    0,
-                    rows.handle,
+                    (epoch, lineage),
                     tuple((u, None) for u in candidates),
                     (epoch, False),  # chunk id, untraced
                 )
-                overflow, telemetry = worker_mod.evaluate_chunk(payload)
-                assert len(overflow) < len(candidates)  # rows carry results
+                results, telemetry = worker_mod.evaluate_chunk(payload)
+                assert len(results) == len(candidates)
                 pid, chunk_id, exec_start, exec_end, cache_stats, batch = telemetry
                 assert pid == os.getpid()
                 assert chunk_id == epoch
@@ -508,12 +482,7 @@ class TestWorkerLineageCache:
                 assert hits == len(candidates) - 1  # rest of chunk reuses it
                 cached_ids.append(id(worker_mod._state.state))
                 oracle = AnchoredState.build(graph, frozenset(lineage))
-                spilled = dict(overflow)
-                for offset, u in enumerate(candidates):
-                    result = spilled.get(offset) or CandidateScanPool._decode_row(
-                        decoder, offset, u
-                    )
-                    candidate, total, counts, _deltas = result
+                for u, (candidate, total, counts, _deltas) in zip(candidates, results):
                     report = find_followers(oracle, candidate)
                     assert candidate == u
                     assert total == report.total
@@ -525,10 +494,7 @@ class TestWorkerLineageCache:
             state = worker_mod._state
             worker_mod._state = saved_state
             if state is not None:
-                if state.results is not None:
-                    state.results.close()
                 state.attachment.close()
-            rows.close()
             shared.close()
 
 
@@ -537,7 +503,7 @@ class TestWorkerLineageCache:
 # ----------------------------------------------------------------------
 def _soft_crash_evaluate(payload):
     """Evaluate normally in round 0, blow up from round 1 on."""
-    if payload[0][0] >= 1:  # payload[0] is the (epoch, lineage, kernel) header
+    if payload[0][0] >= 1:  # payload[0] is the (epoch, lineage) header
         raise RuntimeError("synthetic worker failure")
     return worker_mod.evaluate_chunk(payload)
 
@@ -551,8 +517,7 @@ def _hard_crash_evaluate(payload):
 @pytest.mark.skipif(not _HAS_FORK, reason="crash injection needs fork workers")
 class TestCrashFallback:
     @pytest.fixture(autouse=True)
-    def _fork_start(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_START", "fork")
+    def _tiny_pools(self, monkeypatch):
         monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
 
     @pytest.mark.parametrize(

@@ -316,14 +316,17 @@ def test_kill_and_resume_matches_the_uninterrupted_oracle(
 
 # ----------------------------------------------------------------------
 # Follower-kernel differential harness (docs/kernels.md): the flat
-# backend must be byte-identical to the dict oracle — follower
-# counts, member sets, AND the Figure-13 counters — on random graphs
-# including the corners the flat tables care about (disconnected
-# components, isolated vertices, rejected self-loops).
+# kernel must be byte-identical to the dict oracle — explored node ids,
+# survivor sets, heap pops, AND the Figure-13 counters — on random
+# graphs including the corners the flat tables care about
+# (disconnected components, isolated vertices, rejected self-loops).
 
 from repro import obs
-from repro.anchors import kernels
+from repro.anchors import followers as followers_mod
 from repro.anchors.followers import FollowerCounters
+from repro.anchors.kernels.dict_backend import DictExplorer
+from repro.anchors.kernels.flat_backend import flat_explorer
+from repro.core.decomposition import _sort_key
 from repro.graphs.graph import Graph, GraphError
 
 
@@ -354,47 +357,59 @@ def kernel_corner_graph_and_vertex(draw, max_vertices: int = 20, max_edges: int 
     return graph, x
 
 
-def _kernel_observables(graph, x, kernel):
-    """Everything the byte-identity contract covers, for one backend."""
+def _kernel_observables(graph, x):
+    """Everything the byte-identity contract covers, for one search."""
     state = AnchoredState.build(graph)
     window = obs.window()
-    report = find_followers(state, x, kernel=kernel)
+    report = find_followers(state, x)
     return report.counts, report.members, vars(FollowerCounters.from_window(window))
+
+
+def _oracle_observables(graph, x):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(followers_mod, "_explorer", DictExplorer)
+        return _kernel_observables(graph, x)
 
 
 @given(kernel_corner_graph_and_vertex())
 @FAST
 def test_kernel_backends_byte_identical(pair):
-    """The flat backend agrees with the dict oracle to the byte."""
+    """The flat kernel agrees with the dict oracle to the byte."""
     graph, x = pair
-    oracle = _kernel_observables(graph, x, "dict")
-    assert _kernel_observables(graph, x, "flat") == oracle
-    # ...and the oracle itself agrees with brute force.
     state = AnchoredState.build(graph)
-    assert find_followers(state, x, kernel="dict").all_members() == followers_naive(
-        graph, x
-    )
+    own = state.node_id(x)
+    todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
+    assert flat_explorer(state, x).explore_nodes(todo) == DictExplorer(
+        state, x
+    ).explore_nodes(todo)
+    assert _kernel_observables(graph, x) == _oracle_observables(graph, x)
+    # ...and the oracle itself agrees with brute force.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(followers_mod, "_explorer", DictExplorer)
+        members = find_followers(AnchoredState.build(graph), x).all_members()
+    assert members == followers_naive(graph, x)
 
 
 @given(kernel_corner_graph_and_vertex(max_vertices=14))
 @SLOW
 def test_kernel_backends_identical_through_gac(pair):
-    """Whole greedy runs (anchors, gains, counters) match across backends."""
+    """Whole greedy runs (anchors, gains, counters) match the oracle."""
     graph, _ = pair
     budget = min(3, graph.num_vertices)
-    reference = None
-    for kernel in kernels.KERNELS:
-        result = gac(graph, budget, kernel=kernel)
-        observed = (
+
+    def observed():
+        result = gac(graph, budget)
+        return (
             result.anchors,
             result.gains,
             result.followers,
             [vars(t.counters) for t in result.traces],
         )
-        if reference is None:
-            reference = observed
-        else:
-            assert observed == reference, kernel
+
+    flat = observed()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(followers_mod, "_explorer", DictExplorer)
+        assert observed() == flat
 
 
 @given(graph_and_vertex(max_vertices=16))
