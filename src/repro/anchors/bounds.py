@@ -41,38 +41,51 @@ class UpperBounds:
 
 @pure
 def compute_upper_bounds(state: AnchoredState) -> UpperBounds:
-    """Equations 1-3 for every non-anchor vertex of the current state."""
-    graph = state.graph
-    anchors = state.anchors
-    pairs = state.decomposition.shell_layer
+    """Equations 1-3 for every non-anchor vertex of the current state.
+
+    Runs on the state's per-id tables: the own-node bound of ``u`` sums
+    over ``higher[u]`` — exactly the non-anchor same-shell neighbors on
+    a higher layer, i.e. the upstair edges out of ``u`` — and the
+    per-node parts over the ``tca`` buckets of ``sn(u)``.
+    """
+    tables = state.tables
+    is_anchor = tables.is_anchor
+    higher = tables.higher
+    mask = tables.idmask
+    own = [0] * len(is_anchor)
+
+    # Reverse topological order of the upstair DAG: descending packed
+    # (shell, layer, id) keys. Ties (equal pairs) carry no upstair
+    # edges, so the id order within a pair is immaterial.
+    for key in sorted(tables.keys, reverse=True):
+        i = key & mask
+        if is_anchor[i]:
+            continue
+        up = higher[i]
+        own[i] = len(up) + sum(map(own.__getitem__, up))
+
     bounds = UpperBounds()
-    own = bounds.own
-
-    # Reverse topological order of the upstair DAG: descending (k, i).
-    # Ties (equal pairs) carry no upstair edges, so any tie order works.
-    candidates = [u for u in graph.vertices() if u not in anchors]
-    for u in sorted(candidates, key=lambda v: pairs[v], reverse=True):
-        ku, iu = pairs[u]
-        acc = 0
-        for v in graph.neighbors(u):  # lint: order-ok commutative sum accumulation
-            if v in anchors:
+    labels = tables.labels
+    nid = tables.nid
+    tca_ids = tables.tca_ids
+    sn_ids = tables.sn_ids
+    for i, u in enumerate(labels):
+        if is_anchor[i]:
+            continue
+        i_u = nid[i]
+        total = own[i]
+        parts: dict[NodeId, int] = {i_u: total}
+        tca_i = tca_ids[i]
+        for node in sn_ids[i]:
+            if node == i_u:
                 continue
-            kv, iv = pairs[v]
-            if kv == ku and iv > iu:
-                acc += own[v] + 1
-        own[u] = acc
-
-    node_of = state.tree.node_of
-    for u in candidates:
-        i_u = node_of[u].node_id
-        parts: dict[NodeId, int] = {i_u: own[u]}
-        tca_u = state.tca(u)
-        for nid in state.sn(u):  # lint: order-ok parts feed an order-free sum
-            if nid == i_u:
-                continue
-            parts[nid] = sum(own[v] + 1 for v in tca_u[nid] if v not in anchors)
+            bucket = tca_i[node]
+            part = len(bucket) + sum(map(own.__getitem__, bucket))
+            parts[node] = part
+            total += part
+        bounds.own[u] = own[i]
         bounds.parts[u] = parts
-        bounds.total[u] = sum(parts.values())
+        bounds.total[u] = total
     return bounds
 
 

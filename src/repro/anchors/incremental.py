@@ -1,10 +1,24 @@
 """In-place anchoring: the paper's local subtree rebuild (Algorithm 3).
 
-`AnchoredState.with_anchor` rebuilds every structure globally — simple,
-but O(m) per greedy iteration regardless of how little changed. The
-paper instead re-decomposes only ``CC(T[x])`` — the core component of
-the anchored vertex — and splices the rebuilt subtree into the tree
-(Algorithm 3 lines 7-10). This module implements that fast path.
+`AnchoredState.with_anchor` rebuilds every structure from scratch —
+O(m) per greedy iteration regardless of how little changed. The paper
+instead re-decomposes only ``CC(T[x])`` — the core component of the
+anchored vertex — and splices the rebuilt subtree into the tree
+(Algorithm 3 lines 7-10). This module implements that fast path in two
+steps:
+
+1. **Re-peel on CSR ids.** The component, plus the already-anchored
+   vertices adjacent to it (and their anchor-anchor closure), is
+   re-peeled and re-treed on the interned CSR rows under an id mask —
+   no induced subgraph, no second CSR view.
+2. **Edge deltas.** Δ is the set of vertices whose coreness,
+   shell-layer pair, tree node id or anchor flag changed: ``x``, the
+   boundary anchors whose effective coreness moved, and the component
+   vertices the re-peel moved. Only Δ's rows are rebuilt, and Δ's
+   entries in its neighbors' rows are patched in place
+   (:meth:`~repro.anchors.kernels.flat_backend.FlatTables.apply_update`),
+   so the table upkeep costs O(Σ_{v∈Δ} deg v) — the
+   ``incremental.touched_edges`` counter.
 
 Locality rests on two facts:
 
@@ -15,17 +29,25 @@ Locality rests on two facts:
 * anchors live in no tree node (see ``CoreComponentTree.build``), so an
   anchoring never forces tree surgery outside the rebuilt subtree.
 
-`apply_anchor` mutates the state. Its correctness oracle — structural
-equality with a fresh ``AnchoredState.build`` — runs in the test suite
-over random anchor sequences.
+`apply_anchor` mutates the state. Its correctness oracle — equality of
+every per-id table, the decomposition and the tree with a fresh
+``AnchoredState.build`` — runs in the test suite over random anchor
+sequences, and after every anchoring under ``REPRO_VERIFY=1``
+(:func:`repro.verify.invariants.verify_anchor_state`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from repro import obs as _obs
+from repro.anchors.kernels.flat_backend import FlatTables, Signature
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import CoreDecomposition, peel_decomposition
-from repro.core.tree import CoreComponentTree, NodeId, TreeAdjacency, _sort_key
+from repro.core.decomposition import CoreDecomposition
+from repro.core.tree import CoreComponentTree, NodeId, TreeNode, _sort_key
+from repro.graphs.csr import peel_layers
 from repro.graphs.graph import Vertex
+from repro.verify import enabled as _verify_enabled
 
 
 def apply_anchor(
@@ -45,103 +67,91 @@ def apply_anchor(
     """
     if x in state.anchors:
         raise ValueError(f"{x!r} is already anchored")
-    graph = state.graph
+    tables = state.tables
     tree = state.tree
+    index = tables.index
+    labels = tables.labels
+    rows = tables.rows
+    is_anchor = tables.is_anchor
+    xid = index[x]
     old_node = tree.node_of[x]
-    component = old_node.subtree_vertices()
+    component = sorted(index[v] for v in old_node.subtree_vertices())
 
     # ---- Algorithm 3 lines 1-6: invalidation from the old structures.
     removals: dict[Vertex, set[NodeId]] = {}
     affected: set[Vertex] = set()
+    old_ids: dict[Vertex, NodeId] = {}
     if compute_removals:
-        for nid in state.sn(x):  # lint: order-ok set union is commutative
+        for nid in tables.sn_ids[xid]:
             affected |= tree.nodes[nid].vertices
-        _invalidate(state.adjacency, tree, affected, removals)
-    old_ids = {v: tree.node_of[v].node_id for v in component}
+        dying = [(v, tables.nid[index[v]]) for v in affected]  # lint: order-ok per-vertex set inserts
+        _invalidate(tables, dying, removals)
+        old_ids = {labels[i]: tables.nid[i] for i in component}
 
-    # ---- Lines 7-10: re-decompose the component locally and splice.
+    # ---- Lines 7-10: re-peel the component on CSR ids and splice.
     # Anchors adjacent to the component supply permanent support and act
     # as connectors; anchor-anchor chains extend that connectivity, so
-    # the induced subgraph takes the closure of adjacent anchors.
-    new_anchors = state.anchors | {x}
-    boundary_anchors = {
-        a
-        for v in component
-        for a in graph.neighbors(v)
-        if a in state.anchors
-    }
-    closure = set(boundary_anchors)
-    frontier = list(closure)
+    # the mask takes the closure of adjacent anchors.
+    boundary = sorted({a for i in component for a in rows[i] if is_anchor[a]})
+    closure = set(boundary)
+    frontier = list(boundary)
     while frontier:
         a = frontier.pop()
-        for b in graph.neighbors(a):  # lint: order-ok closure BFS builds a set
-            if b in state.anchors and b not in closure:
+        for b in rows[a]:
+            if is_anchor[b] and b not in closure:
                 closure.add(b)
                 frontier.append(b)
-    sub = graph.subgraph(component | closure)
-    local = peel_decomposition(sub, closure | {x})
-    coreness = state.decomposition.coreness
-    shell_layer = state.decomposition.shell_layer
-    for v in component:
-        if v == x:
-            continue
-        coreness[v] = local.coreness[v]
-        shell_layer[v] = local.shell_layer[v]
+    members = [i for i in component if i != xid]
+    anchor_ids = sorted(closure | {xid})
+    csr = tables.csr
+    local_core, local_layer, _ = peel_layers(csr, anchor_ids, members)
+    _obs.add(_obs.PEEL_POPS, len(members))
+    subtree = CoreComponentTree.from_ids(csr, members, local_core, anchor_ids)
+    _splice(tree, old_node, subtree)
+    tree.node_of.pop(x, None)
+
+    # ---- Δ: every vertex whose row-relevant values moved.
+    core = tables.core
+    layer = tables.layer
+    nid = tables.nid
+    node_of = tree.node_of
+    delta: dict[int, Signature] = {}
+    for i in members:
+        new_nid = node_of[labels[i]].node_id
+        if local_core[i] != core[i] or local_layer[i] != layer[i] or new_nid != nid[i]:
+            delta[i] = (0, local_core[i], local_layer[i], new_nid)
     # Anchor effective corenesses are defined over *global* non-anchor
-    # neighborhoods; refresh every anchor whose neighborhood changed.
-    state.anchors = new_anchors
-    for a in sorted(boundary_anchors | {x}, key=_sort_key):
+    # neighborhoods (x is an anchor from here on); refresh x and every
+    # anchor adjacent to the re-peeled component.
+    new_core = {i: local_core[i] for i in members}
+    for a in [xid, *boundary]:
         eff = max(
             (
-                coreness[v]
-                for v in graph.neighbors(a)
-                if v not in new_anchors
+                new_core.get(j, core[j])
+                for j in rows[a]
+                if not is_anchor[j] and j != xid
             ),
             default=0,
         )
-        coreness[a] = eff
-        shell_layer[a] = (eff, 0)
+        if a == xid or eff != core[a]:
+            delta[a] = (1, eff, 0, None)
+
+    # ---- Commit: label-keyed decomposition, then the per-id tables.
+    new_anchors = state.anchors | {x}
+    state.anchors = new_anchors
+    coreness = state.decomposition.coreness
+    shell_layer = state.decomposition.shell_layer
+    for i, (_, c, lay, _) in delta.items():
+        v = labels[i]
+        coreness[v] = c
+        shell_layer[v] = (c, lay)
     state.decomposition = CoreDecomposition(
         coreness=coreness,
         shell_layer=shell_layer,
         order=[],  # the global deletion order is not maintained in place
         anchors=new_anchors,
     )
-
-    subtree = CoreComponentTree.build(sub, local)
-    old_parent = old_node.parent
-    for node in _all_subtree_nodes(old_node):
-        tree.nodes.pop(node.node_id, None)
-    tree.node_of.pop(x, None)
-    # Anchors connect at every level, so the component stays one piece
-    # (x itself now connects whatever it used to): the rebuilt subtree
-    # replaces the old one under the same parent.
-    if old_parent is None:
-        tree.roots = [r for r in tree.roots if r is not old_node]
-        for root in subtree.roots:
-            root.parent = None
-            tree.roots.append(root)
-        tree.roots.sort(key=lambda nd: _sort_key(nd.node_id))
-    else:
-        old_parent.children = [c for c in old_parent.children if c is not old_node]
-        for root in subtree.roots:
-            root.parent = old_parent
-            old_parent.children.append(root)
-        old_parent.children.sort(key=lambda c: _sort_key(c.node_id))
-    for nid, node in subtree.nodes.items():
-        tree.nodes[nid] = node
-    for v, node in subtree.node_of.items():
-        tree.node_of[v] = node
-
-    # ---- Refresh adjacency/support for the component's neighborhood.
-    touched = set(component)
-    for v in component:
-        touched |= graph.neighbors(v)
-    _refresh_adjacency(state, touched)
-    # Keep the flat kernel tables (if this state has been searched yet)
-    # in sync with the same increment.
-    if state.kernel_tables is not None:
-        state.kernel_tables.apply_update(state, touched)
+    _obs.add(_obs.TOUCHED_EDGES, tables.apply_update(delta))
 
     # ---- Lines 12-16: invalidation from the new structures.
     if compute_removals:
@@ -149,88 +159,60 @@ def apply_anchor(
         for v in affected:  # lint: order-ok set union is commutative
             if v in new_anchors:
                 continue
-            widened |= tree.node_of[v].vertices
-        # removals accumulate into per-vertex sets; scan order is free
-        for v in widened - affected:  # lint: order-ok commutative set inserts
-            vid = old_ids.get(v)
-            if vid is None:
-                continue
-            removals.setdefault(v, set()).add(vid)
-            tca_v = state.adjacency.tca[v]
-            for nid2 in state.adjacency.pn[v]:
-                for u in tca_v[nid2]:
-                    removals.setdefault(u, set()).add(vid)
+            widened |= node_of[v].vertices
+        dying = [(v, old_ids[v]) for v in widened - affected if v in old_ids]  # lint: order-ok per-vertex set inserts
+        _invalidate(tables, dying, removals)
+    if _verify_enabled():
+        from repro.verify.invariants import verify_anchor_state
+
+        verify_anchor_state(state)
     return removals
 
 
 def _invalidate(
-    adjacency: TreeAdjacency,
-    tree: CoreComponentTree,
-    affected: set[Vertex],
+    tables: FlatTables,
+    dying: Iterable[tuple[Vertex, NodeId]],
     removals: dict[Vertex, set[NodeId]],
 ) -> None:
-    """Lines 3-6: each affected vertex's node id dies for itself and for
-    its lower-coreness neighbors."""
-    for v in affected:  # lint: order-ok commutative set inserts
-        vid = tree.node_of[v].node_id
+    """Lines 3-6 / 13-16: each ``(v, vid)`` node id dies for ``v`` and
+    for ``v``'s lower-coreness neighbors (per the current tables)."""
+    index = tables.index
+    labels = tables.labels
+    for v, vid in dying:
         removals.setdefault(v, set()).add(vid)
-        tca_v = adjacency.tca[v]
-        for nid2 in adjacency.pn[v]:
-            for u in tca_v[nid2]:
-                removals.setdefault(u, set()).add(vid)
+        i = index[v]
+        tca_v = tables.tca_ids[i]
+        for nid2 in tables.pn_ids[i]:
+            for j in tca_v[nid2]:
+                removals.setdefault(labels[j], set()).add(vid)
 
 
-def _all_subtree_nodes(root) -> list:
-    nodes = []
-    stack = [root]
+def _splice(
+    tree: CoreComponentTree, old_node: TreeNode, subtree: CoreComponentTree
+) -> None:
+    """Replace ``old_node``'s subtree by ``subtree``'s roots, in place.
+
+    Anchors connect at every level, so the component stays one piece
+    (the new anchor itself now connects whatever it used to): the
+    rebuilt roots hang under the same parent.
+    """
+    stack = [old_node]
     while stack:
         node = stack.pop()
-        nodes.append(node)
+        tree.nodes.pop(node.node_id, None)
         stack.extend(node.children)
-    return nodes
-
-
-def _refresh_adjacency(state: AnchoredState, touched: set[Vertex]) -> None:
-    """Recompute tca/sn/pn and the support tables for ``touched``.
-
-    Mirrors the tracked :class:`TreeAdjacency` pass: anchored neighbors
-    are bucketed nowhere and counted as fixed support.
-    """
-    graph = state.graph
-    anchors = state.anchors
-    coreness = state.decomposition.coreness
-    node_of = state.tree.node_of
-    adjacency = state.adjacency
-    for u in touched:  # lint: order-ok per-vertex updates are independent
-        cu = coreness[u]
-        tca_u: dict[NodeId, set[Vertex]] = {}
-        sn_u: set[NodeId] = set()
-        pn_u: set[NodeId] = set()
-        fixed = 0
-        same: list[Vertex] = []
-        # Canonical neighbor order keeps same_shell lists identical to a
-        # fresh TreeAdjacency build (and stable across hash seeds).
-        for v in sorted(graph.neighbors(u), key=_sort_key):
-            if v in anchors:
-                fixed += 1
-                continue
-            nid = node_of[v].node_id
-            bucket = tca_u.get(nid)
-            if bucket is None:
-                tca_u[nid] = {v}
-            else:
-                bucket.add(v)
-            cv = coreness[v]
-            if cv >= cu:
-                sn_u.add(nid)
-            else:
-                pn_u.add(nid)
-            if cv > cu:
-                fixed += 1
-            elif cv == cu:
-                same.append(v)
-        adjacency.tca[u] = tca_u
-        adjacency.sn[u] = sn_u
-        adjacency.pn[u] = pn_u
-        state.fixed_support[u] = fixed
-        state.same_shell[u] = same
+    old_parent = old_node.parent
+    if old_parent is None:
+        siblings = [r for r in tree.roots if r is not old_node]
+    else:
+        siblings = [c for c in old_parent.children if c is not old_node]
+    for root in subtree.roots:
+        root.parent = old_parent
+        siblings.append(root)
+    siblings.sort(key=lambda nd: _sort_key(nd.node_id))
+    if old_parent is None:
+        tree.roots = siblings
+    else:
+        old_parent.children = siblings
+    tree.nodes.update(subtree.nodes)
+    tree.node_of.update(subtree.node_of)

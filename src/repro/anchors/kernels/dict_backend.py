@@ -4,8 +4,9 @@ This is the original :func:`repro.anchors.followers.find_followers`
 inner loop, moved verbatim behind the kernel interface: per-vertex
 ``dict`` status/bound tables keyed by vertex label, heap entries ordered
 by ``(shell-layer pair, canonical sort key, vertex)``. It needs nothing
-but the :class:`~repro.anchors.state.AnchoredState` dicts and shares no
-table code with the flat backend, which makes it the oracle the flat
+but the state's decomposition dicts and a label-keyed
+:class:`~repro.core.tree.TreeAdjacency` built from scratch — it shares
+no table code with the flat backend, which makes it the oracle the flat
 backend must match byte for byte.
 """
 
@@ -15,13 +16,32 @@ import heapq
 
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
-from repro.core.tree import NodeId
+from repro.core.tree import NodeId, TreeAdjacency
 from repro.graphs.graph import Vertex
 
 # Exploration status tags. UNEXPLORED is represented by absence.
 _IN_HEAP = 1
 _SURVIVED = 2
 _DISCARDED = 3
+
+
+#: The last oracle adjacency built, keyed by the state objects it was
+#: built from: ``apply_anchor`` replaces ``state.decomposition`` on
+#: every anchoring, so identity means "same state" (a whole greedy run
+#: under the oracle builds one adjacency per round, not per candidate).
+_last: "tuple[AnchoredState, object, TreeAdjacency] | None" = None
+
+
+def _adjacency(state: AnchoredState) -> TreeAdjacency:
+    """The from-scratch label-keyed adjacency of ``state``."""
+    global _last
+    if _last is not None and _last[0] is state and _last[1] is state.decomposition:
+        return _last[2]
+    adjacency = TreeAdjacency(
+        state.graph, state.decomposition, state.tree, anchors=state.anchors
+    )
+    _last = (state, state.decomposition, adjacency)
+    return adjacency
 
 
 class DictExplorer:
@@ -32,8 +52,8 @@ class DictExplorer:
     """
 
     __slots__ = (
-        "state",
         "x",
+        "tca_x",
         "anchors",
         "pairs",
         "coreness",
@@ -44,13 +64,14 @@ class DictExplorer:
     )
 
     def __init__(self, state: AnchoredState, x: Vertex) -> None:
-        self.state = state
+        adjacency = _adjacency(state)
         self.x = x
+        self.tca_x = adjacency.tca[x]
         self.anchors = state.anchors
         self.pairs = state.decomposition.shell_layer
         self.coreness = state.decomposition.coreness
-        self.same_shell = state.same_shell
-        self.fixed_support = state.fixed_support
+        self.same_shell = adjacency.same_shell
+        self.fixed_support = adjacency.fixed_support
         self.px = self.pairs[x]
         self.adj_x = state.graph.neighbors(x)
 
@@ -76,11 +97,11 @@ class DictExplorer:
         if is_own_node:
             seeds = [
                 v
-                for v in self.state.tca(x).get(nid, ())
+                for v in self.tca_x.get(nid, ())
                 if v not in anchors and pairs[v][0] == px[0] and pairs[v][1] > px[1]
             ]
         else:
-            seeds = [v for v in self.state.tca(x).get(nid, ()) if v not in anchors]
+            seeds = [v for v in self.tca_x.get(nid, ()) if v not in anchors]
 
         status: dict[Vertex, int] = {}
         dplus: dict[Vertex, int] = {}

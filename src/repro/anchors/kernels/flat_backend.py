@@ -1,43 +1,49 @@
-"""Flat-array follower exploration over the interned CSR ids.
+"""The per-id anchoring state and the flat follower kernel over it.
 
-The default backend whenever a CSR view exists. Algorithm 4/5 run here
-entirely on dense integer ids:
+:class:`FlatTables` is the one maintained copy of everything the
+follower search, the upper bounds and the reuse cache read, keyed by
+the interned CSR ids of :mod:`repro.graphs.csr`:
 
-* per-id ``(core, shell, layer, fixed-support)`` tables and same-shell
-  neighbor-id rows, mirrored from the :class:`~repro.anchors.state.AnchoredState`
-  dicts once per state (plain lists rather than ``array('i')`` for the
-  same re-boxing reason as :meth:`repro.graphs.csr.CSRGraph.as_lists`);
-* a precomputed int-packed ``(shell << 2w) | (layer << w) | id`` heap
-  key per id, replacing the dict backend's ``(pair, sort_key, vertex)``
-  tuples — ascending id order *is* the canonical
+* per-id ``(core, shell, layer)``, anchor flag and tree node id, plus a
+  precomputed int-packed ``(shell << 2w) | (layer << w) | id`` heap key
+  (ascending id order *is* the canonical
   :func:`~repro.graphs.graph.vertex_sort_key` order under sorted
-  interning, so the packed comparison reproduces the oracle's heap
-  order exactly;
-* one generation-packed scratch word per id: ``packed[i] = (gen << 2) |
-  status``. ``gen`` strictly increases per exploration, so any entry
-  below the current generation base is stale garbage — UNEXPLORED —
-  with no per-candidate reset and no separate stamp array (status
-  comparisons against ``base | TAG`` reject stale entries for free);
-* a preallocated cascading-shrink worklist.
+  interning, so the packed comparison reproduces the dict oracle's
+  ``(pair, sort_key, vertex)`` heap order exactly);
+* per-id rows of Definitions 4.2–4.4 (``tca``/``sn``/``pn``) and the
+  Algorithm 4 support tables (fixed support, same-shell neighbors split
+  by layer, the candidate support row), all in ascending id order.
 
-The tables are cached on the state (``state.kernel_tables``) and kept
-current by :func:`repro.anchors.incremental.apply_anchor`, which calls
-:meth:`FlatTables.apply_update` for exactly the vertices whose derived
-values it refreshed — the same increment that keeps the per-worker
-lineage caches cheap keeps these tables warm across greedy rounds.
+Plain lists rather than ``array('i')`` for the same re-boxing reason as
+:meth:`repro.graphs.csr.CSRGraph.as_lists`. The tables are built once
+per :class:`~repro.anchors.state.AnchoredState` and patched in place by
+:func:`repro.anchors.incremental.apply_anchor` through
+:meth:`FlatTables.apply_update`, which rewrites only the rows of the
+vertices whose values changed and the entries of those vertices in
+their neighbors' rows — O(sum of their degrees), never a neighborhood.
+
+The exploration scratch is one generation-packed word per id:
+``packed[i] = (gen << 2) | status``. ``gen`` strictly increases per
+exploration, so any entry below the current generation base is stale
+garbage — UNEXPLORED — with no per-candidate reset and no separate
+stamp array (status comparisons against ``base | TAG`` reject stale
+entries for free). The cascading shrink uses a preallocated worklist.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections.abc import Iterable
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.anchors.state import AnchoredState
-from repro.graphs.csr import CSRGraph, csr_view, decomposition_arrays
+from repro.graphs.csr import CSRGraph, decomposition_arrays
 from repro.graphs.graph import Vertex
 
 if TYPE_CHECKING:
-    from repro.core.tree import NodeId
+    from repro.anchors.state import AnchoredState
+    from repro.core.decomposition import CoreDecomposition
+    from repro.core.tree import CoreComponentTree, NodeId
 
 # Exploration status tags, identical to the dict backend's. UNEXPLORED
 # is represented by a stale (below the current base) generation word.
@@ -45,42 +51,43 @@ _IN_HEAP = 1
 _SURVIVED = 2
 _DISCARDED = 3
 
+#: A vertex's row-relevant values: (anchor flag, core, layer, node id).
+Signature = tuple[int, int, int, Vertex]
+
 
 class FlatTables:
-    """Dense per-id mirrors of the exploration state, cached per state.
+    """Per-id anchoring state: the tables ``apply_anchor`` patches.
 
     Attributes:
-        core / shell / layer: per-id coreness and shell-layer pair.
-        fixed: per-id fixed support (anchored + deeper-shell neighbors).
-        same: per-id same-shell neighbor id rows (anchors excluded, in
-            canonical ascending order — mirrors ``state.same_shell``).
-        higher / loweq: ``same`` split by layer relative to the row
-            owner (strictly higher vs lower-or-equal), preserving row
-            order. The Theorem 4.15 bound treats the two classes
-            differently on every heap pop; splitting once per update
-            deletes the per-neighbor layer comparison from the hottest
-            loop in the package.
+        core / shell / layer: per-id coreness and shell-layer pair
+            (anchors: effective coreness, layer 0).
         is_anchor: per-id anchor flag.
+        nid: per-id tree node id ``T[u].I`` (``None`` for anchors).
         keys: per-id packed heap key ``(shell << 2w) | (layer << w) | id``.
         shift / shift2 / idmask: the packed heap-key geometry.
+        fixed: per-id fixed support (anchored + deeper-shell neighbors).
+        same: per-id same-shell neighbor ids (anchors excluded).
+        higher / loweq: ``same`` split by layer relative to the row
+            owner (strictly higher vs lower-or-equal). The Theorem 4.15
+            bound treats the two classes differently on every heap pop;
+            the split deletes the per-neighbor layer comparison from
+            the hottest loop in the package.
+        support: per-id neighbor rows filtered to ``core >= core(owner)``
+            (anchors included) — the neighbors that would pass the
+            oracle's ``c(x) <= c(u)`` support test if the owner were
+            the candidate. ``begin_candidate`` stamps this row verbatim.
+        tca_ids: ``tca[u]`` — per node id, the non-anchor neighbor ids
+            in that node.
+        sn_ids / pn_ids: ``sn(u)`` / ``pn(u)`` — adjacent node ids with
+            coreness ``>=`` / ``<`` ``c(u)``, in interned-id order (the
+            exploration order of ``find_followers``).
         gen / packed: generation-packed scratch; ``packed[i] < (gen << 2)``
             means untouched by the current exploration (UNEXPLORED).
         dplus: per-id scratch for the Theorem 4.15 degree bound.
-        support: per-id neighbor rows pre-filtered to ``core >= core(owner)``
-            — the neighbors that would pass the oracle's
-            ``c(x) <= c(u)`` support test if the owner were the
-            candidate. ``begin_candidate`` stamps this row verbatim.
         cgen / xmark: generation marks over the current candidate's
             ``support`` row; ``xmark[u] == cgen`` is the whole
             ``u in adj_x and c(x) <= c(u)`` test (no clearing between
             candidates).
-        tca_ids: per-id mirror of ``state.tca`` with seed sets interned
-            to ascending id tuples (the per-seed label lookups move out
-            of the search).
-        sn_ids: per-id mirror of ``state.sn`` as a tuple of node ids in
-            interned-id order — the exploration order of
-            ``find_followers``, presorted (ascending interned id *is*
-            the canonical ``vertex_sort_key`` order).
         touched / work / fresh / heap: reusable id worklists (touched-
             this-exploration collection, cascading-shrink stack,
             per-pop push candidates, the exploration heap — always
@@ -89,35 +96,43 @@ class FlatTables:
             (:func:`flat_explorer` re-points it per candidate instead
             of allocating — the greedy scan builds one explorer per
             evaluated candidate, serially).
+
+    Every row lists ids in ascending order; the node-id rows in
+    ascending interned id of the node id.
     """
+
+    #: The maintained per-id fields (what a fresh build must reproduce).
+    FIELDS: tuple[str, ...] = (
+        "core",
+        "shell",
+        "layer",
+        "is_anchor",
+        "nid",
+        "keys",
+        "fixed",
+        "same",
+        "higher",
+        "loweq",
+        "support",
+        "tca_ids",
+        "sn_ids",
+        "pn_ids",
+    )
 
     __slots__ = (
         "csr",
         "index",
         "labels",
         "rows",
-        "anchors",
-        "decomposition",
-        "core",
-        "shell",
-        "layer",
-        "fixed",
-        "same",
-        "higher",
-        "loweq",
-        "is_anchor",
-        "keys",
+        *FIELDS,
         "shift",
         "shift2",
         "idmask",
         "gen",
         "packed",
         "dplus",
-        "support",
         "cgen",
         "xmark",
-        "tca_ids",
-        "sn_ids",
         "touched",
         "work",
         "fresh",
@@ -125,30 +140,28 @@ class FlatTables:
         "explorer",
     )
 
-    def __init__(self, state: AnchoredState, csr: CSRGraph) -> None:
+    def __init__(
+        self,
+        csr: CSRGraph,
+        decomposition: "CoreDecomposition",
+        tree: "CoreComponentTree",
+    ) -> None:
         n = csr.num_vertices
         self.csr = csr
-        self.index = csr.index
-        self.labels = csr.labels
+        self.index = index = csr.index
+        self.labels = labels = csr.labels
         self.rows = csr.rows()
-        self.anchors = state.anchors
-        self.decomposition = state.decomposition
         self.core, self.shell, self.layer = decomposition_arrays(
-            csr, state.decomposition.coreness, state.decomposition.shell_layer
+            csr, decomposition.coreness, decomposition.shell_layer
         )
-        index = csr.index
         is_anchor = bytearray(n)
-        for a in state.anchors:  # lint: order-ok independent flag writes
+        for a in decomposition.anchors:  # lint: order-ok independent flag writes
             is_anchor[index[a]] = 1
         self.is_anchor = is_anchor
-        fixed_support = state.fixed_support
-        same_shell = state.same_shell
-        self.fixed = [fixed_support.get(u, 0) for u in csr.labels]
-        # Rows as tuples: the bound scan iterates them on every heap
-        # pop, and tuple iteration shaves a little off each pass.
-        self.same = [
-            tuple(index[v] for v in same_shell.get(u, ()))
-            for u in csr.labels
+        node_of = tree.node_of
+        self.nid: "list[NodeId]" = [
+            None if is_anchor[i] else node_of[u].node_id
+            for i, u in enumerate(labels)
         ]
         # Key geometry: 2**shift > n covers both the id field (ids are
         # < n) and the layer field (a shell has at most n layers), so
@@ -159,136 +172,208 @@ class FlatTables:
         self.idmask = (1 << w1) - 1
         shell = self.shell
         layer = self.layer
-        self.keys = [
-            (shell[i] << w2) | (layer[i] << w1) | i for i in range(n)
-        ]
-        self.higher: list[tuple[int, ...]] = [()] * n
-        self.loweq: list[tuple[int, ...]] = [()] * n
-        for i in range(n):  # lint: order-ok per-id splits are independent
-            self._split(i)
+        self.keys = [(shell[i] << w2) | (layer[i] << w1) | i for i in range(n)]
+        self.fixed = [0] * n
+        empty: list[int] = []
+        self.same = [empty] * n
+        self.higher = [empty] * n
+        self.loweq = [empty] * n
+        self.support = [empty] * n
+        self.tca_ids: "list[dict[NodeId, list[int]]]" = [{}] * n
+        self.sn_ids: "list[list[NodeId]]" = [[]] * n
+        self.pn_ids: "list[list[NodeId]]" = [[]] * n
+        self._write_rows(range(n), {})
         self.gen = 0
         self.packed = [0] * n
         self.dplus = [0] * n
         self.cgen = 0
         self.xmark = [0] * n
-        core = self.core
-        rows = self.rows
-        self.support = [
-            tuple(j for j in rows[i] if core[j] >= core[i]) for i in range(n)
-        ]
-        adjacency_tca = state.adjacency.tca
-        self.tca_ids: list[dict[object, tuple[int, ...]]] = [
-            {
-                nid: tuple(sorted(index[v] for v in vs))
-                for nid, vs in adjacency_tca[u].items()
-            }
-            for u in csr.labels
-        ]
-        adjacency_sn = state.adjacency.sn
-        self.sn_ids: list[tuple[object, ...]] = [
-            tuple(sorted(adjacency_sn[u], key=index.__getitem__))
-            for u in csr.labels
-        ]
         self.touched: list[int] = []
         self.work: list[int] = []
         self.fresh: list[int] = []
         self.heap: list[int] = []
         self.explorer: "FlatExplorer | None" = None
 
-    def _split(self, i: int) -> None:
-        """Rebuild ``higher[i]`` / ``loweq[i]`` from ``same[i]`` + layers."""
-        layer = self.layer
-        li = layer[i]
-        hi: list[int] = []
-        lo: list[int] = []
-        for v in self.same[i]:
-            (hi if layer[v] > li else lo).append(v)
-        self.higher[i] = tuple(hi)
-        self.loweq[i] = tuple(lo)
+    def apply_update(self, delta: dict[int, Signature]) -> int:
+        """Apply one anchoring's per-vertex changes as edge deltas.
 
-    def apply_update(self, state: AnchoredState, touched: set[Vertex]) -> None:
-        """Refresh the tables for the vertices ``apply_anchor`` changed.
-
-        ``touched`` is the anchored component plus its neighborhood —
-        exactly the set whose coreness/shell-layer/support/same-shell
-        values the incremental anchoring refreshed (including the new
-        anchor itself and the boundary anchors whose effective coreness
-        moved).
+        ``delta`` maps each id whose anchor flag, coreness, layer or
+        node id changed to its new :data:`Signature`. Every such id's
+        row is rebuilt, and its entries in each neighbor's rows are
+        moved in place (bisect keeps the ascending order); no other row
+        is read. Returns the number of adjacency entries walked — the
+        sum of the changed ids' degrees.
         """
-        index = self.index
-        coreness = state.decomposition.coreness
-        shell_layer = state.decomposition.shell_layer
-        anchors = state.anchors
-        fixed_support = state.fixed_support
-        same_shell = state.same_shell
-        adjacency_tca = state.adjacency.tca
-        adjacency_sn = state.adjacency.sn
-        tca_ids = self.tca_ids
-        sn_ids = self.sn_ids
         core = self.core
         shell = self.shell
         layer = self.layer
-        keys = self.keys
         is_anchor = self.is_anchor
-        fixed = self.fixed
-        same = self.same
-        rows = self.rows
-        support = self.support
+        nid = self.nid
+        keys = self.keys
         w1 = self.shift
         w2 = self.shift2
-        redo: set[int] = set()
-        moved: list[int] = []
-        ids: list[int] = []
-        for u in touched:  # lint: order-ok per-id updates are independent
-            i = index[u]
-            ids.append(i)
-            core[i] = coreness[u]
-            pair = shell_layer[u]
-            key = (pair[0] << w2) | (pair[1] << w1) | i
-            if key != keys[i]:
-                keys[i] = key
-                shell[i] = pair[0]
-                layer[i] = pair[1]
-                moved.append(i)
-            is_anchor[i] = 1 if u in anchors else 0
-            fixed[i] = fixed_support.get(u, 0)
-            same[i] = tuple(index[v] for v in same_shell.get(u, ()))
-            tca_ids[i] = {
-                nid: tuple(sorted(index[v] for v in vs))
-                for nid, vs in adjacency_tca[u].items()
-            }
-            sn_ids[i] = tuple(
-                sorted(adjacency_sn[u], key=index.__getitem__)
-            )
-            redo.add(i)
-        # The support rows filter each neighbor by core relative to the
-        # row owner, so they depend on core values possibly updated
-        # later in the loop above — rebuild them in a second pass. A
-        # core change of either endpoint lands both endpoints in
-        # ``touched`` (the changed vertex is in the component, its
-        # neighbors in the component's neighborhood), so refreshing the
-        # touched rows covers every stale entry.
-        for i in ids:  # lint: order-ok per-id rebuilds are independent
-            support[i] = tuple(j for j in rows[i] if core[j] >= core[i])
-        # The higher/loweq splits classify each row entry by *its* layer,
-        # so a vertex whose (shell, layer) pair moved also stales the
-        # splits of its same-shell neighbors — which may sit outside
-        # ``touched`` when only layers shifted within a shell. (Shell
-        # changes rewrite the neighbors' same-shell rows, which puts
-        # those neighbors in ``touched`` already.)
-        for i in moved:
-            redo.update(same[i])
-        for i in redo:  # lint: order-ok per-id splits are independent
-            self._split(i)
-        self.anchors = anchors
-        self.decomposition = state.decomposition
+        old: dict[int, Signature] = {}
+        for i, (a, c, lay, node) in delta.items():
+            old[i] = (is_anchor[i], core[i], layer[i], nid[i])
+            is_anchor[i] = a
+            core[i] = shell[i] = c
+            layer[i] = lay
+            nid[i] = node
+            keys[i] = (c << w2) | (lay << w1) | i
+        return self._write_rows(delta, old)
+
+    def _write_rows(self, ids: Iterable[int], old: dict[int, Signature]) -> int:
+        """Rebuild the rows of ``ids``; patch their neighbors' rows.
+
+        ``old`` holds the previous signature of every rebuilt id; a
+        neighbor outside ``old`` gets the rebuilt id's entries moved
+        from the old signature to the current one. With ``old`` empty
+        (the initial build, where ``ids`` is every id) nothing is
+        patched.
+        """
+        rows = self.rows
+        core = self.core
+        layer = self.layer
+        is_anchor = self.is_anchor
+        nid = self.nid
+        index = self.index
+        fixed = self.fixed
+        same = self.same
+        higher = self.higher
+        loweq = self.loweq
+        support = self.support
+        tca_ids = self.tca_ids
+        sn_ids = self.sn_ids
+        pn_ids = self.pn_ids
+        patch = self._patch
+        node_index = index.__getitem__
+        walked = 0
+        for v in ids:
+            row = rows[v]
+            walked += len(row)
+            cv = core[v]
+            lv = layer[v]
+            prev = old.get(v)
+            fix = 0
+            sam: list[int] = []
+            hi: list[int] = []
+            lo: list[int] = []
+            sup: list[int] = []
+            tca: "dict[NodeId, list[int]]" = {}
+            for u in row:
+                cu = core[u]
+                if cu >= cv:
+                    sup.append(u)
+                if is_anchor[u]:
+                    fix += 1
+                else:
+                    node = nid[u]
+                    bucket = tca.get(node)
+                    if bucket is None:
+                        tca[node] = [u]
+                    else:
+                        bucket.append(u)
+                    if cu > cv:
+                        fix += 1
+                    elif cu == cv:
+                        sam.append(u)
+                        if layer[u] > lv:
+                            hi.append(u)
+                        else:
+                            lo.append(u)
+                if prev is not None and u not in old:
+                    patch(u, v, prev)
+            fixed[v] = fix
+            same[v] = sam
+            higher[v] = hi
+            loweq[v] = lo
+            support[v] = sup
+            tca_ids[v] = tca
+            sn: "list[NodeId]" = []
+            pn: "list[NodeId]" = []
+            for node in tca:
+                (sn if core[index[node]] >= cv else pn).append(node)
+            sn.sort(key=node_index)
+            pn.sort(key=node_index)
+            sn_ids[v] = sn
+            pn_ids[v] = pn
+        return walked
+
+    def _patch(self, u: int, v: int, prev: Signature) -> None:
+        """Move ``v``'s entries in ``u``'s rows from ``prev`` to now.
+
+        ``u``'s own values are unchanged (it is not in the delta), so
+        each row's membership test for ``v`` compares ``v``'s old and
+        new values against the same ``core[u]`` / ``layer[u]``.
+        """
+        a0, c0, l0, n0 = prev
+        core = self.core
+        cu = core[u]
+        a1 = self.is_anchor[v]
+        c1 = core[v]
+        if (c0 >= cu) != (c1 >= cu):
+            _toggle(self.support[u], v, c1 >= cu)
+        f0 = a0 or c0 > cu
+        f1 = a1 or c1 > cu
+        if f0 != f1:
+            self.fixed[u] += 1 if f1 else -1
+        lu = self.layer[u]
+        # 0: not same-shell; 1: same shell, layer <= u's; 2: higher layer
+        s0 = 0 if a0 or c0 != cu else (2 if l0 > lu else 1)
+        s1 = 0 if a1 or c1 != cu else (2 if self.layer[v] > lu else 1)
+        if s0 != s1:
+            if not s0 or not s1:
+                _toggle(self.same[u], v, bool(s1))
+            if s0:
+                _toggle((self.higher if s0 == 2 else self.loweq)[u], v, False)
+            if s1:
+                _toggle((self.higher if s1 == 2 else self.loweq)[u], v, True)
+        n1 = self.nid[v]  # None for an anchor, like n0
+        if n0 == n1 and c0 == c1:
+            return
+        tca = self.tca_ids[u]
+        if n0 != n1:
+            if n0 is not None:
+                bucket = tca[n0]
+                _toggle(bucket, v, False)
+                if not bucket:
+                    del tca[n0]
+            if n1 is not None:
+                bucket = tca.get(n1)
+                if bucket is None:
+                    tca[n1] = [v]
+                else:
+                    insort(bucket, v)
+        if n0 is not None:
+            self._classify(u, n0)
+        if n1 is not None and n1 != n0:
+            self._classify(u, n1)
+
+    def _classify(self, u: int, node: "NodeId") -> None:
+        """Put ``node`` in ``sn(u)``, ``pn(u)`` or neither, per its bucket.
+
+        A node's coreness is its id vertex's: the id is its smallest
+        member. Called after every change to ``u``'s bucket for
+        ``node`` or to the coreness of a vertex in it, so the last call
+        sees the final bucket and coreness.
+        """
+        index = self.index
+        key = index[node]
+        if node in self.tca_ids[u]:
+            want = 1 if self.core[key] >= self.core[u] else 2
+        else:
+            want = 0
+        by_index = index.__getitem__
+        for tag, ids in ((1, self.sn_ids[u]), (2, self.pn_ids[u])):
+            p = bisect_left(ids, key, key=by_index)
+            present = p < len(ids) and index[ids[p]] == key
+            if present and want != tag:
+                del ids[p]
+            elif not present and want == tag:
+                ids.insert(p, node)
 
     def explorer_for(self, x: Vertex) -> "FlatExplorer":
-        """The flyweight explorer, re-pointed at candidate ``x``.
-
-        Only valid on tables already known to be current — callers that
-        have not checked staleness go through :func:`flat_explorer`.
-        """
+        """The flyweight explorer, re-pointed at candidate ``x``."""
         e = self.explorer
         if e is None:
             e = FlatExplorer.__new__(FlatExplorer)
@@ -315,24 +400,17 @@ class FlatTables:
         return cg
 
 
-def tables_for(state: AnchoredState) -> FlatTables:  # lint: obs-ok cache accessor; the search span wraps it
-    """The state's cached flat tables, built on first use.
+def _toggle(row: list[int], v: int, present: bool) -> None:
+    """Insert ``v`` into / remove it from an ascending id row."""
+    if present:
+        insort(row, v)
+    else:
+        del row[bisect_left(row, v)]
 
-    Staleness is guarded by identity: ``apply_anchor`` both replaces
-    ``state.decomposition`` and re-syncs the cached tables, so a tables
-    object pointing at the current decomposition and anchor set is
-    current by construction; anything else is rebuilt from scratch.
-    """
-    tables = state.kernel_tables
-    if (
-        tables is not None
-        and tables.decomposition is state.decomposition
-        and tables.anchors is state.anchors
-    ):
-        return tables
-    tables = FlatTables(state, csr_view(state.graph))
-    state.kernel_tables = tables
-    return tables
+
+def tables_for(state: "AnchoredState") -> FlatTables:  # lint: obs-ok attribute accessor; the search span wraps it
+    """The state's per-id tables (built with the state, patched in place)."""
+    return state.tables
 
 
 class FlatExplorer:

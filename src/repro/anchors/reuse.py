@@ -62,7 +62,8 @@ class FollowerCache:
         if not stored:
             return {}
         with _obs.span("reuse.validate", candidate=u):
-            sn_u = state.sn(u)
+            tables = state.tables
+            sn_u = tables.sn_ids[tables.index[u]]
             nodes = state.tree.nodes
             valid: dict[NodeId, int] = {}
             for nid, (k, count) in stored.items():
@@ -134,13 +135,11 @@ def _compute_removals(
     for nid in old_state.sn(x):  # lint: order-ok set union is commutative
         affected |= old_nodes[nid].vertices
     old_node_id = old_state.tree.node_id_of
-    old_tca = old_state.adjacency.tca
-    old_pn = old_state.adjacency.pn
     for v in affected:  # lint: order-ok commutative set inserts
         vid = old_node_id(v)
         removals[v].add(vid)
-        tca_v = old_tca[v]
-        for nid2 in old_pn[v]:
+        tca_v = old_state.tca(v)
+        for nid2 in old_state.pn(v):  # lint: order-ok commutative set inserts
             for u in tca_v[nid2]:
                 removals[u].add(vid)
 
@@ -153,13 +152,11 @@ def _compute_removals(
         if v in new_state.anchors:
             continue
         widened |= new_node_of[v].vertices
-    new_tca = new_state.adjacency.tca
-    new_pn = new_state.adjacency.pn
     for v in widened - affected:  # lint: order-ok commutative set inserts
         vid = old_node_id(v)
         removals[v].add(vid)
-        tca_v = new_tca[v]
-        for nid2 in new_pn[v]:
+        tca_v = new_state.tca(v)
+        for nid2 in new_state.pn(v):  # lint: order-ok commutative set inserts
             for u in tca_v[nid2]:
                 removals[u].add(vid)
 

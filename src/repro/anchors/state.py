@@ -3,27 +3,30 @@
 The greedy algorithms repeatedly need, for the current graph + anchor
 set: the peel decomposition (coreness + shell-layer pairs), the core
 component tree, and the tree-classified adjacency structures. This
-module bundles them into one immutable-by-convention object that is
-rebuilt after each anchoring.
+module bundles them into one object.
 
-The paper rebuilds only the subtree rooted at the anchor's node
-(Algorithm 3 lines 7–10); we rebuild globally — identical results with a
-constant-factor time difference (DESIGN.md §6). The result-*reuse*
-bookkeeping, which is what the paper's experiments measure, is
-implemented faithfully in :mod:`repro.anchors.reuse`.
+:meth:`AnchoredState.build` computes everything from scratch; the
+greedy loops then keep the state current with
+:func:`repro.anchors.incremental.apply_anchor`, the paper's local
+subtree rebuild (Algorithm 3 lines 7–10), which re-peels only the
+anchored vertex's core component and patches the per-id tables by edge
+deltas (DESIGN.md §6). The adjacency structures (``tca``/``sn``/``pn``)
+and the follower-search support tables live once, in the per-id
+:class:`~repro.anchors.kernels.flat_backend.FlatTables`; the
+label-keyed accessors below are views over them.
+:class:`~repro.core.tree.TreeAdjacency` builds the same structures
+label-keyed from scratch and serves as their oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
+from repro.anchors.kernels.flat_backend import FlatTables
 from repro.core.decomposition import CoreDecomposition, peel_decomposition
-from repro.core.tree import CoreComponentTree, NodeId, TreeAdjacency
+from repro.core.tree import CoreComponentTree, NodeId
+from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
-    from repro.anchors.kernels.flat_backend import FlatTables
 
 
 class AnchoredState:
@@ -35,19 +38,11 @@ class AnchoredState:
         decomposition: peel decomposition with shell-layer pairs,
             computed with ``anchors`` treated as infinite-degree.
         tree: the core component tree of the anchored decomposition.
-        adjacency: the ``tca`` / ``sn`` / ``pn`` structures.
+        tables: the per-id ``tca`` / ``sn`` / ``pn`` rows and support
+            tables over the graph's interned CSR ids.
     """
 
-    __slots__ = (
-        "graph",
-        "anchors",
-        "decomposition",
-        "tree",
-        "adjacency",
-        "fixed_support",
-        "same_shell",
-        "kernel_tables",
-    )
+    __slots__ = ("graph", "anchors", "decomposition", "tree", "tables")
 
     def __init__(
         self,
@@ -55,29 +50,12 @@ class AnchoredState:
         anchors: frozenset[Vertex],
         decomposition: CoreDecomposition,
         tree: CoreComponentTree,
-        adjacency: TreeAdjacency,
     ) -> None:
         self.graph = graph
         self.anchors = anchors
         self.decomposition = decomposition
         self.tree = tree
-        self.adjacency = adjacency
-        # Per-vertex support that no candidate exploration can change:
-        # anchored neighbors and deeper-shell neighbors always count
-        # toward the (c(u)+1)-core degree bound. The same-shell neighbor
-        # lists are the only part Algorithm 4 treats dynamically. Both
-        # are produced by the adjacency pass when it tracked anchors.
-        if adjacency.same_shell or not graph.num_vertices:
-            self.fixed_support = adjacency.fixed_support
-            self.same_shell = adjacency.same_shell
-        else:
-            rebuilt = TreeAdjacency(graph, decomposition, tree, anchors=anchors)
-            self.fixed_support = rebuilt.fixed_support
-            self.same_shell = rebuilt.same_shell
-        # Flat per-id mirrors for the follower kernels, built lazily on
-        # first flat exploration and kept current by
-        # ``apply_anchor`` (see repro.anchors.kernels.flat_backend).
-        self.kernel_tables: FlatTables | None = None
+        self.tables = FlatTables(csr_view(graph), decomposition, tree)
 
     @classmethod
     def build(cls, graph: Graph, anchors: Iterable[Vertex] = ()) -> "AnchoredState":
@@ -85,8 +63,7 @@ class AnchoredState:
         anchor_set = frozenset(anchors)
         decomposition = peel_decomposition(graph, anchor_set)
         tree = CoreComponentTree.build(graph, decomposition)
-        adjacency = TreeAdjacency(graph, decomposition, tree, anchors=anchor_set)
-        return cls(graph, anchor_set, decomposition, tree, adjacency)
+        return cls(graph, anchor_set, decomposition, tree)
 
     def with_anchor(self, x: Vertex) -> "AnchoredState":
         """A fresh state with ``x`` added to the anchor set."""
@@ -109,15 +86,22 @@ class AnchoredState:
 
     def sn(self, u: Vertex) -> set[NodeId]:
         """``sn(u)``: adjacent node ids with coreness >= ``c(u)``."""
-        return self.adjacency.sn[u]
+        tables = self.tables
+        return set(tables.sn_ids[tables.index[u]])
 
     def pn(self, u: Vertex) -> set[NodeId]:
         """``pn(u)``: adjacent node ids with coreness < ``c(u)``."""
-        return self.adjacency.pn[u]
+        tables = self.tables
+        return set(tables.pn_ids[tables.index[u]])
 
     def tca(self, u: Vertex) -> dict[NodeId, set[Vertex]]:
         """``tca[u]``: u's neighbors partitioned by their tree node."""
-        return self.adjacency.tca[u]
+        tables = self.tables
+        labels = tables.labels
+        return {
+            nid: {labels[j] for j in ids}
+            for nid, ids in tables.tca_ids[tables.index[u]].items()
+        }
 
     def node_k(self) -> dict[NodeId, int]:
         """Coreness per tree node id (the reuse cache's validation key)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.decomposition import CoreDecomposition, _sort_key
-from repro.graphs.csr import csr_view
+from repro.graphs.csr import CSRGraph, csr_view
 from repro.graphs.graph import Graph, Vertex
 
 NodeId = Vertex  # a tree node is identified by its smallest vertex id
@@ -118,27 +118,49 @@ class CoreComponentTree:
         1 semantics, where anchors are never deleted).
 
         Runs on the graph's interned CSR view (see
-        :mod:`repro.graphs.csr`): vertices are CSR ids, the union-find
-        is two plain lists, and neighbor scans walk the flat arrays.
-        Only the final canonicalized nodes carry original labels.
+        :mod:`repro.graphs.csr`) through :meth:`from_ids`.
         """
         csr = csr_view(graph)
-        tree = cls()
         coreness = decomposition.coreness
         anchors = decomposition.anchors
+        index = csr.index
+        core = [coreness[u] for u in csr.labels]
+        anchor_ids = sorted(index[a] for a in anchors)
+        is_anchor = bytearray(csr.num_vertices)
+        for a in anchor_ids:
+            is_anchor[a] = 1
+        members = [i for i in range(csr.num_vertices) if not is_anchor[i]]
+        return cls.from_ids(csr, members, core, anchor_ids)
+
+    @classmethod
+    def from_ids(
+        cls,
+        csr: CSRGraph,
+        members: list[int],
+        core: list[int],
+        anchor_ids: list[int],
+    ) -> "CoreComponentTree":
+        """The forest of the subgraph induced by ``members`` + ``anchor_ids``.
+
+        ``members`` are the non-anchor ids to place (``core[i]`` is the
+        coreness of member ``i``); ``anchor_ids`` act as universal
+        connectors and join no node. Rows are masked, not copied: a
+        neighbor outside both lists is ignored. :meth:`build` passes
+        every id; the in-place anchoring passes one re-peeled core
+        component and the anchors adjacent to it. The union-find runs
+        on CSR ids (two plain lists); only the finished nodes carry
+        original labels.
+        """
+        tree = cls()
         labels = csr.labels
         n = csr.num_vertices
-        indptr, nbrs = csr.as_lists()
-        core_arr = [0] * n
+        rows = csr.rows()
         is_anchor = bytearray(n)
-        for i, u in enumerate(labels):
-            core_arr[i] = coreness[u]
-            if u in anchors:
-                is_anchor[i] = 1
+        for a in anchor_ids:
+            is_anchor[a] = 1
         by_coreness: dict[int, list[int]] = {}
-        for i in range(n):
-            if not is_anchor[i]:
-                by_coreness.setdefault(core_arr[i], []).append(i)
+        for i in members:
+            by_coreness.setdefault(core[i], []).append(i)
 
         parent = list(range(n))
         size = [1] * n
@@ -163,13 +185,11 @@ class CoreComponentTree:
         # (present at every level); they never join a node's vertex set.
         # Union-find grouping is order-free: node ids are canonicalized
         # to the minimum member and children re-sorted after the build.
-        for i in range(n):
-            if is_anchor[i]:
-                made[i] = 1
-                for j in range(indptr[i], indptr[i + 1]):
-                    v = nbrs[j]
-                    if is_anchor[v]:
-                        union(i, v)
+        for i in anchor_ids:
+            made[i] = 1
+            for v in rows[i]:
+                if is_anchor[v]:
+                    union(i, v)
 
         current: dict[int, TreeNode] = {}
         for k in sorted(by_coreness, reverse=True):
@@ -177,10 +197,19 @@ class CoreComponentTree:
             for u in group:
                 made[u] = 1
             for u in group:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = nbrs[j]
-                    if made[v] and (is_anchor[v] or core_arr[v] >= k):
-                        union(u, v)
+                # ``root`` stays u's current root across the row, so each
+                # edge costs one find (of the neighbor, inlined), not two.
+                root = find(u)
+                for v in rows[u]:
+                    if made[v] and (is_anchor[v] or core[v] >= k):
+                        while parent[v] != v:
+                            parent[v] = parent[parent[v]]
+                            v = parent[v]
+                        if v != root:
+                            if size[root] < size[v]:
+                                root, v = v, root
+                            parent[v] = root
+                            size[root] += size[v]
             # Every component touched at this level gets a fresh node.
             new_nodes: dict[int, TreeNode] = {}
             for u in group:
@@ -283,9 +312,15 @@ class TreeAdjacency:
     * ``pn[u]`` — ids of adjacent nodes with coreness < ``c(u)``.
 
     When ``anchors`` is given, the same adjacency pass also fills the
-    follower-search support tables (see ``AnchoredState``):
-    ``fixed_support[u]`` counts anchored and deeper-shell neighbors,
-    ``same_shell[u]`` lists the non-anchor same-coreness neighbors.
+    follower-search support tables: ``fixed_support[u]`` counts anchored
+    and deeper-shell neighbors, ``same_shell[u]`` lists the non-anchor
+    same-coreness neighbors.
+
+    This is the label-keyed, from-scratch oracle. The algorithms read
+    the same structures from the per-id tables of an ``AnchoredState``
+    (``repro.anchors.kernels.flat_backend.FlatTables``), which the
+    in-place anchoring patches; the tests, ``repro.verify`` and the
+    dict follower oracle compare against this build.
     """
 
     def __init__(

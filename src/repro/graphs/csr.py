@@ -93,8 +93,11 @@ class CSRGraph:
         index = {u: i for i, u in enumerate(labels)}
         flat: list[int] = []
         ptr: list[int] = [0]
+        lookup = index.__getitem__
         for u in labels:
-            flat.extend(sorted(index[v] for v in graph.neighbors(u)))
+            row = list(map(lookup, graph.neighbors(u)))
+            row.sort()
+            flat.extend(row)
             ptr.append(len(flat))
         return cls(array("i", ptr), array("i", flat), labels, index)
 
@@ -357,7 +360,9 @@ def bucket_coreness(csr: CSRGraph, anchor_ids: Iterable[int] = ()) -> list[int]:
 
 
 def peel_layers(
-    csr: CSRGraph, anchor_ids: Iterable[int] = ()
+    csr: CSRGraph,
+    anchor_ids: Iterable[int] = (),
+    members: "Iterable[int] | None" = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """Algorithm-1 batch peel per id: coreness, shell layer, and order.
 
@@ -367,6 +372,12 @@ def peel_layers(
     are consumed in ascending id order (= canonical label order under
     sorted interning). Anchors are excluded entirely — their slots stay
     0 and they never appear in the returned order.
+
+    ``members`` restricts the peel to the subgraph induced by
+    ``members`` plus ``anchor_ids`` (an id mask over the same rows, so
+    no subgraph or second view is built); only members are peeled and
+    only their slots are filled. The in-place anchoring re-peels one
+    core component this way.
 
     Buckets are lazy append-only lists: an id is appended to
     ``buckets[d]`` when its degree *becomes* ``d``, and stale entries
@@ -385,22 +396,26 @@ def peel_layers(
         is_anchor[a] = 1
     alive = bytearray(n)
     deg = [0] * n
-    max_deg = 0
-    remaining = 0
-    for u in range(n):
-        if is_anchor[u]:
-            continue
-        alive[u] = 1
-        d = len(rows[u])
-        deg[u] = d
-        if d > max_deg:
-            max_deg = d
-        remaining += 1
+    if members is None:
+        ids = [u for u in range(n) if not is_anchor[u]]
+        for u in ids:
+            alive[u] = 1
+            deg[u] = len(rows[u])
+    else:
+        ids = list(members)
+        inside = bytearray(is_anchor)
+        for u in ids:
+            alive[u] = 1
+            inside[u] = 1
+        count = inside.__getitem__
+        for u in ids:
+            deg[u] = sum(map(count, rows[u]))
+    remaining = len(ids)
+    max_deg = max((deg[u] for u in ids), default=0)
 
     buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
-    for u in range(n):
-        if alive[u]:
-            buckets[deg[u]].append(u)
+    for u in ids:
+        buckets[deg[u]].append(u)
 
     k = 1
     while remaining > 0:

@@ -111,10 +111,29 @@ class Graph:
         self._version += 1
 
     def add_edge_if_absent(self, u: Vertex, v: Vertex) -> bool:
-        """Add edge ``(u, v)`` unless it exists or is a loop; report success."""
-        if u == v or self.has_edge(u, v):
+        """Add edge ``(u, v)`` unless it exists or is a loop; report success.
+
+        The generators call this once per sampled edge, so it does one
+        adjacency lookup per endpoint. Vertex insertion order and
+        ``_version`` increments match :meth:`add_edge`.
+        """
+        if u == v:
             return False
-        self.add_edge(u, v)
+        adj = self._adj
+        nbrs_u = adj.get(u)
+        if nbrs_u is None:
+            nbrs_u = adj[u] = set()
+            self._version += 1
+        elif v in nbrs_u:
+            return False
+        nbrs_v = adj.get(v)
+        if nbrs_v is None:
+            nbrs_v = adj[v] = set()
+            self._version += 1
+        nbrs_u.add(v)
+        nbrs_v.add(u)
+        self._num_edges += 1
+        self._version += 1
         return True
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:

@@ -54,6 +54,7 @@ from repro.obs.runtime import (
     REUSE_DROPPED,
     REUSE_SERVED,
     REUSED_NODES,
+    TOUCHED_EDGES,
     VISITED_VERTICES,
     NullSpan,
     Span,
@@ -98,6 +99,7 @@ __all__ = [
     "REUSE_DROPPED",
     "REUSE_SERVED",
     "REUSED_NODES",
+    "TOUCHED_EDGES",
     "VISITED_VERTICES",
     "NullSpan",
     "PhaseStat",

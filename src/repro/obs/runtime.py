@@ -63,6 +63,9 @@ GAC_ITERATIONS = "gac.iterations"
 REUSE_SERVED = "reuse.counts_served"
 #: Cache entries invalidated by Algorithm 3 after an anchoring.
 REUSE_DROPPED = "reuse.entries_dropped"
+#: Adjacency entries walked by the in-place anchoring's table update
+#: (the summed degree of the vertices whose values changed).
+TOUCHED_EDGES = "incremental.touched_edges"
 #: Greedy iterations completed by OLAK.
 OLAK_ITERATIONS = "olak.iterations"
 #: Candidate evaluations shipped to scan workers (repro.parallel).

@@ -20,6 +20,8 @@ Checked invariants (see ``docs/verification.md``):
   re-decomposition;
 * the Algorithm-3 reuse cache never serves a count that a fresh
   exploration would contradict (no stale tree nodes);
+* the state an in-place anchoring leaves behind — decomposition, tree
+  and every per-id table — equals a fresh build for the same anchors;
 * upper-bound pruning never discards a candidate whose true marginal
   gain exceeds the selected one, i.e. the greedy pick is a true argmax;
 * the greedy run's summed marginal gains equal the coreness gain of
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from repro import verify
 from repro.core.decomposition import CoreDecomposition
-from repro.core.tree import NodeId
+from repro.core.tree import NodeId, TreeAdjacency
 from repro.errors import VerificationError
 from repro.graphs.graph import Graph, Vertex
 from repro.verify.reference import reference_coreness, reference_followers
@@ -42,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a cycle
     from repro.anchors.state import AnchoredState
 
 __all__ = [
+    "verify_anchor_state",
     "verify_cache_counts",
     "verify_decomposition",
     "verify_follower_report",
@@ -210,6 +213,62 @@ def verify_cache_counts(
                     "reuse-cache-count",
                     f"cache served |F[{u!r}][{nid!r}]| = {count} but a fresh "
                     f"exploration finds {actual} — stale count",
+                )
+
+
+def verify_anchor_state(state: "AnchoredState") -> None:
+    """An in-place anchoring left exactly the state a fresh build has."""
+    graph = state.graph
+    if graph.num_edges > verify.edge_limit(2):
+        return
+    with verify.suspended():
+        from repro.anchors.state import AnchoredState
+
+        fresh = AnchoredState.build(graph, state.anchors)
+        for name in ("coreness", "shell_layer"):
+            if getattr(state.decomposition, name) != getattr(
+                fresh.decomposition, name
+            ):
+                _fail(
+                    "anchor-state-decomposition",
+                    f"{name} after anchoring differs from a fresh peel",
+                )
+        got = {nid: (nd.k, nd.vertices) for nid, nd in state.tree.nodes.items()}
+        want = {nid: (nd.k, nd.vertices) for nid, nd in fresh.tree.nodes.items()}
+        if got != want:
+            _fail("anchor-state-tree", "tree nodes differ from a fresh build")
+        tables = state.tables
+        labels = tables.labels
+        oracle = TreeAdjacency(graph, fresh.decomposition, fresh.tree, fresh.anchors)
+        for u in labels:
+            i = tables.index[u]
+            views = (
+                ("tca", state.tca(u), oracle.tca[u]),
+                ("sn", state.sn(u), oracle.sn[u]),
+                ("pn", state.pn(u), oracle.pn[u]),
+                ("fixed support", tables.fixed[i], oracle.fixed_support[u]),
+                (
+                    "same-shell row",
+                    [labels[j] for j in tables.same[i]],
+                    oracle.same_shell[u],
+                ),
+            )
+            for name, ours, theirs in views:
+                if ours != theirs:
+                    _fail(
+                        "anchor-state-adjacency",
+                        f"{name} of {u!r} is {ours!r} after anchoring, a "
+                        f"from-scratch TreeAdjacency has {theirs!r}",
+                    )
+        for name in tables.FIELDS:
+            ours = getattr(tables, name)
+            theirs = getattr(fresh.tables, name)
+            if ours != theirs:
+                i = next(i for i in range(len(ours)) if ours[i] != theirs[i])
+                _fail(
+                    "anchor-state-tables",
+                    f"per-id {name} of {labels[i]!r} is {ours[i]!r} after "
+                    f"anchoring, a fresh build has {theirs[i]!r}",
                 )
 
 

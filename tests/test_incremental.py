@@ -2,18 +2,47 @@
 
 The oracle: after any sequence of `apply_anchor` calls, every structure
 in the mutated state equals a fresh `AnchoredState.build` — corenesses,
-shell-layer pairs, tree shape, adjacency, and support tables — and the
+shell-layer pairs, tree shape, and every per-id table field by field —
+the label-keyed views equal a from-scratch `TreeAdjacency`, and the
 returned removals match the pure-functional `result_reuse`.
 """
 
+import sys
+
 import pytest
 
+from repro import obs
+from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.flat_backend import tables_for
 from repro.anchors.reuse import result_reuse
 from repro.anchors.state import AnchoredState
+from repro.core.tree import TreeAdjacency
+from repro.datasets import registry
 from repro.datasets.toy import figure2_graph
+from repro.olak.olak import olak
 
 from conftest import small_random_graph
+
+
+#: Every maintained per-id table, compared one by one (row order
+#: included): an oracle of its own, not ``FlatTables.FIELDS``.
+TABLE_FIELDS = (
+    "core",
+    "shell",
+    "layer",
+    "keys",
+    "is_anchor",
+    "nid",
+    "fixed",
+    "same",
+    "higher",
+    "loweq",
+    "support",
+    "tca_ids",
+    "sn_ids",
+    "pn_ids",
+)
 
 
 def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
@@ -29,16 +58,37 @@ def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
         pid = node.parent.node_id if node.parent else None
         other_pid = other.parent.node_id if other.parent else None
         assert pid == other_pid, nid
-    assert {r.node_id for r in actual.tree.roots} == {
+        assert [c.node_id for c in node.children] == [
+            c.node_id for c in other.children
+        ], nid
+    assert [r.node_id for r in actual.tree.roots] == [
         r.node_id for r in expected.tree.roots
-    }
-    # adjacency and support tables
+    ]
+    # every per-id table, against a fresh build, row order included
+    tables = tables_for(actual)
+    fresh = tables_for(expected)
+    labels = tables.labels
+    for name in TABLE_FIELDS:
+        ours = getattr(tables, name)
+        theirs = getattr(fresh, name)
+        assert len(ours) == len(theirs), name
+        for i, (a, b) in enumerate(zip(ours, theirs)):
+            assert a == b, (name, labels[i])
+    # the label-keyed views against the from-scratch TreeAdjacency oracle
+    oracle = TreeAdjacency(
+        expected.graph,
+        expected.decomposition,
+        expected.tree,
+        anchors=expected.anchors,
+    )
+    index = tables.index
     for u in actual.graph.vertices():
-        assert actual.adjacency.tca[u] == expected.adjacency.tca[u], u
-        assert actual.adjacency.sn[u] == expected.adjacency.sn[u], u
-        assert actual.adjacency.pn[u] == expected.adjacency.pn[u], u
-        assert actual.fixed_support[u] == expected.fixed_support[u], u
-        assert set(actual.same_shell[u]) == set(expected.same_shell[u]), u
+        assert actual.tca(u) == oracle.tca[u], u
+        assert actual.sn(u) == oracle.sn[u], u
+        assert actual.pn(u) == oracle.pn[u], u
+        i = index[u]
+        assert tables.fixed[i] == oracle.fixed_support[u], u
+        assert [labels[j] for j in tables.same[i]] == oracle.same_shell[u], u
     # the tree must still satisfy its own invariants
     actual.tree.validate(actual.graph, actual.decomposition)
 
@@ -102,7 +152,79 @@ class TestRemovalsMatchResultReuse:
         removals = apply_anchor(state, second)
         assert removals == expected, seed
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_anchor_sequence(self, seed):
+        g = small_random_graph(seed)
+        state = AnchoredState.build(g)
+        anchors: list = []
+        for x in sorted(g.vertices())[1::3][:4]:
+            old = AnchoredState.build(g, anchors)
+            expected = result_reuse(old, old.with_anchor(x), x)
+            assert apply_anchor(state, x) == expected, (seed, x)
+            anchors.append(x)
+
     def test_skippable(self):
         g = figure2_graph()
         state = AnchoredState.build(g)
         assert apply_anchor(state, 2, compute_removals=False) == {}
+
+
+# ----------------------------------------------------------------------
+# Structural work bound: the table upkeep walks the rows of Δ only.
+
+
+def _signatures(state):
+    tables = state.tables
+    return list(zip(tables.is_anchor, tables.core, tables.layer, tables.nid))
+
+
+def _record_rounds(monkeypatch, module, rounds):
+    """Wrap ``module.apply_anchor`` to record per-round work figures."""
+    real = module.apply_anchor
+
+    def recording(state, x, compute_removals=True):
+        csr = state.tables.csr
+        index = csr.index
+        degree = csr.degree
+        component = [index[v] for v in state.tree.node_of[x].subtree_vertices()]
+        neighborhood = set(component)
+        for i in component:
+            neighborhood.update(csr.row(i))
+        before = _signatures(state)
+        window = obs.window()
+        removals = real(state, x, compute_removals)
+        touched = window.counter(obs.TOUCHED_EDGES)
+        after = _signatures(state)
+        delta = [i for i, (b, a) in enumerate(zip(before, after)) if b != a]
+        assert index[x] in delta
+        rounds.append(
+            (
+                touched,
+                sum(degree(i) for i in delta) + degree(index[x]),
+                sum(degree(i) for i in neighborhood),
+            )
+        )
+        return removals
+
+    monkeypatch.setattr(module, "apply_anchor", recording)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: gac(registry.load("livejournal"), 3), id="gac-livejournal"),
+        pytest.param(lambda: gac(registry.load("gowalla"), 3), id="gac-gowalla"),
+        pytest.param(lambda: olak(registry.load("youtube"), 10, 3), id="olak-youtube-k10"),
+    ],
+)
+def test_touched_edges_bounded_by_delta_degrees(monkeypatch, run):
+    """Each round walks at most Σ_{v∈Δ} deg v + deg x adjacency entries,
+    below the Σ deg over component ∪ N(component) a row refresh pays."""
+    rounds: list[tuple[int, int, int]] = []
+    _record_rounds(monkeypatch, sys.modules["repro.anchors.gac"], rounds)
+    _record_rounds(monkeypatch, sys.modules["repro.olak.olak"], rounds)
+    run()
+    assert len(rounds) == 3
+    for touched, delta_bound, neighborhood_work in rounds:
+        assert 0 < touched <= delta_bound, rounds
+        assert touched < neighborhood_work, rounds

@@ -168,11 +168,7 @@ def test_incremental_tables_match_fresh_build(pair):
     graph, anchors = pair
     assume(graph.num_vertices > len(anchors))
     state = AnchoredState.build(graph)
-    # Warm the cached tables pre-anchor so every apply_anchor takes the
-    # incremental apply_update path instead of a rebuild.
-    find_followers(state, sorted(graph.vertices())[0])
-    tables = state.kernel_tables
-    assert tables is not None
+    tables = tables_for(state)
     for x in anchors:
         apply_anchor(state, x)
     assert tables_for(state) is tables  # updated in place, never rebuilt

@@ -426,5 +426,7 @@ def test_in_place_anchor_matches_fresh_build(pair):
     assert state.decomposition.shell_layer == fresh.decomposition.shell_layer
     assert set(state.tree.nodes) == set(fresh.tree.nodes)
     for u in graph.vertices():
-        assert state.adjacency.sn[u] == fresh.adjacency.sn[u]
-        assert state.fixed_support[u] == fresh.fixed_support[u]
+        assert state.sn(u) == fresh.sn(u)
+        assert state.tca(u) == fresh.tca(u)
+    for name in ("fixed", "same", "higher", "loweq", "support", "sn_ids"):
+        assert getattr(state.tables, name) == getattr(fresh.tables, name), name

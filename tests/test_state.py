@@ -3,8 +3,6 @@
 import pytest
 
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import peel_decomposition
-from repro.core.tree import CoreComponentTree, TreeAdjacency
 from repro.datasets.toy import figure5b_graph
 from repro.errors import (
     BudgetError,
@@ -16,6 +14,16 @@ from repro.errors import (
     VertexNotFoundError,
 )
 from repro.graphs.graph import Graph
+
+
+def _fixed(state, u):
+    tables = state.tables
+    return tables.fixed[tables.index[u]]
+
+
+def _same(state, u):
+    tables = state.tables
+    return [tables.labels[j] for j in tables.same[tables.index[u]]]
 
 
 class TestAnchoredState:
@@ -47,8 +55,8 @@ class TestAnchoredState:
         g = figure5b_graph()
         state = AnchoredState.build(g)
         # u5: neighbors 2 (same shell), 7, 8 (deeper)
-        assert state.fixed_support[5] == 2
-        assert state.same_shell[5] == [2]
+        assert _fixed(state, 5) == 2
+        assert _same(state, 5) == [2]
 
     def test_support_tables_with_anchors(self):
         g = figure5b_graph()
@@ -56,19 +64,9 @@ class TestAnchoredState:
         # anchoring 2 lifts u5 to coreness 3: its shell-mates are now
         # 7 and 8, and only the anchor counts as fixed support
         assert state.coreness(5) == 3
-        assert set(state.same_shell[5]) == {7, 8}
-        assert state.fixed_support[5] == 1
-        assert 2 not in state.same_shell[5]
-
-    def test_support_fallback_without_tracked_adjacency(self):
-        """A state built from a plain TreeAdjacency recomputes the tables."""
-        g = figure5b_graph()
-        dec = peel_decomposition(g)
-        tree = CoreComponentTree.build(g, dec)
-        plain = TreeAdjacency(g, dec, tree)  # no anchors tracked
-        state = AnchoredState(g, frozenset(), dec, tree, plain)
-        assert state.fixed_support[5] == 2
-        assert state.same_shell[5] == [2]
+        assert set(_same(state, 5)) == {7, 8}
+        assert _fixed(state, 5) == 1
+        assert 2 not in _same(state, 5)
 
     def test_empty_graph(self):
         state = AnchoredState.build(Graph())

@@ -13,6 +13,8 @@ import pytest
 
 from repro import verify
 from repro.anchors.gac import gac, greedy_anchored_coreness
+from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.flat_backend import FlatTables
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import (
     CoreDecomposition,
@@ -23,6 +25,7 @@ from repro.errors import VerificationError
 from repro.graphs.graph import Graph
 from repro.olak.olak import olak
 from repro.verify.invariants import (
+    verify_anchor_state,
     verify_cache_counts,
     verify_decomposition,
     verify_follower_report,
@@ -246,6 +249,45 @@ class TestSelectionInvariants:
         wrong = frozenset(sorted(g.vertices())[:1]) ^ result.followers[best]
         with pytest.raises(VerificationError, match="olak-shell-followers"):
             verify_olak_selection(state, 2, best, wrong)
+
+
+class TestAnchorStateInvariant:
+    def test_in_place_anchoring_passes(self):
+        g = small_random_graph(6, n=30, m=70)
+        state = AnchoredState.build(g)
+        for x in sorted(g.vertices())[:3]:
+            apply_anchor(state, x)
+            verify_anchor_state(state)
+
+    def test_corrupted_row_order_fails(self):
+        g = small_random_graph(6, n=30, m=70)
+        state = AnchoredState.build(g)
+        apply_anchor(state, 0)
+        same = state.tables.same
+        i = next(i for i, row in enumerate(same) if len(row) > 1)
+        same[i].reverse()
+        with pytest.raises(VerificationError, match="same-shell row"):
+            verify_anchor_state(state)
+
+    def test_corrupted_support_row_fails(self):
+        g = small_random_graph(6, n=30, m=70)
+        state = AnchoredState.build(g)
+        apply_anchor(state, 0)
+        support = state.tables.support
+        i = next(i for i, row in enumerate(support) if row)
+        support[i].pop()
+        with pytest.raises(VerificationError, match="per-id support"):
+            verify_anchor_state(state)
+
+    def test_hook_catches_a_dropped_patch(self, monkeypatch):
+        """apply_anchor's own hook fires when neighbor patches are lost."""
+        monkeypatch.setattr(FlatTables, "_patch", lambda self, u, v, prev: None)
+        g = small_random_graph(6, n=30, m=70)
+        state = AnchoredState.build(g)
+        with verify.verification(True):
+            with pytest.raises(VerificationError, match="anchor-state"):
+                for x in sorted(g.vertices())[:3]:
+                    apply_anchor(state, x)
 
 
 class TestPipelineHooks:
