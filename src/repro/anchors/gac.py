@@ -47,9 +47,9 @@ from repro.anchors.followers import (
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import _sort_key
+from repro.core.decomposition import _require_anchors_present, _sort_key
 from repro.core.tree import NodeId
-from repro.errors import BudgetError, CheckpointError
+from repro.errors import BudgetError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts gac.round_commit
 from repro.graphs.csr import csr_view
@@ -276,7 +276,9 @@ def _run_greedy(
     fingerprint = ""
     params: dict[str, object] = {}
     if checkpoint_path is not None or resume_path is not None:
+        _require_anchors_present(graph, initial)
         fingerprint = _checkpoint.graph_fingerprint(graph)
+        index = csr_view(graph).index
         # budget and workers are deliberately absent: a resume may extend
         # the budget, and worker count is a wall-clock knob, never a
         # results knob. seed is kept — it documents the rng_state's origin
@@ -287,13 +289,14 @@ def _run_greedy(
             "follower_method": follower_method,
             "tie_break": tie_break,
             "seed": seed,
-            "initial": sorted(initial, key=_sort_key),
+            "initial": sorted(index[u] for u in initial),
         }
     if resume_path is not None:
-        base_coreness = _resume(
+        base_coreness = _checkpoint.resume(
+            resume_path,
             graph,
             budget,
-            resume_path,
+            algo="gac",
             fingerprint=fingerprint,
             params=params,
             result=result,
@@ -415,14 +418,16 @@ def _run_greedy(
                     len(result.anchors) % checkpoint_every == 0
                     or len(result.anchors) == budget
                 ):
-                    _write_checkpoint(
+                    _checkpoint.commit(
                         checkpoint_path,
-                        fingerprint=fingerprint,
-                        params=params,
-                        result=result,
+                        graph,
+                        "gac",
+                        fingerprint,
+                        params,
+                        result,
+                        base_coreness,
                         rng=rng,
                         cache=cache,
-                        base_coreness=base_coreness,
                     )
                 _fault_point("gac.round_commit")
     finally:
@@ -433,102 +438,6 @@ def _run_greedy(
 
         verify_greedy_total(graph, initial, result.anchors, result.total_gain)
     return result
-
-
-def _resume(
-    graph: Graph,
-    budget: int,
-    resume_path: "str | os.PathLike[str]",
-    *,
-    fingerprint: str,
-    params: dict[str, object],
-    result: GreedyResult,
-    rng: random.Random,
-    cache: FollowerCache,
-) -> dict[Vertex, int]:
-    """Rehydrate a round-boundary snapshot into the run's mutable state.
-
-    Returns the baseline corenesses the killed run measured gains
-    against. Everything that shapes the remaining rounds — selections so
-    far, the RNG stream position, the Algorithm-3 cache — is restored
-    exactly, so the continuation replays the uninterrupted trajectory.
-    """
-    snapshot = _checkpoint.load(resume_path)
-    _checkpoint.validate(
-        snapshot, algo="gac", fingerprint=fingerprint, params=params
-    )
-    payload = snapshot.payload
-    try:
-        anchors = list(payload["anchors"])
-        if len(anchors) > budget:
-            raise CheckpointError(
-                f"checkpoint already holds {len(anchors)} anchors, more than "
-                f"the budget {budget} of the resuming run"
-            )
-        result.anchors = anchors
-        result.gains = list(payload["gains"])
-        result.followers = dict(payload["followers"])
-        result.traces = [
-            IterationTrace(
-                anchor=trace["anchor"],
-                gain=trace["gain"],
-                elapsed_seconds=trace["elapsed_seconds"],
-                counters=FollowerCounters(**trace["counters"]),
-                candidate_count=trace["candidate_count"],
-            )
-            for trace in payload["traces"]
-        ]
-        rng.setstate(payload["rng_state"])
-        cache.entries = {
-            u: dict(counts) for u, counts in payload["cache_entries"].items()
-        }
-        return dict(payload["base_coreness"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"checkpoint payload is incomplete or malformed: {exc!r}"
-        ) from exc
-
-
-def _write_checkpoint(
-    path: "str | os.PathLike[str]",
-    *,
-    fingerprint: str,
-    params: dict[str, object],
-    result: GreedyResult,
-    rng: random.Random,
-    cache: FollowerCache,
-    base_coreness: dict[Vertex, int],
-) -> None:
-    """Snapshot the committed round; a failed write is gauged, never fatal."""
-    payload: dict[str, object] = {
-        "anchors": list(result.anchors),
-        "gains": list(result.gains),
-        "followers": dict(result.followers),
-        "traces": [
-            {
-                "anchor": trace.anchor,
-                "gain": trace.gain,
-                "elapsed_seconds": trace.elapsed_seconds,
-                "counters": dict(vars(trace.counters)),
-                "candidate_count": trace.candidate_count,
-            }
-            for trace in result.traces
-        ],
-        "rng_state": rng.getstate(),
-        "cache_entries": {u: dict(counts) for u, counts in cache.entries.items()},
-        "base_coreness": dict(base_coreness),
-    }
-    try:
-        _checkpoint.save(
-            path,
-            _checkpoint.Checkpoint(
-                algo="gac", fingerprint=fingerprint, params=params, payload=payload
-            ),
-        )
-    except Exception:
-        # The checkpoint exists to protect the run; a failed write must
-        # not be the thing that kills it. Gauged for diagnosability.
-        _obs.gauge("gac.checkpoint.write_error", 1.0)
 
 
 def _select_best(

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
 from repro.errors import ParseError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, Vertex
 
 
 def write_metis(graph: Graph, path: str | Path) -> dict[int, object]:
@@ -41,15 +42,15 @@ def read_metis(path: str | Path) -> Graph:
     """Read a METIS adjacency file into a graph with 1-based int labels.
 
     Raises:
-        ParseError: on malformed headers, ids out of range, or an edge
-            count that disagrees with the header.
+        ParseError: on bytes that are not UTF-8, malformed headers, ids
+            out of range, or an edge count that disagrees with the header.
     """
     path = Path(path)
     # keep empty lines — an isolated vertex's adjacency line is empty —
     # but drop comments entirely
     lines = [
         line
-        for line in path.read_text(encoding="utf-8").splitlines()
+        for line in _read_text(path).splitlines()
         if not line.lstrip().startswith("%")
     ]
     while lines and not lines[0].strip():
@@ -98,17 +99,27 @@ def read_adjacency_json(path: str | Path) -> Graph:
     """Read adjacency JSON; integer-looking keys become ints.
 
     Raises:
-        ParseError: when the payload is not an object of lists.
+        ParseError: when the bytes are not UTF-8 JSON, the payload is not
+            an object of lists, a neighbor is a list or an object, or a
+            digit-only label is not an integer.
     """
+    text = _read_text(path)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: expected a JSON object of adjacency lists")
 
-    def _label(raw: str):
-        return int(raw) if isinstance(raw, str) and raw.lstrip("-").isdigit() else raw
+    def _label(raw: Any) -> Vertex:
+        if isinstance(raw, (list, dict)):
+            raise ParseError(f"{path}: neighbor {raw!r:.40} is not a vertex label")
+        if not (isinstance(raw, str) and raw.lstrip("-").isdigit()):
+            return raw
+        try:
+            return int(raw)
+        except ValueError as exc:  # "²", "--1", or too many digits
+            raise ParseError(f"{path}: malformed integer label {raw[:20]!r}") from exc
 
     graph = Graph()
     for key, neighbors in payload.items():
@@ -117,6 +128,12 @@ def read_adjacency_json(path: str | Path) -> Graph:
         u = _label(key)
         graph.add_vertex(u)
         for raw in neighbors:
-            v = _label(raw) if isinstance(raw, str) else raw
-            graph.add_edge_if_absent(u, v)
+            graph.add_edge_if_absent(u, _label(raw))
     return graph
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 text ({exc.reason})") from exc

@@ -5,10 +5,10 @@ the anchored-coreness algorithms rely on (stable iteration order,
 seeded randomness, pure follower computation, ...). Single-file rules
 (``R1``..) are complemented by whole-program passes (``L1``..) that
 analyze the full source tree at once — layering, worker purity,
-obs coverage, checkpoint contracts. Run it as::
+obs coverage. Run it as::
 
     python -m repro.lint src/ tests/
-    python -m repro.lint --program --sarif lint.sarif
+    python -m repro.lint --program --json
 
 or call :func:`lint_paths` / :func:`lint_source` /
 :func:`run_program_passes` programmatically (the test suite does all
@@ -17,7 +17,6 @@ syntax and ``docs/static-analysis.md`` for the whole-program passes.
 """
 
 from repro.lint.baseline import Baseline
-from repro.lint.cache import ParseCache
 from repro.lint.diagnostics import Diagnostic, to_json
 from repro.lint.markers import pure
 from repro.lint.passes import PASS_REGISTRY, all_passes
@@ -25,13 +24,11 @@ from repro.lint.program import ProjectModel, build_project, run_program_passes
 from repro.lint.rules import REGISTRY, LintContext, Rule, all_rules, register
 from repro.lint.runner import (
     KNOWN_SLUGS,
-    cache_fingerprint,
     classify,
     discover,
     lint_paths,
     lint_source,
 )
-from repro.lint.sarif import from_sarif, to_sarif, validate, write_sarif
 
 __all__ = [
     "Baseline",
@@ -39,24 +36,18 @@ __all__ = [
     "KNOWN_SLUGS",
     "LintContext",
     "PASS_REGISTRY",
-    "ParseCache",
     "ProjectModel",
     "REGISTRY",
     "Rule",
     "all_passes",
     "all_rules",
     "build_project",
-    "cache_fingerprint",
     "classify",
     "discover",
-    "from_sarif",
     "lint_paths",
     "lint_source",
     "pure",
     "register",
     "run_program_passes",
     "to_json",
-    "to_sarif",
-    "validate",
-    "write_sarif",
 ]

@@ -9,18 +9,15 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
-from repro.lint.cache import DEFAULT_CACHE_PATH, ParseCache
 from repro.lint.diagnostics import Diagnostic, to_json
 from repro.lint.passes import PASS_REGISTRY, all_passes
 from repro.lint.program import run_program_passes
 from repro.lint.rules import REGISTRY, Rule, all_rules
-from repro.lint.runner import cache_fingerprint, discover, lint_paths
-from repro.lint.sarif import from_sarif, to_sarif, validate, write_sarif
+from repro.lint.runner import discover, lint_paths
 
 DEFAULT_BASELINE = Path(".lint-baseline.json")
 #: Default lint roots; missing ones are skipped silently (a checkout
@@ -83,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="also run the whole-program passes (L1-L4) over the source roots",
+        help="also run the whole-program passes (L1-L3) over the source roots",
     )
     parser.add_argument(
         "--passes",
@@ -98,32 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="source root(s) the whole-program passes analyze "
         f"(default: {' '.join(DEFAULT_PROGRAM_ROOTS)})",
-    )
-    parser.add_argument(
-        "--sarif",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the (post-baseline) diagnostics as SARIF 2.1.0",
-    )
-    parser.add_argument(
-        "--validate-sarif",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="validate FILE against the SARIF 2.1.0 structure and exit",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse parses of unchanged files via the on-disk parse cache",
-    )
-    parser.add_argument(
-        "--cache-file",
-        type=Path,
-        default=DEFAULT_CACHE_PATH,
-        metavar="FILE",
-        help=f"parse cache location (default: {DEFAULT_CACHE_PATH})",
     )
     parser.add_argument(
         "--baseline",
@@ -160,21 +131,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 0
 
-    if args.validate_sarif is not None:
-        try:
-            document = json.loads(args.validate_sarif.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read SARIF file: {exc}", file=sys.stderr)
-            return 2
-        problems = validate(document)
-        for problem in problems:
-            print(f"{args.validate_sarif}: {problem}", file=sys.stderr)
-        print(
-            f"{args.validate_sarif}: "
-            + ("valid SARIF 2.1.0" if not problems else f"{len(problems)} problem(s)")
-        )
-        return 1 if problems else 0
-
     try:
         rules = _select_rules(args.rules)
         pass_ids = _select_passes(args.passes)
@@ -196,11 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    cache: ParseCache | None = None
-    if args.cache:
-        cache = ParseCache(args.cache_file, cache_fingerprint())
-
-    diagnostics = lint_paths(paths, rules=rules, cache=cache)
+    diagnostics = lint_paths(paths, rules=rules)
     linted = {_relative_posix(p) for p in discover(paths)}
 
     if args.program:
@@ -216,15 +168,10 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        program_diagnostics = run_program_passes(
-            program_roots, cache=cache, passes=pass_ids
-        )
+        program_diagnostics = run_program_passes(program_roots, passes=pass_ids)
         diagnostics = sorted(set(diagnostics) | set(program_diagnostics))
         for root in program_roots:
             linted.update(_relative_posix(p) for p in discover([root]))
-
-    if cache is not None:
-        cache.save()
 
     baseline_path = args.baseline
     if baseline_path is None and DEFAULT_BASELINE.exists():
@@ -251,13 +198,6 @@ def main(argv: list[str] | None = None) -> int:
         ]
         diagnostics, suppressed = baseline.filter(diagnostics)
 
-    if args.sarif is not None:
-        write_sarif(diagnostics, args.sarif)
-        round_trip = from_sarif(to_sarif(diagnostics))
-        if round_trip != sorted(diagnostics):  # pragma: no cover - safety net
-            print("error: SARIF export does not round-trip", file=sys.stderr)
-            return 2
-
     if args.json:
         print(to_json(diagnostics))
     else:
@@ -266,8 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         summary = f"{len(diagnostics)} finding(s)"
         if suppressed:
             summary += f", {suppressed} baselined"
-        if cache is not None:
-            summary += f" [cache: {cache.summary()}]"
         print(summary)
     for path, rule, code in stale:
         print(

@@ -5,12 +5,12 @@ A *program pass* is the cross-module sibling of a single-file
 :class:`~repro.lint.program.ProjectModel` (symbol tables, resolved
 import graph, approximate call graph) instead of one module's AST, so
 it can see properties no single file shows — an upward import, a
-worker-reachable global write, a checkpoint field with no reader.
+worker-reachable global write, a hot-path function with no span.
 
 Passes live in this package (one module each), register through
 :func:`register_pass`, and emit the same
 :class:`~repro.lint.diagnostics.Diagnostic` type as the file rules, so
-waivers, baselines, JSON, and SARIF output all apply unchanged. Pass
+waivers, baselines, and JSON output all apply unchanged. Pass
 ids are ``L1``.. (layered analysis) next to the file rules' ``R1``...
 """
 

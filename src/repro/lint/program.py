@@ -1,8 +1,7 @@
 """The whole-program project model for cross-module lint passes.
 
 :func:`build_project` parses every module under one or more source
-roots exactly once (through the shared parse cache when provided) into
-a :class:`ProjectModel`:
+roots exactly once into a :class:`ProjectModel`:
 
 * per-module symbol tables — module aliases (``import x``, ``from p
   import submodule``), object imports (``from m import name``),
@@ -30,12 +29,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.lint.diagnostics import Diagnostic
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
-    from repro.lint.cache import ParseCache
 
 #: Attribute names too generic for the unique-name call-graph fallback.
 _COMMON_ATTRS = frozenset(
@@ -566,10 +561,7 @@ def _link_calls(model: ProjectModel) -> None:
             fn.callees.discard(fn.key)
 
 
-def build_project(
-    roots: list[Path],
-    cache: "ParseCache | None" = None,
-) -> tuple[ProjectModel, list[Diagnostic]]:
+def build_project(roots: list[Path]) -> tuple[ProjectModel, list[Diagnostic]]:
     """Parse every module under ``roots`` into a :class:`ProjectModel`.
 
     Returns the model plus any waiver-syntax diagnostics collected while
@@ -593,32 +585,27 @@ def build_project(
             except ValueError:
                 display = path
             display_str = display.as_posix()
-            products = cache.get(path) if cache is not None else None
-            if products is None:
-                try:
-                    source = path.read_text(encoding="utf-8")
-                except OSError as exc:
-                    problems.append(
-                        Diagnostic(
-                            path=display_str, line=1, col=0, rule="L0",
-                            message=f"unreadable file: {exc}", code="",
-                        )
+            try:
+                source = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                problems.append(
+                    Diagnostic(
+                        path=display_str, line=1, col=0, rule="L0",
+                        message=f"unreadable file: {exc}", code="",
                     )
-                    continue
-                try:
-                    products = parse_module(source, display_str)
-                except SyntaxError as exc:
-                    problems.append(
-                        Diagnostic(
-                            path=display_str, line=exc.lineno or 1, col=0,
-                            rule="L0", message=f"syntax error: {exc.msg}",
-                            code="",
-                        )
+                )
+                continue
+            try:
+                tree, waivers, waiver_problems = parse_module(source, display_str)
+            except SyntaxError as exc:
+                problems.append(
+                    Diagnostic(
+                        path=display_str, line=exc.lineno or 1, col=0,
+                        rule="L0", message=f"syntax error: {exc.msg}",
+                        code="",
                     )
-                    continue
-                if cache is not None:
-                    cache.put(path, *products)
-            tree, waivers, waiver_problems = products
+                )
+                continue
             problems.extend(waiver_problems)
             mod = ModuleInfo(
                 name=name,
@@ -639,19 +626,17 @@ def build_project(
 
 def run_program_passes(
     roots: list[Path],
-    cache: "ParseCache | None" = None,
     passes: "list[str] | None" = None,
 ) -> list[Diagnostic]:
     """Build the model once and run the registered ``L*`` passes.
 
     Args:
         roots: source roots (typically just ``src/``).
-        cache: optional shared parse cache.
         passes: pass ids to run (default: all registered).
     """
     from repro.lint.passes import PASS_REGISTRY
 
-    model, diagnostics = build_project(roots, cache=cache)
+    model, diagnostics = build_project(roots)
     selected = sorted(PASS_REGISTRY) if passes is None else list(passes)
     for pass_id in selected:
         program_pass = PASS_REGISTRY[pass_id]

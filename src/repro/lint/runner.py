@@ -14,7 +14,7 @@ slugs and, by convention, a reason. The file rules' slugs
 (``order-ok``, ``random-ok``, ``mutable-default-ok``, ``float-eq-ok``,
 ``purity-ok``, ``clock-ok``, ``timer-ok``, ``parallel-ok``,
 ``fault-ok``) and the whole-program passes' slugs (``layer-ok``,
-``race-ok``, ``obs-ok``, ``ckpt-ok``) share one namespace; a single
+``race-ok``, ``obs-ok``) share one namespace; a single
 comment may carry several slugs (``# lint: fault-ok layer-ok ...``).
 Waivers are per-line and per-rule: they never silence a whole file,
 and an unknown slug is itself reported so typos cannot silently
@@ -29,7 +29,6 @@ import re
 import tokenize
 from pathlib import Path
 
-from repro.lint.cache import ParseCache
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.passes import PASS_REGISTRY
 from repro.lint.rules import REGISTRY, LintContext, Rule, all_rules
@@ -48,15 +47,6 @@ _SLUG_ATTEMPT_RE = re.compile(r"[a-z][a-z-]*-ok[a-z-]*")
 KNOWN_SLUGS: frozenset[str] = frozenset(
     rule.slug for rule in REGISTRY.values()
 ) | frozenset(program_pass.slug for program_pass in PASS_REGISTRY.values())
-
-
-#: Bump when the waiver grammar changes so cached waiver maps re-parse.
-_GRAMMAR_VERSION = 2
-
-
-def cache_fingerprint() -> str:
-    """Configuration token invalidating parse caches when slugs change."""
-    return f"v{_GRAMMAR_VERSION};" + ",".join(sorted(KNOWN_SLUGS))
 
 
 def parse_waivers(source: str, path: str) -> tuple[dict[int, set[str]], list[Diagnostic]]:
@@ -145,11 +135,7 @@ def classify(path: Path, root: Path | None = None) -> dict[str, bool]:
 def parse_module(
     source: str, path: "str | Path"
 ) -> tuple[ast.Module, dict[int, set[str]], list[Diagnostic]]:
-    """Parse products of one module: AST, waiver map, waiver problems.
-
-    This is the unit of work the parse cache stores — everything
-    derived from the file's bytes alone, nothing role- or rule-shaped.
-    """
+    """Parse products of one module: AST, waiver map, waiver problems."""
     tree = ast.parse(source, filename=str(path))
     waivers, problems = parse_waivers(source, str(path))
     return tree, waivers, problems
@@ -216,14 +202,11 @@ def lint_paths(
     paths: list[Path],
     rules: list[Rule] | None = None,
     root: Path | None = None,
-    cache: ParseCache | None = None,
 ) -> list[Diagnostic]:
     """Lint every python file under ``paths``; diagnostics sorted by location.
 
     Files that fail to parse produce a single ``R0`` syntax diagnostic
-    rather than aborting the run. When a :class:`ParseCache` is given,
-    unchanged files reuse their stored AST and waiver map instead of
-    being re-parsed; rules still run on every file.
+    rather than aborting the run.
     """
     if root is None:
         root = Path.cwd()
@@ -236,24 +219,19 @@ def lint_paths(
         rel_str = rel.as_posix()
         source = file_path.read_text(encoding="utf-8")
         roles = classify(file_path, root)
-        products = cache.get(file_path) if cache is not None else None
-        if products is None:
-            try:
-                products = parse_module(source, rel_str)
-            except SyntaxError as exc:
-                diagnostics.append(
-                    Diagnostic(
-                        path=rel_str,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        rule="R0",
-                        message=f"file does not parse: {exc.msg}",
-                    )
+        try:
+            tree, waivers, problems = parse_module(source, rel_str)
+        except SyntaxError as exc:
+            diagnostics.append(
+                Diagnostic(
+                    path=rel_str,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule="R0",
+                    message=f"file does not parse: {exc.msg}",
                 )
-                continue
-            if cache is not None:
-                cache.put(file_path, *products)
-        tree, waivers, problems = products
+            )
+            continue
         ctx = LintContext(
             path=rel_str,
             tree=tree,

@@ -27,7 +27,7 @@ from repro.anchors.followers import find_followers
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key, core_decomposition
-from repro.errors import BudgetError, CheckpointError
+from repro.errors import BudgetError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts olak.round_commit
 from repro.graphs.csr import csr_view
@@ -149,10 +149,16 @@ def _run_olak(
         fingerprint = _checkpoint.graph_fingerprint(graph)
         params = {"k": k}
     if resume_path is not None:
-        base_coreness = _resume_olak(
-            graph, budget, resume_path, fingerprint=fingerprint, params=params,
+        base_coreness = _checkpoint.resume(
+            resume_path,
+            graph,
+            budget,
+            algo="olak",
+            fingerprint=fingerprint,
+            params=params,
             result=result,
         )
+        result.kcore_growth = sum(len(f) for f in result.followers.values())
         state = AnchoredState.build(graph, frozenset(result.anchors))
     else:
         state = AnchoredState.build(graph)
@@ -179,12 +185,14 @@ def _run_olak(
                 len(result.anchors) % checkpoint_every == 0
                 or len(result.anchors) == budget
             ):
-                _write_olak_checkpoint(
+                _checkpoint.commit(
                     checkpoint_path,
-                    fingerprint=fingerprint,
-                    params=params,
-                    result=result,
-                    base_coreness=base_coreness,
+                    graph,
+                    "olak",
+                    fingerprint,
+                    params,
+                    result,
+                    base_coreness,
                 )
             _fault_point("olak.round_commit")
 
@@ -197,65 +205,6 @@ def _run_olak(
     )
     result.elapsed_seconds = _obs.clock() - start
     return result
-
-
-def _resume_olak(
-    graph: Graph,
-    budget: int,
-    resume_path: "str | os.PathLike[str]",
-    *,
-    fingerprint: str,
-    params: dict[str, object],
-    result: OlakResult,
-) -> dict[Vertex, int]:
-    """Rehydrate an OLAK round-boundary snapshot; returns base corenesses."""
-    del graph  # identity is checked through the fingerprint
-    snapshot = _checkpoint.load(resume_path)
-    _checkpoint.validate(
-        snapshot, algo="olak", fingerprint=fingerprint, params=params
-    )
-    payload = snapshot.payload
-    try:
-        anchors = list(payload["anchors"])
-        if len(anchors) > budget:
-            raise CheckpointError(
-                f"checkpoint already holds {len(anchors)} anchors, more than "
-                f"the budget {budget} of the resuming run"
-            )
-        result.anchors = anchors
-        result.followers = dict(payload["followers"])
-        result.kcore_growth = int(payload["kcore_growth"])
-        return dict(payload["base_coreness"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"checkpoint payload is incomplete or malformed: {exc!r}"
-        ) from exc
-
-
-def _write_olak_checkpoint(
-    path: "str | os.PathLike[str]",
-    *,
-    fingerprint: str,
-    params: dict[str, object],
-    result: OlakResult,
-    base_coreness: dict[Vertex, int],
-) -> None:
-    """Snapshot the committed round; a failed write is gauged, never fatal."""
-    payload: dict[str, object] = {
-        "anchors": list(result.anchors),
-        "followers": dict(result.followers),
-        "kcore_growth": result.kcore_growth,
-        "base_coreness": dict(base_coreness),
-    }
-    try:
-        _checkpoint.save(
-            path,
-            _checkpoint.Checkpoint(
-                algo="olak", fingerprint=fingerprint, params=params, payload=payload
-            ),
-        )
-    except Exception:
-        _obs.gauge("olak.checkpoint.write_error", 1.0)
 
 
 def _select_best(

@@ -12,11 +12,17 @@ checkpoint write exactly like a SIGKILL would land.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
 import os
 import pickle
+import random
 import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import checkpoint as ckpt
 from repro import faults, obs
@@ -73,21 +79,34 @@ def _kill_and_resume(graph, budget, kill_round, path, *, workers=0, **kwargs):
     return gac(graph, budget, workers=workers, resume=path, checkpoint=path, **kwargs)
 
 
-def _sample_checkpoint():
-    return ckpt.Checkpoint(
+def _sample_state(**changes):
+    state = ckpt.RoundState(
         algo="gac",
         fingerprint="f" * 64,
         params={"tie_break": "id", "seed": None},
-        payload={"anchors": [1, 2], "gains": [3, 1]},
+        anchors=(1, 2),
+        followers=((0, 3), ()),
+        base_coreness=(1, 1, 2, 1),
+        gains=(3, 1),
+        traces=((0.25, 4, (1, 0, 6, 2, 2)), (0.125, 3, (0, 1, 2, 2, 1))),
+        rng_state=random.Random(5).getstate(),
+        cache=((0, ((0, 1, 2), (3, 1, 1))),),
     )
+    return dataclasses.replace(state, **changes)
+
+
+def _write_document(path, **fields):
+    document = {"magic": ckpt.MAGIC, "version": ckpt.VERSION, **fields}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
 
 
 # ----------------------------------------------------------------------
-# the envelope: save / load / validate
+# the record: save / load / validate
 # ----------------------------------------------------------------------
 class TestEnvelope:
     def test_round_trip(self, ckpt_path):
-        original = _sample_checkpoint()
+        original = _sample_state()
         w0 = obs.get(obs.CHECKPOINT_WRITES)
         r0 = obs.get(obs.CHECKPOINT_RESUMES)
         ckpt.save(ckpt_path, original)
@@ -96,6 +115,14 @@ class TestEnvelope:
         assert loaded.rounds == 2
         assert obs.get(obs.CHECKPOINT_WRITES) - w0 == 1
         assert obs.get(obs.CHECKPOINT_RESUMES) - r0 == 1
+
+    def test_file_holds_only_json(self, ckpt_path):
+        ckpt.save(ckpt_path, _sample_state())
+        with open(ckpt_path, encoding="ascii") as handle:
+            document = json.load(handle)
+        assert document["magic"] == ckpt.MAGIC
+        assert document["version"] == ckpt.VERSION == 2
+        assert document["anchors"] == [1, 2]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -112,40 +139,68 @@ class TestEnvelope:
         path.write_bytes(pickle.dumps({"magic": "something-else"}))
         with pytest.raises(CheckpointError, match="not a repro-checkpoint"):
             ckpt.load(path)
-        path.write_bytes(pickle.dumps([1, 2, 3]))
+        path.write_text(json.dumps({"magic": "something-else"}))
+        with pytest.raises(CheckpointError, match="not a repro-checkpoint"):
+            ckpt.load(path)
+        path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(CheckpointError, match="not a repro-checkpoint"):
             ckpt.load(path)
 
+    def test_v1_pickle_is_rejected_without_being_read(self, tmp_path):
+        sentinel = tmp_path / "unpickled"
+
+        class Plant:
+            def __reduce__(self):
+                return (open, (str(sentinel), "w"))
+
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps({"magic": ckpt.MAGIC, "version": 1,
+                                       "payload": Plant()}))
+        with pytest.raises(CheckpointError, match="corrupt"):
+            ckpt.load(path)
+        assert not sentinel.exists()
+
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.ckpt"
-        envelope = {
-            "magic": ckpt.MAGIC,
-            "version": ckpt.VERSION + 1,
-            "algo": "gac",
-            "fingerprint": "",
-            "params": {},
-            "payload": {},
-        }
-        path.write_bytes(pickle.dumps(envelope))
+        _write_document(path, version=ckpt.VERSION + 1, algo="gac")
         with pytest.raises(CheckpointError, match="format version"):
             ckpt.load(path)
 
+    def test_missing_and_unknown_fields_rejected(self, tmp_path, ckpt_path):
+        ckpt.save(ckpt_path, _sample_state())
+        with open(ckpt_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        path = tmp_path / "edited.ckpt"
+        path.write_text(json.dumps({**document, "payload": {}}))
+        with pytest.raises(CheckpointError, match="unknown field.*payload"):
+            ckpt.load(path)
+        del document["cache"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="lacks field 'cache'"):
+            ckpt.load(path)
+
+    def test_olak_record_leaves_the_gac_fields_empty(self):
+        with pytest.raises(CheckpointError, match="GAC-only field 'gains'"):
+            _sample_state(algo="olak", traces=(), rng_state=(), cache=())
+        with pytest.raises(CheckpointError, match="'gains' has 1 entries"):
+            _sample_state(gains=(3,))
+
     def test_validate_accepts_exact_match(self):
-        cp = _sample_checkpoint()
+        state = _sample_state()
         ckpt.validate(
-            cp, algo="gac", fingerprint="f" * 64, params=dict(cp.params)
+            state, algo="gac", fingerprint="f" * 64, params=dict(state.params)
         )
 
     def test_validate_rejects_algo_mismatch(self):
         with pytest.raises(CheckpointError, match="algorithm"):
             ckpt.validate(
-                _sample_checkpoint(), algo="olak", fingerprint="f" * 64, params={}
+                _sample_state(), algo="olak", fingerprint="f" * 64, params={}
             )
 
     def test_validate_rejects_fingerprint_mismatch(self):
         with pytest.raises(CheckpointError, match="different graph"):
             ckpt.validate(
-                _sample_checkpoint(),
+                _sample_state(),
                 algo="gac",
                 fingerprint="0" * 64,
                 params={"tie_break": "id", "seed": None},
@@ -154,18 +209,18 @@ class TestEnvelope:
     def test_validate_names_the_differing_params(self):
         with pytest.raises(CheckpointError, match="tie_break='id'"):
             ckpt.validate(
-                _sample_checkpoint(),
+                _sample_state(),
                 algo="gac",
                 fingerprint="f" * 64,
                 params={"tie_break": "degree", "seed": None},
             )
 
     def test_failed_write_preserves_previous_snapshot(self, tmp_path, ckpt_path):
-        first = _sample_checkpoint()
+        first = _sample_state()
         ckpt.save(ckpt_path, first)
         with faults.arming("checkpoint.write=raise"):
             with pytest.raises(FaultInjected):
-                ckpt.save(ckpt_path, ckpt.Checkpoint("gac", "x", {}, {}))
+                ckpt.save(ckpt_path, _sample_state(fingerprint="x"))
         assert ckpt.load(ckpt_path) == first  # previous file intact
         assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]  # no tmp litter
 
@@ -177,9 +232,16 @@ class TestEnvelope:
         assert ckpt.graph_fingerprint(a) != ckpt.graph_fingerprint(c)
 
 
-# ----------------------------------------------------------------------
-# GAC kill-and-resume (fast, small graphs)
-# ----------------------------------------------------------------------
+@settings(max_examples=200, database=None, deadline=None)
+@given(st.binary(max_size=256))
+def test_arbitrary_bytes_raise_checkpoint_error(tmp_path_factory, data):
+    """No byte string loads as a record, and none fails as anything else."""
+    path = tmp_path_factory.mktemp("fuzz") / "run.ckpt"
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError):
+        ckpt.load(path)
+
+
 class TestGacResume:
     def test_kill_and_resume_every_round(self, ckpt_path):
         graph = small_random_graph(3)
@@ -224,11 +286,13 @@ class TestGacResume:
 
     def test_resume_rejects_the_wrong_algorithm(self, ckpt_path):
         graph = small_random_graph(3)
-        foreign = ckpt.Checkpoint(
+        foreign = ckpt.RoundState(
             algo="olak",
             fingerprint=ckpt.graph_fingerprint(graph),
             params={"k": 2},
-            payload={"anchors": []},
+            anchors=(),
+            followers=(),
+            base_coreness=(0,) * graph.num_vertices,
         )
         ckpt.save(ckpt_path, foreign)
         with pytest.raises(CheckpointError, match="algorithm"):
@@ -243,10 +307,12 @@ class TestGacResume:
     def test_resume_rejects_a_gutted_payload(self, ckpt_path):
         graph = small_random_graph(3)
         gac(graph, 2, tie_break="id", checkpoint=ckpt_path)
-        damaged = ckpt.load(ckpt_path)
-        del damaged.payload["rng_state"]
-        ckpt.save(ckpt_path, damaged)
-        with pytest.raises(CheckpointError):
+        with open(ckpt_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        del document["rng_state"]
+        with open(ckpt_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with pytest.raises(CheckpointError, match="rng_state"):
             gac(graph, 3, tie_break="id", resume=ckpt_path)
 
     def test_checkpoint_every_thins_writes_but_keeps_the_final_round(
@@ -282,11 +348,17 @@ class TestGacResume:
                 faults="gac.round_commit=raise@2",
             )
         snapshot = ckpt.load(ckpt_path)
-        anchors = snapshot.payload["anchors"]
-        assert len(anchors) == 2
-        anchors.reverse()  # a greedy prefix never selects in this order
-        snapshot.payload["gains"].reverse()
-        ckpt.save(ckpt_path, snapshot)
+        assert snapshot.rounds == 2
+        # a greedy prefix never selects in this order
+        ckpt.save(
+            ckpt_path,
+            dataclasses.replace(
+                snapshot,
+                anchors=snapshot.anchors[::-1],
+                followers=snapshot.followers[::-1],
+                gains=snapshot.gains[::-1],
+            ),
+        )
         with pytest.raises(VerificationError, match="resume-replay"):
             gac(graph, 3, tie_break="id", resume=ckpt_path, verify=True)
 
@@ -331,6 +403,122 @@ class TestOlakResume:
         assert _olak_tuple(injured) == _olak_tuple(clean)
         assert not os.path.exists(ckpt_path)
         assert obs.gauges_snapshot().get("olak.checkpoint.write_error") == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
+
+
+# ----------------------------------------------------------------------
+# labels other than ints: the file holds CSR ids, read back as labels
+# ----------------------------------------------------------------------
+class TestLabelTypes:
+    @pytest.mark.parametrize(
+        "relabel", [lambda u: f"v{u:02d}", lambda u: (u % 3, str(u))],
+        ids=["str", "tuple"],
+    )
+    def test_kill_and_resume_is_byte_identical(self, ckpt_path, relabel):
+        base = small_random_graph(1)
+        graph = Graph()
+        for u in base.vertices():
+            graph.add_vertex(relabel(u))
+        for u, v in base.edges():
+            graph.add_edge(relabel(u), relabel(v))
+        oracle = _result_tuple(gac(graph, 4, tie_break="random", seed=3))
+        with pytest.raises(FaultInjected):
+            gac(graph, 4, tie_break="random", seed=3, checkpoint=ckpt_path,
+                faults="gac.round_commit=raise@3")
+        state = ckpt.load(ckpt_path)
+        assert all(type(i) is int for i in state.anchors + state.followers[0])
+        assert any(rows for _, rows in state.cache), "reuse counts are recorded"
+        resumed = gac(graph, 4, tie_break="random", seed=3, resume=ckpt_path)
+        assert _result_tuple(resumed) == oracle
+
+
+# ----------------------------------------------------------------------
+# tampered records: CheckpointError and nothing else
+# ----------------------------------------------------------------------
+_TAMPER_GRAPH = small_random_graph(1)
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers() | st.floats(allow_nan=False),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+
+
+def _kind(value):
+    for name, types in [("null", type(None)), ("bool", bool), ("number", (int, float)),
+                        ("string", str), ("array", list), ("object", dict)]:
+        if isinstance(value, types):
+            return name
+    raise AssertionError(value)
+
+
+@functools.cache
+def _valid_record(algo):
+    """A real record written by a run: GAC with RNG state and reuse cache."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ckpt")
+        if algo == "gac":
+            gac(_TAMPER_GRAPH, 3, tie_break="random", seed=3, checkpoint=path)
+        else:
+            olak(Graph.from_edges(_OLAK_EDGES), 2, 2, checkpoint=path)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+
+
+def _leaf_paths(value, path=()):
+    """Every scalar (or empty container) position inside ``value``."""
+    if isinstance(value, dict):
+        children = list(value.items())
+    else:
+        children = list(enumerate(value)) if isinstance(value, list) else []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _broken(leaf):
+    """A same-place value the record can never hold there."""
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, (int, float)):
+        return -1 - leaf  # every number in a record is non-negative
+    if isinstance(leaf, str):
+        return leaf + "~"
+    return -1 if leaf is None else [-1]
+
+
+@settings(max_examples=150, database=None, deadline=None)
+@given(data=st.data(), algo=st.sampled_from(["gac", "olak"]))
+def test_tampered_record_raises_checkpoint_error(tmp_path_factory, data, algo):
+    """Any one field mutated, dropped or retyped fails the resume cleanly."""
+    document = json.loads(_valid_record(algo))
+    name = data.draw(st.sampled_from(sorted(document)), label="field")
+    how = data.draw(st.sampled_from(["mutate", "drop", "retype"]), label="how")
+    if how == "drop":
+        del document[name]
+    elif how == "retype":
+        kind = data.draw(
+            st.sampled_from(sorted(set(_JSON_KINDS) - {_kind(document[name])}))
+        )
+        document[name] = data.draw(_JSON_KINDS[kind], label="value")
+    else:
+        leaf = data.draw(st.sampled_from(list(_leaf_paths(document[name]))))
+        parent = document
+        for key in (name,) + leaf[:-1]:
+            parent = parent[key]
+        if leaf:
+            parent[leaf[-1]] = _broken(parent[leaf[-1]])
+        else:
+            document[name] = _broken(document[name])
+    path = tmp_path_factory.mktemp("tamper") / "run.ckpt"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(CheckpointError):
+        if algo == "gac":
+            gac(_TAMPER_GRAPH, 3, tie_break="random", seed=3, resume=path)
+        else:
+            olak(Graph.from_edges(_OLAK_EDGES), 2, 2, resume=path)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gzip
+import pickle
 
 import pytest
 
@@ -106,6 +107,9 @@ class TestBadInput:
             (["anchor", "--edges", "{edges}", "-b", "-1"], None),
             (["anchor", "--edges", "{edges}", "-b", "1", "--resume", "{file}"],
              b"not a checkpoint\n"),
+            (["anchor", "--edges", "{edges}", "-b", "1", "--resume", "{file}"],
+             pickle.dumps({"magic": "repro-checkpoint", "version": 1, "algo": "gac",
+                           "fingerprint": "", "params": {}, "payload": {}})),
             (["stats", "--edges", "{gz}"], b"not gzip bytes\n"),
             (["stats", "--edges", "{gz}"], gzip.compress(b"0 1\n1 2\n" * 500)[:40]),
         ],
@@ -116,6 +120,7 @@ class TestBadInput:
             "not-utf8",
             "budget",
             "checkpoint",
+            "v1-pickle-checkpoint",
             "not-gzip",
             "truncated-gzip",
         ],

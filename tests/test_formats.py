@@ -1,6 +1,10 @@
 """Tests for the METIS / JSON serialization formats and the disk cache."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.cache import cache_path, clear_cache, load_cached
 from repro.errors import ParseError
@@ -102,6 +106,51 @@ class TestAdjacencyJson:
         path.write_text('{"1": 5}')
         with pytest.raises(ParseError, match="not a list"):
             read_adjacency_json(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"1": [[1]]}', b'{"1": [{}]}', '{"²": []}'.encode(), b"\xff\xfe",
+         b'{"' + b"9" * 5000 + b'": []}', b"[" * 100_000],
+        ids=["list-neighbor", "object-neighbor", "superscript-digit", "not-utf8",
+             "huge-id", "deep-nesting"],
+    )
+    def test_bad_bytes_raise_parse_error_naming_the_path(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="bad.json"):
+            read_adjacency_json(path)
+
+
+@pytest.mark.parametrize("reader", [read_metis, read_adjacency_json])
+@settings(max_examples=200, database=None, deadline=None)
+@given(data=st.binary(max_size=64))
+def test_arbitrary_bytes_parse_or_raise_parse_error(tmp_path_factory, reader, data):
+    """Any byte string loads as a graph or fails as ``ParseError``, nothing else."""
+    path = tmp_path_factory.mktemp("fuzz") / "g"
+    path.write_bytes(data)
+    try:
+        graph = reader(path)
+    except ParseError:
+        return
+    assert isinstance(graph, Graph)
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(data=st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+))
+def test_arbitrary_json_parse_or_raise_parse_error(tmp_path_factory, data):
+    """Adjacency JSON of any shape reaches the shape checks, not a crash."""
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        graph = read_adjacency_json(path)
+    except ParseError:
+        return
+    assert isinstance(graph, Graph)
 
 
 class TestDatasetCache:

@@ -1,17 +1,14 @@
 """Tests for the whole-program analysis engine (repro.lint.program).
 
 Covers the project model (module naming, import tagging, call-graph
-resolution), each L1–L4 pass against its seeded-violation corpus case
+resolution), each L1–L3 pass against its seeded-violation corpus case
 under ``tests/lint_corpus/`` (every pass must fire — an inert pass
 fails here, not silently in CI), the clean-tree acceptance criterion,
-the SARIF 2.1.0 exporter round-trip and validator, the parse cache,
-and the new CLI surface (``--program``, ``--sarif``, stale-baseline
-loudness).
+and the CLI surface (``--program``, stale-baseline loudness).
 """
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -19,18 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    Diagnostic,
-    ParseCache,
-    build_project,
-    cache_fingerprint,
-    from_sarif,
-    run_program_passes,
-    to_sarif,
-    validate,
-)
-from repro.lint.passes import PASS_REGISTRY
+from repro.lint import Baseline, Diagnostic, build_project, run_program_passes
 from repro.lint.program import module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -164,7 +150,7 @@ class TestProjectModel:
 
 
 # ----------------------------------------------------------------------
-# The four passes against the seeded corpus (acceptance criterion:
+# The three passes against the seeded corpus (acceptance criterion:
 # every pass produces at least one diagnostic on its case).
 
 
@@ -175,7 +161,6 @@ class TestSeededCorpus:
             ("layering", "L1"),
             ("worker_race", "L2"),
             ("obs_coverage", "L3"),
-            ("checkpoint_contract", "L4"),
         ],
     )
     def test_every_pass_fires(self, case, pass_id):
@@ -229,13 +214,6 @@ class TestSeededCorpus:
         assert "shipped_chunk" not in silent
         assert "waived_chunk" not in silent
         assert "dispatch" not in silent
-
-    def test_checkpoint_contract_both_directions(self):
-        diags = corpus_diags("checkpoint_contract", passes=["L4"])
-        by_field = {d.code: d.message for d in diags}
-        assert "orphaned" in by_field and "never consumed" in by_field["orphaned"]
-        assert "phantom" in by_field and "never written" in by_field["phantom"]
-        assert "anchors" not in by_field and "gains" not in by_field
 
 
 # ----------------------------------------------------------------------
@@ -307,152 +285,6 @@ class TestPassWaivers:
         )
         diags = run_program_passes([root], passes=["L3"])
         assert len(diags) == 1 and "pick" in diags[0].message
-
-
-# ----------------------------------------------------------------------
-# SARIF
-
-
-class TestSarif:
-    def _diags(self) -> list[Diagnostic]:
-        diags: list[Diagnostic] = []
-        for case, pass_id in [
-            ("layering", "L1"), ("worker_race", "L2"),
-            ("obs_coverage", "L3"), ("checkpoint_contract", "L4"),
-        ]:
-            diags.extend(corpus_diags(case, passes=[pass_id]))
-        return sorted(diags)
-
-    def test_round_trip_matches_json_exporter_set(self):
-        diags = self._diags()
-        assert from_sarif(to_sarif(diags)) == diags
-
-    def test_document_validates(self):
-        assert validate(to_sarif(self._diags())) == []
-
-    def test_document_survives_json_serialization(self):
-        document = json.loads(json.dumps(to_sarif(self._diags())))
-        assert validate(document) == []
-        assert from_sarif(document) == self._diags()
-
-    def test_rules_cover_all_registered_passes(self):
-        document = to_sarif([])
-        rules = document["runs"][0]["tool"]["driver"]["rules"]
-        ids = {r["id"] for r in rules}
-        assert set(PASS_REGISTRY) <= ids
-        assert "R1" in ids  # file rules are declared too
-
-    @pytest.mark.parametrize(
-        "mutate,expect",
-        [
-            (lambda d: d.update(version="2.0.0"), "version"),
-            (lambda d: d.update(runs=[]), "runs"),
-            (lambda d: d["runs"][0]["results"][0].pop("ruleId"), "ruleId"),
-            (lambda d: d["runs"][0]["results"][0]["message"].pop("text"),
-             "message.text"),
-            (lambda d: d["runs"][0]["results"][0].update(locations=[]),
-             "locations"),
-            (lambda d: d["runs"][0]["results"][0]["locations"][0][
-                "physicalLocation"]["region"].update(startLine=0), "startLine"),
-            (lambda d: d["runs"][0]["results"][0].update(ruleId="ZZ9"),
-             "not declared"),
-        ],
-    )
-    def test_validator_rejects_broken_documents(self, mutate, expect):
-        document = to_sarif(self._diags())
-        mutate(document)
-        problems = validate(document)
-        assert problems and any(expect in p for p in problems)
-
-    def test_cli_sarif_output_validates(self, tmp_path):
-        out = tmp_path / "lint.sarif"
-        result = _run_cli(
-            ["--program", "--sarif", str(out)], cwd=REPO_ROOT
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        document = json.loads(out.read_text(encoding="utf-8"))
-        assert validate(document) == []
-        check = _run_cli(["--validate-sarif", str(out)], cwd=REPO_ROOT)
-        assert check.returncode == 0
-        assert "valid SARIF 2.1.0" in check.stdout
-
-    def test_cli_validate_sarif_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.sarif"
-        bad.write_text('{"version": "1.0"}', encoding="utf-8")
-        result = _run_cli(["--validate-sarif", str(bad)], cwd=REPO_ROOT)
-        assert result.returncode == 1
-        assert "problem" in result.stdout
-
-
-# ----------------------------------------------------------------------
-# Parse cache
-
-
-class TestParseCache:
-    def test_second_run_hits(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        cache_file = tmp_path / "cache.pkl"
-        cache = ParseCache(cache_file, cache_fingerprint())
-        from repro.lint import lint_paths
-
-        lint_paths([target], cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.save()
-
-        warm = ParseCache(cache_file, cache_fingerprint())
-        lint_paths([target], cache=warm)
-        assert (warm.hits, warm.misses) == (1, 0)
-
-    def test_modified_file_misses(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        cache_file = tmp_path / "cache.pkl"
-        cache = ParseCache(cache_file, cache_fingerprint())
-        from repro.lint import lint_paths
-
-        lint_paths([target], cache=cache)
-        cache.save()
-        target.write_text("x = 2  # changed\n", encoding="utf-8")
-        warm = ParseCache(cache_file, cache_fingerprint())
-        lint_paths([target], cache=warm)
-        assert warm.hits == 0 and warm.misses == 1
-
-    def test_fingerprint_change_discards_entries(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        cache_file = tmp_path / "cache.pkl"
-        cache = ParseCache(cache_file, "config-a")
-        from repro.lint import lint_paths
-
-        lint_paths([target], cache=cache)
-        cache.save()
-        other = ParseCache(cache_file, "config-b")
-        assert len(other) == 0
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        cache_file = tmp_path / "cache.pkl"
-        cache_file.write_bytes(b"not a pickle")
-        cache = ParseCache(cache_file, "x")
-        assert len(cache) == 0
-
-    def test_cli_reports_cache_stats(self, tmp_path):
-        (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        first = _run_cli(["--cache", "--no-baseline", "mod.py"], cwd=tmp_path)
-        assert "[cache: 1 parsed, 0 from cache]" in first.stdout
-        second = _run_cli(["--cache", "--no-baseline", "mod.py"], cwd=tmp_path)
-        assert "[cache: 0 parsed, 1 from cache]" in second.stdout
-
-    def test_cached_and_uncached_runs_agree_on_program_passes(self, tmp_path):
-        cache = ParseCache(tmp_path / "cache.pkl", cache_fingerprint())
-        cold = run_program_passes(
-            [CORPUS / "worker_race" / "src"], cache=cache, passes=["L2"]
-        )
-        warm = run_program_passes(
-            [CORPUS / "worker_race" / "src"], cache=cache, passes=["L2"]
-        )
-        assert cold == warm
-        assert cold == corpus_diags("worker_race", passes=["L2"])
 
 
 # ----------------------------------------------------------------------
