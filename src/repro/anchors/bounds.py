@@ -15,28 +15,74 @@ bound parts where available ("Upper Bound Refining").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.anchors.state import AnchoredState
 from repro.core.tree import NodeId
 from repro.graphs.graph import Vertex
 from repro.lint.markers import pure
 
+if TYPE_CHECKING:
+    from repro.anchors.kernels.flat_backend import FlatTables
+
 
 @dataclass
 class UpperBounds:
-    """Per-candidate follower-count bounds.
+    """Per-candidate follower-count bounds, per CSR id (0 for anchors).
 
     Attributes:
-        own: ``UB_{i_u}(u)`` — bound on followers inside u's own node (Eq 1).
-        parts: per node id in ``sn(u)``, the bound on ``|F[u][id]|``
-            (``own[u]`` for the own node, Eq 2 for deeper nodes).
-        total: ``UB_sigma(u)`` (Eq 3) — the sum of ``parts[u]``.
+        tables: the per-id tables the bounds were computed on.
+        own: ``UB_{i_u}(u)`` — the bound inside u's own node (Eq 1).
+        total: ``UB_sigma(u)`` (Eq 3) — ``own`` plus every deeper node's
+            part (Eq 2). Parts are not stored: :meth:`refined` recomputes
+            only those it replaces with a cached count.
     """
 
-    own: dict[Vertex, int] = field(default_factory=dict)
-    parts: dict[Vertex, dict[NodeId, int]] = field(default_factory=dict)
-    total: dict[Vertex, int] = field(default_factory=dict)
+    tables: FlatTables
+    own: list[int]
+    total: list[int]
+
+    def refined(self, i: int, cached: Mapping[NodeId, int]) -> int:
+        """``UB_sigma`` of id ``i`` with exact cached counts substituted.
+
+        A cached ``|F[u][id]|`` is exact and <= its part, so the result
+        is a tighter valid bound (Section 4.5, "Upper Bound Refining").
+        ``cached`` must be validated already (its node ids in ``sn(u)``).
+        """
+        t = self.tables
+        own = self.own
+        own_node = t.nid[i]
+        tca = t.tca_ids[i]
+        bound = self.total[i]
+        for nid, c in cached.items():
+            if nid == own_node:
+                bound -= own[i] - c
+            else:
+                bucket = tca[nid]
+                bound -= len(bucket) + sum(map(own.__getitem__, bucket)) - c
+        return bound
+
+    def _id(self, u: Vertex) -> int:
+        i = self.tables.index[u]
+        if self.tables.is_anchor[i]:
+            raise KeyError(u)
+        return i
+
+    def own_of(self, u: Vertex) -> int:
+        """``UB_{i_u}(u)``; ``KeyError`` for an anchor."""
+        return self.own[self._id(u)]
+
+    def total_of(self, u: Vertex) -> int:
+        """``UB_sigma(u)``; ``KeyError`` for an anchor."""
+        return self.total[self._id(u)]
+
+    def parts_of(self, u: Vertex) -> dict[NodeId, int]:
+        """Each node's part of ``UB_sigma(u)`` (what a cached 0 takes off)."""
+        i = self._id(u)
+        nodes = dict.fromkeys([self.tables.nid[i], *self.tables.sn_ids[i]])
+        return {nid: self.total[i] - self.refined(i, {nid: 0}) for nid in nodes}
 
 
 @pure
@@ -64,29 +110,22 @@ def compute_upper_bounds(state: AnchoredState) -> UpperBounds:
         up = higher[i]
         own[i] = len(up) + sum(map(own.__getitem__, up))
 
-    bounds = UpperBounds()
-    labels = tables.labels
+    total = [0] * len(own)
     nid = tables.nid
     tca_ids = tables.tca_ids
     sn_ids = tables.sn_ids
-    for i, u in enumerate(labels):
+    own_at = own.__getitem__
+    for i, tca_i in enumerate(tca_ids):
         if is_anchor[i]:
             continue
         i_u = nid[i]
-        total = own[i]
-        parts: dict[NodeId, int] = {i_u: total}
-        tca_i = tca_ids[i]
+        t = own[i]
         for node in sn_ids[i]:
-            if node == i_u:
-                continue
-            bucket = tca_i[node]
-            part = len(bucket) + sum(map(own.__getitem__, bucket))
-            parts[node] = part
-            total += part
-        bounds.own[u] = own[i]
-        bounds.parts[u] = parts
-        bounds.total[u] = total
-    return bounds
+            if node != i_u:
+                bucket = tca_i[node]
+                t += len(bucket) + sum(map(own_at, bucket))
+        total[i] = t
+    return UpperBounds(tables, own, total)
 
 
 @pure
@@ -95,12 +134,5 @@ def refined_total(  # lint: obs-ok pure arithmetic over precomputed bounds
     bounds: UpperBounds,
     cached_counts: dict[NodeId, int],
 ) -> int:
-    """``UB_sigma(u)`` with exact cached counts substituted where valid.
-
-    A cached ``|F[u][id]|`` is both exact and <= the bound part, so the
-    refined total is a tighter valid bound (Section 4.5, "Upper Bound
-    Refining"). ``cached_counts`` must already be validated against the
-    current state (see ``FollowerCache.valid_counts``).
-    """
-    parts = bounds.parts[u]
-    return sum(cached_counts.get(nid, part) for nid, part in parts.items())
+    """The label form of :meth:`UpperBounds.refined` (counts from ``valid_counts``)."""
+    return bounds.refined(bounds._id(u), cached_counts)

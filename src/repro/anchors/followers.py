@@ -25,7 +25,7 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 
 from repro import obs as _obs
-from repro.anchors.kernels.flat_backend import flat_explorer, tables_for
+from repro.anchors.kernels.flat_backend import flat_explorer
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, core_decomposition
 from repro.core.tree import NodeId
@@ -94,22 +94,91 @@ class FollowerReport:
         """``|F(x)| = g({x})`` — the coreness gain of anchoring ``x``."""
         return sum(self.counts.values())
 
-    @classmethod
-    def from_counts(cls, anchor: Vertex, counts: Mapping[NodeId, int]) -> "FollowerReport":
-        """Rehydrate a report from per-node counts alone (no member sets).
-
-        The shape a candidate-scan worker ships back to the parent: the
-        reuse cache stores counts only (like the paper's), so a shipped
-        report is as storable as a locally computed one.
-        """
-        return cls(anchor=anchor, counts=dict(counts))
-
     def all_members(self) -> set[Vertex]:
         """Union of explored follower sets (valid when nothing was reused)."""
         result: set[Vertex] = set()
         for group in self.members.values():  # lint: order-ok set union is commutative
             result |= group
         return result
+
+
+class FollowerSearch:
+    """The count-first per-candidate search (Algorithm 4 over ``sn(x)``).
+
+    One instance serves a GAC or OLAK round, a pool worker's task or one
+    :func:`find_followers` call; :meth:`flush` adds the Figure-13 tallies
+    in one batch (registry reads are deltas over sums).
+    """
+
+    __slots__ = (
+        "state", "tables", "verify", "reused", "explored", "visited", "evaluated"
+    )
+
+    def __init__(self, state: AnchoredState) -> None:
+        self.state = state
+        self.tables = state.tables
+        self.verify = _verify_enabled()
+        self.reused = self.explored = self.visited = self.evaluated = 0
+
+    def counts(
+        self,
+        xid: int,
+        reusable: Mapping[NodeId, int] | None = None,
+        *,
+        only_coreness: int | None = None,
+        members: dict[NodeId, set[Vertex]] | None = None,
+    ) -> dict[NodeId, int]:
+        """``{node id: |F[x][id]|}`` for the candidate with CSR id ``xid``.
+
+        Nodes of ``sn(x)`` in ``reusable`` are answered from it, the rest
+        explored in one kernel call (reused first, each in ``sn(x)`` order).
+        ``members`` receives each explored node's follower set; otherwise
+        the kernel builds sets only to verify a result that reused nothing.
+        """
+        t = self.tables
+        own = t.nid[xid]
+        counts: dict[NodeId, int] = {}
+        todo: list[tuple[NodeId, bool]] = []
+        for nid in t.sn_ids[xid]:
+            if only_coreness is not None and t.core[t.index[nid]] != only_coreness:
+                continue
+            if reusable and nid in reusable:
+                counts[nid] = reusable[nid]
+            else:
+                todo.append((nid, nid == own))
+        self.reused += len(counts)
+        self.evaluated += 1
+        check = self.verify and not reusable and only_coreness is None
+        found: dict[NodeId, set[Vertex]] | None = {} if check else None
+        if members is not None:
+            found = members
+        if todo:
+            explorer = _explorer(self.state, t.labels[xid])
+            for nid, count, pops, survivors in explorer.explore_nodes(
+                todo, found is not None
+            ):
+                counts[nid] = count
+                self.visited += pops
+                if found is not None:
+                    found[nid] = survivors or set()
+            self.explored += len(todo)
+        if check and found is not None:
+            from repro.verify.invariants import verify_follower_report
+
+            total = sum(counts.values())
+            every = set().union(*found.values())
+            verify_follower_report(self.state, t.labels[xid], total, every)
+        return counts
+
+    def flush(self) -> None:
+        """Add the tallied counters to the registry (one add per counter)."""
+        if self.reused:
+            _obs.add(_obs.REUSED_NODES, self.reused)
+        if self.explored:
+            _obs.add(_obs.EXPLORED_NODES, self.explored)
+            _obs.add(_obs.VISITED_VERTICES, self.visited)
+        if self.evaluated:
+            _obs.add(_obs.EVALUATED_CANDIDATES, self.evaluated)
 
 
 @pure
@@ -121,6 +190,8 @@ def find_followers(
     only_coreness: int | None = None,
 ) -> FollowerReport:
     """Compute ``F[x][id]`` for every node ``id`` in ``sn(x)`` (Algorithm 4).
+
+    The member-returning form of :class:`FollowerSearch`.
 
     Args:
         state: current anchored state (``x`` must not already be anchored).
@@ -142,54 +213,20 @@ def find_followers(
     if x in state.anchors:
         raise ValueError(f"candidate {x!r} is already anchored")
     report = FollowerReport(anchor=x)
-    own_node = state.node_id(x)
     with _obs.span("followers.search", anchor=x):
-        # The flat tables carry ``sn(x)`` presorted per id: ascending
-        # interned id is the canonical vertex_sort_key order.
-        tables = tables_for(state)
-        order: "Collection[NodeId]" = tables.sn_ids[tables.index[x]]
-        reused = visited = 0
-        todo: list[tuple[NodeId, bool]] = []
-        for nid in order:
-            if only_coreness is not None and state.tree.nodes[nid].k != only_coreness:
-                continue
-            if reusable_counts is not None and nid in reusable_counts:
-                report.counts[nid] = reusable_counts[nid]
-                reused += 1
-                continue
-            todo.append((nid, nid == own_node))
-        # A fully-reused candidate (every node answered from the cache)
-        # never touches the kernel at all; otherwise the kernel gets
-        # the surviving node list in one batched call so it can hoist
-        # its per-candidate table bindings out of the per-node loop.
-        if todo:
-            explorer = _explorer(state, x)
-            counts = report.counts
-            members = report.members
-            for nid, survivors, pops in explorer.explore_nodes(todo):
-                counts[nid] = len(survivors)
-                members[nid] = survivors
-                visited += pops
-        explored = len(todo)
-        # Registry reads are deltas over sums, so batching the adds per
-        # call is observationally identical to per-node increments.
-        if reused:
-            _obs.add(_obs.REUSED_NODES, reused)
-        if explored:
-            _obs.add(_obs.EXPLORED_NODES, explored)
-            _obs.add(_obs.VISITED_VERTICES, visited)
-    _obs.add(_obs.EVALUATED_CANDIDATES)
+        search = FollowerSearch(state)
+        report.counts = search.counts(
+            state.tables.index[x],
+            reusable_counts,
+            only_coreness=only_coreness,
+            members=report.members,
+        )
+        search.flush()
     if counters is not None:
-        counters.explored_nodes += explored
-        counters.reused_nodes += reused
-        counters.visited_vertices += visited
+        counters.explored_nodes += search.explored
+        counters.reused_nodes += search.reused
+        counters.visited_vertices += search.visited
         counters.evaluated_candidates += 1
-    # With nothing reused and no shell restriction the report is complete:
-    # cross-validate it against a full re-decomposition when verifying.
-    if _verify_enabled() and not reusable_counts and only_coreness is None:
-        from repro.verify.invariants import verify_follower_report
-
-        verify_follower_report(state, x, report.total, report.all_members())
     return report
 
 

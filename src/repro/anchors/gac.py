@@ -19,28 +19,34 @@ Tie-breaking between equally good anchors is a first-class parameter
 (Table 7 studies ``"ub"`` / ``"degree"`` / ``"random"``); ``"id"``
 (smallest vertex id) gives fully deterministic runs for testing.
 
-The per-round candidate scan can fan out across worker processes
-(``workers=`` / ``REPRO_PARALLEL``, via :mod:`repro.parallel`) with
-byte-identical results: dispatch is a pure read-only phase over
-bound-sorted chunks, and the merge replays the serial scan's pruning,
-tie-breaking, counter, and cache updates over the shipped results (see
-``docs/parallelism.md``). Serial remains the default and the oracle;
-the pool degrades gracefully back to it.
+Each round runs on CSR ids and counts only: the reuse cache is
+validated once, candidates are ranked by refined bound, and the scan
+stops at the first pruned one. Each evaluated candidate gets per-node
+counts from one :class:`~repro.anchors.followers.FollowerSearch`;
+only the winner's follower set is built, by ``find_followers``.
+
+The scan can fan out across worker processes (``workers=`` /
+``REPRO_PARALLEL``, via :mod:`repro.parallel`) with byte-identical
+results: dispatch is a read-only phase over bound-sorted chunks, and
+the serial scan then replays over the shipped counts
+(``docs/parallelism.md``). Serial is the default and the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
-from repro.anchors.bounds import UpperBounds, compute_upper_bounds, refined_total
+from repro.anchors.bounds import compute_upper_bounds
 from repro.anchors.followers import (
     FollowerCounters,
-    FollowerReport,
+    FollowerSearch,
     find_followers,
     followers_naive,
 )
@@ -118,18 +124,6 @@ class GreedyResult:
         for trace in self.traces:
             total.merge(trace.counters)
         return total
-
-
-class _SmallestWins:
-    """Tie value wrapper: comparing ``a > b`` is true when a's key is smaller."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key) -> None:
-        self.key = key
-
-    def __gt__(self, other: "_SmallestWins") -> bool:
-        return self.key < other.key
 
 
 def greedy_anchored_coreness(
@@ -460,154 +454,152 @@ def _select_best(
     gain ``x`` already contributed as a follower of earlier anchors
     (that contribution leaves ``g(A, G)`` once ``x`` joins ``A``). The
     upper bound dominates ``|F(x)|`` and hence the marginal gain, so
-    pruning remains sound.
+    pruning remains sound. Every cached row is validated once
+    (:meth:`FollowerCache.served`) and candidates are ranked by
+    ``(-refined bound, id)``: ascending id is the sort-key order.
 
     Returns ``(best, gain, expired)``. When ``deadline`` passes mid-scan
-    the iteration aborts with ``(None, 0, True)`` — a partial winner
-    would depend on how far the scan got, i.e. on wall-clock noise, so
-    an expired iteration never reports one.
-
-    When ``pool`` is given the scan is dispatched to worker processes
-    (:func:`_scan_parallel`); any failure there falls back to the serial
-    scan with no state mutated, so the result is unchanged either way.
+    the iteration aborts with ``(None, 0, True)``: a partial winner
+    would depend on wall-clock noise. With a ``pool`` the scan is
+    dispatched to workers (:func:`_scan_parallel`); any failure there
+    falls back to the serial scan with no state mutated.
     """
-    candidates = state.candidates()
-    if not candidates:
+    order = [i for i, anchored in enumerate(state.tables.is_anchor) if not anchored]
+    if not order:
         return None, 0, False
 
-    bounds: UpperBounds | None = None
-    refined: dict[Vertex, int] = {}
+    served = cache.served(state) if reuse else {}
+    refined: list[int] = []
     if use_upper_bounds:
         bounds = compute_upper_bounds(state)
-        for u in candidates:
-            cached = cache.valid_counts(u, state) if reuse else {}
-            refined[u] = refined_total(u, bounds, cached)
-        order = sorted(candidates, key=lambda u: (-refined[u], _sort_key(u)))
-    else:
-        order = sorted(candidates, key=_sort_key)
+        refined = list(bounds.total)
+        for i, cached in served.items():
+            refined[i] = bounds.refined(i, cached)
+        # A stable descending sort keeps equal bounds in ascending id order.
+        order.sort(key=refined.__getitem__, reverse=True)
 
-    tie_of = _tie_function(tie_break, state, refined, rng)
-    node_k = state.node_k()
+    scan = functools.partial(
+        _scan,
+        state,
+        cache,
+        order=order,
+        refined=refined,
+        use_upper_bounds=use_upper_bounds,
+        reuse=reuse,
+        tie_of=_tie_function(tie_break, state, refined, rng),
+        base_coreness=base_coreness,
+    )
     with _obs.span("gac.candidate_scan", candidates=len(order)):
         if pool is not None and not pool.broken:
             outcome = _scan_parallel(
                 state,
-                cache,
                 pool,
+                scan,
                 order=order,
                 refined=refined,
+                served=served,
                 use_upper_bounds=use_upper_bounds,
-                reuse=reuse,
                 follower_method=follower_method,
-                tie_of=tie_of,
-                node_k=node_k,
                 base_coreness=base_coreness,
                 deadline=deadline,
                 lineage=lineage,
             )
             if outcome is not None:
                 return outcome
-        return _scan_serial(
-            state,
-            cache,
-            order=order,
-            refined=refined,
-            use_upper_bounds=use_upper_bounds,
-            reuse=reuse,
-            follower_method=follower_method,
-            tie_of=tie_of,
-            node_k=node_k,
-            base_coreness=base_coreness,
-            deadline=deadline,
-        )
+        search = FollowerSearch(state)
+
+        def evaluate(i: int) -> tuple[int, dict[NodeId, int] | None]:
+            if follower_method != "naive":
+                counts = search.counts(i, served.get(i))
+                return sum(counts.values()), counts
+            search.evaluated += 1
+            u, base = state.tables.labels[i], state.decomposition
+            return len(followers_naive(state.graph, u, state.anchors, base)), None
+
+        try:
+            return scan(evaluate=evaluate, deadline=deadline)
+        finally:
+            search.flush()
 
 
-def _scan_serial(
+def _scan(
     state: AnchoredState,
     cache: FollowerCache,
     *,
-    order: list[Vertex],
-    refined: dict[Vertex, int],
+    order: list[int],
+    refined: list[int],
     use_upper_bounds: bool,
     reuse: bool,
-    follower_method: FollowerMethod,
-    tie_of: Callable[[Vertex], object],
-    node_k: dict[NodeId, int],
+    tie_of: Callable[[int], object],
     base_coreness: dict[Vertex, int],
     deadline: float | None,
+    evaluate: Callable[[int], tuple[int, dict[NodeId, int] | None]],
 ) -> tuple[Vertex | None, int, bool]:
-    """The serial candidate scan — the oracle the parallel scan must match."""
-    best: Vertex | None = None
+    """The candidate scan in ``order``: prune, ``evaluate``, cache, pick.
+
+    ``evaluate`` returns ``(|F(x)|, per-node counts or None)``; the
+    counts go straight into the cache.
+    """
+    tables = state.tables
+    labels = tables.labels
+    core = tables.core
+    index = tables.index
+    best: int | None = None
     best_gain = -1
     best_tie = None
-    for u in order:
+    for pos, i in enumerate(order):
         if deadline is not None and _clock() > deadline:
             return None, 0, True
         # Prune strictly below the best gain (the paper prunes <=; the
         # strict form also evaluates potential ties so tie-breaking sees
-        # the same candidate pool as the unpruned variants).
-        if use_upper_bounds and refined[u] < best_gain:
-            _obs.add(_obs.PRUNED_CANDIDATES)
-            continue
-        if follower_method == "naive":
-            follower_count = len(
-                followers_naive(
-                    state.graph, u, anchors=state.anchors, base=state.decomposition
-                )
-            )
-            _obs.add(_obs.EVALUATED_CANDIDATES)
-        else:
-            cached = cache.valid_counts(u, state) if reuse else None
-            report = find_followers(state, u, reusable_counts=cached)
-            if reuse:
-                cache.store(report, node_k)
-            follower_count = report.total
-        own_gain = state.decomposition.coreness[u] - base_coreness[u]
-        gain = follower_count - own_gain
+        # the same candidate pool as the unpruned variants). The order
+        # descends in the bound, so every later candidate is pruned too.
+        if use_upper_bounds and refined[i] < best_gain:
+            _obs.add(_obs.PRUNED_CANDIDATES, len(order) - pos)
+            break
+        count, counts = evaluate(i)
+        u = labels[i]
+        if reuse and counts is not None:
+            # A node's coreness is its id vertex's (the smallest member).
+            cache.entries[u] = {nid: (core[index[nid]], c) for nid, c in counts.items()}
+        gain = count - (core[i] - base_coreness[u])
         if gain > best_gain:
-            best, best_gain, best_tie = u, gain, tie_of(u)
+            best, best_gain, best_tie = i, gain, tie_of(i)
         elif gain == best_gain and best is not None:
-            tie = tie_of(u)
+            tie = tie_of(i)
             if tie > best_tie:
-                best, best_tie = u, tie
-    return best, best_gain, False
+                best, best_tie = i, tie
+    return (None if best is None else labels[best]), best_gain, False
 
 
 def _scan_parallel(
     state: AnchoredState,
-    cache: FollowerCache,
     pool: "CandidateScanPool",
+    scan: Callable[..., tuple[Vertex | None, int, bool]],
     *,
-    order: list[Vertex],
-    refined: dict[Vertex, int],
+    order: list[int],
+    refined: list[int],
+    served: dict[int, dict[NodeId, int]],
     use_upper_bounds: bool,
-    reuse: bool,
     follower_method: FollowerMethod,
-    tie_of: Callable[[Vertex], object],
-    node_k: dict[NodeId, int],
     base_coreness: dict[Vertex, int],
     deadline: float | None,
     lineage: tuple[Vertex, ...] = (),
 ) -> tuple[Vertex | None, int, bool] | None:
-    """Dispatch the candidate scan to the pool, then replay the serial merge.
+    """Dispatch the candidate scan to the pool, then replay the serial scan.
 
-    Phase A ships bound-sorted chunks of candidates to the workers.
-    Between chunk barriers a *simulated* best gain advances exactly like
-    the serial scan's threshold, so a chunk only dispatches candidates
-    whose bound still clears it. The threshold at a candidate's chunk
-    start is a lower bound on the serial scan's threshold when it
-    reaches that candidate (gains of bound-pruned candidates can never
-    raise the running maximum), hence every candidate the serial scan
-    evaluates is provably in the dispatched set — the speculative extras
-    are discarded unmerged. Phase A is read-only: it mutates neither the
-    cache nor the registry (dispatch-side validations run suspended), so
-    any failure can simply return ``None`` and let the serial scan run.
+    Phase A ships bound-sorted chunks of candidates to the workers, each
+    with the round's validated counts. Between chunk barriers a
+    *simulated* best gain advances like the serial threshold, so a chunk
+    only dispatches candidates whose bound still clears it; that
+    threshold never exceeds the serial one (pruned gains cannot raise
+    the maximum), so every candidate the serial scan evaluates is
+    dispatched. Phase A mutates neither the cache nor the registry, so
+    any failure returns ``None`` and the serial scan runs instead.
 
-    Phase B replays the serial loop over the shipped results: identical
-    pruning threshold, identical tie-break sequence (including RNG
-    consumption), identical cache stores, and the workers' counter
-    deltas merged into the parent registry — all inside the caller's
-    iteration window, so Figure 13 totals match the serial scan's.
+    Phase B runs the serial ``scan`` over the shipped counts (same
+    pruning, tie-breaks, RNG use and cache stores) and merges the
+    workers' counter deltas inside the caller's iteration window.
     """
     epoch = len(state.anchors)
     # The lineage is the cache key workers use; its *set* is what
@@ -619,14 +611,16 @@ def _scan_parallel(
         if len(lineage) == len(state.anchors) and frozenset(lineage) == state.anchors
         else tuple(sorted(state.anchors, key=_sort_key))
     )
-    coreness = state.decomposition.coreness
+    tables = state.tables
+    labels = tables.labels
+    index = tables.index
+    core = tables.core
     # The speculative window between threshold barriers adapts to the
     # pool's measured per-task latency; window size steers wall-clock
     # only (the replay discards speculative extras), never results.
     chunk_size = pool.dispatch_size() if use_upper_bounds else len(order)
-    # candidate -> (marginal gain, per-node counts | None, counter deltas)
-    evaluated: dict[Vertex, tuple[int, dict[NodeId, int] | None, dict[str, int]]] = {}
-    reusable_of: dict[Vertex, dict[NodeId, int] | None] = {}
+    # candidate id -> (follower total, per-node counts | None, counter deltas)
+    shipped: dict[int, tuple[int, dict[NodeId, int] | None, dict[str, int]]] = {}
     sim_best = -1
     chunk_count = 0
     shipped_base = pool.spans_shipped
@@ -638,78 +632,49 @@ def _scan_parallel(
                 if deadline is not None and _clock() > deadline:
                     return None, 0, True
                 chunk = order[chunk_start : chunk_start + chunk_size]
-                tasks: list[tuple[Vertex, dict[NodeId, int] | None]] = []
-                for u in chunk:
-                    if use_upper_bounds and refined[u] < sim_best:
-                        continue
-                    if reuse:
-                        # Validation must not count: phase B replays the
-                        # REUSE_SERVED adds in serial order.
-                        with _obs.suspended():
-                            reusable = cache.valid_counts(u, state)
-                    else:
-                        reusable = None
-                    reusable_of[u] = reusable
-                    tasks.append((u, reusable))
+                tasks = [
+                    (labels[i], served.get(i))
+                    for i in chunk
+                    if not (use_upper_bounds and refined[i] < sim_best)
+                ]
                 if tasks:
                     chunk_count += 1
                     for candidate, total, counts, deltas in pool.evaluate(
                         epoch, anchors, tasks
                     ):
-                        own_gain = coreness[candidate] - base_coreness[candidate]
-                        evaluated[candidate] = (total - own_gain, counts, deltas)
-                if use_upper_bounds:
-                    # Advance the threshold exactly as phase B will: gains
-                    # of candidates phase B prunes are below it already.
-                    for u in chunk:
-                        entry = evaluated.get(u)
-                        if entry is not None and entry[0] > sim_best:
-                            sim_best = entry[0]
+                        i = index[candidate]
+                        shipped[i] = (total, counts, deltas)
+                        # Advance the threshold exactly as phase B will:
+                        # gains of candidates it prunes are below it already.
+                        gain = total - (core[i] - base_coreness[candidate])
+                        sim_best = max(sim_best, gain)
         except Exception:
             # Nothing was mutated; the caller reruns the scan serially.
             pool.broken = True
             _obs.gauge("gac.parallel_fallback.scan_error", 1.0)
             return None
 
-        best: Vertex | None = None
-        best_gain = -1
-        best_tie = None
-        pending: dict[str, int] = {}
+        pending: Counter[str] = Counter()
 
-        def _defer(name: str, value: int = 1) -> None:
-            pending[name] = pending.get(name, 0) + value
-
-        for u in order:
-            if use_upper_bounds and refined[u] < best_gain:
-                _defer(_obs.PRUNED_CANDIDATES)
-                continue
-            gain, counts, deltas = evaluated[u]
-            for name, value in deltas.items():
-                _defer(name, value)
-            reusable = reusable_of.get(u)
-            if reusable:
-                _defer(_obs.REUSE_SERVED, len(reusable))
+        def replay(i: int) -> tuple[int, dict[NodeId, int] | None]:
+            total, counts, deltas = shipped[i]
+            pending.update(deltas)
             if follower_method == "naive":
                 # The worker's delta has the decomposition counters; the
                 # serial scan adds this one itself after the oracle call.
-                _defer(_obs.EVALUATED_CANDIDATES)
-            elif reuse and counts is not None:
-                cache.store(FollowerReport.from_counts(u, counts), node_k)
-            if gain > best_gain:
-                best, best_gain, best_tie = u, gain, tie_of(u)
-            elif gain == best_gain and best is not None:
-                tie = tie_of(u)
-                if tie > best_tie:
-                    best, best_tie = u, tie
+                pending[_obs.EVALUATED_CANDIDATES] += 1
+            return total, counts
+
+        outcome = scan(evaluate=replay, deadline=None)
         for name in sorted(pending):
             _obs.add(name, pending[name])
         if isinstance(sp, _obs.Span):
-            sp.args["tasks"] = len(evaluated)
+            sp.args["tasks"] = len(shipped)
             sp.args["chunks"] = chunk_count
             # Worker spans merged into this scan's trace (they land in
             # per-worker pid lanes next to this span's parent lane).
             sp.args["shipped_spans"] = pool.spans_shipped - shipped_base
-    return best, best_gain, False
+    return outcome
 
 
 def _make_pool(
@@ -760,20 +725,21 @@ def _make_pool(
 def _tie_function(
     tie_break: TieBreak,
     state: AnchoredState,
-    refined: dict[Vertex, int],
+    refined: list[int],
     rng: random.Random,
-) -> Callable[[Vertex], object]:
-    if tie_break == "ub":
-        # Fall back to degree when bounds were not computed (GAC-U/-U-R).
-        if refined:
-            return lambda u: refined[u]
-        return lambda u: state.graph.degree(u)
-    if tie_break == "degree":
-        return lambda u: state.graph.degree(u)
+) -> Callable[[int], object]:
+    """The tie value of a candidate id; the larger value wins a tie."""
+    if tie_break == "ub" and refined:
+        return refined.__getitem__
+    if tie_break in ("ub", "degree"):
+        # "ub" falls back to degree when bounds were not computed (GAC-U/-U-R).
+        rows = state.tables.rows
+        return lambda i: len(rows[i])
     if tie_break == "random":
-        return lambda u: rng.random()
+        return lambda i: rng.random()
     if tie_break == "id":
-        return lambda u: _SmallestWins(_sort_key(u))
+        # The smallest id — the smallest vertex_sort_key — wins.
+        return lambda i: -i
     raise ValueError(f"unknown tie_break {tie_break!r}")
 
 

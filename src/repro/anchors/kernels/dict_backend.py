@@ -13,11 +13,15 @@ backend must match byte for byte.
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 from repro.core.tree import NodeId, TreeAdjacency
 from repro.graphs.graph import Vertex
+
+if TYPE_CHECKING:
+    from repro.anchors.kernels.flat_backend import Exploration
 
 # Exploration status tags. UNEXPLORED is represented by absence.
 _IN_HEAP = 1
@@ -76,12 +80,11 @@ class DictExplorer:
         self.adj_x = state.graph.neighbors(x)
 
     def explore_nodes(
-        self, todo: "list[tuple[NodeId, bool]]"
-    ) -> "list[tuple[NodeId, set[Vertex], int]]":
+        self, todo: "list[tuple[NodeId, bool]]", members: bool = False
+    ) -> "list[Exploration]":
         """Explore each ``(node id, is_own_node)`` pair in order (verbatim loop)."""
-        return [
-            (nid, *self._explore(nid, is_own_node)) for nid, is_own_node in todo
-        ]
+        out = [(nid, *self._explore(nid, is_own_node)) for nid, is_own_node in todo]
+        return [(nid, len(s), pops, s if members else None) for nid, s, pops in out]
 
     def _explore(self, nid: NodeId, is_own_node: bool) -> tuple[set[Vertex], int]:
         """Survivors and heap pops of the exploration within one tree node."""

@@ -53,6 +53,8 @@ _DISCARDED = 3
 
 #: A vertex's row-relevant values: (anchor flag, core, layer, node id).
 Signature = tuple[int, int, int, Vertex]
+#: One node's exploration: (node id, survivor count, heap pops, members or None).
+Exploration = tuple["NodeId", int, int, "set[Vertex] | None"]
 
 
 class FlatTables:
@@ -88,8 +90,8 @@ class FlatTables:
             ``support`` row; ``xmark[u] == cgen`` is the whole
             ``u in adj_x and c(x) <= c(u)`` test (no clearing between
             candidates).
-        touched / work / fresh / heap: reusable id worklists (touched-
-            this-exploration collection, cascading-shrink stack,
+        survived / work / fresh / heap: reusable id worklists (ids that
+            survived a pop this exploration, cascading-shrink stack,
             per-pop push candidates, the exploration heap — always
             drained, so it needs no clearing between explorations).
         explorer: the reusable :class:`FlatExplorer` flyweight
@@ -133,7 +135,7 @@ class FlatTables:
         "dplus",
         "cgen",
         "xmark",
-        "touched",
+        "survived",
         "work",
         "fresh",
         "heap",
@@ -188,11 +190,12 @@ class FlatTables:
         self.dplus = [0] * n
         self.cgen = 0
         self.xmark = [0] * n
-        self.touched: list[int] = []
+        self.survived: list[int] = []
         self.work: list[int] = []
         self.fresh: list[int] = []
         self.heap: list[int] = []
-        self.explorer: "FlatExplorer | None" = None
+        self.explorer = FlatExplorer.__new__(FlatExplorer)
+        self.explorer.tables = self
 
     def apply_update(self, delta: dict[int, Signature]) -> int:
         """Apply one anchoring's per-vertex changes as edge deltas.
@@ -375,11 +378,15 @@ class FlatTables:
     def explorer_for(self, x: Vertex) -> "FlatExplorer":
         """The flyweight explorer, re-pointed at candidate ``x``."""
         e = self.explorer
-        if e is None:
-            e = FlatExplorer.__new__(FlatExplorer)
-            e.tables = self
-            self.explorer = e
-        _point(e, self, x)
+        e.xid = xid = self.index[x]
+        e.cg = self.begin_candidate(xid)
+        e.seeds = self.tca_ids[xid]
+        # Own-node seed window — same shell as x, strictly higher layer
+        # — as one key range: lo = (shell_x, layer_x + 1, 0) and
+        # hi = (shell_x + 1, 0, 0). Constant per candidate.
+        kx = self.keys[xid]
+        e.lo = ((kx >> self.shift) + 1) << self.shift
+        e.hi = ((kx >> self.shift2) + 1) << self.shift2
         return e
 
     def begin_candidate(self, xid: int) -> int:
@@ -408,11 +415,6 @@ def _toggle(row: list[int], v: int, present: bool) -> None:
         del row[bisect_left(row, v)]
 
 
-def tables_for(state: "AnchoredState") -> FlatTables:  # lint: obs-ok attribute accessor; the search span wraps it
-    """The state's per-id tables (built with the state, patched in place)."""
-    return state.tables
-
-
 class FlatExplorer:
     """Per-candidate exploration context for the flat backend.
 
@@ -425,14 +427,14 @@ class FlatExplorer:
 
     __slots__ = ("tables", "xid", "cg", "lo", "hi", "seeds")
 
-    def __init__(self, state: AnchoredState, x: Vertex) -> None:
-        self.tables = tables = tables_for(state)
-        _point(self, tables, x)
-
     def explore_nodes(
-        self, todo: "list[tuple[NodeId, bool]]"
-    ) -> "list[tuple[NodeId, set[Vertex], int]]":
+        self, todo: "list[tuple[NodeId, bool]]", members: bool = False
+    ) -> "list[Exploration]":
         """Explore every requested tree node for this candidate.
+
+        Returns one :data:`Exploration` per node, in ``todo`` order. The
+        count is the loop's live-survivor counter ``ns``, exact without a
+        set; the survivor label set is built only when ``members`` is true.
 
         One batched call per candidate: the table hoists, the seed-map
         lookup, and the worklist bindings amortize over all of the
@@ -479,13 +481,13 @@ class FlatExplorer:
         seed_map = self.seeds
         push = heappush
         pop = heappop
-        touched = t.touched
+        survived = t.survived
         fresh = t.fresh
         heap = t.heap
         del heap[:]  # always drained below; clear only stale garbage
         seeds_of = seed_map.get
-        touch = touched.append
-        out: "list[tuple[NodeId, set[Vertex], int]]" = []
+        keep = survived.append
+        out: "list[Exploration]" = []
         emit = out.append
         gen = t.gen
         for nid, is_own_node in todo:
@@ -494,7 +496,7 @@ class FlatExplorer:
             t.gen = gen = gen + 1
             base = gen << 2
             bh = base | _IN_HEAP
-            del touched[:]
+            del survived[:]
 
             seeds = seeds_of(nid)
             if seeds:
@@ -505,19 +507,17 @@ class FlatExplorer:
                         k = keys[vi]
                         if lo <= k < hi:
                             packed[vi] = bh
-                            touch(vi)
                             push(heap, k)
                 else:
                     for vi in seeds:
                         if is_anchor[vi]:
                             continue
                         packed[vi] = bh
-                        touch(vi)
                         push(heap, keys[vi])
             if not heap:
                 # Nothing passed the seed filters: nothing was explored,
-                # so nothing can have survived (touched is empty too).
-                emit((nid, set(), 0))
+                # so nothing can have survived.
+                emit((nid, 0, 0, set() if members else None))
                 continue
             bs = base | _SURVIVED
             bd = base | _DISCARDED
@@ -556,9 +556,9 @@ class FlatExplorer:
                     packed[u] = bs
                     dplus[u] = bound
                     ns += 1
+                    keep(u)
                     for v in fresh:
                         packed[v] = bh
-                        touch(v)
                         push(heap, keys[v])
                 elif ns:
                     # The cascade can only decrement SURVIVED neighbors;
@@ -584,29 +584,11 @@ class FlatExplorer:
                 else:
                     packed[u] = bd
 
-            if ns:
-                emit(
-                    (nid, {labels[i] for i in touched if packed[i] == bs}, pops)
-                )
-            else:
-                emit((nid, set(), pops))
+            kept = {labels[i] for i in survived if packed[i] == bs} if members else None
+            emit((nid, ns, pops, kept))
         return out
-
-
-def _point(e: FlatExplorer, tables: FlatTables, x: Vertex) -> None:
-    """Re-point explorer ``e`` at candidate ``x`` (fresh generation)."""
-    xid = tables.index[x]
-    e.xid = xid
-    e.cg = tables.begin_candidate(xid)
-    e.seeds = tables.tca_ids[xid]
-    # Own-node seed window — same shell as x, strictly higher layer
-    # — as one key range: lo = (shell_x, layer_x + 1, 0) and
-    # hi = (shell_x + 1, 0, 0). Constant per candidate.
-    kx = tables.keys[xid]
-    e.lo = ((kx >> tables.shift) + 1) << tables.shift
-    e.hi = ((kx >> tables.shift2) + 1) << tables.shift2
 
 
 def flat_explorer(state: AnchoredState, x: Vertex) -> FlatExplorer:
     """The flat backend's explorer factory (reuses the tables flyweight)."""
-    return tables_for(state).explorer_for(x)
+    return state.tables.explorer_for(x)

@@ -79,7 +79,7 @@ def local_search_polish(
         bounds = compute_upper_bounds(state)
         pool = sorted(
             state.candidates(),
-            key=lambda u: (-bounds.total.get(u, 0), _sort_key(u)),
+            key=lambda u: (-bounds.total_of(u), _sort_key(u)),
         )[:candidate_pool]
         for out_anchor in list(current):
             for in_anchor in pool:

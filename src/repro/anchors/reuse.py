@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-
 from repro import obs as _obs
 from repro.anchors.followers import FollowerReport
 from repro.anchors.state import AnchoredState
@@ -62,22 +61,27 @@ class FollowerCache:
         if not stored:
             return {}
         with _obs.span("reuse.validate", candidate=u):
-            tables = state.tables
-            sn_u = tables.sn_ids[tables.index[u]]
-            nodes = state.tree.nodes
-            valid: dict[NodeId, int] = {}
-            for nid, (k, count) in stored.items():
-                if nid in sn_u and nodes[nid].k == k:
-                    valid[nid] = count
+            valid = _live(state, u, state.tables.index[u], stored)
         if valid:
             _obs.add(_obs.REUSE_SERVED, len(valid))
-        # Algorithm-3 soundness: a served count must equal what a fresh
-        # per-node exploration would find (no stale tree nodes).
-        if valid and _verify_enabled():
-            from repro.verify.invariants import verify_cache_counts
-
-            verify_cache_counts(state, u, valid)
         return valid
+
+    def served(self, state: AnchoredState) -> dict[int, dict[NodeId, int]]:
+        """One round's valid counts per candidate id, each row validated once.
+
+        Each served entry counts once per round (``reuse.counts_served``).
+        """
+        index = state.tables.index
+        out: dict[int, dict[NodeId, int]] = {}
+        with _obs.span("reuse.validate", rows=len(self.entries)):
+            for u, stored in self.entries.items():  # anchors hold no rows (forget)
+                valid = _live(state, u, index[u], stored)
+                if valid:
+                    out[index[u]] = valid
+        served = sum(map(len, out.values()))
+        if served:
+            _obs.add(_obs.REUSE_SERVED, served)
+        return out
 
     def apply_removals(self, removals: Mapping[Vertex, set[NodeId]]) -> int:
         """Drop invalidated entries; returns how many were dropped."""
@@ -101,6 +105,30 @@ class FollowerCache:
 
     def clear(self) -> None:
         self.entries.clear()
+
+
+def _live(
+    state: AnchoredState, u: Vertex, i: int, stored: Mapping[NodeId, tuple[int, int]]
+) -> dict[NodeId, int]:
+    """``u``'s (id ``i``) stored counts whose node is in ``sn(u)`` at its coreness."""
+    tables = state.tables
+    tca = tables.tca_ids[i]
+    core = tables.core
+    index = tables.index
+    ci = core[i]
+    valid = {
+        nid: count
+        for nid, (k, count) in stored.items()
+        # in sn(u): a tca[u] bucket whose id vertex's coreness is k >= c(u)
+        if nid in tca and core[index[nid]] == k >= ci
+    }
+    # Algorithm-3 soundness: a served count must equal what a fresh
+    # per-node exploration would find (no stale tree nodes).
+    if valid and _verify_enabled():
+        from repro.verify.invariants import verify_cache_counts
+
+        verify_cache_counts(state, u, valid)
+    return valid
 
 
 def result_reuse(

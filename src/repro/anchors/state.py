@@ -103,10 +103,6 @@ class AnchoredState:
             for nid, ids in tables.tca_ids[tables.index[u]].items()
         }
 
-    def node_k(self) -> dict[NodeId, int]:
-        """Coreness per tree node id (the reuse cache's validation key)."""
-        return {nid: node.k for nid, node in self.tree.nodes.items()}
-
     def candidates(self) -> list[Vertex]:
         """All non-anchor vertices (the anchor candidate pool)."""
         return [u for u in self.graph.vertices() if u not in self.anchors]

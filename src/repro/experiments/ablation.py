@@ -35,7 +35,7 @@ def run(
     for u in state.candidates():
         total = find_followers(state, u).total
         if total > 0:
-            ratios.append(bounds.total[u] / total)
+            ratios.append(bounds.total_of(u) / total)
             exact_nonzero += 1
     mean_ratio = sum(ratios) / len(ratios) if ratios else 0.0
 

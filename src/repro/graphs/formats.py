@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ParseError
+from repro.errors import GraphError, ParseError
 from repro.graphs.graph import Graph, Vertex
 
 
@@ -87,10 +87,17 @@ def read_metis(path: str | Path) -> Graph:
 
 
 def write_adjacency_json(graph: Graph, path: str | Path) -> None:
-    """Write ``{"vertex": [neighbors...]}`` JSON (keys are stringified)."""
+    """Write ``{"vertex": [neighbors...]}`` JSON (keys are stringified).
+
+    Raises ``GraphError`` naming a label that would not read back as
+    itself: only ``int`` and non-numeric ``str`` labels round-trip.
+    """
+    ordered = sorted(graph.vertices(), key=repr)
+    for u in ordered:
+        if not (type(u) is int or (type(u) is str and not u.lstrip("-").isdigit())):
+            raise GraphError(f"label {u!r:.60} would not read back from adjacency JSON")
     payload = {
-        str(u): sorted((v for v in graph.neighbors(u)), key=repr)
-        for u in sorted(graph.vertices(), key=repr)
+        str(u): sorted((v for v in graph.neighbors(u)), key=repr) for u in ordered
     }
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 

@@ -23,10 +23,10 @@ from typing import TYPE_CHECKING
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
-from repro.anchors.followers import find_followers
+from repro.anchors.followers import FollowerSearch, find_followers
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import _sort_key, core_decomposition
+from repro.core.decomposition import core_decomposition
 from repro.errors import BudgetError
 from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
 from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts olak.round_commit
@@ -231,21 +231,28 @@ def _select_best(
                 return True
         return False
 
-    candidates = [
-        u
+    index = state.tables.index
+    # Ascending CSR id is the canonical sort-key order.
+    candidates = sorted(
+        index[u]
         for u in graph.vertices()
         if u not in state.anchors and coreness[u] < k and has_candidate_followers(u)
-    ]
-    best: Vertex | None = None
-    best_followers: frozenset[Vertex] = frozenset()
+    )
+    best = best_count = -1
     with _obs.span("olak.candidate_scan", candidates=len(candidates)):
-        for u in sorted(candidates, key=_sort_key):
-            report = find_followers(state, u, only_coreness=k - 1)
-            followers = report.all_members()
-            if best is None or len(followers) > len(best_followers):
-                best = u
-                best_followers = frozenset(followers)
-    return best, best_followers
+        search = FollowerSearch(state)
+        for i in candidates:
+            # The first strictly larger count wins: ties go to the smallest id.
+            count = sum(search.counts(i, only_coreness=k - 1).values())
+            if count > best_count:
+                best, best_count = i, count
+        search.flush()
+    if best < 0:
+        return None, frozenset()
+    # Materializing the winner's followers is bookkeeping, as in GAC.
+    x = state.tables.labels[best]
+    with _obs.suspended():
+        return x, frozenset(find_followers(state, x, only_coreness=k - 1).all_members())
 
 
 def olak_sweep(

@@ -27,7 +27,7 @@ pickled once per chunk by the executor.
 Determinism contract: a worker's state for a lineage equals
 ``AnchoredState.build(graph, set(lineage))`` structurally, and every
 derived structure is deterministic given graph + anchor set, so
-per-candidate follower reports are byte-identical to what the serial
+per-candidate follower counts are byte-identical to what the serial
 scan would compute. Verification is forced off in workers; the work
 counters of each evaluation are captured as a registry
 :class:`~repro.obs.Window` delta and shipped back for the parent's
@@ -51,7 +51,7 @@ import os
 
 from repro import obs as _obs
 from repro.obs import shipping as _shipping
-from repro.anchors.followers import find_followers, followers_naive
+from repro.anchors.followers import FollowerSearch, followers_naive
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, core_decomposition
@@ -194,10 +194,11 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
     task order; the telemetry half carries the worker pid, chunk id,
     execute start/end clocks, lineage-cache deltas, and — for traced
     chunks — the span batch. A traced chunk wraps its task loop in a
-    ``worker.chunk`` span (inner ``followers.search`` spans nest under
-    it), recorded via :func:`repro.obs.shipping.worker_tracing`. Hosts
-    the ``worker.task_start`` and ``worker.follower_eval`` fault sites
-    per task; both fire *before* the counter window opens, so an armed
+    ``worker.chunk`` span, recorded via
+    :func:`repro.obs.shipping.worker_tracing`. Each task runs the serial
+    round's count-only :class:`~repro.anchors.followers.FollowerSearch`.
+    Hosts the ``worker.task_start`` and ``worker.follower_eval`` fault
+    sites per task; both fire *before* the counter window opens, so an armed
     ``delay`` never leaks extra counts into the shipped deltas.
     """
     (epoch, lineage), tasks, (chunk_id, trace) = payload
@@ -222,9 +223,10 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
                 else:
                     state = worker.state
                     assert state is not None  # _state_for always builds one
-                    report = find_followers(state, candidate, reusable_counts=reusable)
-                    total = report.total
-                    counts = dict(report.counts)
+                    search = FollowerSearch(state)
+                    counts = search.counts(state.tables.index[candidate], reusable)
+                    search.flush()
+                    total = sum(counts.values())
                 results.append((candidate, total, counts, window.counters()))
     stats_now = _state.cache_stats if _state is not None else [0, 0, 0]
     telemetry: ChunkTelemetry = (

@@ -20,10 +20,10 @@ class TestDominance:
         bounds = compute_upper_bounds(state)
         for x in g.vertices():
             report = find_followers(state, x)
-            assert bounds.total[x] >= report.total, (seed, x)
+            assert bounds.total_of(x) >= report.total, (seed, x)
             # per-node dominance too
             for nid, count in report.counts.items():
-                assert bounds.parts[x].get(nid, 0) >= count, (seed, x, nid)
+                assert bounds.parts_of(x).get(nid, 0) >= count, (seed, x, nid)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bound_dominates_with_anchors(self, seed):
@@ -31,7 +31,7 @@ class TestDominance:
         state = AnchoredState.build(g, {1})
         bounds = compute_upper_bounds(state)
         for x in state.candidates():
-            assert bounds.total[x] >= find_followers(state, x).total
+            assert bounds.total_of(x) >= find_followers(state, x).total
 
 
 class TestHandComputed:
@@ -45,9 +45,9 @@ class TestHandComputed:
         pairs = state.decomposition.shell_layer
         assert pairs[0] < pairs[1] < pairs[2]
         # UB for 0: own-node chain 1 -> 2 (+ their cross bounds)
-        assert bounds.own[2] >= 0
-        assert bounds.own[1] == bounds.own[2] + 1
-        assert bounds.own[0] == bounds.own[1] + 1
+        assert bounds.own_of(2) >= 0
+        assert bounds.own_of(1) == bounds.own_of(2) + 1
+        assert bounds.own_of(0) == bounds.own_of(1) + 1
 
     def test_figure5b_anchor_u1(self):
         g = figure5b_graph()
@@ -56,21 +56,22 @@ class TestHandComputed:
         # u1's only route is u2 -> {u5, u6}; each of those has no onward
         # same-shell edge, but u5/u6 have cross-node parts not counted in
         # u1's bound (Eq 2 uses the neighbor's own-node bound only).
-        assert bounds.own[5] == 0 and bounds.own[6] == 0
-        assert bounds.own[2] == 2  # u5 and u6
-        assert bounds.total[1] == 3  # (own[2] + 1) through the cross edge
+        assert bounds.own_of(5) == 0 and bounds.own_of(6) == 0
+        assert bounds.own_of(2) == 2  # u5 and u6
+        assert bounds.total_of(1) == 3  # (own[2] + 1) through the cross edge
 
     def test_figure2_anchor_u2(self):
         g = figure2_graph()
         state = AnchoredState.build(g)
         bounds = compute_upper_bounds(state)
-        assert bounds.total[2] >= 4  # true follower count is 4
+        assert bounds.total_of(2) >= 4  # true follower count is 4
 
     def test_anchors_excluded(self):
         g = figure2_graph()
         state = AnchoredState.build(g, {3})
         bounds = compute_upper_bounds(state)
-        assert 3 not in bounds.total
+        with pytest.raises(KeyError):
+            bounds.total_of(3)
 
 
 class TestRefinement:
@@ -81,7 +82,7 @@ class TestRefinement:
         for x in g.vertices():
             report = find_followers(state, x)
             refined = refined_total(x, bounds, dict(report.counts))
-            assert refined <= bounds.total[x]
+            assert refined <= bounds.total_of(x)
             assert refined >= report.total
 
     def test_refined_with_empty_cache_is_plain(self):
@@ -89,7 +90,7 @@ class TestRefinement:
         state = AnchoredState.build(g)
         bounds = compute_upper_bounds(state)
         for x in g.vertices():
-            assert refined_total(x, bounds, {}) == bounds.total[x]
+            assert refined_total(x, bounds, {}) == bounds.total_of(x)
 
     def test_refined_exact_when_fully_cached(self):
         g = figure2_graph()
@@ -98,5 +99,5 @@ class TestRefinement:
         report = find_followers(state, 2)
         # all parts replaced by exact counts -> equals |F| when every
         # part id appears in the report (zero-count nodes included)
-        counts = {nid: report.counts.get(nid, 0) for nid in bounds.parts[2]}
+        counts = {nid: report.counts.get(nid, 0) for nid in bounds.parts_of(2)}
         assert refined_total(2, bounds, counts) == report.total

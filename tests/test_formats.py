@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.cache import cache_path, clear_cache, load_cached
-from repro.errors import ParseError
+from repro.errors import GraphError, ParseError
 from repro.graphs.formats import (
     read_adjacency_json,
     read_metis,
@@ -151,6 +151,65 @@ def test_arbitrary_json_parse_or_raise_parse_error(tmp_path_factory, data):
     except ParseError:
         return
     assert isinstance(graph, Graph)
+
+
+_LABELS = (
+    st.integers(min_value=-(10**6), max_value=10**6)
+    | st.text(max_size=4)
+    | st.from_regex(r"-?[0-9]{1,3}", fullmatch=True)
+)
+
+
+@settings(max_examples=150, database=None, deadline=None)
+@given(
+    edges=st.lists(st.tuples(_LABELS, _LABELS), max_size=8),
+    isolated=st.lists(_LABELS, max_size=3),
+)
+def test_adjacency_json_labels_round_trip_or_fail_at_write(
+    tmp_path_factory, edges, isolated
+):
+    """int and str labels read back as themselves, or the write refuses."""
+    g = Graph()
+    for u in isolated:
+        g.add_vertex(u)
+    for u, v in edges:
+        if u != v:
+            g.add_edge_if_absent(u, v)
+    path = tmp_path_factory.mktemp("labels") / "g.json"
+    try:
+        write_adjacency_json(g, path)
+    except GraphError as exc:
+        assert "\n" not in str(exc)
+        assert not path.exists()
+        # The refusal is earned: the unchecked payload does not read back.
+        payload = {
+            str(u): sorted(g.neighbors(u), key=repr)
+            for u in sorted(g.vertices(), key=repr)
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            back = read_adjacency_json(path)
+        except ParseError:
+            return
+        assert back != g or {(type(u), u) for u in back.vertices()} != {
+            (type(u), u) for u in g.vertices()
+        }
+        return
+    back = read_adjacency_json(path)
+    assert back == g
+    typed = {(type(u), u) for u in g.vertices()}
+    assert {(type(u), u) for u in back.vertices()} == typed
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[("a", "1"), ("1", "b")], [((1, 2), (3, 4))], [(1.5, 2)], [(True, "x")]],
+    ids=["digit-str", "tuple", "float", "bool"],
+)
+def test_adjacency_json_rejects_labels_that_change(tmp_path, edges):
+    g = Graph.from_edges(edges)
+    with pytest.raises(GraphError, match="would not read back"):
+        write_adjacency_json(g, tmp_path / "g.json")
 
 
 class TestDatasetCache:

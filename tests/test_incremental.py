@@ -14,7 +14,6 @@ import pytest
 from repro import obs
 from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
-from repro.anchors.kernels.flat_backend import tables_for
 from repro.anchors.reuse import result_reuse
 from repro.anchors.state import AnchoredState
 from repro.core.tree import TreeAdjacency
@@ -65,8 +64,8 @@ def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
         r.node_id for r in expected.tree.roots
     ]
     # every per-id table, against a fresh build, row order included
-    tables = tables_for(actual)
-    fresh = tables_for(expected)
+    tables = actual.tables
+    fresh = expected.tables
     labels = tables.labels
     for name in TABLE_FIELDS:
         ours = getattr(tables, name)

@@ -23,7 +23,7 @@ from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.kernels.dict_backend import DictExplorer
-from repro.anchors.kernels.flat_backend import flat_explorer, tables_for
+from repro.anchors.kernels.flat_backend import flat_explorer
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 from repro.datasets import registry
@@ -142,10 +142,10 @@ def test_oracle_seam_reaches_the_dict_backend(monkeypatch):
 
 
 def _explore_all(explorer, state, x):
-    """Every ``sn(x)`` node explored: (node id, survivors, heap pops)."""
+    """Every ``sn(x)`` node explored: (node id, count, heap pops, survivors)."""
     own = state.node_id(x)
     todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
-    return explorer.explore_nodes(todo)
+    return explorer.explore_nodes(todo, True)
 
 
 @st.composite
@@ -168,10 +168,10 @@ def test_incremental_tables_match_fresh_build(pair):
     graph, anchors = pair
     assume(graph.num_vertices > len(anchors))
     state = AnchoredState.build(graph)
-    tables = tables_for(state)
+    tables = state.tables
     for x in anchors:
         apply_anchor(state, x)
-    assert tables_for(state) is tables  # updated in place, never rebuilt
+    assert state.tables is tables  # updated in place, never rebuilt
     fresh = AnchoredState.build(graph, anchors)
     for u in sorted(graph.vertices()):
         if u in anchors:

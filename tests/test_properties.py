@@ -125,7 +125,7 @@ def test_theorem_4_17_upper_bound_dominates(pair):
     graph, x = pair
     state = AnchoredState.build(graph)
     bounds = compute_upper_bounds(state)
-    assert bounds.total[x] >= find_followers(state, x).total
+    assert bounds.total_of(x) >= find_followers(state, x).total
 
 
 @given(graph_strategy())
@@ -379,9 +379,9 @@ def test_kernel_backends_byte_identical(pair):
     state = AnchoredState.build(graph)
     own = state.node_id(x)
     todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
-    assert flat_explorer(state, x).explore_nodes(todo) == DictExplorer(
+    assert flat_explorer(state, x).explore_nodes(todo, True) == DictExplorer(
         state, x
-    ).explore_nodes(todo)
+    ).explore_nodes(todo, True)
     assert _kernel_observables(graph, x) == _oracle_observables(graph, x)
     # ...and the oracle itself agrees with brute force.
     with pytest.MonkeyPatch.context() as patch:
