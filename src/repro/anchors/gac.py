@@ -56,15 +56,12 @@ from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _require_anchors_present, _sort_key
 from repro.core.tree import NodeId
 from repro.errors import BudgetError
-from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
-from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts gac.round_commit
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 from repro.verify import enabled as _verify_enabled
 from repro.verify import verification as _verification
 
 if TYPE_CHECKING:
-    from repro.faults import FaultPlan  # lint: fault-ok annotation-only import
     from repro.parallel.pool import CandidateScanPool
 
 TieBreak = Literal["ub", "degree", "random", "id"]
@@ -140,7 +137,6 @@ def greedy_anchored_coreness(
     verify: bool | None = None,
     obs: bool | None = None,
     workers: int | None = None,
-    faults: "FaultPlan | str | None" = None,
     checkpoint: "str | os.PathLike[str] | None" = None,
     checkpoint_every: int = 1,
     resume: "str | os.PathLike[str] | None" = None,
@@ -179,8 +175,6 @@ def greedy_anchored_coreness(
             The pool falls back to the serial scan when it cannot help
             (tiny graphs, verification on, pool start-up failure),
             recording a ``gac.parallel_fallback.*`` gauge.
-        faults: a :class:`repro.faults.FaultPlan` (or spec string) armed
-            for this run only; ``None`` defers to ``REPRO_FAULTS``.
         checkpoint: write a round-granular snapshot to this path (see
             :mod:`repro.checkpoint`) after each committed round. A
             failed write never kills the run — it is gauged as
@@ -217,7 +211,6 @@ def greedy_anchored_coreness(
     rng = random.Random(seed)
     start = _clock()
     with (
-        _fault_arming(faults),
         _verification(verify),
         _obs.tracing(obs),
         _obs.span("gac.run", budget=budget),
@@ -423,7 +416,6 @@ def _run_greedy(
                         rng=rng,
                         cache=cache,
                     )
-                _fault_point("gac.round_commit")
     finally:
         if pool is not None:
             pool.close()

@@ -10,7 +10,8 @@ the GAC-only fields empty; its k-core growth is the total follower
 count, so it is derived on resume rather than stored. Resuming a run
 killed at any round boundary is byte-identical (anchors, gains, RNG
 stream, Figure-13 counters) to the uninterrupted run; see
-``docs/fault-injection.md`` for the format and the resume semantics.
+``docs/fault-injection.md`` for the format, the resume semantics and
+how the tests reach each failure path.
 
 Every vertex is written as its :func:`~repro.graphs.csr.csr_view` id
 and read back through ``csr.labels``: the graph fingerprint pins the
@@ -31,10 +32,6 @@ Conversely a *failed write* must never kill the run it exists to
 protect: :func:`commit` gauges write errors
 (``<algo>.checkpoint.write_error``) and the run continues
 un-checkpointed.
-
-This module hosts the ``checkpoint.write`` / ``checkpoint.load`` fault
-sites (:mod:`repro.faults`), which the fault matrix uses to exercise
-both halves of that safety model.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from typing import TYPE_CHECKING, Any
 from repro import obs as _obs
 from repro.core.decomposition import _sort_key
 from repro.errors import CheckpointError
-from repro.faults import fault_point as _fault_point
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 
@@ -348,10 +344,8 @@ def save(path: "str | os.PathLike[str]", state: RoundState) -> None:
 
     A reader (or a resume after a kill) either sees the previous
     complete file or the new complete file, never a torn write. Counts
-    ``checkpoint.writes`` in the obs registry. Hosts the
-    ``checkpoint.write`` fault site.
+    ``checkpoint.writes`` in the obs registry.
     """
-    _fault_point("checkpoint.write")
     target = Path(path)
     document = {"magic": MAGIC, "version": VERSION}
     document.update((spec.name, getattr(state, spec.name)) for spec in fields(state))
@@ -375,11 +369,10 @@ def save(path: "str | os.PathLike[str]", state: RoundState) -> None:
 def load(path: "str | os.PathLike[str]") -> RoundState:
     """Read a checkpoint file, raising :class:`CheckpointError` on damage.
 
-    Counts ``checkpoint.resumes`` in the obs registry. Hosts the
-    ``checkpoint.load`` fault site (an injected fault propagates — a
-    resume that cannot read its snapshot must abort, not run fresh).
+    Counts ``checkpoint.resumes`` in the obs registry. Any failure
+    propagates: a resume that cannot read its snapshot must abort, not
+    run fresh.
     """
-    _fault_point("checkpoint.load")
     target = Path(path)
     try:
         raw = target.read_bytes()

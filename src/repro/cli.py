@@ -6,20 +6,21 @@ Commands:
 * ``decompose``  — coreness (and optional shell-layer) listing;
 * ``anchor``     — run GAC / a heuristic / OLAK and print the anchors;
 * ``cascade``    — simulate a departure cascade with optional anchors;
-* ``datasets``   — list the built-in replica datasets;
-* ``faults``     — print the registered fault-injection site catalog.
+* ``datasets``   — list the built-in replica datasets.
 
 Long GAC/OLAK runs survive kills: ``anchor --checkpoint PATH`` writes a
 round-granular snapshot (``--checkpoint-every N`` thins it) and
 ``anchor --resume PATH`` continues byte-identically from the last round
-boundary. ``--faults SPEC`` arms the deterministic fault-injection
-layer (see ``docs/fault-injection.md``).
+boundary (see ``docs/fault-injection.md``).
 
 Graphs come from either ``--dataset <name>`` (a built-in replica) or
 ``--edges <path>`` (a SNAP-style edge list). ``decompose`` and
 ``anchor`` accept ``--profile`` to run traced and print the
 :mod:`repro.obs` phase profile and work counters afterwards
 (``--trace-out PATH`` additionally writes the Chrome trace artifact).
+
+Bad input — an unknown dataset, an unreadable or malformed file, a flag
+value the command cannot run with — exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import faults as _faults  # lint: fault-ok CLI arms/lists the catalog
 from repro import obs
 from repro.analysis.stats import graph_stats
 from repro.anchors.gac import gac
@@ -39,6 +39,10 @@ from repro.errors import BudgetError, CheckpointError, DatasetError, ParseError
 from repro.graphs.graph import Graph
 from repro.graphs.io import read_edge_list
 from repro.olak.olak import olak
+
+
+class _FlagError(Exception):
+    """A flag value the command cannot run with (reported in one line)."""
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -77,6 +81,18 @@ def _print_profile(args: argparse.Namespace, window: obs.Window) -> None:
         print(f"\nwrote Chrome trace-event JSON to {path}")
 
 
+def _ids(text: str | None, flag: str) -> list[int]:
+    """Parse a comma-separated list of integer vertex ids."""
+    if not text:
+        return []
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise _FlagError(
+            f"{flag} takes comma-separated integer vertex ids, got {text!r}"
+        ) from None
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = graph_stats(_load_graph(args))
     print(f"nodes   {stats.nodes}")
@@ -108,10 +124,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_anchor(args: argparse.Namespace) -> int:
+    if args.checkpoint_every < 1:
+        raise _FlagError(
+            f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+        )
     graph = _load_graph(args)
     window = obs.window()
     persistence = {
-        "faults": args.faults,
         "checkpoint": args.checkpoint,
         "checkpoint_every": args.checkpoint_every,
         "resume": args.resume,
@@ -128,12 +147,14 @@ def _cmd_anchor(args: argparse.Namespace) -> int:
         elif args.method == "olak":
             if args.k is None:
                 raise SystemExit("error: --k is required for olak")
+            if args.k < 1:
+                raise _FlagError(f"--k must be >= 1, got {args.k}")
             olak_result = olak(graph, args.k, args.budget, **persistence)
             anchors, gain = olak_result.anchors, olak_result.coreness_gain
         else:
-            if args.checkpoint or args.resume or args.faults:
+            if args.checkpoint or args.resume:
                 raise SystemExit(
-                    "error: --checkpoint/--resume/--faults apply to gac and olak only"
+                    "error: --checkpoint/--resume apply to gac and olak only"
                 )
             fn = HEURISTICS[args.method]
             kwargs = {"seed": args.seed} if args.method == "Rand" else {}
@@ -148,8 +169,8 @@ def _cmd_anchor(args: argparse.Namespace) -> int:
 
 def _cmd_cascade(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
-    anchors = [int(a) for a in args.anchors.split(",")] if args.anchors else []
+    seeds = _ids(args.seeds, "--seeds")
+    anchors = _ids(args.anchors, "--anchors")
     result = departure_cascade(graph, args.k, seeds, anchors)
     print(f"departed   {len(result.departed)}")
     print(f"survivors  {len(result.survivors)}")
@@ -162,17 +183,6 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
     for name in registry.names():
         ds = registry.spec(name)
         print(f"{name:12s} {ds.display:12s} n={ds.n}")
-    return 0
-
-
-def _cmd_faults(_: argparse.Namespace) -> int:
-    """The discoverable fault-site catalog (``python -m repro faults``)."""
-    width = max(len(site.name) for site in _faults.catalog())
-    for site in _faults.catalog():
-        scope = "parallel" if site.parallel else "always"
-        print(f"{site.name:<{width}s}  [{scope:8s}]  {site.description}")
-    print()
-    print("arm with REPRO_FAULTS or --faults: site=raise[@N] | delay:S | p:P[:SEED]")
     return 0
 
 
@@ -232,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue from a snapshot written by --checkpoint (the graph "
         "and algorithm parameters must match)",
     )
-    p_anchor.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="arm the fault-injection layer for this run, e.g. "
-        "'gac.round_commit=raise@3' (see 'python -m repro faults')",
-    )
     _add_profile_knobs(p_anchor)
     p_anchor.set_defaults(func=_cmd_anchor)
 
@@ -250,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ds = sub.add_parser("datasets", help="list built-in replica datasets")
     p_ds.set_defaults(func=_cmd_datasets)
-
-    p_faults = sub.add_parser(
-        "faults", help="list the registered fault-injection sites"
-    )
-    p_faults.set_defaults(func=_cmd_faults)
 
     # "lint" is dispatched before argparse in main() (REMAINDER cannot
     # forward leading --flags); registered here only for --help listing.
@@ -282,13 +281,16 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_lint(list(argv[1:]))
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "trace_out", None) and not args.profile:
+            raise _FlagError("--trace-out needs --profile")
         return args.func(args)
     except (
         DatasetError,
-        FileNotFoundError,
+        OSError,
         ParseError,
         BudgetError,
         CheckpointError,
+        _FlagError,
     ) as exc:
         # Bad input is the caller's fault: one line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)

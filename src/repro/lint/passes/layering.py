@@ -41,10 +41,9 @@ LAYER_OF_UNIT: dict[str, int] = {
     "analysis": 2,
     "datasets": 2,
     "hardness": 2,
-    # 3 — execution substrates: parallelism, persistence, fault drills.
+    # 3 — execution substrates: parallelism, persistence.
     "parallel": 3,
     "checkpoint": 3,
-    "faults": 3,
     "distributed": 3,
     # 4 — application: entry points that may see everything.
     "cli": 4,

@@ -17,7 +17,7 @@ result depend on process-local mutable state:
 * R2-style randomness (``random.*`` or unseeded ``random.Random()``),
   which the single-file rule R2 cannot see through call indirection.
 
-Modules in the ``obs``/``faults``/``verify`` units are exempt: their
+Modules in the ``obs``/``verify`` units are exempt: their
 whole purpose is process-local bookkeeping, and the dynamic
 byte-identical gate (``repro.verify``) already proves their state never
 leaks into results. Waive a justified site with ``# lint: race-ok
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
 SANCTIONED_GLOBALS = frozenset({("repro.parallel.worker", "_state")})
 
 #: Units whose modules are process-local bookkeeping by design.
-EXEMPT_UNITS = frozenset({"obs", "faults", "verify"})
+EXEMPT_UNITS = frozenset({"obs", "verify"})
 
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset(

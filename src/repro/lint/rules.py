@@ -1,4 +1,4 @@
-"""The determinism lint rules (R1–R9) and the rule registry.
+"""The determinism lint rules (R1–R8) and the rule registry.
 
 Each rule is a small class implementing the :class:`Rule` protocol and
 registered via :func:`register`. Rules are pure AST passes over a
@@ -40,11 +40,6 @@ Rule id   Waiver slug        What it forbids
                              process fan-out must go through the one pool
                              whose merge is proven result-identical to the
                              serial scan
-``R9``    ``fault-ok``       importing ``repro.faults`` anywhere outside the
-                             fault/checkpoint/parallel substrates, tests, and
-                             ``benchmarks/`` — injection points stay at the
-                             registered catalog sites; a module that wants one
-                             must register the site and waive the import
 ========  =================  ==================================================
 
 A violation is waived by a ``# lint: <slug> <reason>`` comment on the
@@ -112,8 +107,6 @@ class LintContext:
     is_experiment: bool = False
     is_obs: bool = False
     is_parallel: bool = False
-    is_faults: bool = False
-    is_checkpoint: bool = False
     order_sensitive: bool = False
     _parents: dict[ast.AST, ast.AST] = field(default_factory=dict, repr=False)
 
@@ -795,62 +788,6 @@ class ParallelContainmentRule:
 
 
 # ----------------------------------------------------------------------
-# R9 — fault-injection imports outside the registered sites
-# ----------------------------------------------------------------------
-
-
-@register
-class FaultContainmentRule:
-    """R9: ``repro.faults`` imports stay with the registered fault sites."""
-
-    rule_id: ClassVar[str] = "R9"
-    slug: ClassVar[str] = "fault-ok"
-    summary: ClassVar[str] = (
-        "no repro.faults imports outside repro/faults/, repro/checkpoint.py, "
-        "repro/parallel/, tests, and benchmarks/; fault points live only at "
-        "sites registered in the catalog (repro.faults.sites), so every "
-        "injection point is discoverable and covered by the fault matrix — "
-        "a new host module registers its site and waives the import with "
-        "'# lint: fault-ok <reason>'"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        if ctx.is_test or ctx.is_benchmark or ctx.is_faults or ctx.is_checkpoint:
-            return
-        if ctx.is_parallel:
-            # The worker/pool substrate hosts several catalog sites.
-            return
-        for node in ast.walk(ctx.tree):
-            modules: list[str] = []
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                modules = [node.module]
-                if node.module == "repro":
-                    modules.extend(
-                        f"repro.{alias.name}" for alias in node.names
-                    )
-            offending = sorted(
-                {
-                    module
-                    for module in modules
-                    if module == "repro.faults" or module.startswith("repro.faults.")
-                }
-            )
-            if not offending:
-                continue
-            diag = ctx.diagnostic(
-                node,
-                self,
-                f"importing {', '.join(offending)} outside the fault substrate; "
-                "register the injection point in repro.faults.sites and waive "
-                "the import with '# lint: fault-ok <reason>'",
-            )
-            if diag is not None:
-                yield diag
-
-
-# ----------------------------------------------------------------------
 # Registry/docstring consistency
 # ----------------------------------------------------------------------
 
@@ -860,9 +797,8 @@ def _assert_docstring_covers_registry(
 ) -> None:
     """Fail import if the module header understates the rule range.
 
-    The header once said "R1–R6" while R7/R8 existed, then "R1–R8" after
-    R9 landed. A plain ``raise`` (not ``assert`` — this must survive
-    ``-O``) keeps the docstring honest: adding R10 without touching the
+    The header once said "R1–R6" while R7/R8 existed. A plain ``raise`` (not ``assert`` — this must survive
+    ``-O``) keeps the docstring honest: adding R9 without touching the
     header is an ImportError, not silent drift.
     """
     top = max(int(rule_id[1:]) for rule_id in registry)

@@ -12,10 +12,10 @@ A violation is waived by a comment on the offending line::
 The comment must start with ``lint:`` followed by one or more waiver
 slugs and, by convention, a reason. The file rules' slugs
 (``order-ok``, ``random-ok``, ``mutable-default-ok``, ``float-eq-ok``,
-``purity-ok``, ``clock-ok``, ``timer-ok``, ``parallel-ok``,
-``fault-ok``) and the whole-program passes' slugs (``layer-ok``,
-``race-ok``, ``obs-ok``) share one namespace; a single
-comment may carry several slugs (``# lint: fault-ok layer-ok ...``).
+``purity-ok``, ``clock-ok``, ``timer-ok``, ``parallel-ok``) and the
+whole-program passes' slugs (``layer-ok``, ``race-ok``, ``obs-ok``)
+share one namespace; a single comment may carry several slugs
+(``# lint: parallel-ok layer-ok ...``).
 Waivers are per-line and per-rule: they never silence a whole file,
 and an unknown slug is itself reported so typos cannot silently
 disable checking.
@@ -126,8 +126,6 @@ def classify(path: Path, root: Path | None = None) -> dict[str, bool]:
         "is_experiment": "experiments" in parts[:-1],
         "is_obs": "obs" in parts[:-1],
         "is_parallel": "parallel" in parts[:-1],
-        "is_faults": "faults" in parts[:-1],
-        "is_checkpoint": name == "checkpoint.py" or "checkpoint" in parts[:-1],
         "order_sensitive": any(part in ORDER_SENSITIVE_DIRS for part in parts[:-1]),
     }
 
@@ -171,8 +169,6 @@ def lint_source(
     roles.setdefault("is_experiment", False)
     roles.setdefault("is_obs", False)
     roles.setdefault("is_parallel", False)
-    roles.setdefault("is_faults", False)
-    roles.setdefault("is_checkpoint", False)
     roles.setdefault("order_sensitive", True)
     ctx, problems = build_context(source, path, **roles)
     diagnostics = list(problems)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
@@ -28,15 +27,10 @@ from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import core_decomposition
 from repro.errors import BudgetError
-from repro.faults import arming as _fault_arming  # lint: fault-ok layer-ok greedy arms per-run plans
-from repro.faults import fault_point as _fault_point  # lint: fault-ok layer-ok hosts olak.round_commit
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
 from repro.verify import enabled as _verify_enabled
 from repro.verify import verification as _verification
-
-if TYPE_CHECKING:
-    from repro.faults import FaultPlan  # lint: fault-ok annotation-only import
 
 
 @dataclass
@@ -74,7 +68,6 @@ def olak(
     *,
     verify: bool | None = None,
     obs: bool | None = None,
-    faults: "FaultPlan | str | None" = None,
     checkpoint: "str | os.PathLike[str] | None" = None,
     checkpoint_every: int = 1,
     resume: "str | os.PathLike[str] | None" = None,
@@ -90,8 +83,6 @@ def olak(
             (``False``) for this run; ``None`` defers to ``REPRO_VERIFY``.
         obs: force span tracing on (``True``) or off (``False``) for
             this run; ``None`` defers to ``REPRO_TRACE``.
-        faults: a :class:`repro.faults.FaultPlan` (or spec string) armed
-            for this run only; ``None`` defers to ``REPRO_FAULTS``.
         checkpoint: write a round-granular snapshot to this path after
             each committed round (failed writes are gauged as
             ``olak.checkpoint.write_error``, never fatal).
@@ -113,7 +104,6 @@ def olak(
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     with (
-        _fault_arming(faults),
         _verification(verify),
         _obs.tracing(obs),
         _obs.span("olak.run", k=k, budget=budget),
@@ -194,7 +184,6 @@ def _run_olak(
                     result,
                     base_coreness,
                 )
-            _fault_point("olak.round_commit")
 
     anchor_set = set(result.anchors)
     final = core_decomposition(graph, anchor_set)

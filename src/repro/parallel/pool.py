@@ -42,7 +42,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro import obs as _obs
 from repro.core.tree import NodeId
-from repro.faults import fault_point as _fault_point
 from repro.obs import shipping as _shipping
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
@@ -203,7 +202,6 @@ class CandidateScanPool:
             for chunk in chunked(tasks, size):
                 payloads.append((header, tuple(chunk), (self._chunk_seq, trace)))
                 self._chunk_seq += 1
-            _fault_point("parallel.dispatch")
             start = _obs.clock()
             returns = list(self._executor.map(_worker.evaluate_chunk, payloads))
             elapsed = _obs.clock() - start
@@ -294,15 +292,13 @@ class CandidateScanPool:
         the time the pool closes, and a cleanup error must not fail a
         finished run. The shared block gets its own attempt — an
         executor-shutdown error can never skip its release, and the OS
-        reclaims anything still mapped at process exit. Hosts the
-        ``shm.exporter_finalize`` fault site.
+        reclaims anything still mapped at process exit.
         """
         try:
             self._executor.shutdown(wait=True, cancel_futures=True)
         except Exception:
             _obs.gauge("parallel.close_error", 1.0)
         try:
-            _fault_point("shm.exporter_finalize")
             self._shared.close()
         except Exception:
             _obs.gauge("parallel.close_error", 1.0)

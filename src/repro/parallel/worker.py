@@ -56,7 +56,6 @@ from repro.anchors.incremental import apply_anchor
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, core_decomposition
 from repro.core.tree import NodeId
-from repro.faults import fault_point as _fault_point
 from repro.graphs.graph import Graph, Vertex
 from repro.parallel.shm import AttachedCSR, SharedCSRHandle, attach
 from repro.verify import verification as _verification
@@ -130,13 +129,10 @@ def init_worker(  # lint: obs-ok runs once before any traced dispatch; nothing t
 ) -> None:
     """Pool initializer: attach the shared CSR and build the graph once.
 
-    Hosts the ``worker.shm_attach``
-    fault site (armed via the inherited ``REPRO_FAULTS`` environment): a
-    failed attach means the pool never becomes healthy and the first
+    A failed attach means the pool never becomes healthy and the first
     dispatch falls back to the serial scan.
     """
     global _state
-    _fault_point("worker.shm_attach")
     attachment = attach(handle)
     with _obs.tracing(False), _obs.suspended():
         graph = attachment.csr.to_graph()
@@ -197,9 +193,6 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
     ``worker.chunk`` span, recorded via
     :func:`repro.obs.shipping.worker_tracing`. Each task runs the serial
     round's count-only :class:`~repro.anchors.followers.FollowerSearch`.
-    Hosts the ``worker.task_start`` and ``worker.follower_eval`` fault
-    sites per task; both fire *before* the counter window opens, so an armed
-    ``delay`` never leaks extra counts into the shipped deltas.
     """
     (epoch, lineage), tasks, (chunk_id, trace) = payload
     results: list[TaskResult] = []
@@ -209,9 +202,7 @@ def evaluate_chunk(payload: ChunkPayload) -> ChunkReturn:
         anchors = frozenset(lineage)
         with _obs.span("worker.chunk", chunk=chunk_id, tasks=len(tasks)):
             for candidate, reusable in tasks:
-                _fault_point("worker.task_start")
                 worker = _state_for(epoch, lineage)
-                _fault_point("worker.follower_eval")
                 window = _obs.window()
                 if worker.follower_method == "naive":
                     total = len(

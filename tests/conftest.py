@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Iterator
+from unittest import mock
+
 import pytest
 from hypothesis import strategies as st
 
@@ -65,6 +69,37 @@ def pin_chunk_size(monkeypatch: pytest.MonkeyPatch, size: int) -> None:
     monkeypatch.setattr(
         CandidateScanPool, "_chunk_tasks", lambda self, n: max(1, min(size, n))
     )
+
+
+class Killed(Exception):
+    """The simulated process death raised by :func:`kill_after_round`."""
+
+
+@contextlib.contextmanager
+def kill_after_round(n: int) -> Iterator[None]:
+    """Die right after the ``n``-th round checkpoint is written.
+
+    Wraps ``repro.checkpoint.commit`` (GAC and OLAK call it as a module
+    attribute), calls through, and raises :class:`Killed` on the
+    ``n``-th call, where a SIGKILL after the write would land. The count
+    is of checkpoint commits, so a caller that means "round ``n``"
+    checkpoints every round. A context manager rather than a fixture so
+    a Hypothesis example can arm it afresh.
+    """
+    from repro import checkpoint
+
+    commit = checkpoint.commit
+    calls = 0
+
+    def commit_then_die(*args, **kwargs):
+        nonlocal calls
+        commit(*args, **kwargs)
+        calls += 1
+        if calls == n:
+            raise Killed(f"killed after round checkpoint {n}")
+
+    with mock.patch.object(checkpoint, "commit", commit_then_die):
+        yield
 
 
 def small_random_graph(seed: int, n: int = 40, m: int = 90) -> Graph:

@@ -5,9 +5,8 @@ boundary and resumed from its checkpoint is byte-identical to the
 uninterrupted run — anchors, marginal gains, follower sets, the RNG
 stream (``tie_break="random"``), and the Figure-13 counter traces —
 for both the serial and the parallel candidate scan. Kills are
-simulated with the ``gac.round_commit`` / ``olak.round_commit`` fault
-sites (:mod:`repro.faults`), which fire right after the round's
-checkpoint write exactly like a SIGKILL would land.
+simulated by ``conftest.kill_after_round``, which raises right after the
+round's checkpoint write, exactly where a SIGKILL would land.
 """
 
 from __future__ import annotations
@@ -25,23 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import checkpoint as ckpt
-from repro import faults, obs
+from repro import obs
 from repro.anchors.gac import gac, greedy_anchored_coreness
 from repro.datasets import registry
 from repro.errors import CheckpointError, VerificationError
-from repro.faults import FaultInjected
 from repro.graphs.graph import Graph
 from repro.olak.olak import olak
 
-from conftest import small_random_graph
-
-
-@pytest.fixture(autouse=True)
-def _disarmed(monkeypatch):
-    monkeypatch.delenv(faults.ENV_FAULTS, raising=False)
-    faults.reset()
-    yield
-    faults.reset()
+from conftest import Killed, kill_after_round, small_random_graph
 
 
 @pytest.fixture
@@ -67,15 +57,8 @@ def _olak_tuple(result):
 
 def _kill_and_resume(graph, budget, kill_round, path, *, workers=0, **kwargs):
     """Run to ``kill_round``, die there, resume to ``budget``; the result."""
-    with pytest.raises(FaultInjected):
-        gac(
-            graph,
-            budget,
-            workers=workers,
-            checkpoint=path,
-            faults=f"gac.round_commit=raise@{kill_round}",
-            **kwargs,
-        )
+    with kill_after_round(kill_round), pytest.raises(Killed):
+        gac(graph, budget, workers=workers, checkpoint=path, **kwargs)
     return gac(graph, budget, workers=workers, resume=path, checkpoint=path, **kwargs)
 
 
@@ -215,12 +198,20 @@ class TestEnvelope:
                 params={"tie_break": "degree", "seed": None},
             )
 
-    def test_failed_write_preserves_previous_snapshot(self, tmp_path, ckpt_path):
+    def test_failed_write_preserves_previous_snapshot(
+        self, tmp_path, ckpt_path, monkeypatch
+    ):
         first = _sample_state()
         ckpt.save(ckpt_path, first)
-        with faults.arming("checkpoint.write=raise"):
-            with pytest.raises(FaultInjected):
-                ckpt.save(ckpt_path, _sample_state(fingerprint="x"))
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        # Fails after the temp file is written: the rename never happens.
+        monkeypatch.setattr(ckpt.os, "replace", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            ckpt.save(ckpt_path, _sample_state(fingerprint="x"))
+        monkeypatch.undo()
         assert ckpt.load(ckpt_path) == first  # previous file intact
         assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]  # no tmp litter
 
@@ -339,14 +330,8 @@ class TestGacResume:
 
     def test_resume_replay_invariant_rejects_a_tampered_snapshot(self, ckpt_path):
         graph = small_random_graph(3)
-        with pytest.raises(FaultInjected):
-            gac(
-                graph,
-                3,
-                tie_break="id",
-                checkpoint=ckpt_path,
-                faults="gac.round_commit=raise@2",
-            )
+        with kill_after_round(2), pytest.raises(Killed):
+            gac(graph, 3, tie_break="id", checkpoint=ckpt_path)
         snapshot = ckpt.load(ckpt_path)
         assert snapshot.rounds == 2
         # a greedy prefix never selects in this order
@@ -377,14 +362,8 @@ class TestOlakResume:
         graph = Graph.from_edges(_OLAK_EDGES)
         oracle = olak(graph, 2, 2)
         assert len(oracle.anchors) == 2  # both rounds are productive
-        with pytest.raises(FaultInjected):
-            olak(
-                graph,
-                2,
-                2,
-                checkpoint=ckpt_path,
-                faults="olak.round_commit=raise@1",
-            )
+        with kill_after_round(1), pytest.raises(Killed):
+            olak(graph, 2, 2, checkpoint=ckpt_path)
         resumed = olak(graph, 2, 2, resume=ckpt_path)
         assert _olak_tuple(resumed) == _olak_tuple(oracle)
 
@@ -394,14 +373,13 @@ class TestOlakResume:
         with pytest.raises(CheckpointError, match="k="):
             olak(graph, 3, 2, resume=ckpt_path)
 
-    def test_checkpoint_write_fault_is_survivable(self, ckpt_path):
+    def test_checkpoint_write_fault_is_survivable(self, tmp_path):
         graph = Graph.from_edges(_OLAK_EDGES)
         clean = olak(graph, 2, 2)
-        injured = olak(
-            graph, 2, 2, checkpoint=ckpt_path, faults="checkpoint.write=raise"
-        )
+        path = tmp_path / "missing" / "run.ckpt"  # every write fails
+        injured = olak(graph, 2, 2, checkpoint=path)
         assert _olak_tuple(injured) == _olak_tuple(clean)
-        assert not os.path.exists(ckpt_path)
+        assert not path.parent.exists()
         assert obs.gauges_snapshot().get("olak.checkpoint.write_error") == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
 
 
@@ -421,9 +399,8 @@ class TestLabelTypes:
         for u, v in base.edges():
             graph.add_edge(relabel(u), relabel(v))
         oracle = _result_tuple(gac(graph, 4, tie_break="random", seed=3))
-        with pytest.raises(FaultInjected):
-            gac(graph, 4, tie_break="random", seed=3, checkpoint=ckpt_path,
-                faults="gac.round_commit=raise@3")
+        with kill_after_round(3), pytest.raises(Killed):
+            gac(graph, 4, tie_break="random", seed=3, checkpoint=ckpt_path)
         state = ckpt.load(ckpt_path)
         assert all(type(i) is int for i in state.anchors + state.followers[0])
         assert any(rows for _, rows in state.cache), "reuse counts are recorded"
@@ -571,14 +548,8 @@ class TestSeedDatasetAcceptance:
         graph = registry.load("arxiv")
         oracle = self._oracle(graph, workers)
         path = str(tmp_path / f"arxiv-{workers}-{kill_round}.ckpt")
-        with pytest.raises(FaultInjected):
-            greedy_anchored_coreness(
-                graph,
-                5,
-                workers=workers,
-                checkpoint=path,
-                faults=f"gac.round_commit=raise@{kill_round}",
-            )
+        with kill_after_round(kill_round), pytest.raises(Killed):
+            greedy_anchored_coreness(graph, 5, workers=workers, checkpoint=path)
         assert ckpt.load(path).rounds == kill_round
         resumed = greedy_anchored_coreness(graph, 5, workers=workers, resume=path)
         assert _result_tuple(resumed) == oracle
@@ -589,14 +560,9 @@ class TestSeedDatasetAcceptance:
             greedy_anchored_coreness(graph, 5, tie_break="random", seed=13)
         )
         path = str(tmp_path / "arxiv-random.ckpt")
-        with pytest.raises(FaultInjected):
+        with kill_after_round(3), pytest.raises(Killed):
             greedy_anchored_coreness(
-                graph,
-                5,
-                tie_break="random",
-                seed=13,
-                checkpoint=path,
-                faults="gac.round_commit=raise@3",
+                graph, 5, tie_break="random", seed=13, checkpoint=path
             )
         resumed = greedy_anchored_coreness(
             graph, 5, tie_break="random", seed=13, resume=path

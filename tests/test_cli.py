@@ -112,6 +112,13 @@ class TestBadInput:
                            "fingerprint": "", "params": {}, "payload": {}})),
             (["stats", "--edges", "{gz}"], b"not gzip bytes\n"),
             (["stats", "--edges", "{gz}"], gzip.compress(b"0 1\n1 2\n" * 500)[:40]),
+            (["anchor", "--edges", "{edges}", "-b", "1", "--checkpoint-every", "0"],
+             None),
+            (["anchor", "--edges", "{edges}", "--method", "olak", "--k", "0", "-b", "1"],
+             None),
+            (["cascade", "--edges", "{edges}", "--k", "3", "--seeds", "a,b"], None),
+            (["stats", "--edges", "{dir}"], None),
+            (["anchor", "--edges", "{edges}", "-b", "1", "--trace-out", "{file}"], None),
         ],
         ids=[
             "dataset",
@@ -123,6 +130,11 @@ class TestBadInput:
             "v1-pickle-checkpoint",
             "not-gzip",
             "truncated-gzip",
+            "checkpoint-every",
+            "olak-k",
+            "cascade-seeds",
+            "edges-directory",
+            "trace-out-without-profile",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, edge_file, capsys, argv, content):
@@ -136,6 +148,7 @@ class TestBadInput:
             "file": path,
             "gz": gz,
             "edges": edge_file,
+            "dir": tmp_path,
         }
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err

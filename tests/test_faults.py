@@ -1,42 +1,53 @@
-"""Tests for repro.faults: spec grammar, arming semantics, and the
-site catalog.
+"""Containment and kill-and-resume: one scenario per contained failure.
 
-The load-bearing design here is the ``SCENARIOS`` registry: the main
-test parametrizes over :func:`repro.faults.catalog`, so registering a
-new fault site in ``repro.faults.sites`` without adding a scenario to
-this file fails CI loudly instead of shipping an untested injection
-point. Each parallel-path scenario asserts the documented containment
-behavior — serial fallback (or swallowed teardown) plus the reason
-gauge — and byte-identical results versus the uninterrupted run.
+Each scenario makes one failure happen through a plain seam and asserts
+the documented containment: the result is identical to the
+uninterrupted run, and the gauge (or error) names the reason.
+
+* Pool failures patch a callee before ``gac(..., workers=2)``. The pool
+  forks its workers, so they inherit the patch; these scenarios skip
+  where ``fork`` or POSIX shared memory is unavailable. Callees are
+  patched, never ``evaluate_chunk``: the executor pickles that one by
+  name.
+* Persistence failures are real: a checkpoint path inside a missing
+  directory, and ``resume=`` pointing at a directory.
+* Kills use ``conftest.kill_after_round``, which raises right after a
+  round's checkpoint write.
+
+``docs/fault-injection.md`` lists the same failures in its table;
+:class:`TestCatalogCoverage` keeps the table and the scenarios in step.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
-import pickle
-import tempfile
+import multiprocessing
+import re
+from pathlib import Path
 
 import pytest
 
-gac_mod = importlib.import_module("repro.anchors.gac")
-from repro import faults, obs
+from repro import obs
 from repro.anchors.gac import gac
-from repro.errors import ReproError
-from repro.faults import FaultInjected, FaultPlan, FaultSpecError
+from repro.errors import CheckpointError
 from repro.graphs.graph import Graph
+from repro.obs import runtime as obs_runtime
 from repro.olak.olak import olak
+from repro.parallel import worker as worker_mod
+from repro.parallel.pool import CandidateScanPool
+from repro.parallel.shm import SharedCSR
 
-from conftest import SHM_UNAVAILABLE, pin_chunk_size, small_random_graph
+from conftest import (
+    SHM_UNAVAILABLE,
+    Killed,
+    kill_after_round,
+    pin_chunk_size,
+    small_random_graph,
+)
 
+gac_mod = importlib.import_module("repro.anchors.gac")
 
-@pytest.fixture(autouse=True)
-def _fresh_fault_plans(monkeypatch):
-    """Each test starts disarmed with fresh env-plan hit counters."""
-    monkeypatch.delenv(faults.ENV_FAULTS, raising=False)
-    faults.reset()
-    yield
-    faults.reset()
+_DOCS = Path(__file__).resolve().parents[1] / "docs" / "fault-injection.md"
 
 
 def _result_tuple(result):
@@ -51,401 +62,205 @@ def _result_tuple(result):
     )
 
 
-# ----------------------------------------------------------------------
-# spec grammar
-# ----------------------------------------------------------------------
-class TestSpecParsing:
-    def test_multi_clause_spec(self):
-        plan = FaultPlan.parse(
-            "gac.round_commit=raise@3,worker.task_start=delay:0.5,"
-        )
-        assert set(plan.rules) == {"gac.round_commit", "worker.task_start"}
-        assert plan.rules["gac.round_commit"].nth == 3
-        assert plan.rules["worker.task_start"].seconds == 0.5  # lint: float-eq-ok parsed literal
+def _olak_tuple(result):
+    return (result.anchors, result.followers, result.kcore_growth, result.coreness_gain)
 
-    def test_empty_spec_is_a_noop_plan(self):
-        assert FaultPlan.parse("").rules == {}
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "gac.round_commit",  # no action
-            "gac.round_commit=",  # empty action
-            "=raise",  # empty site
-            "no.such.site=raise",  # unknown site
-            "gac.round_commit=raise,gac.round_commit=raise",  # armed twice
-            "gac.round_commit=raise@0",  # N < 1
-            "gac.round_commit=raise@x",  # non-integer N
-            "gac.round_commit=raise:3",  # raise takes no ':'
-            "gac.round_commit=delay",  # missing seconds
-            "gac.round_commit=delay:x",  # non-numeric seconds
-            "gac.round_commit=delay:-1",  # negative seconds
-            "gac.round_commit=p:1.5",  # probability out of range
-            "gac.round_commit=p:0.5:x",  # non-integer seed
-            "gac.round_commit=p:0.5:1:2",  # too many parts
-            "gac.round_commit=explode",  # unknown action
-        ],
-    )
-    def test_malformed_specs_fail_loudly(self, spec):
-        with pytest.raises(FaultSpecError):
-            FaultPlan.parse(spec)
+def _gauge_set_by_this_run(monkeypatch, name):
+    """Forget gauge ``name`` for this test, so a later read is this run's."""
+    monkeypatch.delitem(obs_runtime._gauges, name, raising=False)
 
-    def test_spec_error_is_a_repro_value_error(self):
-        with pytest.raises(ReproError):
-            FaultPlan.parse("typo=raise")
-        with pytest.raises(ValueError):
-            FaultPlan.parse("typo=raise")
 
-    def test_raise_fires_every_hit(self):
-        plan = FaultPlan.parse("gac.round_commit=raise")
-        for _ in range(3):
-            with pytest.raises(FaultInjected):
-                plan.visit("gac.round_commit")
+def _raise(*_args, **_kwargs):
+    raise RuntimeError("injected by the test")
 
-    def test_raise_at_n_fires_exactly_once(self):
-        plan = FaultPlan.parse("gac.round_commit=raise@2")
-        plan.visit("gac.round_commit")  # hit 1: no fire
-        with pytest.raises(FaultInjected) as excinfo:
-            plan.visit("gac.round_commit")  # hit 2: fires
-        assert excinfo.value.site == "gac.round_commit"
-        assert excinfo.value.hit == 2
-        plan.visit("gac.round_commit")  # hit 3: already past N
 
-    def test_unarmed_site_is_untouched(self):
-        plan = FaultPlan.parse("gac.round_commit=raise")
-        plan.visit("olak.round_commit")  # no rule: no raise, no count
-        assert plan.rules["gac.round_commit"].hits == 0
+def _pool_run(monkeypatch, patch, *, gauge):
+    """Run ``gac(workers=2)`` after ``patch()``; assert containment.
 
-    def test_probability_stream_is_seeded_and_reproducible(self):
-        def pattern(spec: str) -> list[bool]:
-            plan = FaultPlan.parse(spec)
-            fired = []
-            for _ in range(32):
-                try:
-                    plan.visit("gac.round_commit")
-                    fired.append(False)
-                except FaultInjected:
-                    fired.append(True)
-            return fired
-
-        first = pattern("gac.round_commit=p:0.5:7")
-        assert pattern("gac.round_commit=p:0.5:7") == first
-        assert any(first) and not all(first)
-        assert pattern("gac.round_commit=p:0.5:8") != first
-        # default seed 0 is itself a fixed stream
-        assert pattern("gac.round_commit=p:0.5") == pattern("gac.round_commit=p:0.5:0")
-        assert not any(pattern("gac.round_commit=p:0"))
-        assert all(pattern("gac.round_commit=p:1"))
-
-    def test_injected_exception_survives_pickling(self):
-        # workers ship FaultInjected across the process boundary
-        exc = FaultInjected("worker.task_start", 4)
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.site == "worker.task_start"
-        assert clone.hit == 4
-        assert str(clone) == str(exc)
+    The oracle is the serial run before the patch. The pooled run must
+    equal it and set ``gauge``. ``verify=False`` because verification
+    keeps runs off the pool.
+    """
+    if SHM_UNAVAILABLE is not None:
+        pytest.skip(f"needs POSIX shared memory: {SHM_UNAVAILABLE}")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("workers inherit the patch only when the pool forks")
+    monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
+    graph = small_random_graph(1, n=60, m=160)
+    serial = gac(graph, 3, tie_break="id", workers=0)
+    patch()
+    _gauge_set_by_this_run(monkeypatch, gauge)
+    tasks = obs.get(obs.PARALLEL_TASKS)
+    pooled = gac(graph, 3, tie_break="id", workers=2, verify=False)
+    assert _result_tuple(pooled) == _result_tuple(serial)
+    assert obs.gauges_snapshot().get(gauge) == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
+    return obs.get(obs.PARALLEL_TASKS) - tasks
 
 
 # ----------------------------------------------------------------------
-# arming: kwarg plans vs the REPRO_FAULTS environment
-# ----------------------------------------------------------------------
-class TestArming:
-    def test_env_spec_arms_fault_points(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_FAULTS, "gac.round_commit=raise")
-        with pytest.raises(FaultInjected):
-            faults.fault_point("gac.round_commit")
-        faults.fault_point("olak.round_commit")  # unarmed site passes
-
-    def test_env_hit_counters_accumulate_until_reset(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_FAULTS, "gac.round_commit=raise@2")
-        faults.fault_point("gac.round_commit")  # hit 1
-        with pytest.raises(FaultInjected):
-            faults.fault_point("gac.round_commit")  # hit 2, cached plan
-        faults.fault_point("gac.round_commit")  # hit 3: past N
-        faults.reset()
-        faults.fault_point("gac.round_commit")  # fresh hit 1
-        with pytest.raises(FaultInjected):
-            faults.fault_point("gac.round_commit")  # fresh hit 2
-
-    def test_kwarg_plan_replaces_env_plan(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_FAULTS, "gac.round_commit=raise")
-        with faults.arming(FaultPlan()):
-            faults.fault_point("gac.round_commit")  # env plan masked
-        with pytest.raises(FaultInjected):
-            faults.fault_point("gac.round_commit")  # env plan back
-
-    def test_arming_none_is_passthrough(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_FAULTS, "gac.round_commit=raise")
-        with faults.arming(None):
-            with pytest.raises(FaultInjected):
-                faults.fault_point("gac.round_commit")
-
-    def test_arming_parses_spec_strings(self):
-        with faults.arming("gac.round_commit=raise@1"):
-            with pytest.raises(FaultInjected):
-                faults.fault_point("gac.round_commit")
-
-    def test_visits_and_injections_are_counted(self):
-        visited = faults.VISITED_PREFIX + "gac.round_commit"
-        injected = faults.INJECTED_PREFIX + "gac.round_commit"
-        v0, i0 = obs.get(visited), obs.get(injected)
-        with faults.arming("gac.round_commit=raise@2"):
-            faults.fault_point("gac.round_commit")
-            with pytest.raises(FaultInjected):
-                faults.fault_point("gac.round_commit")
-        assert obs.get(visited) - v0 == 2
-        assert obs.get(injected) - i0 == 1
-
-    def test_delay_counts_as_injection_without_raising(self):
-        injected = faults.INJECTED_PREFIX + "gac.round_commit"
-        i0 = obs.get(injected)
-        with faults.arming("gac.round_commit=delay:0"):
-            faults.fault_point("gac.round_commit")
-        assert obs.get(injected) - i0 == 1
-
-
-# ----------------------------------------------------------------------
-# the per-site scenario registry
+# one scenario per contained failure (the rows of the docs table)
 # ----------------------------------------------------------------------
 SCENARIOS = {}
 
 
-def scenario(site):
+def scenario(name):
     def register(fn):
-        SCENARIOS[site] = fn
+        SCENARIOS[name] = fn
         return fn
 
     return register
 
 
-def _parallel_fault_run(monkeypatch, spec, *, gauge, counted_site=None):
-    """Arm ``spec`` via the env for a workers=2 run and assert containment.
-
-    The injected run must be byte-identical to the serial oracle and
-    record ``gauge`` as its reason. ``counted_site`` additionally
-    asserts the parent-side injection counter moved (worker-side sites
-    count in the worker's registry, which is not shipped back).
-    """
-    if SHM_UNAVAILABLE is not None:
-        pytest.skip(f"needs POSIX shared memory: {SHM_UNAVAILABLE}")
-    monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
-    graph = small_random_graph(1, n=60, m=160)
-    serial = gac(graph, 3, tie_break="id")
-    before = obs.get(faults.INJECTED_PREFIX + counted_site) if counted_site else 0
-    monkeypatch.setenv(faults.ENV_FAULTS, spec)
-    faults.reset()
-    injected = gac(graph, 3, tie_break="id", workers=2)
-    assert _result_tuple(injected) == _result_tuple(serial)
-    assert obs.gauges_snapshot().get(gauge) == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
-    if counted_site:
-        assert obs.get(faults.INJECTED_PREFIX + counted_site) > before
-
-
 @scenario("worker.shm_attach")
-def _shm_attach_keeps_pool_unhealthy(monkeypatch):
-    # the initializer dies in every worker; the first dispatch breaks the
-    # pool and the whole run stays serial (noisy initializer tracebacks
-    # on stderr are expected — concurrent.futures logs the death)
-    _parallel_fault_run(
+def _attach_failure_keeps_the_run_serial(monkeypatch, _tmp_path):
+    # The initializer dies in every worker, so the first dispatch breaks
+    # the pool (concurrent.futures logs the initializer tracebacks).
+    _pool_run(
         monkeypatch,
-        "worker.shm_attach=raise",
+        lambda: monkeypatch.setattr(worker_mod, "attach", _raise),
         gauge="gac.parallel_fallback.scan_error",
     )
 
 
 @scenario("worker.task_start")
-def _task_start_crash_falls_back(monkeypatch):
-    _parallel_fault_run(
+def _task_start_crash_falls_back(monkeypatch, _tmp_path):
+    _pool_run(
         monkeypatch,
-        "worker.task_start=raise",
+        lambda: monkeypatch.setattr(worker_mod, "_state_for", _raise),
         gauge="gac.parallel_fallback.scan_error",
     )
 
 
 @scenario("worker.follower_eval")
-def _follower_eval_crash_falls_back(monkeypatch):
-    _parallel_fault_run(
+def _follower_eval_crash_falls_back(monkeypatch, _tmp_path):
+    # Only the worker module's name is patched; the serial fallback
+    # searches through gac's own FollowerSearch.
+    _pool_run(
         monkeypatch,
-        "worker.follower_eval=raise",
+        lambda: monkeypatch.setattr(worker_mod, "FollowerSearch", _raise),
         gauge="gac.parallel_fallback.scan_error",
     )
 
 
 @scenario("parallel.dispatch")
-def _dispatch_failure_falls_back(monkeypatch):
-    _parallel_fault_run(
+def _dispatch_failure_falls_back(monkeypatch, _tmp_path):
+    # Chunking runs parent-side before anything ships.
+    _pool_run(
         monkeypatch,
-        "parallel.dispatch=raise",
+        lambda: monkeypatch.setattr(CandidateScanPool, "_chunk_tasks", _raise),
         gauge="gac.parallel_fallback.scan_error",
-        counted_site="parallel.dispatch",
     )
 
 
 @scenario("shm.exporter_finalize")
-def _exporter_finalize_is_swallowed(monkeypatch):
-    # teardown-only fault: the scan itself succeeds, close() swallows
-    _parallel_fault_run(
+def _export_release_failure_is_swallowed(monkeypatch, _tmp_path):
+    release = SharedCSR.close
+
+    def release_then_fail(self):
+        release(self)  # the block is freed; only the error is injected
+        raise OSError("injected by the test")
+
+    tasks = _pool_run(
         monkeypatch,
-        "shm.exporter_finalize=raise",
+        lambda: monkeypatch.setattr(SharedCSR, "close", release_then_fail),
         gauge="parallel.close_error",
-        counted_site="shm.exporter_finalize",
     )
-
-
-def test_crash_mid_chunk_falls_back_identically(monkeypatch):
-    """A worker dying partway through a multi-task chunk (raise on its
-    5th task, chunks pinned wide enough to guarantee mid-chunk impact)
-    must discard the whole dispatch and fall back to the serial scan."""
-    pin_chunk_size(monkeypatch, 10000)
-    _parallel_fault_run(
-        monkeypatch,
-        "worker.task_start=raise@5",
-        gauge="gac.parallel_fallback.scan_error",
-    )
+    assert tasks > 0  # a teardown-only failure: the pool did the scan
 
 
 @scenario("checkpoint.write")
-def _checkpoint_write_is_survivable(monkeypatch):
+def _checkpoint_write_is_survivable(monkeypatch, tmp_path):
     graph = small_random_graph(3)
     clean = gac(graph, 3, tie_break="id")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "gac.ckpt")
-        injured = gac(
-            graph,
-            3,
-            tie_break="id",
-            checkpoint=path,
-            faults="checkpoint.write=raise",
-        )
-        assert _result_tuple(injured) == _result_tuple(clean)
-        assert not os.path.exists(path)  # every write failed, atomically
+    _gauge_set_by_this_run(monkeypatch, "gac.checkpoint.write_error")
+    path = tmp_path / "missing" / "gac.ckpt"  # every write fails
+    injured = gac(graph, 3, tie_break="id", checkpoint=path)
+    assert _result_tuple(injured) == _result_tuple(clean)
+    assert not path.parent.exists()
     assert obs.gauges_snapshot().get("gac.checkpoint.write_error") == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
 
 
 @scenario("checkpoint.load")
-def _checkpoint_load_aborts_resume(monkeypatch):
+def _unreadable_resume_aborts(monkeypatch, tmp_path):
     graph = small_random_graph(3)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "gac.ckpt")
-        gac(graph, 2, tie_break="id", checkpoint=path)
-        assert os.path.exists(path)
-        with pytest.raises(FaultInjected):
-            gac(
-                graph,
-                3,
-                tie_break="id",
-                resume=path,
-                faults="checkpoint.load=raise",
-            )
+    rounds = obs.get(obs.GAC_ITERATIONS)
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        gac(graph, 3, tie_break="id", resume=tmp_path)  # a directory
+    assert obs.get(obs.GAC_ITERATIONS) == rounds  # nothing ran
 
 
 @scenario("gac.round_commit")
-def _gac_round_commit_simulates_a_kill(monkeypatch):
+def _gac_kill_after_a_round_resumes_identically(monkeypatch, tmp_path):
     graph = small_random_graph(3)
-    with pytest.raises(FaultInjected) as excinfo:
-        gac(graph, 4, tie_break="id", faults="gac.round_commit=raise@2")
-    assert excinfo.value.site == "gac.round_commit"
-    assert excinfo.value.hit == 2
+    clean = gac(graph, 4, tie_break="id")
+    path = tmp_path / "gac.ckpt"
+    with kill_after_round(2), pytest.raises(Killed):
+        gac(graph, 4, tie_break="id", checkpoint=path)
+    resumed = gac(graph, 4, tie_break="id", resume=path)
+    assert _result_tuple(resumed) == _result_tuple(clean)
 
 
-#: Triangle {0,1,2} plus a pendant path: anchoring 3 pulls 4 into the
-#: 2-core (4's neighbors become {anchor 3, core member 0}), so OLAK at
-#: k=2 selects an anchor and the round-commit site is reachable.
-_OLAK_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (0, 4)]
+#: Triangle {0,1,2} plus two pendant pairs: anchoring 3 pulls 4 into the
+#: 2-core and anchoring 5 pulls 6 in, so OLAK at k=2 has two rounds.
+_OLAK_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (0, 4), (5, 6), (1, 6)]
 
 
 @scenario("olak.round_commit")
-def _olak_round_commit_simulates_a_kill(monkeypatch):
+def _olak_kill_after_a_round_resumes_identically(monkeypatch, tmp_path):
     graph = Graph.from_edges(_OLAK_EDGES)
-    assert olak(graph, 2, 1).anchors  # sanity: the site is reachable
-    with pytest.raises(FaultInjected) as excinfo:
-        olak(graph, 2, 1, faults="olak.round_commit=raise@1")
-    assert excinfo.value.site == "olak.round_commit"
+    clean = olak(graph, 2, 2)
+    assert len(clean.anchors) == 2  # the kill lands between two rounds
+    path = tmp_path / "olak.ckpt"
+    with kill_after_round(1), pytest.raises(Killed):
+        olak(graph, 2, 2, checkpoint=path)
+    resumed = olak(graph, 2, 2, resume=path)
+    assert _olak_tuple(resumed) == _olak_tuple(clean)
+
+
+def test_crash_mid_chunk_falls_back_identically(monkeypatch):
+    """A worker dying partway through a multi-task chunk (on its 5th
+    task, chunks pinned wide enough to guarantee mid-chunk impact) must
+    discard the whole dispatch and fall back to the serial scan."""
+    state_for = worker_mod._state_for
+    calls = 0
+
+    def dies_on_fifth_task(epoch, lineage):
+        nonlocal calls  # per worker: each forked process has its own count
+        calls += 1
+        if calls == 5:
+            raise RuntimeError("injected by the test")
+        return state_for(epoch, lineage)
+
+    pin_chunk_size(monkeypatch, 10000)
+    _pool_run(
+        monkeypatch,
+        lambda: monkeypatch.setattr(worker_mod, "_state_for", dies_on_fifth_task),
+        gauge="gac.parallel_fallback.scan_error",
+    )
+
+
+def _documented_failures() -> set[str]:
+    """The failure names in the first column of the docs table."""
+    text = _DOCS.read_text(encoding="utf-8")
+    table = text[text.index("## Contained failures") :]
+    table = table[: table.index("\n## ")]
+    return set(re.findall(r"^\| `([a-z_.]+)` \|", table, re.MULTILINE))
 
 
 class TestCatalogCoverage:
-    @pytest.mark.parametrize(
-        "site", [s.name for s in faults.catalog()], ids=lambda s: s
-    )
-    def test_every_site_has_a_scenario(self, site, monkeypatch):
-        if site not in SCENARIOS:
-            pytest.fail(
-                f"fault site {site!r} is registered in repro.faults.sites but "
-                "has no scenario in tests/test_faults.py — add one so the "
-                "injection point stays tested"
-            )
-        SCENARIOS[site](monkeypatch)
+    @pytest.mark.parametrize("site", list(SCENARIOS), ids=lambda s: s)
+    def test_every_site_has_a_scenario(self, site, monkeypatch, tmp_path):
+        SCENARIOS[site](monkeypatch, tmp_path)
 
     def test_no_stale_scenarios(self):
-        stale = set(SCENARIOS) - set(faults.site_names())
-        assert not stale, f"scenarios for unregistered sites: {sorted(stale)}"
-
-    def test_catalog_lookup(self):
-        site = faults.catalog()[0]
-        assert faults.lookup(site.name) is site
-        assert faults.lookup("no.such.site") is None
+        """Every documented failure has a scenario, and no scenario more."""
+        assert _documented_failures() == set(SCENARIOS)
 
 
-# ----------------------------------------------------------------------
-# delays: timeout simulation must never change results
-# ----------------------------------------------------------------------
-class TestDelay:
-    def test_round_commit_delay_leaves_results_unchanged(self):
-        graph = small_random_graph(3)
-        clean = gac(graph, 3, tie_break="id")
-        injected = faults.INJECTED_PREFIX + "gac.round_commit"
-        i0 = obs.get(injected)
-        delayed = gac(graph, 3, tie_break="id", faults="gac.round_commit=delay:0")
-        assert _result_tuple(delayed) == _result_tuple(clean)
-        assert obs.get(injected) - i0 == len(clean.anchors)
-
-    def test_worker_delay_keeps_counter_deltas_identical(self, monkeypatch):
-        # delays fire before the worker's counter window opens, so the
-        # shipped Figure-13 deltas — and therefore the merged traces —
-        # must be byte-identical to the undelayed parallel run
-        if SHM_UNAVAILABLE is not None:
-            pytest.skip(f"needs POSIX shared memory: {SHM_UNAVAILABLE}")
-        monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
-        graph = small_random_graph(1, n=60, m=160)
-        serial = gac(graph, 2, tie_break="id")
-        monkeypatch.setenv(faults.ENV_FAULTS, "worker.follower_eval=delay:0.001")
-        faults.reset()
-        tasks_before = obs.get(obs.PARALLEL_TASKS)
-        delayed = gac(graph, 2, tie_break="id", workers=2)
-        assert _result_tuple(delayed) == _result_tuple(serial)
-        # the pool stayed engaged: a delay is not a fallback
-        assert obs.get(obs.PARALLEL_TASKS) > tasks_before
-
-
-# ----------------------------------------------------------------------
-# CLI surface
-# ----------------------------------------------------------------------
 class TestCli:
-    def test_faults_command_prints_the_catalog(self, capsys):
-        from repro.cli import main
-
-        assert main(["faults"]) == 0
-        out = capsys.readouterr().out
-        for site in faults.catalog():
-            assert site.name in out
-
-    def test_anchor_faults_flag_arms_the_run(self):
-        from repro.cli import main
-
-        with pytest.raises(FaultInjected):
-            main(
-                [
-                    "anchor",
-                    "--dataset",
-                    "arxiv",
-                    "-b",
-                    "2",
-                    "--faults",
-                    "gac.round_commit=raise@1",
-                ]
-            )
-
-    def test_heuristics_reject_fault_knobs(self):
+    def test_heuristics_reject_fault_knobs(self, tmp_path):
+        """Only GAC and OLAK checkpoint; a heuristic refuses the flags."""
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="gac and"):
@@ -458,7 +273,7 @@ class TestCli:
                     "Deg",
                     "-b",
                     "2",
-                    "--faults",
-                    "gac.round_commit=raise",
+                    "--checkpoint",
+                    str(tmp_path / "run.ckpt"),
                 ]
             )

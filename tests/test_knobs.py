@@ -33,7 +33,6 @@ def test_knobs_read_under_src_match_the_api_table():
         "REPRO_TRACE",
         "REPRO_VERIFY",
         "REPRO_VERIFY_LIMIT",
-        "REPRO_FAULTS",
     }
 
 

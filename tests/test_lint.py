@@ -1,4 +1,4 @@
-"""Fixture suite for the repro.lint determinism linter (rules R1-R9).
+"""Fixture suite for the repro.lint determinism linter (rules R1-R8).
 
 Every rule gets a violating snippet (must fire) and a corrected version
 (must stay silent); waiver comments, JSON output, the baseline
@@ -155,21 +155,6 @@ def fan_out(graph, workers):
     return CandidateScanPool(graph, workers)
 """,
     ),
-    "R9": (
-        """
-from repro.faults import fault_point
-
-
-def commit_round(state):
-    fault_point("gac.round_commit")
-    return state
-""",
-        """
-def commit_round(state, fault_point):
-    fault_point("gac.round_commit")
-    return state
-""",
-    ),
 }
 
 
@@ -301,24 +286,6 @@ class TestRoles:
         assert lint_source(violating, is_benchmark=True) == []
         assert lint_source(violating, is_parallel=True) == []
 
-    def test_r9_exempt_in_its_host_and_harness_modules(self):
-        violating, _ = FIXTURES["R9"]
-        assert lint_source(violating, is_test=True) == []
-        assert lint_source(violating, is_benchmark=True) == []
-        assert lint_source(violating, is_faults=True) == []
-        assert lint_source(violating, is_checkpoint=True) == []
-        assert lint_source(violating, is_parallel=True) == []
-
-    def test_r9_fires_on_faults_import_forms(self):
-        for snippet in (
-            "import repro.faults\n",
-            "import repro.faults.runtime\n",
-            "from repro.faults import fault_point\n",
-            "from repro.faults.runtime import arming\n",
-            "from repro import faults\n",
-        ):
-            assert {d.rule for d in lint_source(snippet)} == {"R9"}, snippet
-
     def test_r8_fires_on_multiprocessing_import_forms(self):
         for snippet in (
             "import multiprocessing\n",
@@ -341,12 +308,6 @@ class TestRoles:
         assert roles["is_parallel"] and not roles["is_test"]
         roles = classify(Path("src/repro/anchors/gac.py"))
         assert not roles["is_parallel"]
-        roles = classify(Path("src/repro/faults/runtime.py"))
-        assert roles["is_faults"] and not roles["is_checkpoint"]
-        roles = classify(Path("src/repro/checkpoint.py"))
-        assert roles["is_checkpoint"] and not roles["is_faults"]
-        roles = classify(Path("src/repro/anchors/gac.py"))
-        assert not roles["is_faults"] and not roles["is_checkpoint"]
         roles = classify(Path("scripts/paper_scale.py"))
         assert roles["is_script"] and not roles["is_test"]
         roles = classify(Path("src/repro/anchors/gac.py"))
@@ -425,8 +386,6 @@ import multiprocessing
 import random
 import time
 
-from repro import faults
-
 
 def pure(func):
     return func
@@ -477,7 +436,7 @@ class TestCli:
         assert result.returncode == 1, result.stdout + result.stderr
         document = json.loads(result.stdout)
         fired = {row["rule"] for row in document["diagnostics"]}
-        assert fired == {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"}
+        assert fired == {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}
 
     def test_clean_tree_exits_zero(self, tmp_path):
         target = tmp_path / "anchors"

@@ -24,7 +24,7 @@ from repro.core.decomposition import (
 from repro.core.layers import upstair_reachable
 from repro.core.tree import CoreComponentTree
 
-from conftest import graph_and_vertex, graph_strategy
+from conftest import Killed, graph_and_vertex, graph_strategy, kill_after_round
 
 FAST = settings(max_examples=40, deadline=None)
 SLOW = settings(max_examples=20, deadline=None)
@@ -277,11 +277,10 @@ def test_kill_and_resume_matches_the_uninterrupted_oracle(
     graph, kill_round, tie_break
 ):
     """The differential harness: killing a GAC run at *any* round
-    boundary (via the ``gac.round_commit`` fault site) and resuming
+    boundary (right after its checkpoint write) and resuming
     from its checkpoint reproduces the uninterrupted oracle exactly —
     anchors, marginal gains, follower sets, and Figure-13 counter
     traces, RNG stream included for ``tie_break="random"``."""
-    from repro.faults import FaultInjected
 
     def fingerprint(result):
         return (
@@ -301,15 +300,8 @@ def test_kill_and_resume_matches_the_uninterrupted_oracle(
     # per-example TemporaryDirectory keeps checkpoints isolated instead
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "prop.ckpt")
-        with pytest.raises(FaultInjected):
-            gac(
-                graph,
-                budget,
-                tie_break=tie_break,
-                seed=11,
-                checkpoint=path,
-                faults=f"gac.round_commit=raise@{kill_round}",
-            )
+        with kill_after_round(kill_round), pytest.raises(Killed):
+            gac(graph, budget, tie_break=tie_break, seed=11, checkpoint=path)
         resumed = gac(graph, budget, tie_break=tie_break, seed=11, resume=path)
     assert fingerprint(resumed) == fingerprint(oracle)
 
