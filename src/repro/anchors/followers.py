@@ -105,9 +105,10 @@ class FollowerReport:
 class FollowerSearch:
     """The count-first per-candidate search (Algorithm 4 over ``sn(x)``).
 
-    One instance serves a GAC or OLAK round, a pool worker's task or one
-    :func:`find_followers` call; :meth:`flush` adds the Figure-13 tallies
-    in one batch (registry reads are deltas over sums).
+    One instance serves a GAC or OLAK round (in the parent or in the
+    round's forked pool workers) or one :func:`find_followers` call;
+    :meth:`flush` adds the Figure-13 tallies in one batch (registry
+    reads are deltas over sums).
     """
 
     __slots__ = (
@@ -171,7 +172,11 @@ class FollowerSearch:
         return counts
 
     def flush(self) -> None:
-        """Add the tallied counters to the registry (one add per counter)."""
+        """Move the tallied counters into the registry (one add per counter).
+
+        The tallies restart from zero, so a pool worker can flush after
+        every candidate and ship that candidate's deltas.
+        """
         if self.reused:
             _obs.add(_obs.REUSED_NODES, self.reused)
         if self.explored:
@@ -179,6 +184,7 @@ class FollowerSearch:
             _obs.add(_obs.VISITED_VERTICES, self.visited)
         if self.evaluated:
             _obs.add(_obs.EVALUATED_CANDIDATES, self.evaluated)
+        self.reused = self.explored = self.visited = self.evaluated = 0
 
 
 @pure
@@ -221,12 +227,12 @@ def find_followers(
             only_coreness=only_coreness,
             members=report.members,
         )
+        if counters is not None:
+            counters.explored_nodes += search.explored
+            counters.reused_nodes += search.reused
+            counters.visited_vertices += search.visited
+            counters.evaluated_candidates += 1
         search.flush()
-    if counters is not None:
-        counters.explored_nodes += search.explored
-        counters.reused_nodes += search.reused
-        counters.visited_vertices += search.visited
-        counters.evaluated_candidates += 1
     return report
 
 

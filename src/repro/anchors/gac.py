@@ -27,9 +27,10 @@ only the winner's follower set is built, by ``find_followers``.
 
 The scan can fan out across worker processes (``workers=`` /
 ``REPRO_PARALLEL``, via :mod:`repro.parallel`) with byte-identical
-results: dispatch is a read-only phase over bound-sorted chunks, and
-the serial scan then replays over the shipped counts
-(``docs/parallelism.md``). Serial is the default and the oracle.
+results: each round forks workers that run the serial scan's own
+per-candidate evaluator over bound-sorted id chunks, and the serial
+scan then replays over the shipped counts (``docs/parallelism.md``).
+Serial is the default and the oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.anchors.followers import (
 from repro.anchors.incremental import apply_anchor
 from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import _require_anchors_present, _sort_key
+from repro.core.decomposition import _require_anchors_present
 from repro.core.tree import NodeId
 from repro.errors import BudgetError
 from repro.graphs.csr import csr_view
@@ -63,6 +64,7 @@ from repro.verify import verification as _verification
 
 if TYPE_CHECKING:
     from repro.parallel.pool import CandidateScanPool
+    from repro.parallel.worker import Evaluate, Flush
 
 TieBreak = Literal["ub", "degree", "random", "id"]
 FollowerMethod = Literal["tree", "naive"]
@@ -72,7 +74,7 @@ FollowerMethod = Literal["tree", "naive"]
 _clock = _obs.clock
 
 #: Below this many candidates a process pool costs more than it saves
-#: (worker start-up + state rebuild dominate); the greedy stays serial.
+#: (the per-round fork and dispatch dominate); the greedy stays serial.
 #: Module attribute so tests can force pools onto tiny graphs.
 _MIN_PARALLEL_CANDIDATES = 64
 
@@ -173,7 +175,7 @@ def greedy_anchored_coreness(
             result is byte-identical to the serial scan for every
             ``workers`` value — parallelism changes wall-clock only.
             The pool falls back to the serial scan when it cannot help
-            (tiny graphs, verification on, pool start-up failure),
+            (tiny graphs, verification on, no ``fork``, a failed round),
             recording a ``gac.parallel_fallback.*`` gauge.
         checkpoint: write a round-granular snapshot to this path (see
             :mod:`repro.checkpoint`) after each committed round. A
@@ -293,8 +295,7 @@ def _run_greedy(
         # Rebuilding from scratch with the checkpointed anchors equals
         # the incremental state the killed run held: every derived
         # structure (decomposition, tree node ids, adjacency) is
-        # deterministic given graph + anchor set — the same contract the
-        # parallel workers rely on each epoch.
+        # deterministic given graph + anchor set.
         state = AnchoredState.build(graph, initial | frozenset(result.anchors))
         if _verify_enabled():
             from repro.verify.invariants import verify_resume_replay
@@ -319,106 +320,89 @@ def _run_greedy(
         base_coreness = dict(state.decomposition.coreness)
     pool: "CandidateScanPool | None" = None
     if budget > len(result.anchors):
-        pool = _make_pool(
-            graph, workers, follower_method, graph.num_vertices - len(initial)
-        )
-    # Anchor lineage in application order: sorted initial anchors, then
-    # selections as they happen. Workers key their persistent state
-    # caches on it — a lineage that merely *extends* the previous round's
-    # replays incremental anchor deltas instead of a full rebuild. Only
-    # the underlying set matters for correctness; the order is purely a
-    # cache key.
-    initial_sorted = tuple(sorted(initial, key=_sort_key))
+        pool = _make_pool(workers, graph.num_vertices - len(initial))
 
-    try:
-        while len(result.anchors) < budget:
-            if deadline is not None and _clock() > deadline:
+    while len(result.anchors) < budget:
+        if deadline is not None and _clock() > deadline:
+            result.truncated = True
+            break
+        iter_start = _clock()
+        iter_window = _obs.window()
+        with _obs.span("gac.iteration", iteration=len(result.anchors)):
+            best, best_gain, expired = _select_best(
+                state,
+                cache,
+                base_coreness=base_coreness,
+                use_upper_bounds=use_upper_bounds,
+                reuse=reuse,
+                follower_method=follower_method,
+                tie_break=tie_break,
+                rng=rng,
+                deadline=deadline,
+                pool=pool,
+            )
+            if pool is not None and pool.broken:
+                # A worker died or a dispatch failed: the scan already
+                # fell back to serial for this round; stay serial for
+                # the rest of the run rather than forking again.
+                pool = None
+            if expired:
                 result.truncated = True
                 break
-            iter_start = _clock()
-            iter_window = _obs.window()
-            with _obs.span("gac.iteration", iteration=len(result.anchors)):
-                best, best_gain, expired = _select_best(
-                    state,
-                    cache,
-                    base_coreness=base_coreness,
-                    use_upper_bounds=use_upper_bounds,
-                    reuse=reuse,
-                    follower_method=follower_method,
-                    tie_break=tie_break,
-                    rng=rng,
-                    deadline=deadline,
-                    pool=pool,
-                    lineage=initial_sorted + tuple(result.anchors),
-                )
-                if pool is not None and pool.broken:
-                    # A worker died or a dispatch failed: the scan already
-                    # fell back to serial for this round; stay serial for
-                    # the rest of the run rather than respawning.
-                    pool.close()
-                    pool = None
-                if expired:
-                    result.truncated = True
-                    break
-                if best is None:
-                    break
-                # Pruning soundness: the chosen candidate must be a true argmax
-                # over ALL candidates — the upper bound never hid a better one.
-                if _verify_enabled():
-                    from repro.verify.invariants import verify_selection
+            if best is None:
+                break
+            # Pruning soundness: the chosen candidate must be a true argmax
+            # over ALL candidates — the upper bound never hid a better one.
+            if _verify_enabled():
+                from repro.verify.invariants import verify_selection
 
-                    verify_selection(state, base_coreness, best, best_gain)
-                # The iteration's work counters are the registry delta since
-                # the window opened (the registry is the single source; this
-                # façade keeps the Figure 13 per-iteration shape).
-                counters = FollowerCounters.from_window(iter_window)
-                result.anchors.append(best)
-                result.gains.append(best_gain)
-                # Materializing the chosen anchor's follower set is
-                # bookkeeping, not part of the measured candidate search.
-                with _obs.suspended():
-                    result.followers[best] = _follower_set(
-                        state, best, follower_method
-                    )
-                result.traces.append(
-                    IterationTrace(
-                        anchor=best,
-                        gain=best_gain,
-                        elapsed_seconds=_clock() - iter_start,
-                        counters=counters,
-                        candidate_count=graph.num_vertices - len(state.anchors),
-                    )
+                verify_selection(state, base_coreness, best, best_gain)
+            # The iteration's work counters are the registry delta since
+            # the window opened (the registry is the single source; this
+            # façade keeps the Figure 13 per-iteration shape).
+            counters = FollowerCounters.from_window(iter_window)
+            result.anchors.append(best)
+            result.gains.append(best_gain)
+            # Materializing the chosen anchor's follower set is
+            # bookkeeping, not part of the measured candidate search.
+            with _obs.suspended():
+                result.followers[best] = _follower_set(state, best, follower_method)
+            result.traces.append(
+                IterationTrace(
+                    anchor=best,
+                    gain=best_gain,
+                    elapsed_seconds=_clock() - iter_start,
+                    counters=counters,
+                    candidate_count=graph.num_vertices - len(state.anchors),
                 )
-                _obs.add(_obs.GAC_ITERATIONS)
-                # Anchor in place: the paper's local subtree rebuild (Algorithm 3
-                # lines 7-10) re-decomposes only the anchored vertex's component.
-                removals = apply_anchor(state, best, compute_removals=reuse)
-                if reuse:
-                    cache.apply_removals(removals)
-                    cache.forget(best)
-                else:
-                    cache.clear()
-                # The round is committed: state, cache, counters, and RNG
-                # all reflect it. Snapshot here — and only here — so a
-                # resume continues from a boundary, never mid-round.
-                if checkpoint_path is not None and (
-                    len(result.anchors) % checkpoint_every == 0
-                    or len(result.anchors) == budget
-                ):
-                    _checkpoint.commit(
-                        checkpoint_path,
-                        graph,
-                        "gac",
-                        fingerprint,
-                        params,
-                        result,
-                        base_coreness,
-                        rng=rng,
-                        cache=cache,
-                    )
-    finally:
-        if pool is not None:
-            pool.close()
+            )
+            _obs.add(_obs.GAC_ITERATIONS)
+            # Anchor in place: the paper's local subtree rebuild (Algorithm 3
+            # lines 7-10) re-decomposes only the anchored vertex's component.
+            removals = apply_anchor(state, best, compute_removals=reuse)
+            if reuse:
+                cache.apply_removals(removals)
+                cache.forget(best)
+            else:
+                cache.clear()
+            # The round is committed: state, cache, counters, and RNG
+            # all reflect it. Snapshot here — and only here — so a
+            # resume continues from a boundary, never mid-round.
+            if checkpoint_path is not None and (
+                len(result.anchors) % checkpoint_every == 0
+                or len(result.anchors) == budget
+            ):
+                _checkpoint.commit(
+                    checkpoint_path,
+                    graph,
+                    "gac",
+                    fingerprint,
+                    params,
+                    result,
+                    base_coreness,
+                    rng=rng,
+                    cache=cache,
+                )
     if _verify_enabled():
         from repro.verify.invariants import verify_greedy_total
 
@@ -438,7 +422,6 @@ def _select_best(
     rng: random.Random,
     deadline: float | None = None,
     pool: "CandidateScanPool | None" = None,
-    lineage: tuple[Vertex, ...] = (),
 ) -> tuple[Vertex | None, int, bool]:
     """One greedy iteration: the candidate with the best marginal gain.
 
@@ -453,8 +436,9 @@ def _select_best(
     Returns ``(best, gain, expired)``. When ``deadline`` passes mid-scan
     the iteration aborts with ``(None, 0, True)``: a partial winner
     would depend on wall-clock noise. With a ``pool`` the scan is
-    dispatched to workers (:func:`_scan_parallel`); any failure there
-    falls back to the serial scan with no state mutated.
+    dispatched to workers forked with the same ``evaluate``
+    (:func:`_scan_parallel`); any failure there falls back to the serial
+    scan with no state mutated.
     """
     order = [i for i, anchored in enumerate(state.tables.is_anchor) if not anchored]
     if not order:
@@ -481,33 +465,31 @@ def _select_best(
         tie_of=_tie_function(tie_break, state, refined, rng),
         base_coreness=base_coreness,
     )
+    search = FollowerSearch(state)
+
+    def evaluate(i: int) -> tuple[int, dict[NodeId, int] | None]:
+        if follower_method != "naive":
+            counts = search.counts(i, served.get(i))
+            return sum(counts.values()), counts
+        search.evaluated += 1
+        u, base = state.tables.labels[i], state.decomposition
+        return len(followers_naive(state.graph, u, state.anchors, base)), None
+
     with _obs.span("gac.candidate_scan", candidates=len(order)):
         if pool is not None and not pool.broken:
             outcome = _scan_parallel(
                 state,
                 pool,
                 scan,
+                (evaluate, search.flush),
                 order=order,
                 refined=refined,
-                served=served,
                 use_upper_bounds=use_upper_bounds,
-                follower_method=follower_method,
                 base_coreness=base_coreness,
                 deadline=deadline,
-                lineage=lineage,
             )
             if outcome is not None:
                 return outcome
-        search = FollowerSearch(state)
-
-        def evaluate(i: int) -> tuple[int, dict[NodeId, int] | None]:
-            if follower_method != "naive":
-                counts = search.counts(i, served.get(i))
-                return sum(counts.values()), counts
-            search.evaluated += 1
-            u, base = state.tables.labels[i], state.decomposition
-            return len(followers_naive(state.graph, u, state.anchors, base)), None
-
         try:
             return scan(evaluate=evaluate, deadline=deadline)
         finally:
@@ -568,49 +550,33 @@ def _scan_parallel(
     state: AnchoredState,
     pool: "CandidateScanPool",
     scan: Callable[..., tuple[Vertex | None, int, bool]],
+    evaluator: "tuple[Evaluate, Flush]",
     *,
     order: list[int],
     refined: list[int],
-    served: dict[int, dict[NodeId, int]],
     use_upper_bounds: bool,
-    follower_method: FollowerMethod,
     base_coreness: dict[Vertex, int],
     deadline: float | None,
-    lineage: tuple[Vertex, ...] = (),
 ) -> tuple[Vertex | None, int, bool] | None:
     """Dispatch the candidate scan to the pool, then replay the serial scan.
 
-    Phase A ships bound-sorted chunks of candidates to the workers, each
-    with the round's validated counts. Between chunk barriers a
-    *simulated* best gain advances like the serial threshold, so a chunk
-    only dispatches candidates whose bound still clears it; that
+    Phase A forks the round's workers with ``evaluator`` (the serial
+    scan's own per-candidate call and its counter flush) and ships
+    bound-sorted chunks of candidate ids to them. Between chunk barriers
+    a *simulated* best gain advances like the serial threshold, so a
+    chunk only dispatches candidates whose bound still clears it; that
     threshold never exceeds the serial one (pruned gains cannot raise
     the maximum), so every candidate the serial scan evaluates is
     dispatched. Phase A mutates neither the cache nor the registry, so
-    any failure returns ``None`` and the serial scan runs instead.
+    any failure returns ``None`` and the serial scan runs instead. The
+    workers are shut down before phase B starts.
 
     Phase B runs the serial ``scan`` over the shipped counts (same
     pruning, tie-breaks, RNG use and cache stores) and merges the
     workers' counter deltas inside the caller's iteration window.
     """
-    epoch = len(state.anchors)
-    # The lineage is the cache key workers use; its *set* is what
-    # evaluation depends on. A caller that did not thread one (tests
-    # driving the scan directly) degrades to a sorted tuple — workers
-    # fall back to full rebuilds, results unchanged.
-    anchors = (
-        lineage
-        if len(lineage) == len(state.anchors) and frozenset(lineage) == state.anchors
-        else tuple(sorted(state.anchors, key=_sort_key))
-    )
-    tables = state.tables
-    labels = tables.labels
-    index = tables.index
-    core = tables.core
-    # The speculative window between threshold barriers adapts to the
-    # pool's measured per-task latency; window size steers wall-clock
-    # only (the replay discards speculative extras), never results.
-    chunk_size = pool.dispatch_size() if use_upper_bounds else len(order)
+    labels = state.tables.labels
+    core = state.tables.core
     # candidate id -> (follower total, per-node counts | None, counter deltas)
     shipped: dict[int, tuple[int, dict[NodeId, int] | None, dict[str, int]]] = {}
     sim_best = -1
@@ -620,30 +586,37 @@ def _scan_parallel(
         "gac.parallel_scan", candidates=len(order), workers=pool.workers
     ) as sp:
         try:
-            for chunk_start in range(0, len(order), chunk_size):
-                if deadline is not None and _clock() > deadline:
-                    return None, 0, True
-                chunk = order[chunk_start : chunk_start + chunk_size]
-                tasks = [
-                    (labels[i], served.get(i))
-                    for i in chunk
-                    if not (use_upper_bounds and refined[i] < sim_best)
-                ]
-                if tasks:
-                    chunk_count += 1
-                    for candidate, total, counts, deltas in pool.evaluate(
-                        epoch, anchors, tasks
-                    ):
-                        i = index[candidate]
-                        shipped[i] = (total, counts, deltas)
-                        # Advance the threshold exactly as phase B will:
-                        # gains of candidates it prunes are below it already.
-                        gain = total - (core[i] - base_coreness[candidate])
-                        sim_best = max(sim_best, gain)
-        except Exception:
+            with pool.round(*evaluator):
+                start = 0
+                while start < len(order):
+                    if deadline is not None and _clock() > deadline:
+                        return None, 0, True
+                    # The speculative window between threshold barriers
+                    # follows the pool's measured per-task latency; its
+                    # size steers wall-clock only (the replay discards
+                    # speculative extras), never results.
+                    end = start + (
+                        pool.dispatch_size() if use_upper_bounds else len(order)
+                    )
+                    ids = [
+                        i
+                        for i in order[start:end]
+                        if not (use_upper_bounds and refined[i] < sim_best)
+                    ]
+                    start = end
+                    if ids:
+                        chunk_count += 1
+                        for i, total, counts, deltas in pool.evaluate(ids):
+                            shipped[i] = (total, counts, deltas)
+                            # Advance the threshold exactly as phase B will:
+                            # gains of candidates it prunes are below it.
+                            gain = total - (core[i] - base_coreness[labels[i]])
+                            sim_best = max(sim_best, gain)
+        except Exception as exc:
             # Nothing was mutated; the caller reruns the scan serially.
             pool.broken = True
-            _obs.gauge("gac.parallel_fallback.scan_error", 1.0)
+            reason = "spawn_error" if isinstance(exc, OSError) else "scan_error"
+            _obs.gauge(f"gac.parallel_fallback.{reason}", 1.0)
             return None
 
         pending: Counter[str] = Counter()
@@ -651,10 +624,6 @@ def _scan_parallel(
         def replay(i: int) -> tuple[int, dict[NodeId, int] | None]:
             total, counts, deltas = shipped[i]
             pending.update(deltas)
-            if follower_method == "naive":
-                # The worker's delta has the decomposition counters; the
-                # serial scan adds this one itself after the oracle call.
-                pending[_obs.EVALUATED_CANDIDATES] += 1
             return total, counts
 
         outcome = scan(evaluate=replay, deadline=None)
@@ -670,10 +639,7 @@ def _scan_parallel(
 
 
 def _make_pool(
-    graph: Graph,
-    workers: int | None,
-    follower_method: FollowerMethod,
-    candidate_count: int,
+    workers: int | None, candidate_count: int
 ) -> "CandidateScanPool | None":
     """Build a candidate-scan pool, or return ``None`` to stay serial.
 
@@ -705,12 +671,9 @@ def _make_pool(
         _obs.gauge("gac.parallel_fallback.small_graph", 1.0)
         return None
     try:
-        return CandidateScanPool(graph, count, follower_method=follower_method)
+        return CandidateScanPool(count)
     except PoolUnavailable:
         _obs.gauge("gac.parallel_fallback.unavailable", 1.0)
-        return None
-    except OSError:
-        _obs.gauge("gac.parallel_fallback.spawn_error", 1.0)
         return None
 
 

@@ -50,7 +50,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         return registry.load(args.dataset)
     if args.edges:
         return read_edge_list(args.edges)
-    raise SystemExit("error: provide --dataset NAME or --edges PATH")
+    raise _FlagError("provide --dataset NAME or --edges PATH")
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -128,6 +128,11 @@ def _cmd_anchor(args: argparse.Namespace) -> int:
         raise _FlagError(
             f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
         )
+    if args.workers is not None:
+        if args.workers < 0:
+            raise _FlagError(f"--workers must be >= 0, got {args.workers}")
+        if args.method != "gac":
+            raise _FlagError("--workers applies to gac only")
     graph = _load_graph(args)
     window = obs.window()
     persistence = {
@@ -146,16 +151,14 @@ def _cmd_anchor(args: argparse.Namespace) -> int:
             anchors, gain = result.anchors, result.total_gain
         elif args.method == "olak":
             if args.k is None:
-                raise SystemExit("error: --k is required for olak")
+                raise _FlagError("--k is required for olak")
             if args.k < 1:
                 raise _FlagError(f"--k must be >= 1, got {args.k}")
             olak_result = olak(graph, args.k, args.budget, **persistence)
             anchors, gain = olak_result.anchors, olak_result.coreness_gain
         else:
             if args.checkpoint or args.resume:
-                raise SystemExit(
-                    "error: --checkpoint/--resume apply to gac and olak only"
-                )
+                raise _FlagError("--checkpoint/--resume apply to gac and olak only")
             fn = HEURISTICS[args.method]
             kwargs = {"seed": args.seed} if args.method == "Rand" else {}
             anchors = fn(graph, args.budget, **kwargs)

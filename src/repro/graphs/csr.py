@@ -101,51 +101,6 @@ class CSRGraph:
             ptr.append(len(flat))
         return cls(array("i", ptr), array("i", flat), labels, index)
 
-    @classmethod
-    def from_buffers(
-        cls,
-        indptr: "array[int] | memoryview",
-        neighbors: "array[int] | memoryview",
-        labels: list[Vertex],
-    ) -> "CSRGraph":
-        """Adopt existing flat int buffers without copying them.
-
-        ``indptr`` / ``neighbors`` may be any int-typed buffer that
-        supports indexing, slicing, and iteration — ``array('i')`` or a
-        ``memoryview.cast('i')`` over shared memory. The caller is
-        responsible for the buffers outliving the view (the shared
-        memory attachment in :mod:`repro.parallel.shm` keeps the mapping
-        alive for the worker's lifetime).
-        """
-        index = {u: i for i, u in enumerate(labels)}
-        return cls(
-            cast("array[int]", indptr),
-            cast("array[int]", neighbors),
-            labels,
-            index,
-        )
-
-    def to_graph(self) -> Graph:
-        """Materialize the adjacency-set :class:`Graph` this view describes.
-
-        The returned graph carries this view pre-interned in its CSR
-        cache, so the substrate kernels hit the flat fast path
-        immediately without re-sorting the snapshot — the attach path
-        for pool workers, which receive the CSR buffers but need the
-        dict substrate for the non-kernel algorithm layers.
-        """
-        labels = self.labels
-        graph = Graph()
-        for u in labels:
-            graph.add_vertex(u)
-        indptr, nbrs = self.as_lists()
-        adj = graph._adj
-        for i, u in enumerate(labels):
-            adj[u] = {labels[j] for j in nbrs[indptr[i] : indptr[i + 1]]}
-        graph._num_edges = self.num_edges
-        graph._csr_cache = (graph._version, self)
-        return graph
-
     # ------------------------------------------------------------------
     def degree(self, i: int) -> int:
         """Degree of id ``i``."""

@@ -15,9 +15,8 @@ to a stricter bar: they run in worker processes whose local span
 collector never reaches the parent trace, so plain ``obs`` access is a
 silent no-op there. They count as covered only when they reach the
 worker-side span API (``repro.obs.shipping``), which forces tracing per
-dispatch and ships recorded spans back. Deliberately-untraced fast
-paths (e.g. ``init_worker``, which runs before any dispatch) carry the
-same ``# lint: obs-ok`` waiver.
+dispatch and ships recorded spans back. Deliberately-untraced entry
+points carry the same ``# lint: obs-ok`` waiver.
 
 Package ``__init__`` re-export modules and ``__main__`` entry shims are
 skipped: they hold no hot-path bodies of their own.

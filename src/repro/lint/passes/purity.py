@@ -7,10 +7,8 @@ flags every transitively-reachable function that could make a worker's
 result depend on process-local mutable state:
 
 * rebinding or mutating a module global — the one sanctioned slot is
-  ``repro.parallel.worker._state`` (the per-process scratch the pool
-  protocol is built around);
-* writing into an attached ``SharedCSR`` buffer (workers must treat
-  shared memory as read-only; only the parent exports);
+  ``repro.parallel.worker._round`` (the round's evaluator, installed in
+  the parent right before the workers fork);
 * a nested function capturing and mutating enclosing state
   (``nonlocal`` rebinding or mutator calls on free variables);
 * ``setattr`` on a non-local object (monkey-patching shared modules);
@@ -40,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle avoidance)
     from repro.lint.program import FunctionInfo, ModuleInfo, ProjectModel
 
 #: (module, global name) pairs workers are allowed to rebind/mutate.
-SANCTIONED_GLOBALS = frozenset({("repro.parallel.worker", "_state")})
+SANCTIONED_GLOBALS = frozenset({("repro.parallel.worker", "_round")})
 
 #: Units whose modules are process-local bookkeeping by design.
 EXEMPT_UNITS = frozenset({"obs", "verify"})
@@ -51,16 +49,6 @@ _MUTATORS = frozenset(
         "add", "append", "appendleft", "clear", "discard", "extend",
         "extendleft", "insert", "pop", "popitem", "popleft", "remove",
         "reverse", "setdefault", "sort", "update",
-    }
-)
-
-#: Annotation names marking a parameter as an attached shared buffer.
-_SHARED_TYPES = frozenset(
-    {
-        "SharedCSR",
-        "AttachedCSR",
-        "SharedCSRHandle",
-        "memoryview",
     }
 )
 
@@ -110,16 +98,6 @@ def _root_name(expr: ast.expr) -> str | None:
     while isinstance(cursor, (ast.Attribute, ast.Subscript)):
         cursor = cursor.value
     return cursor.id if isinstance(cursor, ast.Name) else None
-
-
-def _annotation_name(annotation: ast.expr | None) -> str | None:
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value.split("[")[0].strip().rsplit(".", 1)[-1]
-    return None
 
 
 @register_pass
@@ -188,8 +166,6 @@ class WorkerPurityPass:
                 return True
             return is_module_global(name)
 
-        shared_buffers = self._shared_buffer_names(node, locals_)
-
         def diagnostic(
             anchor: ast.AST, message: str, code_node: ast.AST | None = None
         ) -> Iterator[Diagnostic]:
@@ -225,13 +201,13 @@ class WorkerPurityPass:
                 for target in targets:
                     yield from self._check_store_target(
                         target, refers_to_global, sanctioned,
-                        shared_buffers, mod, diagnostic, canonical,
+                        mod, diagnostic, canonical,
                     )
-            # 3. Mutator method calls on globals / shared buffers.
+            # 3. Mutator method calls on globals.
             elif isinstance(child, ast.Call):
                 yield from self._check_call(
                     child, refers_to_global, sanctioned,
-                    shared_buffers, locals_, diagnostic, canonical, mod,
+                    locals_, diagnostic, canonical, mod,
                 )
             # 4. Nested functions capturing enclosing mutable state.
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -240,42 +216,11 @@ class WorkerPurityPass:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _shared_buffer_names(
-        node: ast.FunctionDef | ast.AsyncFunctionDef, locals_: set[str]
-    ) -> set[str]:
-        """Local names bound to attached shared-memory CSR buffers."""
-        shared: set[str] = set()
-        args = node.args
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            if _annotation_name(arg.annotation) in _SHARED_TYPES:
-                shared.add(arg.arg)
-        for stmt in ast.walk(node):
-            if not (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                continue
-            func = stmt.value.func
-            called = (
-                func.attr
-                if isinstance(func, ast.Attribute)
-                else func.id if isinstance(func, ast.Name) else ""
-            )
-            if called in {"attach", "export"} or called in _SHARED_TYPES:
-                shared.add(stmt.targets[0].id)
-        return shared
-
     def _check_store_target(
         self,
         target: ast.expr,
         refers_to_global: Callable[[str], bool],
         sanctioned: Callable[[str], bool],
-        shared_buffers: set[str],
         mod: "ModuleInfo",
         diagnostic: _Emit,
         canonical: Callable[[str], str],
@@ -284,7 +229,7 @@ class WorkerPurityPass:
             for element in target.elts:
                 yield from self._check_store_target(
                     element, refers_to_global, sanctioned,
-                    shared_buffers, mod, diagnostic, canonical,
+                    mod, diagnostic, canonical,
                 )
             return
         if not isinstance(target, (ast.Subscript, ast.Attribute)):
@@ -293,15 +238,7 @@ class WorkerPurityPass:
         if root is None or root in ("self", "cls"):
             return
         shape = "item" if isinstance(target, ast.Subscript) else "attribute"
-        if root in shared_buffers:
-            yield from diagnostic(
-                target,
-                f"writes into attached shared-memory buffer '{root}' "
-                f"({shape} assignment); workers must treat SharedCSR "
-                "views as read-only",
-                target,
-            )
-        elif root in mod.module_aliases:
+        if root in mod.module_aliases:
             yield from diagnostic(
                 target,
                 f"sets {shape} on module '{mod.module_aliases[root]}' "
@@ -322,7 +259,6 @@ class WorkerPurityPass:
         call: ast.Call,
         refers_to_global: Callable[[str], bool],
         sanctioned: Callable[[str], bool],
-        shared_buffers: set[str],
         locals_: set[str],
         diagnostic: _Emit,
         canonical: Callable[[str], str],
@@ -404,14 +340,7 @@ class WorkerPurityPass:
         # and is the exempt units' / dynamic gate's concern.
         if root in mod.module_aliases and root not in locals_:
             return
-        if root in shared_buffers:
-            yield from diagnostic(
-                call,
-                f"calls .{func.attr}() on attached shared-memory buffer "
-                f"'{root}'",
-                call,
-            )
-        elif refers_to_global(root) and not sanctioned(root):
+        if refers_to_global(root) and not sanctioned(root):
             yield from diagnostic(
                 call,
                 f"calls .{func.attr}() on module-global object "

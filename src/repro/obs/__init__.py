@@ -45,9 +45,6 @@ from repro.obs.runtime import (
     PARALLEL_DISPATCHES,
     PARALLEL_SPAN_BATCHES,
     PARALLEL_SPANS_SHIPPED,
-    PARALLEL_STATE_ADVANCES,
-    PARALLEL_STATE_HITS,
-    PARALLEL_STATE_REBUILDS,
     PARALLEL_TASKS,
     PEEL_POPS,
     PRUNED_CANDIDATES,
@@ -90,9 +87,6 @@ __all__ = [
     "PARALLEL_DISPATCHES",
     "PARALLEL_SPAN_BATCHES",
     "PARALLEL_SPANS_SHIPPED",
-    "PARALLEL_STATE_ADVANCES",
-    "PARALLEL_STATE_HITS",
-    "PARALLEL_STATE_REBUILDS",
     "PARALLEL_TASKS",
     "PEEL_POPS",
     "PRUNED_CANDIDATES",

@@ -26,8 +26,8 @@ DEFAULT_TRACE_OUT = Path("obs_trace.json")
 
 _VARIANTS = ("gac", "gac-u", "gac-u-r")
 
-#: Registry prefixes that make up the pool-health report section.
-_POOL_PREFIXES = ("parallel.", "shm.")
+#: Registry prefix that makes up the pool-health report section.
+_POOL_PREFIX = "parallel."
 
 
 def _fail(message: str) -> int:
@@ -41,7 +41,7 @@ def _pool_section(counters: dict[str, int], gauges: dict[str, float]) -> str | N
         name: value
         for source in (counters, gauges)
         for name, value in source.items()
-        if name.startswith(_POOL_PREFIXES)
+        if name.startswith(_POOL_PREFIX)
     }
     if not rows:
         return None

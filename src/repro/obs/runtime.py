@@ -78,13 +78,6 @@ PARALLEL_CHUNKS = "parallel.chunks"
 PARALLEL_SPAN_BATCHES = "parallel.span_batches"
 #: Worker-recorded span events shipped back and merged by the parent.
 PARALLEL_SPANS_SHIPPED = "parallel.spans_shipped"
-#: Worker state lookups served by the cached AnchoredState as-is.
-PARALLEL_STATE_HITS = "parallel.state_cache_hits"
-#: Worker state lookups that advanced the cache incrementally
-#: (apply_anchor replays over a lineage extension).
-PARALLEL_STATE_ADVANCES = "parallel.state_advances"
-#: Worker state lookups that rebuilt from scratch (divergent lineage).
-PARALLEL_STATE_REBUILDS = "parallel.state_rebuilds"
 #: Round-boundary checkpoint files written (repro.checkpoint).
 CHECKPOINT_WRITES = "checkpoint.writes"
 #: Checkpoint files loaded to resume a greedy run.

@@ -1,23 +1,21 @@
-"""repro.parallel — shared-memory process-pool evaluation for GAC.
+"""repro.parallel — per-round forked process pool for the GAC scan.
 
 The per-round candidate scan of the greedy (Algorithm 6) is
 embarrassingly parallel: each candidate's follower computation
-(Algorithms 4/5) is read-only over the graph and independent of the
-others. This package fans it out across worker processes while keeping
-the package-wide determinism contract — ``workers=N`` returns the same
-``GreedyResult`` (anchors, gains, tie-break order) and the same work
-counters as the serial scan, for every ``N``:
+(Algorithms 4/5) only reads that round's anchored state and is
+independent of the others. This package fans it out across worker
+processes forked from the live state while keeping the package-wide
+determinism contract — ``workers=N`` returns the same ``GreedyResult``
+(anchors, gains, tie-break order) and the same work counters as the
+serial scan, for every ``N``:
 
-* :mod:`repro.parallel.shm` — the graph travels once (interned CSR
-  buffers exported to POSIX shared memory, attached zero-copy in each
-  worker), so it is never pickled per task;
-* :mod:`repro.parallel.worker` — per-process state (graph, persistent
-  lineage-keyed anchored state advanced by incremental anchor deltas)
-  plus the chunk evaluator, tracing/verification forced off; each
-  chunk returns its tasks' results and counter deltas;
+* :mod:`repro.parallel.worker` — the evaluator slot the forked workers
+  read, and the chunk evaluator (candidate ids in; results, counter
+  deltas and shipped spans out);
 * :mod:`repro.parallel.pool` — :class:`CandidateScanPool`, the parent's
-  executor wrapper (chunked dispatch with latency-adaptive sizing,
-  dispatch-ordered results, broken-pool detection);
+  per-round executor (fork after install, chunked dispatch with
+  latency-adaptive sizing, dispatch-ordered results, broken-pool
+  detection, shutdown before the round returns);
 * :mod:`repro.parallel.util` — worker-count resolution
   (``REPRO_PARALLEL``), the O(d) bucket h-index, chunking.
 
@@ -33,20 +31,14 @@ from repro.parallel.util import ENV_WORKERS, bucket_h_index, chunked, resolve_wo
 
 if TYPE_CHECKING:
     from repro.parallel.pool import CandidateScanPool, PoolUnavailable
-    from repro.parallel.shm import AttachedCSR, SharedCSR, SharedCSRHandle, attach
 
-# The heavy halves (multiprocessing, shared memory, and the anchors
-# modules the worker pulls in) load lazily via PEP 562 so that light
-# consumers — repro.distributed borrowing the bucket h-index, the greedy
-# resolving a worker count that turns out to be serial — never pay for
-# them and never risk an import cycle through repro.anchors.
+# The pool (multiprocessing and the executor) loads lazily via PEP 562
+# so that light consumers — repro.distributed borrowing the bucket
+# h-index, the greedy resolving a worker count that turns out to be
+# serial — never pay for it.
 _LAZY = {
     "CandidateScanPool": "repro.parallel.pool",
     "PoolUnavailable": "repro.parallel.pool",
-    "AttachedCSR": "repro.parallel.shm",
-    "SharedCSR": "repro.parallel.shm",
-    "SharedCSRHandle": "repro.parallel.shm",
-    "attach": "repro.parallel.shm",
 }
 
 
@@ -61,12 +53,8 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "ENV_WORKERS",
-    "AttachedCSR",
     "CandidateScanPool",
     "PoolUnavailable",
-    "SharedCSR",
-    "SharedCSRHandle",
-    "attach",
     "bucket_h_index",
     "chunked",
     "resolve_workers",

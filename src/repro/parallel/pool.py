@@ -1,52 +1,50 @@
 """Parent-side process pool for the GAC candidate scan.
 
-:class:`CandidateScanPool` owns a ``ProcessPoolExecutor`` whose workers
-attach a one-time shared-memory export of the graph's CSR view
-(:mod:`repro.parallel.shm`) and evaluate chunks of candidates
-(:mod:`repro.parallel.worker`). The pool itself is policy-free: it
-ships task chunks and returns results in dispatch order; the
-determinism-preserving two-phase scan (bound-sorted chunks, threshold
-barriers, serial replay merge) lives with the greedy in
-:mod:`repro.anchors.gac`.
+:class:`CandidateScanPool` forks a fresh ``ProcessPoolExecutor`` for
+each round's scan (:meth:`CandidateScanPool.round`). The round's
+per-candidate evaluator goes into :mod:`repro.parallel.worker`'s slot
+right before the fork, so workers inherit the live graph, anchored
+state and reuse rows copy-on-write; only candidate ids travel out and
+``(id, total, counts, counter deltas)`` tuples travel back. The
+executor is shut down, waiting for its workers, before the round ends.
+The pool itself is policy-free: it ships id chunks and returns results
+in dispatch order; the determinism-preserving two-phase scan
+(bound-sorted windows, threshold barriers, serial replay merge) lives
+with the greedy in :mod:`repro.anchors.gac`.
 
-Dispatch economics: the epoch header — round number plus the anchor
-lineage — is pickled once per *chunk*, not once per task; chunk sizes
-adapt to the previous dispatch's measured per-task latency; each chunk's
-``TaskResult`` tuples ride back on its return value. Adaptive sizing is
-results-safe because the greedy's replay phase discards speculative
-extras — a bigger or smaller chunk can only change *work*, never the
-selected anchor.
+Dispatch economics: chunk sizes adapt to the previous dispatch's
+measured per-task latency, and the latency estimate carries across
+rounds. Adaptive sizing is results-safe because the greedy's replay
+phase discards speculative extras — a bigger or smaller chunk can only
+change *work*, never the selected anchor.
 
 Observability: every chunk return piggybacks a small telemetry tuple
-(worker pid, execute start/end clocks, lineage-cache deltas, and — for
-traced dispatches — the worker's span batch, see
-:mod:`repro.obs.shipping`). The pool folds it into the registry as
-``parallel.*`` health gauges/counters (dispatch latency, queue-wait vs
-execute time, per-worker busy seconds, utilization, EWMA chunk sizing,
-cache hit/advance/rebuild counts) and merges shipped spans into the
+(worker pid, execute start/end clocks and — for traced dispatches — the
+worker's span batch, see :mod:`repro.obs.shipping`). The pool folds it
+into the registry as ``parallel.*`` health gauges/counters (dispatch
+latency, queue-wait vs execute time, per-worker busy seconds,
+utilization, EWMA chunk sizing) and merges shipped spans into the
 parent trace with per-worker pid lanes. Telemetry observes only: the
 merged results are byte-identical whether or not tracing is on.
 
 Failure model: any worker/pickling/executor/protocol error marks the pool
 ``broken`` and propagates to the caller, which falls back to the serial
-scan — dispatch never mutates shared algorithm state, so a failed batch
-leaves the round exactly where the serial scan would start it. A hard
-worker death surfaces as ``BrokenProcessPool`` (the executor, unlike
+scan — workers mutate only their own copies, so a failed round leaves
+the parent exactly where the serial scan would start it. A hard worker
+death surfaces as ``BrokenProcessPool`` (the executor, unlike
 ``multiprocessing.Pool``, never hangs on it).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from repro import obs as _obs
-from repro.core.tree import NodeId
 from repro.obs import shipping as _shipping
-from repro.graphs.csr import csr_view
-from repro.graphs.graph import Graph, Vertex
 from repro.parallel import worker as _worker
-from repro.parallel.shm import SharedCSR
 from repro.parallel.util import chunked
 
 #: First-dispatch fallback before any latency measurement exists: keep
@@ -69,38 +67,22 @@ class PoolUnavailable(RuntimeError):
     """A candidate-scan pool cannot be built in this configuration."""
 
 
-def _start_method() -> str | None:
-    """``fork`` where the platform has it, else its default (``None``).
-
-    ``fork`` makes worker start-up (and therefore small-graph runs)
-    dramatically cheaper than ``spawn``; results are identical either
-    way because workers rebuild all state from the shared CSR + task
-    payloads.
-    """
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-
-
 class CandidateScanPool:
-    """A worker pool bound to one graph snapshot for follower evaluation.
+    """Per-round forked workers for the candidate scan.
 
     Args:
-        graph: the (unmutated) graph the greedy is running on; its CSR
-            view is exported to shared memory once, here.
         workers: process count (must be >= 2 — the caller handles the
             serial cases).
-        follower_method: ``"tree"`` (Algorithm 4) or ``"naive"``.
 
     Raises:
-        PoolUnavailable: a bad worker count, or executor start-up failure.
-        GraphError: the vertex labels are mutually unorderable (no CSR
-            view to export).
+        PoolUnavailable: a bad worker count, or a platform without the
+            ``fork`` start method (workers must inherit the live state).
     """
 
     __slots__ = (
         "workers",
         "broken",
         "spans_shipped",
-        "_shared",
         "_executor",
         "_latency",
         "_chunk_seq",
@@ -110,37 +92,49 @@ class CandidateScanPool:
         "_queue_wait_total",
     )
 
-    def __init__(
-        self,
-        graph: Graph,
-        workers: int,
-        *,
-        follower_method: str = "tree",
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise PoolUnavailable(f"need >= 2 workers for a pool, got {workers}")
-        csr = csr_view(graph)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise PoolUnavailable(
+                "the parallel scan forks its workers from the live state; "
+                "this platform has no fork start method"
+            )
         self.workers = workers
         self.broken = False
         #: Worker span events merged into the parent trace so far.
         self.spans_shipped = 0
+        self._executor: ProcessPoolExecutor | None = None
         self._latency: float | None = None
         self._chunk_seq = 0
         self._busy_by_pid: dict[int, float] = {}
         self._busy_total = 0.0
         self._elapsed_total = 0.0
         self._queue_wait_total = 0.0
-        self._shared = SharedCSR.export(csr)
+
+    # ------------------------------------------------------------------
+    # Per-round lifecycle
+    # ------------------------------------------------------------------
+    @contextmanager
+    def round(
+        self, evaluate: _worker.Evaluate, flush: _worker.Flush
+    ) -> Iterator[None]:
+        """Scan one round: install the evaluator, fork, and always close.
+
+        The executor forks its workers at the round's first dispatch,
+        after the evaluator is in the slot; :meth:`close` runs on every
+        exit, so no worker outlives the round and no fork happens while
+        an earlier executor's threads are alive.
+        """
+        _worker.install((evaluate, flush))
         try:
             self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context(_start_method()),
-                initializer=_worker.init_worker,
-                initargs=(self._shared.handle, follower_method),
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork"),
             )
-        except Exception as exc:
-            self._shared.close()
-            raise PoolUnavailable(f"process pool failed to start: {exc}") from exc
+            yield
+        finally:
+            self.close()
 
     # ------------------------------------------------------------------
     # Adaptive sizing
@@ -178,29 +172,23 @@ class CandidateScanPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        epoch: int,
-        anchors: tuple[Vertex, ...],
-        tasks: "list[tuple[Vertex, dict[NodeId, int] | None]]",
-    ) -> list[_worker.TaskResult]:
-        """Evaluate one batch of candidates; results in dispatch order.
+    def evaluate(self, ids: list[int]) -> list[_worker.TaskResult]:
+        """Evaluate one batch of candidate ids; results in dispatch order.
 
-        ``anchors`` is the anchor *lineage* in application order (sorted
-        initial anchors, then selections) — workers key their persistent
-        state cache on it. Any failure (worker crash, pickling error,
-        broken executor, a result for the wrong candidate) marks the
-        pool broken and re-raises; the caller falls back to the serial
-        scan for the whole round.
+        Runs inside :meth:`round`. Any failure (fork error, worker
+        crash, pickling error, broken executor, a result for the wrong
+        candidate) marks the pool broken and re-raises; the caller falls
+        back to the serial scan for the whole round.
         """
-        n = len(tasks)
-        header: _worker.ChunkHeader = (epoch, anchors)
+        n = len(ids)
         trace = _obs.tracing_enabled()
         try:
+            if self._executor is None:
+                raise RuntimeError("evaluate() called outside a pool round")
             size = self._chunk_tasks(n)
             payloads: list[_worker.ChunkPayload] = []
-            for chunk in chunked(tasks, size):
-                payloads.append((header, tuple(chunk), (self._chunk_seq, trace)))
+            for chunk in chunked(ids, size):
+                payloads.append((tuple(chunk), (self._chunk_seq, trace)))
                 self._chunk_seq += 1
             start = _obs.clock()
             returns = list(self._executor.map(_worker.evaluate_chunk, payloads))
@@ -236,23 +224,18 @@ class CandidateScanPool:
 
         Per chunk the worker reports its pid, execute start/end clocks
         (``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux, so parent and
-        worker readings share a timebase; elsewhere queue-wait figures
-        are best-effort), lineage-cache deltas, and the span batch for
-        traced dispatches. Everything lands in gauges/counters so
+        worker readings share a timebase) and the span batch for traced
+        dispatches. Everything lands in gauges/counters so
         ``python -m repro.obs report`` can print a pool section without
         holding a pool reference.
         """
         busy = 0.0
         queue_wait = 0.0
-        hits = advances = rebuilds = 0
         batches = 0
         shipped = 0
-        for pid, _chunk_id, exec_start, exec_end, cache_deltas, batch in telemetry:
+        for pid, _chunk_id, exec_start, exec_end, batch in telemetry:
             busy += exec_end - exec_start
             queue_wait += max(0.0, exec_start - dispatch_start)
-            hits += cache_deltas[0]
-            advances += cache_deltas[1]
-            rebuilds += cache_deltas[2]
             self._busy_by_pid[pid] = self._busy_by_pid.get(pid, 0.0) + (
                 exec_end - exec_start
             )
@@ -263,12 +246,6 @@ class CandidateScanPool:
         self._elapsed_total += elapsed
         self._queue_wait_total += queue_wait
         self.spans_shipped += shipped
-        if hits:
-            _obs.add(_obs.PARALLEL_STATE_HITS, hits)
-        if advances:
-            _obs.add(_obs.PARALLEL_STATE_ADVANCES, advances)
-        if rebuilds:
-            _obs.add(_obs.PARALLEL_STATE_REBUILDS, rebuilds)
         if batches:
             _obs.add(_obs.PARALLEL_SPAN_BATCHES, batches)
             _obs.add(_obs.PARALLEL_SPANS_SHIPPED, shipped)
@@ -284,22 +261,19 @@ class CandidateScanPool:
             _obs.gauge(f"parallel.worker.{pid}.busy_s", busy_s)
 
     def close(self) -> None:
-        """Shut the executor down, wait for its workers, release the graph block.
+        """Shut the round's executor down, wait for its workers, empty the slot.
 
-        Waits for the worker processes to exit, so none outlives the
-        run that started it. Teardown failures are swallowed (gauged as
-        ``parallel.close_error``): the scan results are already merged by
-        the time the pool closes, and a cleanup error must not fail a
-        finished run. The shared block gets its own attempt — an
-        executor-shutdown error can never skip its release, and the OS
-        reclaims anything still mapped at process exit.
+        Idempotent. Teardown failures are swallowed (gauged as
+        ``parallel.close_error``): the scan results are already merged
+        by the time the round closes, and a cleanup error must not fail
+        a finished run.
         """
+        executor, self._executor = self._executor, None
+        _worker.install(None)
+        if executor is None:
+            return
         try:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-        except Exception:
-            _obs.gauge("parallel.close_error", 1.0)
-        try:
-            self._shared.close()
+            executor.shutdown(wait=True, cancel_futures=True)
         except Exception:
             _obs.gauge("parallel.close_error", 1.0)
 
@@ -319,13 +293,13 @@ def _merge(
     discarded in favor of the serial scan.
     """
     results: list[_worker.TaskResult] = []
-    for (_header, chunk_tasks, _meta), chunk_results in zip(payloads, returned):
-        if len(chunk_results) != len(chunk_tasks):
+    for (chunk_ids, _meta), chunk_results in zip(payloads, returned):
+        if len(chunk_results) != len(chunk_ids):
             raise RuntimeError(
                 f"chunk returned {len(chunk_results)} results for "
-                f"{len(chunk_tasks)} tasks — chunk protocol violation"
+                f"{len(chunk_ids)} tasks — chunk protocol violation"
             )
-        for (candidate, _reusable), result in zip(chunk_tasks, chunk_results):
+        for candidate, result in zip(chunk_ids, chunk_results):
             if result[0] != candidate:
                 raise RuntimeError(
                     f"result for candidate {result[0]!r} where {candidate!r} "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 from collections.abc import Iterator
 from unittest import mock
 
@@ -13,42 +14,13 @@ from repro.graphs.generators import gnm_random_graph, powerlaw_social_graph
 from repro.graphs.graph import Graph
 
 
-def _probe_shared_memory(size: int = 1 << 16) -> str | None:
-    """Why POSIX shared memory is unusable on this host, or ``None``.
+#: The parallel scan forks its workers from the live state; where the
+#: platform has no ``fork`` the pool is unavailable and runs stay serial.
+HAS_FORK: bool = "fork" in multiprocessing.get_all_start_methods()
 
-    Creates, writes, and unlinks a small segment once at collection
-    time so shm-dependent tests skip with the real failure reason
-    (missing ``/dev/shm``, undersized tmpfs, sandbox denial) instead
-    of erroring mid-test.
-    """
-    try:
-        from multiprocessing import shared_memory
-    except ImportError as exc:  # pragma: no cover - stdlib module missing
-        return f"multiprocessing.shared_memory unavailable: {exc}"
-    block = None
-    try:
-        block = shared_memory.SharedMemory(create=True, size=size)
-        block.buf[0] = 1
-    except (OSError, ValueError) as exc:
-        return f"POSIX shared memory unavailable or undersized: {exc}"
-    finally:
-        if block is not None:
-            block.close()
-            try:
-                block.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-    return None
-
-
-#: ``None`` when POSIX shared memory works here, else the reason it doesn't.
-SHM_UNAVAILABLE: str | None = _probe_shared_memory()
-
-#: Marker for tests that genuinely need a shared-memory segment (the
-#: algorithms themselves fall back to serial when shm is missing).
-needs_shm = pytest.mark.skipif(
-    SHM_UNAVAILABLE is not None,
-    reason=f"needs POSIX shared memory: {SHM_UNAVAILABLE}",
+#: Marker for tests that need the pool to actually run.
+needs_fork = pytest.mark.skipif(
+    not HAS_FORK, reason="the parallel scan needs the fork start method"
 )
 
 

@@ -20,13 +20,7 @@ def evaluate(payload: int) -> int:
         gathered.append(value)  # L2: nested function mutates captured state
 
     accumulate(payload + jitter)
-    return _stamp_buffer(payload) + _pure_helper(payload)
-
-
-def _stamp_buffer(payload: int) -> int:
-    view = attach(payload)
-    view.degrees[0] = payload  # L2: write into an attached shared buffer
-    return payload
+    return _pure_helper(payload)
 
 
 def _pure_helper(payload: int) -> int:
@@ -34,13 +28,3 @@ def _pure_helper(payload: int) -> int:
     window = [payload, len(_cache)]
     window.append(payload)
     return sum(window)
-
-
-class _View:
-    def __init__(self) -> None:
-        self.degrees = [0]
-
-
-def attach(handle: int) -> _View:
-    del handle
-    return _View()

@@ -28,9 +28,10 @@ class TestStats:
         assert main(["stats", "--dataset", "brightkite"]) == 0
         assert "nodes   1450" in capsys.readouterr().out
 
-    def test_missing_source(self):
-        with pytest.raises(SystemExit):
-            main(["stats"])
+    def test_missing_source(self, capsys):
+        assert main(["stats"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: provide --dataset NAME or --edges PATH\n"
 
 
 class TestDecompose:
@@ -65,9 +66,10 @@ class TestAnchor:
         main(["anchor", "--edges", edge_file, "--method", "Rand", "-b", "2", "--seed", "1"])
         assert capsys.readouterr().out == first
 
-    def test_olak_requires_k(self, edge_file):
-        with pytest.raises(SystemExit):
-            main(["anchor", "--edges", edge_file, "--method", "olak", "-b", "1"])
+    def test_olak_requires_k(self, edge_file, capsys):
+        argv = ["anchor", "--edges", edge_file, "--method", "olak", "-b", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --k is required for olak\n"
 
     def test_olak(self, edge_file, capsys):
         assert main(
@@ -119,6 +121,11 @@ class TestBadInput:
             (["cascade", "--edges", "{edges}", "--k", "3", "--seeds", "a,b"], None),
             (["stats", "--edges", "{dir}"], None),
             (["anchor", "--edges", "{edges}", "-b", "1", "--trace-out", "{file}"], None),
+            (["anchor", "--edges", "{edges}", "-b", "1", "--workers", "-3"], None),
+            (["anchor", "--edges", "{edges}", "--method", "olak", "--k", "3", "-b", "1",
+              "--workers", "2"], None),
+            (["anchor", "--edges", "{edges}", "--method", "Rand", "-b", "1",
+              "--workers", "2"], None),
         ],
         ids=[
             "dataset",
@@ -135,6 +142,9 @@ class TestBadInput:
             "cascade-seeds",
             "edges-directory",
             "trace-out-without-profile",
+            "negative-workers",
+            "olak-workers",
+            "heuristic-workers",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, edge_file, capsys, argv, content):

@@ -5,10 +5,9 @@ the documented containment: the result is identical to the
 uninterrupted run, and the gauge (or error) names the reason.
 
 * Pool failures patch a callee before ``gac(..., workers=2)``. The pool
-  forks its workers, so they inherit the patch; these scenarios skip
-  where ``fork`` or POSIX shared memory is unavailable. Callees are
-  patched, never ``evaluate_chunk``: the executor pickles that one by
-  name.
+  forks each round's workers, so they inherit the patch; these
+  scenarios skip where ``fork`` is unavailable. Callees are patched,
+  never ``evaluate_chunk``: the executor pickles that one by name.
 * Persistence failures are real: a checkpoint path inside a missing
   directory, and ``resume=`` pointing at a directory.
 * Kills use ``conftest.kill_after_round``, which raises right after a
@@ -22,23 +21,26 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.anchors.followers import FollowerSearch
 from repro.anchors.gac import gac
 from repro.errors import CheckpointError
 from repro.graphs.graph import Graph
 from repro.obs import runtime as obs_runtime
 from repro.olak.olak import olak
+from repro.parallel import pool as pool_mod
 from repro.parallel import worker as worker_mod
 from repro.parallel.pool import CandidateScanPool
-from repro.parallel.shm import SharedCSR
 
 from conftest import (
-    SHM_UNAVAILABLE,
+    HAS_FORK,
     Killed,
     kill_after_round,
     pin_chunk_size,
@@ -82,10 +84,8 @@ def _pool_run(monkeypatch, patch, *, gauge):
     equal it and set ``gauge``. ``verify=False`` because verification
     keeps runs off the pool.
     """
-    if SHM_UNAVAILABLE is not None:
-        pytest.skip(f"needs POSIX shared memory: {SHM_UNAVAILABLE}")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("workers inherit the patch only when the pool forks")
+    if not HAS_FORK:
+        pytest.skip("the pool forks its workers; this platform cannot")
     monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
     graph = small_random_graph(1, n=60, m=160)
     serial = gac(graph, 3, tie_break="id", workers=0)
@@ -96,6 +96,21 @@ def _pool_run(monkeypatch, patch, *, gauge):
     assert _result_tuple(pooled) == _result_tuple(serial)
     assert obs.gauges_snapshot().get(gauge) == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
     return obs.get(obs.PARALLEL_TASKS) - tasks
+
+
+def _workers_evaluate_with(monkeypatch, wrap):
+    """Install ``wrap(evaluate)`` in the workers' slot instead of ``evaluate``.
+
+    The parent's serial fallback still calls the round's own evaluator.
+    """
+    install = worker_mod.install
+
+    def install_wrapped(round_):
+        if round_ is not None:
+            round_ = (wrap(round_[0]), round_[1])
+        install(round_)
+
+    monkeypatch.setattr(worker_mod, "install", install_wrapped)
 
 
 # ----------------------------------------------------------------------
@@ -112,33 +127,45 @@ def scenario(name):
     return register
 
 
+def _raise_os_error(*_args, **_kwargs):
+    raise OSError("injected by the test")
+
+
 @scenario("worker.shm_attach")
-def _attach_failure_keeps_the_run_serial(monkeypatch, _tmp_path):
-    # The initializer dies in every worker, so the first dispatch breaks
-    # the pool (concurrent.futures logs the initializer tracebacks).
+def _worker_start_failure_keeps_the_run_serial(monkeypatch, _tmp_path):
+    # The round's executor cannot start its workers (the fork fails).
     _pool_run(
         monkeypatch,
-        lambda: monkeypatch.setattr(worker_mod, "attach", _raise),
-        gauge="gac.parallel_fallback.scan_error",
+        lambda: monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", _raise_os_error),
+        gauge="gac.parallel_fallback.spawn_error",
     )
 
 
 @scenario("worker.task_start")
 def _task_start_crash_falls_back(monkeypatch, _tmp_path):
+    # The workers' evaluator raises on the first task of every chunk.
     _pool_run(
         monkeypatch,
-        lambda: monkeypatch.setattr(worker_mod, "_state_for", _raise),
+        lambda: _workers_evaluate_with(monkeypatch, lambda evaluate: _raise),
         gauge="gac.parallel_fallback.scan_error",
     )
 
 
 @scenario("worker.follower_eval")
 def _follower_eval_crash_falls_back(monkeypatch, _tmp_path):
-    # Only the worker module's name is patched; the serial fallback
-    # searches through gac's own FollowerSearch.
+    # The follower search itself fails, but only in a worker process: the
+    # serial fallback in the parent runs the same search unharmed.
+    parent = os.getpid()
+    counts = FollowerSearch.counts
+
+    def counts_fails_in_workers(self, *args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("injected by the test")
+        return counts(self, *args, **kwargs)
+
     _pool_run(
         monkeypatch,
-        lambda: monkeypatch.setattr(worker_mod, "FollowerSearch", _raise),
+        lambda: monkeypatch.setattr(FollowerSearch, "counts", counts_fails_in_workers),
         gauge="gac.parallel_fallback.scan_error",
     )
 
@@ -154,19 +181,25 @@ def _dispatch_failure_falls_back(monkeypatch, _tmp_path):
 
 
 @scenario("shm.exporter_finalize")
-def _export_release_failure_is_swallowed(monkeypatch, _tmp_path):
-    release = SharedCSR.close
+def _shutdown_failure_is_swallowed(monkeypatch, _tmp_path):
+    shutdown = ProcessPoolExecutor.shutdown
 
-    def release_then_fail(self):
-        release(self)  # the block is freed; only the error is injected
+    def shutdown_then_fail(self, *args, **kwargs):
+        shutdown(self, *args, **kwargs)  # the workers exit; only the error is injected
         raise OSError("injected by the test")
 
     tasks = _pool_run(
         monkeypatch,
-        lambda: monkeypatch.setattr(SharedCSR, "close", release_then_fail),
+        lambda: monkeypatch.setattr(
+            ProcessPoolExecutor, "shutdown", shutdown_then_fail
+        ),
         gauge="parallel.close_error",
     )
     assert tasks > 0  # a teardown-only failure: the pool did the scan
+    assert multiprocessing.active_children() == []
+    # The registry stays readable after the swallowed error; reports
+    # read it right after teardown.
+    assert "parallel.close_error" in obs.counters_table(obs.gauges_snapshot()).format()
 
 
 @scenario("checkpoint.write")
@@ -222,20 +255,23 @@ def test_crash_mid_chunk_falls_back_identically(monkeypatch):
     """A worker dying partway through a multi-task chunk (on its 5th
     task, chunks pinned wide enough to guarantee mid-chunk impact) must
     discard the whole dispatch and fall back to the serial scan."""
-    state_for = worker_mod._state_for
-    calls = 0
 
-    def dies_on_fifth_task(epoch, lineage):
-        nonlocal calls  # per worker: each forked process has its own count
-        calls += 1
-        if calls == 5:
-            raise RuntimeError("injected by the test")
-        return state_for(epoch, lineage)
+    def dies_on_fifth_task(evaluate):
+        calls = 0
+
+        def evaluate_until_fifth(i):
+            nonlocal calls  # per worker: each forked process has its own count
+            calls += 1
+            if calls == 5:
+                raise RuntimeError("injected by the test")
+            return evaluate(i)
+
+        return evaluate_until_fifth
 
     pin_chunk_size(monkeypatch, 10000)
     _pool_run(
         monkeypatch,
-        lambda: monkeypatch.setattr(worker_mod, "_state_for", dies_on_fifth_task),
+        lambda: _workers_evaluate_with(monkeypatch, dies_on_fifth_task),
         gauge="gac.parallel_fallback.scan_error",
     )
 
@@ -259,21 +295,11 @@ class TestCatalogCoverage:
 
 
 class TestCli:
-    def test_heuristics_reject_fault_knobs(self, tmp_path):
+    def test_heuristics_reject_fault_knobs(self, tmp_path, capsys):
         """Only GAC and OLAK checkpoint; a heuristic refuses the flags."""
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="gac and"):
-            main(
-                [
-                    "anchor",
-                    "--dataset",
-                    "arxiv",
-                    "--method",
-                    "Deg",
-                    "-b",
-                    "2",
-                    "--checkpoint",
-                    str(tmp_path / "run.ckpt"),
-                ]
-            )
+        argv = ["anchor", "--dataset", "arxiv", "--method", "Deg", "-b", "2"]
+        assert main([*argv, "--checkpoint", str(tmp_path / "run.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --checkpoint/--resume apply to gac and olak only\n"

@@ -131,8 +131,7 @@ class TestProjectModel:
     def test_real_tree_worker_entry_points(self):
         model, _ = build_project([SRC])
         entries = model.worker_entry_points()
-        assert "repro.parallel.worker:init_worker" in entries
-        assert "repro.parallel.worker:evaluate_chunk" in entries
+        assert entries == ["repro.parallel.worker:evaluate_chunk"]
 
     def test_real_tree_reaches_obs_transitively(self):
         model, _ = build_project([SRC])
@@ -141,10 +140,10 @@ class TestProjectModel:
 
     def test_real_tree_worker_obs_reach(self):
         model, _ = build_project([SRC])
-        # evaluate_chunk ships spans; init_worker deliberately does not
-        # (it carries an obs-ok waiver instead).
+        # evaluate_chunk ships spans; install runs in the parent and
+        # deliberately does not (it carries an obs-ok waiver instead).
         assert model.reaches_worker_obs("repro.parallel.worker:evaluate_chunk")
-        assert not model.reaches_worker_obs("repro.parallel.worker:init_worker")
+        assert not model.reaches_worker_obs("repro.parallel.worker:install")
         # Ordinary obs reach is a weaker property than worker-obs reach.
         assert model.reaches_obs("repro.parallel.worker:evaluate_chunk")
 
@@ -187,7 +186,6 @@ class TestSeededCorpus:
         assert "item assignment" in messages
         assert "random.random()" in messages
         assert "mutates captured variable 'gathered'" in messages
-        assert "attached shared-memory buffer 'view'" in messages
 
     def test_worker_race_negative_control_pure_helper(self):
         diags = corpus_diags("worker_race", passes=["L2"])

@@ -1,11 +1,12 @@
-"""Tests for repro.parallel: shared CSR, pool lifecycle, and the
+"""Tests for repro.parallel: the per-round pool lifecycle and the
 determinism contract of the parallel candidate scan.
 
 The load-bearing assertion in this file is result *identity*: for every
 worker count, ``greedy_anchored_coreness`` must return the same
 ``GreedyResult`` — anchors, gains, follower sets, and Figure-13 counter
 totals — as the serial scan. Everything else (fallback gauges, crash
-recovery, shm lifecycle) protects the machinery that keeps that true.
+recovery, the fork-per-round lifecycle) protects the machinery that
+keeps that true.
 """
 
 from __future__ import annotations
@@ -21,24 +22,21 @@ import pytest
 gac_mod = importlib.import_module("repro.anchors.gac")
 import repro.parallel.worker as worker_mod
 from repro import obs
-from repro.anchors.gac import gac, gac_u, greedy_anchored_coreness
+from repro.anchors.gac import baseline, gac, gac_u, greedy_anchored_coreness
 from repro.datasets import registry
 from repro.errors import GraphError
-from repro.graphs.csr import csr_view
+from repro.graphs.generators import powerlaw_social_graph
 from repro.graphs.graph import Graph
+from repro.obs import runtime as obs_runtime
 from repro.parallel import (
     CandidateScanPool,
     PoolUnavailable,
-    SharedCSR,
-    attach,
     bucket_h_index,
     chunked,
     resolve_workers,
 )
 
-from conftest import needs_shm, pin_chunk_size, small_random_graph
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+from conftest import needs_fork, pin_chunk_size, small_random_graph
 
 
 @pytest.fixture
@@ -95,92 +93,38 @@ class TestUtil:
 
 
 # ----------------------------------------------------------------------
-# shared-memory CSR export / attach
-# ----------------------------------------------------------------------
-@needs_shm
-class TestSharedCSR:
-    def test_round_trip(self):
-        graph = small_random_graph(3)
-        csr = csr_view(graph)
-        shared = SharedCSR.export(csr)
-        try:
-            attachment = attach(shared.handle)
-            try:
-                assert attachment.csr.num_vertices == csr.num_vertices
-                assert attachment.csr.num_edges == csr.num_edges
-                assert list(attachment.csr.labels) == list(csr.labels)
-                assert attachment.csr.as_lists() == csr.as_lists()
-            finally:
-                attachment.close()
-        finally:
-            shared.close()
-
-    def test_attached_graph_matches_original(self):
-        graph = small_random_graph(5)
-        shared = SharedCSR.export(csr_view(graph))
-        try:
-            attachment = attach(shared.handle)
-            try:
-                rebuilt = attachment.csr.to_graph()
-                assert rebuilt.num_vertices == graph.num_vertices
-                assert rebuilt.num_edges == graph.num_edges
-                for u in graph.vertices():
-                    assert rebuilt.neighbors(u) == graph.neighbors(u)
-                # the CSR view is pre-interned on the rebuilt graph
-                assert csr_view(rebuilt) is attachment.csr
-            finally:
-                attachment.close()
-        finally:
-            shared.close()
-
-    def test_non_identity_labels_travel(self):
-        graph = Graph.from_edges([(10, 20), (20, 30), (10, 30)])
-        shared = SharedCSR.export(csr_view(graph))
-        try:
-            assert shared.handle.labels is not None
-            attachment = attach(shared.handle)
-            try:
-                assert set(attachment.csr.labels) == {10, 20, 30}
-            finally:
-                attachment.close()
-        finally:
-            shared.close()
-
-    def test_close_is_idempotent_and_unlinks(self):
-        shared = SharedCSR.export(csr_view(small_random_graph(1)))
-        handle = shared.handle
-        assert not shared.closed
-        shared.close()
-        assert shared.closed
-        shared.close()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            attach(handle)
-
-    def test_itemsize_mismatch_rejected(self):
-        shared = SharedCSR.export(csr_view(small_random_graph(1)))
-        try:
-            from dataclasses import replace
-
-            bad = replace(shared.handle, itemsize=shared.handle.itemsize * 2)
-            with pytest.raises(ValueError, match="byte ints"):
-                attach(bad)
-        finally:
-            shared.close()
-
-
-# ----------------------------------------------------------------------
 # pool construction and fallbacks
 # ----------------------------------------------------------------------
 class TestPoolConstruction:
     def test_rejects_single_worker(self):
         with pytest.raises(PoolUnavailable):
-            CandidateScanPool(small_random_graph(0), 1)
+            CandidateScanPool(1)
 
-    def test_rejects_graph_without_csr_view(self):
-        # complex labels are mutually unorderable -> no CSR interning
+    def test_rejects_graph_without_csr_view(self, tiny_pools):
+        # complex labels are mutually unorderable -> no CSR interning, so
+        # the run fails in one line before any worker could fork
         graph = Graph.from_edges([(1j, 2j), (2j, 3j), (1j, 3j)])
         with pytest.raises(GraphError, match="complex"):
-            CandidateScanPool(graph, 2)
+            gac(graph, 1, workers=2)
+
+    def test_missing_fork_falls_back_with_gauge(self, tiny_pools, monkeypatch):
+        """Without ``fork`` the pool is unavailable and the run stays serial."""
+        graph = small_random_graph(1, n=60, m=160)
+        serial = gac(graph, 2, tie_break="id")
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(PoolUnavailable, match="fork"):
+            CandidateScanPool(2)
+        monkeypatch.delitem(
+            obs_runtime._gauges, "gac.parallel_fallback.unavailable", raising=False
+        )
+        tasks = obs.get(obs.PARALLEL_TASKS)
+        run = gac(graph, 2, tie_break="id", workers=2)
+        assert _result_tuple(run) == _result_tuple(serial)
+        assert obs.get(obs.PARALLEL_TASKS) == tasks
+        fallback = obs.gauges_snapshot().get("gac.parallel_fallback.unavailable")
+        assert fallback == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
 
     def test_small_graph_falls_back_with_gauge(self):
         graph = small_random_graph(2)  # 40 vertices < _MIN_PARALLEL_CANDIDATES
@@ -244,7 +188,7 @@ class TestScanDeterminism:
         parallel = gac(graph, 3, tie_break="random", seed=99, workers=2)
         assert _result_tuple(serial) == _result_tuple(parallel)
 
-    @needs_shm
+    @needs_fork
     def test_env_knob_engages_pool(self, tiny_pools, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "2")
         graph = small_random_graph(1, n=60, m=160)
@@ -254,6 +198,18 @@ class TestScanDeterminism:
         monkeypatch.setenv("REPRO_PARALLEL", "0")
         serial = gac(graph, 2, tie_break="id")
         assert _result_tuple(from_env) == _result_tuple(serial)
+
+    @needs_fork
+    def test_baseline_naive_path_identical(self, tiny_pools):
+        """The naive follower path (Baseline) through the pool equals serial:
+        anchors, gains and per-iteration Figure-13 counters."""
+        graph = powerlaw_social_graph(120, 5.0, 7)
+        serial = baseline(graph, 3, tie_break="id")
+        tasks = obs.get(obs.PARALLEL_TASKS)
+        parallel = baseline(graph, 3, tie_break="id", workers=2)
+        assert obs.get(obs.PARALLEL_TASKS) > tasks  # the pool ran
+        assert _result_tuple(parallel) == _result_tuple(serial)
+        assert all(t.counters.evaluated_candidates > 0 for t in parallel.traces)
 
     def test_parallel_counters_outside_fig13(self, tiny_pools):
         """parallel.* counters must never leak into FollowerCounters."""
@@ -294,62 +250,58 @@ class TestChunkedDispatch:
         run = gac(graph, 3, tie_break="id", workers=workers)
         assert _result_tuple(run) == reference
 
-    @needs_shm
+    @needs_fork
     def test_chunk_counter_records_real_chunks(self, monkeypatch):
         """PARALLEL_CHUNKS counts shipped chunks, not dispatch calls."""
+        from repro.anchors.followers import FollowerSearch, find_followers
+        from repro.anchors.state import AnchoredState
+
         pin_chunk_size(monkeypatch, 1)
         graph = small_random_graph(1, n=60, m=160)
-        pool = CandidateScanPool(graph, 2)
-        try:
-            tasks = [(u, None) for u in sorted(graph.vertices())[:10]]
-            chunks_before = obs.get(obs.PARALLEL_CHUNKS)
-            dispatches_before = obs.get(obs.PARALLEL_DISPATCHES)
-            results = pool.evaluate(0, (), tasks)
-            assert obs.get(obs.PARALLEL_CHUNKS) - chunks_before == len(tasks)
-            assert obs.get(obs.PARALLEL_DISPATCHES) - dispatches_before == 1
-            # the returned results reproduce the serial oracle
-            from repro.anchors.followers import find_followers
-            from repro.anchors.state import AnchoredState
+        state = AnchoredState.build(graph, frozenset())
+        search = FollowerSearch(state)
 
-            state = AnchoredState.build(graph, frozenset())
-            for (candidate, total, counts, _deltas), (u, _r) in zip(results, tasks):
-                assert candidate == u
-                report = find_followers(state, u)
-                assert total == report.total
-                assert counts == dict(report.counts)
-        finally:
-            pool.close()
+        def evaluate(i):
+            counts = search.counts(i)
+            return sum(counts.values()), counts
 
-    @needs_shm
-    def test_close_releases_shm_when_shutdown_raises(self, monkeypatch):
-        """The crash-fallback leak: a shutdown error must not skip shm."""
-        graph = small_random_graph(1, n=60, m=160)
-        pool = CandidateScanPool(graph, 2)
-        executor = pool._executor
-        real_shutdown = executor.shutdown
-        try:
-            pool.evaluate(0, (), [(u, None) for u in sorted(graph.vertices())[:4]])
+        pool = CandidateScanPool(2)
+        ids = list(range(10))
+        chunks_before = obs.get(obs.PARALLEL_CHUNKS)
+        dispatches_before = obs.get(obs.PARALLEL_DISPATCHES)
+        with pool.round(evaluate, search.flush):
+            results = pool.evaluate(ids)
+        pool.close()  # idempotent: the round already closed the executor
+        assert multiprocessing.active_children() == []
+        assert worker_mod._round is None  # the slot is emptied with the round
+        assert obs.get(obs.PARALLEL_CHUNKS) - chunks_before == len(ids)
+        assert obs.get(obs.PARALLEL_DISPATCHES) - dispatches_before == 1
+        # the returned results reproduce the serial oracle
+        for (candidate, total, counts, deltas), i in zip(results, ids):
+            assert candidate == i
+            report = find_followers(state, state.tables.labels[i])
+            assert total == report.total
+            assert counts == dict(report.counts)
+            assert deltas[obs.EVALUATED_CANDIDATES] == 1
 
-            def _boom(*args, **kwargs):
-                raise RuntimeError("synthetic shutdown failure")
+    @needs_fork
+    def test_no_worker_outlives_a_round(self, tiny_pools, monkeypatch):
+        """Each round's workers are shut down before the round returns."""
+        select_best = gac_mod._select_best
+        rounds = []
 
-            monkeypatch.setattr(executor, "shutdown", _boom)
-            pool.close()
-            assert pool._shared.closed
-            error = obs.gauges_snapshot().get("parallel.close_error")
-            assert error == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0
-            # The registry must stay fully readable after the crash path —
-            # reports and benches read it right after pool teardown.
-            assert obs.counters_snapshot() is not None
-            assert "parallel.close_error" in obs.counters_table(
-                obs.gauges_snapshot()
-            ).format()
-            pool.close()  # idempotent: second close is a no-op, no raise
-        finally:
-            real_shutdown(wait=False, cancel_futures=True)
+        def checked(*args, **kwargs):
+            outcome = select_best(*args, **kwargs)
+            rounds.append(multiprocessing.active_children())
+            return outcome
 
+        monkeypatch.setattr(gac_mod, "_select_best", checked)
+        tasks = obs.get(obs.PARALLEL_TASKS)
+        gac(small_random_graph(1, n=60, m=160), 3, tie_break="id", workers=2)
+        assert obs.get(obs.PARALLEL_TASKS) > tasks  # the pool ran
+        assert rounds == [[], [], []]
 
-    @needs_shm
+    @needs_fork
     def test_no_worker_outlives_the_run(self):
         """close() waits for its workers: none is alive once gac returns."""
         graph = registry.load("brightkite")
@@ -362,7 +314,7 @@ class TestChunkedDispatch:
 # ----------------------------------------------------------------------
 # cross-process observability: span shipping and pool health
 # ----------------------------------------------------------------------
-@needs_shm
+@needs_fork
 class TestSpanShipping:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_traced_scan_ships_worker_lanes(self, tiny_pools, workers):
@@ -402,7 +354,7 @@ class TestSpanShipping:
         assert _result_tuple(traced) == _result_tuple(untraced)
 
 
-@needs_shm
+@needs_fork
 class TestPoolHealth:
     def test_evaluate_populates_health_registry(self, tiny_pools):
         graph = small_random_graph(1, n=60, m=160)
@@ -424,110 +376,48 @@ class TestPoolHealth:
             name for name in gauges if name.startswith("parallel.worker.")
         ]
         assert worker_lanes, "per-worker busy gauges missing"
-        assert window.counter(obs.PARALLEL_STATE_REBUILDS) >= 1
-        assert window.counter(obs.PARALLEL_STATE_HITS) >= 0
-
-    def test_shm_sizes_gauged(self, tiny_pools):
-        graph = small_random_graph(1, n=60, m=160)
-        pool = CandidateScanPool(graph, 2)
-        try:
-            assert obs.gauges_snapshot().get("shm.csr_bytes", 0) > 0
-        finally:
-            pool.close()
-
-
-# ----------------------------------------------------------------------
-# persistent worker state: the incremental lineage cache
-# ----------------------------------------------------------------------
-@needs_shm
-class TestWorkerLineageCache:
-    def test_incremental_advance_matches_fresh_build(self):
-        """Extending the lineage advances the cached state in place and
-        keeps every follower total equal to a fresh-build oracle."""
-        from repro.anchors.followers import find_followers
-        from repro.anchors.state import AnchoredState
-        from repro.core.decomposition import _sort_key
-
-        graph = small_random_graph(2, n=60, m=160)
-        shared = SharedCSR.export(csr_view(graph))
-        saved_state = worker_mod._state
-        try:
-            worker_mod.init_worker(shared.handle, "tree")
-            anchors_in_order = sorted(graph.vertices(), key=_sort_key)[:3]
-            cached_ids = []
-            for epoch in range(3):
-                lineage = tuple(anchors_in_order[:epoch])
-                candidates = [
-                    u
-                    for u in sorted(graph.vertices(), key=_sort_key)
-                    if u not in lineage
-                ][:6]
-                payload = (
-                    (epoch, lineage),
-                    tuple((u, None) for u in candidates),
-                    (epoch, False),  # chunk id, untraced
-                )
-                results, telemetry = worker_mod.evaluate_chunk(payload)
-                assert len(results) == len(candidates)
-                pid, chunk_id, exec_start, exec_end, cache_stats, batch = telemetry
-                assert pid == os.getpid()
-                assert chunk_id == epoch
-                assert exec_end >= exec_start
-                assert batch is None  # untraced dispatch ships no spans
-                hits, advances, rebuilds = cache_stats
-                if epoch == 0:
-                    assert rebuilds >= 1  # cold start builds the state
-                else:
-                    assert advances >= 1  # lineage grew by one anchor
-                assert hits == len(candidates) - 1  # rest of chunk reuses it
-                cached_ids.append(id(worker_mod._state.state))
-                oracle = AnchoredState.build(graph, frozenset(lineage))
-                for u, (candidate, total, counts, _deltas) in zip(candidates, results):
-                    report = find_followers(oracle, candidate)
-                    assert candidate == u
-                    assert total == report.total
-                    assert counts == dict(report.counts)
-            # the same AnchoredState object advanced across epochs —
-            # proof the incremental path ran instead of a rebuild
-            assert cached_ids[1] == cached_ids[2]
-        finally:
-            state = worker_mod._state
-            worker_mod._state = saved_state
-            if state is not None:
-                state.attachment.close()
-            shared.close()
+        assert window.counter(obs.PARALLEL_DISPATCHES) >= 1
 
 
 # ----------------------------------------------------------------------
 # crash recovery: the pool must degrade, never corrupt
 # ----------------------------------------------------------------------
-def _soft_crash_evaluate(payload):
-    """Evaluate normally in round 0, blow up from round 1 on."""
-    if payload[0][0] >= 1:  # payload[0] is the (epoch, lineage) header
-        raise RuntimeError("synthetic worker failure")
-    return worker_mod.evaluate_chunk(payload)
+def _soft_crash(i):
+    """The evaluator raises in the worker (the exception ships back)."""
+    raise RuntimeError("synthetic worker failure")
 
 
-def _hard_crash_evaluate(payload):
+def _hard_crash(i):
     """Kill the worker process outright (BrokenProcessPool in the parent)."""
     os._exit(1)
 
 
-@needs_shm
-@pytest.mark.skipif(not _HAS_FORK, reason="crash injection needs fork workers")
+@needs_fork
 class TestCrashFallback:
     @pytest.fixture(autouse=True)
     def _tiny_pools(self, monkeypatch):
         monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
 
-    @pytest.mark.parametrize(
-        "crash", [_soft_crash_evaluate, _hard_crash_evaluate], ids=["soft", "hard"]
-    )
+    @pytest.mark.parametrize("crash", [_soft_crash, _hard_crash], ids=["soft", "hard"])
     def test_worker_crash_mid_run_falls_back_to_serial(self, monkeypatch, crash):
+        """Round 0 runs pooled; from round 1 on the workers get a crashing
+        evaluator, so the run finishes serially with the same result."""
         graph = small_random_graph(1, n=60, m=160)
         serial = gac(graph, 3, tie_break="id")
-        monkeypatch.setattr(worker_mod, "evaluate_chunk", crash)
+        install = worker_mod.install
+        installs = 0
+
+        def crash_from_round_one(round_):
+            nonlocal installs
+            if round_ is not None:
+                installs += 1
+                if installs > 1:
+                    round_ = (crash, round_[1])
+            install(round_)
+
+        monkeypatch.setattr(worker_mod, "install", crash_from_round_one)
         crashed = gac(graph, 3, tie_break="id", workers=2)
+        assert installs == 2  # round 0 pooled, round 1 broke, round 2 serial
         assert _result_tuple(crashed) == _result_tuple(serial)
         fallback = obs.gauges_snapshot().get("gac.parallel_fallback.scan_error")
         assert fallback == 1.0  # lint: float-eq-ok gauge stores the exact literal 1.0

@@ -35,7 +35,7 @@ from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 
-from conftest import graph_strategy, needs_shm, small_random_graph
+from conftest import graph_strategy, needs_fork, small_random_graph
 
 gac_mod = importlib.import_module("repro.anchors.gac")
 
@@ -255,7 +255,7 @@ def test_whole_run_matches_oracle_with_dict_kernel(variant, monkeypatch):
     assert _run(graph, 4, variant, "ub", 0) == expected
 
 
-@needs_shm
+@needs_fork
 @pytest.mark.parametrize("variant", ["gac", "gac_u"])
 def test_parallel_round_counts_served_once(variant, monkeypatch):
     """The pool's replay reports the serial round's counters and served count."""
