@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.anchors.state import AnchoredState
-from repro.core.tree import NodeId
-from repro.graphs.graph import Vertex
 from repro.lint.markers import pure
 
 if TYPE_CHECKING:
@@ -36,53 +34,13 @@ class UpperBounds:
         tables: the per-id tables the bounds were computed on.
         own: ``UB_{i_u}(u)`` — the bound inside u's own node (Eq 1).
         total: ``UB_sigma(u)`` (Eq 3) — ``own`` plus every deeper node's
-            part (Eq 2). Parts are not stored: :meth:`refined` recomputes
-            only those it replaces with a cached count.
+            part (Eq 2). Parts are not stored: :func:`refined_total`
+            recomputes only those it replaces with a cached count.
     """
 
     tables: FlatTables
     own: list[int]
     total: list[int]
-
-    def refined(self, i: int, cached: Mapping[NodeId, int]) -> int:
-        """``UB_sigma`` of id ``i`` with exact cached counts substituted.
-
-        A cached ``|F[u][id]|`` is exact and <= its part, so the result
-        is a tighter valid bound (Section 4.5, "Upper Bound Refining").
-        ``cached`` must be validated already (its node ids in ``sn(u)``).
-        """
-        t = self.tables
-        own = self.own
-        own_node = t.nid[i]
-        tca = t.tca_ids[i]
-        bound = self.total[i]
-        for nid, c in cached.items():
-            if nid == own_node:
-                bound -= own[i] - c
-            else:
-                bucket = tca[nid]
-                bound -= len(bucket) + sum(map(own.__getitem__, bucket)) - c
-        return bound
-
-    def _id(self, u: Vertex) -> int:
-        i = self.tables.index[u]
-        if self.tables.is_anchor[i]:
-            raise KeyError(u)
-        return i
-
-    def own_of(self, u: Vertex) -> int:
-        """``UB_{i_u}(u)``; ``KeyError`` for an anchor."""
-        return self.own[self._id(u)]
-
-    def total_of(self, u: Vertex) -> int:
-        """``UB_sigma(u)``; ``KeyError`` for an anchor."""
-        return self.total[self._id(u)]
-
-    def parts_of(self, u: Vertex) -> dict[NodeId, int]:
-        """Each node's part of ``UB_sigma(u)`` (what a cached 0 takes off)."""
-        i = self._id(u)
-        nodes = dict.fromkeys([self.tables.nid[i], *self.tables.sn_ids[i]])
-        return {nid: self.total[i] - self.refined(i, {nid: 0}) for nid in nodes}
 
 
 @pure
@@ -130,9 +88,26 @@ def compute_upper_bounds(state: AnchoredState) -> UpperBounds:
 
 @pure
 def refined_total(  # lint: obs-ok pure arithmetic over precomputed bounds
-    u: Vertex,
+    i: int,
     bounds: UpperBounds,
-    cached_counts: dict[NodeId, int],
+    cached: Mapping[int, int],
 ) -> int:
-    """The label form of :meth:`UpperBounds.refined` (counts from ``valid_counts``)."""
-    return bounds.refined(bounds._id(u), cached_counts)
+    """``UB_sigma`` of id ``i`` with exact cached counts substituted.
+
+    A cached ``|F[u][id]|`` is exact and <= its part, so the result is a
+    tighter valid bound (Section 4.5, "Upper Bound Refining").
+    ``cached`` must be validated already (its node ids in ``sn(u)``, as
+    :meth:`~repro.anchors.reuse.FollowerCache.served` returns them).
+    """
+    t = bounds.tables
+    own = bounds.own
+    own_node = t.nid[i]
+    tca = t.tca_ids[i]
+    bound = bounds.total[i]
+    for nid, c in cached.items():
+        if nid == own_node:
+            bound -= own[i] - c
+        else:
+            bucket = tca[nid]
+            bound -= len(bucket) + sum(map(own.__getitem__, bucket)) - c
+    return bound

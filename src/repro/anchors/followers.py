@@ -28,13 +28,12 @@ from repro import obs as _obs
 from repro.anchors.kernels.flat_backend import flat_explorer
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, core_decomposition
-from repro.core.tree import NodeId
 from repro.graphs.graph import Graph, Vertex
 from repro.lint.markers import pure
 from repro.verify import enabled as _verify_enabled
 
-#: The per-candidate explorer factory. Module attribute so the tests can
-#: substitute the dict oracle (``DictExplorer``) for the flat kernel.
+#: The per-candidate explorer factory ``(state, xid)``. Module attribute so
+#: the tests can substitute the dict oracle (``DictExplorer``) for the flat kernel.
 _explorer = flat_explorer
 
 
@@ -80,14 +79,15 @@ class FollowerCounters:
 class FollowerReport:
     """Per-tree-node follower counts for one candidate anchor.
 
-    ``counts[id]`` is ``|F[x][id]|``; ``members[id]`` holds the actual
-    follower set when the node was explored this call (reused nodes only
-    have their cached count — the paper's cache stores counts, not sets).
+    Keyed by node CSR id. ``counts[id]`` is ``|F[x][id]|``; ``members[id]``
+    holds the actual follower set when the node was explored this call
+    (reused nodes only have their cached count — the paper's cache
+    stores counts, not sets).
     """
 
     anchor: Vertex
-    counts: dict[NodeId, int] = field(default_factory=dict)
-    members: dict[NodeId, set[Vertex]] = field(default_factory=dict)
+    counts: dict[int, int] = field(default_factory=dict)
+    members: dict[int, set[Vertex]] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -124,11 +124,11 @@ class FollowerSearch:
     def counts(
         self,
         xid: int,
-        reusable: Mapping[NodeId, int] | None = None,
+        reusable: Mapping[int, int] | None = None,
         *,
         only_coreness: int | None = None,
-        members: dict[NodeId, set[Vertex]] | None = None,
-    ) -> dict[NodeId, int]:
+        members: dict[int, set[Vertex]] | None = None,
+    ) -> dict[int, int]:
         """``{node id: |F[x][id]|}`` for the candidate with CSR id ``xid``.
 
         Nodes of ``sn(x)`` in ``reusable`` are answered from it, the rest
@@ -138,10 +138,10 @@ class FollowerSearch:
         """
         t = self.tables
         own = t.nid[xid]
-        counts: dict[NodeId, int] = {}
-        todo: list[tuple[NodeId, bool]] = []
+        counts: dict[int, int] = {}
+        todo: list[tuple[int, bool]] = []
         for nid in t.sn_ids[xid]:
-            if only_coreness is not None and t.core[t.index[nid]] != only_coreness:
+            if only_coreness is not None and t.core[nid] != only_coreness:
                 continue
             if reusable and nid in reusable:
                 counts[nid] = reusable[nid]
@@ -150,11 +150,11 @@ class FollowerSearch:
         self.reused += len(counts)
         self.evaluated += 1
         check = self.verify and not reusable and only_coreness is None
-        found: dict[NodeId, set[Vertex]] | None = {} if check else None
+        found: dict[int, set[Vertex]] | None = {} if check else None
         if members is not None:
             found = members
         if todo:
-            explorer = _explorer(self.state, t.labels[xid])
+            explorer = _explorer(self.state, xid)
             for nid, count, pops, survivors in explorer.explore_nodes(
                 todo, found is not None
             ):
@@ -191,7 +191,7 @@ class FollowerSearch:
 def find_followers(
     state: AnchoredState,
     x: Vertex,
-    reusable_counts: Mapping[NodeId, int] | None = None,
+    reusable_counts: Mapping[int, int] | None = None,
     counters: FollowerCounters | None = None,
     only_coreness: int | None = None,
 ) -> FollowerReport:

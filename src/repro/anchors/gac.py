@@ -19,11 +19,13 @@ Tie-breaking between equally good anchors is a first-class parameter
 (Table 7 studies ``"ub"`` / ``"degree"`` / ``"random"``); ``"id"``
 (smallest vertex id) gives fully deterministic runs for testing.
 
-Each round runs on CSR ids and counts only: the reuse cache is
-validated once, candidates are ranked by refined bound, and the scan
-stops at the first pruned one. Each evaluated candidate gets per-node
-counts from one :class:`~repro.anchors.followers.FollowerSearch`;
-only the winner's follower set is built, by ``find_followers``.
+Each round runs on CSR ids and counts only: candidates, tree nodes,
+cache rows, removals and baseline corenesses are all keyed by id, and
+labels appear only in the result. The reuse cache is validated once,
+candidates are ranked by refined bound, and the scan stops at the
+first pruned one. Each evaluated candidate gets per-node counts from
+one :class:`~repro.anchors.followers.FollowerSearch`; only the
+winner's follower set is built, by ``find_followers``.
 
 The scan can fan out across worker processes (``workers=`` /
 ``REPRO_PARALLEL``, via :mod:`repro.parallel`) with byte-identical
@@ -44,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
-from repro.anchors.bounds import compute_upper_bounds
+from repro.anchors.bounds import compute_upper_bounds, refined_total
 from repro.anchors.followers import (
     FollowerCounters,
     FollowerSearch,
@@ -55,7 +57,6 @@ from repro.anchors.incremental import apply_anchor
 from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _require_anchors_present
-from repro.core.tree import NodeId
 from repro.errors import BudgetError
 from repro.graphs.csr import csr_view
 from repro.graphs.graph import Graph, Vertex
@@ -313,11 +314,11 @@ def _run_greedy(
             )
     else:
         state = AnchoredState.build(graph, initial)
-        # Baseline corenesses: marginal gains are |F(x)| minus the gain x
-        # itself accumulated as an earlier anchor's follower — that term
-        # leaves the objective when x is anchored (Definition 2.4 excludes
-        # anchors), so counting raw |F(x)| would overstate g(A, G).
-        base_coreness = dict(state.decomposition.coreness)
+        # Baseline corenesses, per id: marginal gains are |F(x)| minus the
+        # gain x itself accumulated as an earlier anchor's follower — that
+        # term leaves the objective when x is anchored (Definition 2.4
+        # excludes anchors), so counting raw |F(x)| would overstate g(A, G).
+        base_coreness = list(state.tables.core)
     pool: "CandidateScanPool | None" = None
     if budget > len(result.anchors):
         pool = _make_pool(workers, graph.num_vertices - len(initial))
@@ -329,7 +330,7 @@ def _run_greedy(
         iter_start = _clock()
         iter_window = _obs.window()
         with _obs.span("gac.iteration", iteration=len(result.anchors)):
-            best, best_gain, expired = _select_best(
+            best_id, best_gain, expired = _select_best(
                 state,
                 cache,
                 base_coreness=base_coreness,
@@ -349,8 +350,9 @@ def _run_greedy(
             if expired:
                 result.truncated = True
                 break
-            if best is None:
+            if best_id is None:
                 break
+            best = state.tables.labels[best_id]
             # Pruning soundness: the chosen candidate must be a true argmax
             # over ALL candidates — the upper bound never hid a better one.
             if _verify_enabled():
@@ -382,7 +384,7 @@ def _run_greedy(
             removals = apply_anchor(state, best, compute_removals=reuse)
             if reuse:
                 cache.apply_removals(removals)
-                cache.forget(best)
+                cache.forget(best_id)
             else:
                 cache.clear()
             # The round is committed: state, cache, counters, and RNG
@@ -414,7 +416,7 @@ def _select_best(
     state: AnchoredState,
     cache: FollowerCache,
     *,
-    base_coreness: dict[Vertex, int],
+    base_coreness: list[int],
     use_upper_bounds: bool,
     reuse: bool,
     follower_method: FollowerMethod,
@@ -422,8 +424,8 @@ def _select_best(
     rng: random.Random,
     deadline: float | None = None,
     pool: "CandidateScanPool | None" = None,
-) -> tuple[Vertex | None, int, bool]:
-    """One greedy iteration: the candidate with the best marginal gain.
+) -> tuple[int | None, int, bool]:
+    """One greedy iteration: the id of the candidate with the best marginal gain.
 
     The marginal gain of anchoring ``x`` is ``|F(x)|`` minus the coreness
     gain ``x`` already contributed as a follower of earlier anchors
@@ -450,7 +452,7 @@ def _select_best(
         bounds = compute_upper_bounds(state)
         refined = list(bounds.total)
         for i, cached in served.items():
-            refined[i] = bounds.refined(i, cached)
+            refined[i] = refined_total(i, bounds, cached)
         # A stable descending sort keeps equal bounds in ascending id order.
         order.sort(key=refined.__getitem__, reverse=True)
 
@@ -467,7 +469,7 @@ def _select_best(
     )
     search = FollowerSearch(state)
 
-    def evaluate(i: int) -> tuple[int, dict[NodeId, int] | None]:
+    def evaluate(i: int) -> tuple[int, dict[int, int] | None]:
         if follower_method != "naive":
             counts = search.counts(i, served.get(i))
             return sum(counts.values()), counts
@@ -505,19 +507,16 @@ def _scan(
     use_upper_bounds: bool,
     reuse: bool,
     tie_of: Callable[[int], object],
-    base_coreness: dict[Vertex, int],
+    base_coreness: list[int],
     deadline: float | None,
-    evaluate: Callable[[int], tuple[int, dict[NodeId, int] | None]],
-) -> tuple[Vertex | None, int, bool]:
+    evaluate: Callable[[int], tuple[int, dict[int, int] | None]],
+) -> tuple[int | None, int, bool]:
     """The candidate scan in ``order``: prune, ``evaluate``, cache, pick.
 
     ``evaluate`` returns ``(|F(x)|, per-node counts or None)``; the
     counts go straight into the cache.
     """
-    tables = state.tables
-    labels = tables.labels
-    core = tables.core
-    index = tables.index
+    core = state.tables.core
     best: int | None = None
     best_gain = -1
     best_tie = None
@@ -532,32 +531,30 @@ def _scan(
             _obs.add(_obs.PRUNED_CANDIDATES, len(order) - pos)
             break
         count, counts = evaluate(i)
-        u = labels[i]
         if reuse and counts is not None:
-            # A node's coreness is its id vertex's (the smallest member).
-            cache.entries[u] = {nid: (core[index[nid]], c) for nid, c in counts.items()}
-        gain = count - (core[i] - base_coreness[u])
+            cache.store(i, counts, core)
+        gain = count - (core[i] - base_coreness[i])
         if gain > best_gain:
             best, best_gain, best_tie = i, gain, tie_of(i)
         elif gain == best_gain and best is not None:
             tie = tie_of(i)
             if tie > best_tie:
                 best, best_tie = i, tie
-    return (None if best is None else labels[best]), best_gain, False
+    return best, best_gain, False
 
 
 def _scan_parallel(
     state: AnchoredState,
     pool: "CandidateScanPool",
-    scan: Callable[..., tuple[Vertex | None, int, bool]],
+    scan: Callable[..., tuple[int | None, int, bool]],
     evaluator: "tuple[Evaluate, Flush]",
     *,
     order: list[int],
     refined: list[int],
     use_upper_bounds: bool,
-    base_coreness: dict[Vertex, int],
+    base_coreness: list[int],
     deadline: float | None,
-) -> tuple[Vertex | None, int, bool] | None:
+) -> tuple[int | None, int, bool] | None:
     """Dispatch the candidate scan to the pool, then replay the serial scan.
 
     Phase A forks the round's workers with ``evaluator`` (the serial
@@ -575,10 +572,9 @@ def _scan_parallel(
     pruning, tie-breaks, RNG use and cache stores) and merges the
     workers' counter deltas inside the caller's iteration window.
     """
-    labels = state.tables.labels
     core = state.tables.core
     # candidate id -> (follower total, per-node counts | None, counter deltas)
-    shipped: dict[int, tuple[int, dict[NodeId, int] | None, dict[str, int]]] = {}
+    shipped: dict[int, tuple[int, dict[int, int] | None, dict[str, int]]] = {}
     sim_best = -1
     chunk_count = 0
     shipped_base = pool.spans_shipped
@@ -610,7 +606,7 @@ def _scan_parallel(
                             shipped[i] = (total, counts, deltas)
                             # Advance the threshold exactly as phase B will:
                             # gains of candidates it prunes are below it.
-                            gain = total - (core[i] - base_coreness[labels[i]])
+                            gain = total - (core[i] - base_coreness[i])
                             sim_best = max(sim_best, gain)
         except Exception as exc:
             # Nothing was mutated; the caller reruns the scan serially.
@@ -621,7 +617,7 @@ def _scan_parallel(
 
         pending: Counter[str] = Counter()
 
-        def replay(i: int) -> tuple[int, dict[NodeId, int] | None]:
+        def replay(i: int) -> tuple[int, dict[int, int] | None]:
             total, counts, deltas = shipped[i]
             pending.update(deltas)
             return total, counts

@@ -42,9 +42,10 @@ from collections.abc import Iterable
 
 from repro import obs as _obs
 from repro.anchors.kernels.flat_backend import FlatTables, Signature
+from repro.anchors.reuse import Removals
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition
-from repro.core.tree import CoreComponentTree, NodeId, TreeNode, _sort_key
+from repro.core.tree import CoreComponentTree, TreeNode, _sort_key
 from repro.graphs.csr import peel_layers
 from repro.graphs.graph import Vertex
 from repro.verify import enabled as _verify_enabled
@@ -52,8 +53,11 @@ from repro.verify import enabled as _verify_enabled
 
 def apply_anchor(
     state: AnchoredState, x: Vertex, compute_removals: bool = True
-) -> dict[Vertex, set[NodeId]]:
+) -> Removals:
     """Anchor ``x`` in place; returns Algorithm 3's cache removals.
+
+    The round's one label step besides ``FlatTables``: the re-treed
+    nodes enter as CSR ids (Δ), Δ goes back to the label-keyed dicts.
 
     Args:
         state: the state to mutate (``x`` must not already be anchored).
@@ -62,8 +66,9 @@ def apply_anchor(
             caller runs without a follower cache (GAC-U-R).
 
     Returns:
-        ``removals[u]`` — old node ids whose cached ``F[u][id]`` counts
-        must be dropped (empty when ``compute_removals`` is false).
+        ``removals[u]`` — per vertex id, old node ids whose cached
+        ``F[u][id]`` counts must be dropped (empty when
+        ``compute_removals`` is false).
     """
     if x in state.anchors:
         raise ValueError(f"{x!r} is already anchored")
@@ -73,20 +78,18 @@ def apply_anchor(
     labels = tables.labels
     rows = tables.rows
     is_anchor = tables.is_anchor
+    nid = tables.nid
     xid = index[x]
     old_node = tree.node_of[x]
     component = sorted(index[v] for v in old_node.subtree_vertices())
 
     # ---- Algorithm 3 lines 1-6: invalidation from the old structures.
-    removals: dict[Vertex, set[NodeId]] = {}
-    affected: set[Vertex] = set()
-    old_ids: dict[Vertex, NodeId] = {}
-    if compute_removals:
-        for nid in tables.sn_ids[xid]:
-            affected |= tree.nodes[nid].vertices
-        dying = [(v, tables.nid[index[v]]) for v in affected]  # lint: order-ok per-vertex set inserts
-        _invalidate(tables, dying, removals)
-        old_ids = {labels[i]: tables.nid[i] for i in component}
+    # The nodes of sn(x) lie in x's component (they are adjacent to x at
+    # coreness >= c(x)), so their members are found by scanning it.
+    removals: Removals = {}
+    adjacent = set(tables.sn_ids[xid]) if compute_removals else set()
+    affected = [i for i in component if nid[i] in adjacent] if adjacent else []
+    _invalidate(tables, [(i, nid[i]) for i in affected], removals)
 
     # ---- Lines 7-10: re-peel the component on CSR ids and splice.
     # Anchors adjacent to the component supply permanent support and act
@@ -113,13 +116,14 @@ def apply_anchor(
     # ---- Δ: every vertex whose row-relevant values moved.
     core = tables.core
     layer = tables.layer
-    nid = tables.nid
     node_of = tree.node_of
+    id_of = index.__getitem__
+    new_nid: dict[int, int] = {}
     delta: dict[int, Signature] = {}
     for i in members:
-        new_nid = node_of[labels[i]].node_id
-        if local_core[i] != core[i] or local_layer[i] != layer[i] or new_nid != nid[i]:
-            delta[i] = (0, local_core[i], local_layer[i], new_nid)
+        new_nid[i] = node = id_of(node_of[labels[i]].node_id)
+        if local_core[i] != core[i] or local_layer[i] != layer[i] or node != nid[i]:
+            delta[i] = (0, local_core[i], local_layer[i], node)
     # Anchor effective corenesses are defined over *global* non-anchor
     # neighborhoods (x is an anchor from here on); refresh x and every
     # anchor adjacent to the re-peeled component.
@@ -135,6 +139,12 @@ def apply_anchor(
         )
         if a == xid or eff != core[a]:
             delta[a] = (1, eff, 0, None)
+    # Lines 12-16's suspects, named while ``nid`` is still old: members
+    # now sharing a node with an affected vertex (x, an anchor, joins none).
+    joined = {new_nid[i] for i in affected if i != xid}
+    dying = [
+        (i, nid[i]) for i in members if new_nid[i] in joined and nid[i] not in adjacent
+    ] if joined else []
 
     # ---- Commit: label-keyed decomposition, then the per-id tables.
     new_anchors = state.anchors | {x}
@@ -154,14 +164,7 @@ def apply_anchor(
     _obs.add(_obs.TOUCHED_EDGES, tables.apply_update(delta))
 
     # ---- Lines 12-16: invalidation from the new structures.
-    if compute_removals:
-        widened: set[Vertex] = set()
-        for v in affected:  # lint: order-ok set union is commutative
-            if v in new_anchors:
-                continue
-            widened |= node_of[v].vertices
-        dying = [(v, old_ids[v]) for v in widened - affected if v in old_ids]  # lint: order-ok per-vertex set inserts
-        _invalidate(tables, dying, removals)
+    _invalidate(tables, dying, removals)
     if _verify_enabled():
         from repro.verify.invariants import verify_anchor_state
 
@@ -171,20 +174,20 @@ def apply_anchor(
 
 def _invalidate(
     tables: FlatTables,
-    dying: Iterable[tuple[Vertex, NodeId]],
-    removals: dict[Vertex, set[NodeId]],
+    dying: Iterable[tuple[int, int | None]],
+    removals: Removals,
 ) -> None:
     """Lines 3-6 / 13-16: each ``(v, vid)`` node id dies for ``v`` and
     for ``v``'s lower-coreness neighbors (per the current tables)."""
-    index = tables.index
-    labels = tables.labels
+    tca_ids = tables.tca_ids
+    pn_ids = tables.pn_ids
     for v, vid in dying:
+        assert vid is not None  # a node member is never an anchor
         removals.setdefault(v, set()).add(vid)
-        i = index[v]
-        tca_v = tables.tca_ids[i]
-        for nid2 in tables.pn_ids[i]:
+        tca_v = tca_ids[v]
+        for nid2 in pn_ids[v]:
             for j in tca_v[nid2]:
-                removals.setdefault(labels[j], set()).add(vid)
+                removals.setdefault(j, set()).add(vid)
 
 
 def _splice(

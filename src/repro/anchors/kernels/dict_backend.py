@@ -7,7 +7,8 @@ by ``(shell-layer pair, canonical sort key, vertex)``. It needs nothing
 but the state's decomposition dicts and a label-keyed
 :class:`~repro.core.tree.TreeAdjacency` built from scratch — it shares
 no table code with the flat backend, which makes it the oracle the flat
-backend must match byte for byte.
+backend must match byte for byte. It maps the id-keyed kernel calls
+(candidate and node CSR ids) to labels on entry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
-from repro.core.tree import NodeId, TreeAdjacency
+from repro.core.tree import TreeAdjacency
 from repro.graphs.graph import Vertex
 
 if TYPE_CHECKING:
@@ -57,6 +58,7 @@ class DictExplorer:
 
     __slots__ = (
         "x",
+        "labels",
         "tca_x",
         "anchors",
         "pairs",
@@ -67,9 +69,10 @@ class DictExplorer:
         "adj_x",
     )
 
-    def __init__(self, state: AnchoredState, x: Vertex) -> None:
+    def __init__(self, state: AnchoredState, xid: int) -> None:
         adjacency = _adjacency(state)
-        self.x = x
+        self.labels = state.tables.labels
+        self.x = x = self.labels[xid]
         self.tca_x = adjacency.tca[x]
         self.anchors = state.anchors
         self.pairs = state.decomposition.shell_layer
@@ -80,13 +83,13 @@ class DictExplorer:
         self.adj_x = state.graph.neighbors(x)
 
     def explore_nodes(
-        self, todo: "list[tuple[NodeId, bool]]", members: bool = False
+        self, todo: list[tuple[int, bool]], members: bool = False
     ) -> "list[Exploration]":
         """Explore each ``(node id, is_own_node)`` pair in order (verbatim loop)."""
-        out = [(nid, *self._explore(nid, is_own_node)) for nid, is_own_node in todo]
+        out = [(nid, *self._explore(self.labels[nid], own)) for nid, own in todo]
         return [(nid, len(s), pops, s if members else None) for nid, s, pops in out]
 
-    def _explore(self, nid: NodeId, is_own_node: bool) -> tuple[set[Vertex], int]:
+    def _explore(self, nid: Vertex, is_own_node: bool) -> tuple[set[Vertex], int]:
         """Survivors and heap pops of the exploration within one tree node."""
         x = self.x
         anchors = self.anchors

@@ -4,8 +4,8 @@
 follower search, the upper bounds and the reuse cache read, keyed by
 the interned CSR ids of :mod:`repro.graphs.csr`:
 
-* per-id ``(core, shell, layer)``, anchor flag and tree node id, plus a
-  precomputed int-packed ``(shell << 2w) | (layer << w) | id`` heap key
+* per-id ``(core, layer)``, anchor flag and tree node id, plus a
+  precomputed int-packed ``(core << 2w) | (layer << w) | id`` heap key
   (ascending id order *is* the canonical
   :func:`~repro.graphs.graph.vertex_sort_key` order under sorted
   interning, so the packed comparison reproduces the dict oracle's
@@ -13,6 +13,11 @@ the interned CSR ids of :mod:`repro.graphs.csr`:
 * per-id rows of Definitions 4.2–4.4 (``tca``/``sn``/``pn``) and the
   Algorithm 4 support tables (fixed support, same-shell neighbors split
   by layer, the candidate support row), all in ascending id order.
+
+A tree node is named by the CSR id of its smallest member (the paper's
+``TN.I`` under sorted interning), so ``core[nid]`` is its coreness.
+Labels enter only in :meth:`FlatTables.__init__` and
+:func:`~repro.anchors.incremental.apply_anchor`'s Δ.
 
 Plain lists rather than ``array('i')`` for the same re-boxing reason as
 :meth:`repro.graphs.csr.CSRGraph.as_lists`. The tables are built once
@@ -43,7 +48,7 @@ from repro.graphs.graph import Vertex
 if TYPE_CHECKING:
     from repro.anchors.state import AnchoredState
     from repro.core.decomposition import CoreDecomposition
-    from repro.core.tree import CoreComponentTree, NodeId
+    from repro.core.tree import CoreComponentTree
 
 # Exploration status tags, identical to the dict backend's. UNEXPLORED
 # is represented by a stale (below the current base) generation word.
@@ -52,20 +57,22 @@ _SURVIVED = 2
 _DISCARDED = 3
 
 #: A vertex's row-relevant values: (anchor flag, core, layer, node id).
-Signature = tuple[int, int, int, Vertex]
+Signature = tuple[int, int, int, "int | None"]
 #: One node's exploration: (node id, survivor count, heap pops, members or None).
-Exploration = tuple["NodeId", int, int, "set[Vertex] | None"]
+Exploration = tuple[int, int, int, "set[Vertex] | None"]
 
 
 class FlatTables:
     """Per-id anchoring state: the tables ``apply_anchor`` patches.
 
     Attributes:
-        core / shell / layer: per-id coreness and shell-layer pair
-            (anchors: effective coreness, layer 0).
+        core / layer: per-id coreness and shell layer — the shell-layer
+            pair is ``(core, layer)`` (anchors: effective coreness,
+            layer 0).
         is_anchor: per-id anchor flag.
-        nid: per-id tree node id ``T[u].I`` (``None`` for anchors).
-        keys: per-id packed heap key ``(shell << 2w) | (layer << w) | id``.
+        nid: per-id tree node id ``T[u].I`` as the CSR id of the node's
+            smallest member (``None`` for anchors).
+        keys: per-id packed heap key ``(core << 2w) | (layer << w) | id``.
         shift / shift2 / idmask: the packed heap-key geometry.
         fixed: per-id fixed support (anchored + deeper-shell neighbors).
         same: per-id same-shell neighbor ids (anchors excluded).
@@ -99,14 +106,12 @@ class FlatTables:
             of allocating — the greedy scan builds one explorer per
             evaluated candidate, serially).
 
-    Every row lists ids in ascending order; the node-id rows in
-    ascending interned id of the node id.
+    Every row, node-id rows included, lists ids in ascending order.
     """
 
     #: The maintained per-id fields (what a fresh build must reproduce).
     FIELDS: tuple[str, ...] = (
         "core",
-        "shell",
         "layer",
         "is_anchor",
         "nid",
@@ -153,37 +158,39 @@ class FlatTables:
         self.index = index = csr.index
         self.labels = labels = csr.labels
         self.rows = csr.rows()
-        self.core, self.shell, self.layer = decomposition_arrays(
+        self.core, self.layer = decomposition_arrays(
             csr, decomposition.coreness, decomposition.shell_layer
         )
         is_anchor = bytearray(n)
         for a in decomposition.anchors:  # lint: order-ok independent flag writes
             is_anchor[index[a]] = 1
         self.is_anchor = is_anchor
+        # T[u].I is the smallest member's label; its CSR id names the node.
         node_of = tree.node_of
-        self.nid: "list[NodeId]" = [
-            None if is_anchor[i] else node_of[u].node_id
+        id_of = index.__getitem__
+        self.nid: "list[int | None]" = [
+            None if is_anchor[i] else id_of(node_of[u].node_id)
             for i, u in enumerate(labels)
         ]
         # Key geometry: 2**shift > n covers both the id field (ids are
         # < n) and the layer field (a shell has at most n layers), so
-        # (shell << 2w) | (layer << w) | id compares exactly like the
+        # (core << 2w) | (layer << w) | id compares exactly like the
         # oracle's ((shell, layer), sort_key, vertex) heap tuples.
         self.shift = w1 = max(1, n.bit_length())
         self.shift2 = w2 = 2 * w1
         self.idmask = (1 << w1) - 1
-        shell = self.shell
+        core = self.core
         layer = self.layer
-        self.keys = [(shell[i] << w2) | (layer[i] << w1) | i for i in range(n)]
+        self.keys = [(core[i] << w2) | (layer[i] << w1) | i for i in range(n)]
         self.fixed = [0] * n
         empty: list[int] = []
         self.same = [empty] * n
         self.higher = [empty] * n
         self.loweq = [empty] * n
         self.support = [empty] * n
-        self.tca_ids: "list[dict[NodeId, list[int]]]" = [{}] * n
-        self.sn_ids: "list[list[NodeId]]" = [[]] * n
-        self.pn_ids: "list[list[NodeId]]" = [[]] * n
+        self.tca_ids: list[dict[int, list[int]]] = [{}] * n
+        self.sn_ids: list[list[int]] = [[]] * n
+        self.pn_ids: list[list[int]] = [[]] * n
         self._write_rows(range(n), {})
         self.gen = 0
         self.packed = [0] * n
@@ -208,7 +215,6 @@ class FlatTables:
         sum of the changed ids' degrees.
         """
         core = self.core
-        shell = self.shell
         layer = self.layer
         is_anchor = self.is_anchor
         nid = self.nid
@@ -219,7 +225,7 @@ class FlatTables:
         for i, (a, c, lay, node) in delta.items():
             old[i] = (is_anchor[i], core[i], layer[i], nid[i])
             is_anchor[i] = a
-            core[i] = shell[i] = c
+            core[i] = c
             layer[i] = lay
             nid[i] = node
             keys[i] = (c << w2) | (lay << w1) | i
@@ -239,7 +245,6 @@ class FlatTables:
         layer = self.layer
         is_anchor = self.is_anchor
         nid = self.nid
-        index = self.index
         fixed = self.fixed
         same = self.same
         higher = self.higher
@@ -249,7 +254,6 @@ class FlatTables:
         sn_ids = self.sn_ids
         pn_ids = self.pn_ids
         patch = self._patch
-        node_index = index.__getitem__
         walked = 0
         for v in ids:
             row = rows[v]
@@ -262,7 +266,7 @@ class FlatTables:
             hi: list[int] = []
             lo: list[int] = []
             sup: list[int] = []
-            tca: "dict[NodeId, list[int]]" = {}
+            tca: dict[int, list[int]] = {}
             for u in row:
                 cu = core[u]
                 if cu >= cv:
@@ -292,12 +296,12 @@ class FlatTables:
             loweq[v] = lo
             support[v] = sup
             tca_ids[v] = tca
-            sn: "list[NodeId]" = []
-            pn: "list[NodeId]" = []
+            sn: list[int] = []
+            pn: list[int] = []
             for node in tca:
-                (sn if core[index[node]] >= cv else pn).append(node)
-            sn.sort(key=node_index)
-            pn.sort(key=node_index)
+                (sn if core[node] >= cv else pn).append(node)
+            sn.sort()
+            pn.sort()
             sn_ids[v] = sn
             pn_ids[v] = pn
         return walked
@@ -352,7 +356,7 @@ class FlatTables:
         if n1 is not None and n1 != n0:
             self._classify(u, n1)
 
-    def _classify(self, u: int, node: "NodeId") -> None:
+    def _classify(self, u: int, node: int) -> None:
         """Put ``node`` in ``sn(u)``, ``pn(u)`` or neither, per its bucket.
 
         A node's coreness is its id vertex's: the id is its smallest
@@ -360,25 +364,22 @@ class FlatTables:
         ``node`` or to the coreness of a vertex in it, so the last call
         sees the final bucket and coreness.
         """
-        index = self.index
-        key = index[node]
         if node in self.tca_ids[u]:
-            want = 1 if self.core[key] >= self.core[u] else 2
+            want = 1 if self.core[node] >= self.core[u] else 2
         else:
             want = 0
-        by_index = index.__getitem__
         for tag, ids in ((1, self.sn_ids[u]), (2, self.pn_ids[u])):
-            p = bisect_left(ids, key, key=by_index)
-            present = p < len(ids) and index[ids[p]] == key
+            p = bisect_left(ids, node)
+            present = p < len(ids) and ids[p] == node
             if present and want != tag:
                 del ids[p]
             elif not present and want == tag:
                 ids.insert(p, node)
 
-    def explorer_for(self, x: Vertex) -> "FlatExplorer":
-        """The flyweight explorer, re-pointed at candidate ``x``."""
+    def explorer_for(self, xid: int) -> "FlatExplorer":
+        """The flyweight explorer, re-pointed at candidate id ``xid``."""
         e = self.explorer
-        e.xid = xid = self.index[x]
+        e.xid = xid
         e.cg = self.begin_candidate(xid)
         e.seeds = self.tca_ids[xid]
         # Own-node seed window — same shell as x, strictly higher layer
@@ -428,7 +429,7 @@ class FlatExplorer:
     __slots__ = ("tables", "xid", "cg", "lo", "hi", "seeds")
 
     def explore_nodes(
-        self, todo: "list[tuple[NodeId, bool]]", members: bool = False
+        self, todo: list[tuple[int, bool]], members: bool = False
     ) -> "list[Exploration]":
         """Explore every requested tree node for this candidate.
 
@@ -589,6 +590,6 @@ class FlatExplorer:
         return out
 
 
-def flat_explorer(state: AnchoredState, x: Vertex) -> FlatExplorer:
+def flat_explorer(state: AnchoredState, xid: int) -> FlatExplorer:
     """The flat backend's explorer factory (reuses the tables flyweight)."""
-    return state.tables.explorer_for(x)
+    return state.tables.explorer_for(xid)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.anchors.bounds import compute_upper_bounds
 from repro.anchors.state import AnchoredState
-from repro.core.decomposition import _sort_key, core_decomposition, coreness_gain
+from repro.core.decomposition import core_decomposition, coreness_gain
 from repro.graphs.graph import Graph, Vertex
 from repro.obs import clock as _clock
 
@@ -76,10 +76,9 @@ def local_search_polish(
     for _ in range(max_rounds):
         improved = False
         state = AnchoredState.build(graph, current)
-        bounds = compute_upper_bounds(state)
-        pool = sorted(
-            state.candidates(),
-            key=lambda u: (-bounds.total_of(u), _sort_key(u)),
+        total, index = compute_upper_bounds(state).total, state.tables.index
+        pool = sorted(  # ascending id is the sort-key order
+            state.candidates(), key=lambda u: (-total[index[u]], index[u])
         )[:candidate_pool]
         for out_anchor in list(current):
             for in_anchor in pool:

@@ -12,8 +12,8 @@ subtree rebuild (Algorithm 3 lines 7–10), which re-peels only the
 anchored vertex's core component and patches the per-id tables by edge
 deltas (DESIGN.md §6). The adjacency structures (``tca``/``sn``/``pn``)
 and the follower-search support tables live once, in the per-id
-:class:`~repro.anchors.kernels.flat_backend.FlatTables`; the
-label-keyed accessors below are views over them.
+:class:`~repro.anchors.kernels.flat_backend.FlatTables` (nodes named by
+CSR id); the label-keyed accessors below are views over them.
 :class:`~repro.core.tree.TreeAdjacency` builds the same structures
 label-keyed from scratch and serves as their oracle.
 """
@@ -87,19 +87,19 @@ class AnchoredState:
     def sn(self, u: Vertex) -> set[NodeId]:
         """``sn(u)``: adjacent node ids with coreness >= ``c(u)``."""
         tables = self.tables
-        return set(tables.sn_ids[tables.index[u]])
+        return set(map(tables.labels.__getitem__, tables.sn_ids[tables.index[u]]))
 
     def pn(self, u: Vertex) -> set[NodeId]:
         """``pn(u)``: adjacent node ids with coreness < ``c(u)``."""
         tables = self.tables
-        return set(tables.pn_ids[tables.index[u]])
+        return set(map(tables.labels.__getitem__, tables.pn_ids[tables.index[u]]))
 
     def tca(self, u: Vertex) -> dict[NodeId, set[Vertex]]:
         """``tca[u]``: u's neighbors partitioned by their tree node."""
         tables = self.tables
         labels = tables.labels
         return {
-            nid: {labels[j] for j in ids}
+            labels[nid]: {labels[j] for j in ids}
             for nid, ids in tables.tca_ids[tables.index[u]].items()
         }
 

@@ -14,9 +14,10 @@ stream, Figure-13 counters) to the uninterrupted run; see
 how the tests reach each failure path.
 
 Every vertex is written as its :func:`~repro.graphs.csr.csr_view` id
-and read back through ``csr.labels``: the graph fingerprint pins the
-graph, hence its interning, so the file holds only ints, strings and
-floats whatever the vertex labels are. Each field is declared once,
+(anchors and followers read back through ``csr.labels``; the loops key
+the cache and base corenesses by id already): the graph fingerprint
+pins the graph, hence its interning, so the file holds only ints,
+strings and floats whatever the vertex labels are. Each field is declared once,
 with the reader that validates it; :func:`save` and :func:`load` both
 iterate :func:`dataclasses.fields`, so writer and reader cannot drift.
 
@@ -230,7 +231,7 @@ class RoundState:
         fingerprint: str,
         params: dict[str, Any],
         result: "GreedyResult | OlakResult",
-        base_coreness: dict[Vertex, int],
+        base_coreness: list[int],
         *,
         rng: "random.Random | None" = None,
         cache: "FollowerCache | None" = None,
@@ -247,7 +248,7 @@ class RoundState:
                 tuple(sorted(index[v] for v in result.followers[a]))
                 for a in result.anchors
             ),
-            base_coreness=tuple(base_coreness[u] for u in csr.labels),
+            base_coreness=tuple(base_coreness),
             gains=tuple(getattr(result, "gains", ())),
             traces=tuple(
                 (t.elapsed_seconds, t.candidate_count, astuple(t.counters))
@@ -255,8 +256,8 @@ class RoundState:
             ),
             rng_state=() if rng is None else rng.getstate(),
             cache=() if cache is None else tuple(
-                (index[u], tuple((index[nid], k, n) for nid, (k, n) in counts.items()))
-                for u, counts in cache.entries.items()
+                (i, tuple((nid, k, n) for nid, (k, n) in counts.items()))
+                for i, counts in cache.entries.items()
             ),
         )
 
@@ -267,12 +268,12 @@ class RoundState:
         *,
         rng: "random.Random | None" = None,
         cache: "FollowerCache | None" = None,
-    ) -> dict[Vertex, int]:
+    ) -> list[int]:
         """Rehydrate the record into a loop's state; returns base corenesses.
 
-        The inverse of :meth:`capture`: ids go back through
-        ``csr.labels``, cache entries to ``{nid: (k, count)}`` tuples and
-        the RNG state to ``(version, tuple(ints), gauss)``.
+        The inverse of :meth:`capture`: ids are checked against ``n``,
+        cache entries become ``{nid: (k, count)}`` tuples and the RNG
+        state ``(version, tuple(ints), gauss)``.
         """
         labels = csr_view(graph).labels
         n = len(labels)
@@ -282,16 +283,16 @@ class RoundState:
                 f"graph of {n} vertices"
             )
 
-        def label(i: int) -> Vertex:
+        def checked(i: int) -> int:
             if i >= n:
                 raise CheckpointError(
                     f"checkpoint names vertex id {i} in a graph of {n} vertices"
                 )
-            return labels[i]
+            return i
 
-        result.anchors = [label(i) for i in self.anchors]
+        result.anchors = [labels[checked(i)] for i in self.anchors]
         result.followers = {
-            a: frozenset(map(label, ids))
+            a: frozenset(labels[checked(i)] for i in ids)
             for a, ids in zip(result.anchors, self.followers)
         }
         if self.algo == "gac":
@@ -316,10 +317,10 @@ class RoundState:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CheckpointError(f"checkpoint RNG state: {exc}") from exc
             cache.entries = {
-                label(u): {label(nid): (k, count) for nid, k, count in rows}
-                for u, rows in self.cache
+                checked(i): {checked(nid): (k, count) for nid, k, count in rows}
+                for i, rows in self.cache
             }
-        return dict(zip(labels, self.base_coreness))
+        return list(self.base_coreness)
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -458,7 +459,7 @@ def commit(
     fingerprint: str,
     params: dict[str, Any],
     result: "GreedyResult | OlakResult",
-    base_coreness: dict[Vertex, int],
+    base_coreness: list[int],
     *,
     rng: "random.Random | None" = None,
     cache: "FollowerCache | None" = None,
@@ -489,7 +490,7 @@ def resume(
     result: "GreedyResult | OlakResult",
     rng: "random.Random | None" = None,
     cache: "FollowerCache | None" = None,
-) -> dict[Vertex, int]:
+) -> list[int]:
     """Load, validate and rehydrate a snapshot; returns base corenesses.
 
     Everything that shapes the remaining rounds — selections so far,

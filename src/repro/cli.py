@@ -81,16 +81,20 @@ def _print_profile(args: argparse.Namespace, window: obs.Window) -> None:
         print(f"\nwrote Chrome trace-event JSON to {path}")
 
 
-def _ids(text: str | None, flag: str) -> list[int]:
-    """Parse a comma-separated list of integer vertex ids."""
+def _ids(text: str | None, flag: str, graph: Graph) -> list[int]:
+    """Parse a comma-separated list of integer vertex ids of ``graph``."""
     if not text:
         return []
     try:
-        return [int(s) for s in text.split(",")]
+        ids = [int(s) for s in text.split(",")]
     except ValueError:
         raise _FlagError(
             f"{flag} takes comma-separated integer vertex ids, got {text!r}"
         ) from None
+    missing = [i for i in ids if i not in graph]
+    if missing:
+        raise _FlagError(f"{flag} names vertices not in the graph: {missing[:5]}")
+    return ids
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -171,9 +175,11 @@ def _cmd_anchor(args: argparse.Namespace) -> int:
 
 
 def _cmd_cascade(args: argparse.Namespace) -> int:
+    if args.k < 0:
+        raise _FlagError(f"--k must be >= 0, got {args.k}")
     graph = _load_graph(args)
-    seeds = _ids(args.seeds, "--seeds")
-    anchors = _ids(args.anchors, "--anchors")
+    seeds = _ids(args.seeds, "--seeds", graph)
+    anchors = _ids(args.anchors, "--anchors", graph)
     result = departure_cascade(graph, args.k, seeds, anchors)
     print(f"departed   {len(result.departed)}")
     print(f"survivors  {len(result.survivors)}")

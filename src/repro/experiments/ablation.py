@@ -29,13 +29,14 @@ def run(
     state = AnchoredState.build(graph)
 
     # 1. Upper-bound tightness over every vertex with at least 1 follower.
-    bounds = compute_upper_bounds(state)
+    bound = compute_upper_bounds(state).total
+    index = state.tables.index
     ratios: list[float] = []
     exact_nonzero = 0
     for u in state.candidates():
         total = find_followers(state, u).total
         if total > 0:
-            ratios.append(bounds.total_of(u) / total)
+            ratios.append(bound[index[u]] / total)
             exact_nonzero += 1
     mean_ratio = sum(ratios) / len(ratios) if ratios else 0.0
 

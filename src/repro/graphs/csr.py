@@ -196,8 +196,8 @@ def decomposition_arrays(
     csr: CSRGraph,
     coreness: "dict[Vertex, int]",
     shell_layer: "dict[Vertex, tuple[int, int]]",
-) -> tuple[list[int], list[int], list[int]]:
-    """Per-id ``(core, shell, layer)`` lists from a decomposition's dicts.
+) -> tuple[list[int], list[int]]:
+    """Per-id ``(core, layer)`` lists from a decomposition's dicts.
 
     The bridge the follower kernels (:mod:`repro.anchors.kernels`) use
     to run Algorithm 4/5 on dense ids: one label-keyed dict walk at
@@ -207,14 +207,11 @@ def decomposition_arrays(
     """
     n = csr.num_vertices
     core = [0] * n
-    shell = [0] * n
     layer = [0] * n
     for i, u in enumerate(csr.labels):
         core[i] = coreness[u]
-        pair = shell_layer[u]
-        shell[i] = pair[0]
-        layer[i] = pair[1]
-    return core, shell, layer
+        layer[i] = shell_layer[u][1]
+    return core, layer
 
 
 def bucket_coreness(csr: CSRGraph, anchor_ids: Iterable[int] = ()) -> list[int]:

@@ -24,6 +24,7 @@ from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persist
 from repro import obs as _obs
 from repro.anchors.followers import FollowerSearch, find_followers
 from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.flat_backend import FlatTables
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import core_decomposition
 from repro.errors import BudgetError
@@ -152,7 +153,7 @@ def _run_olak(
         state = AnchoredState.build(graph, frozenset(result.anchors))
     else:
         state = AnchoredState.build(graph)
-        base_coreness = dict(state.decomposition.coreness)
+        base_coreness = list(state.tables.core)
 
     while len(result.anchors) < budget:
         with _obs.span("olak.iteration", iteration=len(result.anchors)):
@@ -186,10 +187,10 @@ def _run_olak(
                 )
 
     anchor_set = set(result.anchors)
-    final = core_decomposition(graph, anchor_set)
+    final = core_decomposition(graph, anchor_set).coreness
     result.coreness_gain = sum(
-        final.coreness[u] - base_coreness[u]
-        for u in graph.vertices()
+        final[u] - base
+        for u, base in zip(state.tables.labels, base_coreness)
         if u not in anchor_set
     )
     result.elapsed_seconds = _obs.clock() - start
@@ -199,34 +200,8 @@ def _run_olak(
 def _select_best(
     state: AnchoredState, k: int
 ) -> tuple[Vertex | None, frozenset[Vertex]]:
-    """The candidate whose anchoring adds the most vertices to the k-core.
-
-    Only vertices with current coreness < k are useful anchors: a vertex
-    already in the k-core gains the k-core nothing by being anchored
-    (its presence and its edges are unchanged).
-    """
-    coreness = state.decomposition.coreness
-    pairs = state.decomposition.shell_layer
-    graph = state.graph
-
-    def has_candidate_followers(x: Vertex) -> bool:
-        # a follower search can only start through a neighbor in the
-        # (k-1)-shell, at a strictly higher layer when x shares it
-        px = pairs[x]
-        for v in graph.neighbors(x):  # lint: order-ok existence check only
-            if coreness[v] != k - 1 or v in state.anchors:
-                continue
-            if coreness[x] < k - 1 or pairs[v] > px:
-                return True
-        return False
-
-    index = state.tables.index
-    # Ascending CSR id is the canonical sort-key order.
-    candidates = sorted(
-        index[u]
-        for u in graph.vertices()
-        if u not in state.anchors and coreness[u] < k and has_candidate_followers(u)
-    )
+    """The candidate whose anchoring adds the most vertices to the k-core."""
+    candidates = candidate_ids(state.tables, k)
     best = best_count = -1
     with _obs.span("olak.candidate_scan", candidates=len(candidates)):
         search = FollowerSearch(state)
@@ -242,6 +217,33 @@ def _select_best(
     x = state.tables.labels[best]
     with _obs.suspended():
         return x, frozenset(find_followers(state, x, only_coreness=k - 1).all_members())
+
+
+def candidate_ids(  # lint: obs-ok one O(m) pass, timed by its caller's olak.iteration span
+    tables: FlatTables, k: int
+) -> list[int]:
+    """The ids worth a (k-1)-shell follower search, ascending (sort-key order).
+
+    Only non-anchors with coreness < k are useful anchors: anchoring a
+    k-core vertex adds nothing to the k-core. A search can only start
+    through a non-anchor (k-1)-shell neighbor, at a strictly higher
+    layer when the candidate shares that shell.
+    """
+    core = tables.core
+    layer = tables.layer
+    is_anchor = tables.is_anchor
+    shell = k - 1
+    out: list[int] = []
+    for i, row in enumerate(tables.rows):
+        ci = core[i]
+        if is_anchor[i] or ci >= k:
+            continue
+        li = layer[i]
+        for v in row:
+            if core[v] == shell and not is_anchor[v] and (ci < shell or layer[v] > li):
+                out.append(i)
+                break
+    return out
 
 
 def olak_sweep(

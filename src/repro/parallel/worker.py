@@ -29,12 +29,11 @@ import os
 from typing import Callable
 
 from repro import obs as _obs
-from repro.core.tree import NodeId
 from repro.obs import shipping as _shipping
 
 #: The round's per-candidate evaluator: candidate id -> (follower total,
 #: per-node counts for the reuse cache, ``None`` on the naive path).
-Evaluate = Callable[[int], "tuple[int, dict[NodeId, int] | None]"]
+Evaluate = Callable[[int], "tuple[int, dict[int, int] | None]"]
 #: Moves the evaluator's batched Figure-13 tallies into the registry.
 Flush = Callable[[], None]
 #: Per-chunk shipping directives: (chunk id, unique within a pool's
@@ -44,7 +43,7 @@ ChunkMeta = tuple[int, bool]
 ChunkPayload = tuple["tuple[int, ...]", ChunkMeta]
 #: One result: (candidate id, follower total, per-node counts — ``None``
 #: on the naive path — and the counter deltas this evaluation produced).
-TaskResult = tuple[int, int, "dict[NodeId, int] | None", "dict[str, int]"]
+TaskResult = tuple[int, int, "dict[int, int] | None", "dict[str, int]"]
 #: Worker-side telemetry piggybacked on every chunk return: (worker
 #: pid, echoed chunk id, execute start/end ``obs.clock`` readings —
 #: ``CLOCK_MONOTONIC``, comparable with the parent's dispatch clock on

@@ -30,12 +30,12 @@ Checked invariants (see ``docs/verification.md``):
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro import verify
 from repro.core.decomposition import CoreDecomposition
-from repro.core.tree import NodeId, TreeAdjacency
+from repro.core.tree import TreeAdjacency
 from repro.errors import VerificationError
 from repro.graphs.graph import Graph, Vertex
 from repro.verify.reference import reference_coreness, reference_followers
@@ -191,16 +191,17 @@ def verify_follower_report(
 
 
 def verify_cache_counts(
-    state: "AnchoredState", u: Vertex, counts: Mapping[NodeId, int]
+    state: "AnchoredState", i: int, counts: Mapping[int, int]
 ) -> None:
-    """A served cache entry must match a fresh per-node exploration."""
+    """A served cache entry of candidate id ``i`` matches a fresh exploration."""
     if not counts or state.graph.num_edges > verify.edge_limit(2):
         return
     with verify.suspended():
         from repro.anchors.followers import find_followers
 
+        u = state.tables.labels[i]
         fresh = find_followers(state, u)
-        for nid, count in sorted(counts.items(), key=lambda kv: repr(kv[0])):
+        for nid, count in sorted(counts.items()):
             actual = fresh.counts.get(nid)
             if actual is None:
                 _fail(
@@ -274,7 +275,7 @@ def verify_anchor_state(state: "AnchoredState") -> None:
 
 def verify_selection(
     state: "AnchoredState",
-    base_coreness: Mapping[Vertex, int],
+    base_coreness: Sequence[int],
     best: Vertex,
     best_gain: int,
 ) -> None:
@@ -286,9 +287,11 @@ def verify_selection(
         current = reference_coreness(graph, state.anchors)
         top: int | None = None
         top_vertex: Vertex | None = None
-        for u in state.candidates():
+        for u, base in zip(state.tables.labels, base_coreness):
+            if u in state.anchors:
+                continue
             followers = reference_followers(graph, u, state.anchors, base=current)
-            gain = len(followers) - (current[u] - base_coreness[u])
+            gain = len(followers) - (current[u] - base)
             if top is None or gain > top:
                 top, top_vertex = gain, u
         if top is None:

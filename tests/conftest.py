@@ -81,6 +81,21 @@ def small_random_graph(seed: int, n: int = 40, m: int = 90) -> Graph:
     return powerlaw_social_graph(n, 2 * m / n, seed)
 
 
+def string_labeled(graph: Graph) -> Graph:
+    """``graph`` with every vertex ``u`` renamed ``f"v{u}"``.
+
+    Sorted interning then orders ``"v10"`` before ``"v2"``, so CSR ids
+    and labels disagree: a test on this graph catches a label used
+    where an id belongs (and back).
+    """
+    out = Graph()
+    for u in sorted(graph.vertices()):
+        out.add_vertex(f"v{u}")
+    for u, v in graph.edges():
+        out.add_edge(f"v{u}", f"v{v}")
+    return out
+
+
 @st.composite
 def graph_strategy(draw, max_vertices: int = 24, max_extra_edges: int = 40):
     """Hypothesis strategy producing small connected-ish simple graphs.

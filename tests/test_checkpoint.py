@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import json
 import os
 import pickle
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from repro.errors import CheckpointError, VerificationError
 from repro.graphs.graph import Graph
 from repro.olak.olak import olak
 
-from conftest import Killed, kill_after_round, small_random_graph
+from conftest import Killed, kill_after_round, small_random_graph, string_labeled
 
 
 @pytest.fixture
@@ -406,6 +408,76 @@ class TestLabelTypes:
         assert any(rows for _, rows in state.cache), "reuse counts are recorded"
         resumed = gac(graph, 4, tie_break="random", seed=3, resume=ckpt_path)
         assert _result_tuple(resumed) == oracle
+
+
+# ----------------------------------------------------------------------
+# the format across versions: files written by an earlier build
+# ----------------------------------------------------------------------
+FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints"
+GAC_FIXTURE = FIXTURES / "gac-brightkite-b3-r2.json"
+OLAK_FIXTURE = FIXTURES / "olak-youtube-k10-b3.json"
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """GAC traces record elapsed seconds; a constant clock makes them 0.0."""
+    gac_mod = importlib.import_module("repro.anchors.gac")
+    monkeypatch.setattr(gac_mod, "_clock", lambda: 0.0)
+
+
+class TestFormatFixtures:
+    """Checkpoints committed under ``tests/fixtures/checkpoints``.
+
+    They were written before the greedy round keyed its reuse cache and
+    baseline corenesses by CSR id: ``gac(brightkite, 3, seed=0)`` killed
+    after round 2 and ``olak(youtube, 10, 3)``, both on string-labeled
+    replicas (``conftest.string_labeled``) so ids and labels disagree,
+    with the GAC clock frozen. Each must resume to the uninterrupted
+    run, and the same run today must write the same bytes.
+    """
+
+    def test_gac_fixture_resumes_to_the_uninterrupted_run(self, frozen_clock):
+        graph = string_labeled(registry.load("brightkite"))
+        oracle = gac(graph, 3, seed=0)
+        resumed = gac(graph, 3, seed=0, resume=GAC_FIXTURE)
+        assert _result_tuple(resumed) == _result_tuple(oracle)
+        assert [t.elapsed_seconds for t in resumed.traces] == [0.0] * 3
+
+    def test_gac_fixture_is_rewritten_byte_for_byte(self, frozen_clock, tmp_path):
+        graph = string_labeled(registry.load("brightkite"))
+        path = tmp_path / "gac.ckpt"
+        with kill_after_round(2), pytest.raises(Killed):
+            gac(graph, 3, seed=0, checkpoint=path)
+        assert ckpt.load(GAC_FIXTURE).cache, "the fixture pins cache rows"
+        assert path.read_bytes() == GAC_FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize("where", ["row", "node"])
+    def test_cache_id_outside_the_graph_is_rejected(self, tmp_path, where):
+        """Cache ids are restored as ids, still range-checked against n."""
+        document = json.loads(GAC_FIXTURE.read_text(encoding="utf-8"))
+        row = document["cache"][0]
+        if where == "row":
+            row[0] = 10**6
+        else:
+            row[1][0][0] = 10**6
+        path = tmp_path / "bad.ckpt"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        graph = string_labeled(registry.load("brightkite"))
+        with pytest.raises(CheckpointError, match="names vertex id 1000000"):
+            gac(graph, 3, seed=0, resume=path)
+
+    def test_olak_fixture_resumes_to_the_uninterrupted_run(self):
+        graph = string_labeled(registry.load("youtube"))
+        oracle = olak(graph, 10, 3)
+        assert _olak_tuple(olak(graph, 10, 3, resume=OLAK_FIXTURE)) == _olak_tuple(
+            oracle
+        )
+
+    def test_olak_fixture_is_rewritten_byte_for_byte(self, tmp_path):
+        graph = string_labeled(registry.load("youtube"))
+        path = tmp_path / "olak.ckpt"
+        olak(graph, 10, 3, checkpoint=path)
+        assert path.read_bytes() == OLAK_FIXTURE.read_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -119,6 +119,10 @@ class TestBadInput:
             (["anchor", "--edges", "{edges}", "--method", "olak", "--k", "0", "-b", "1"],
              None),
             (["cascade", "--edges", "{edges}", "--k", "3", "--seeds", "a,b"], None),
+            (["cascade", "--edges", "{edges}", "--k", "3", "--seeds", "99"], None),
+            (["cascade", "--edges", "{edges}", "--k", "3", "--seeds", "7",
+              "--anchors", "8,99"], None),
+            (["cascade", "--edges", "{edges}", "--k", "-1", "--seeds", "7"], None),
             (["stats", "--edges", "{dir}"], None),
             (["anchor", "--edges", "{edges}", "-b", "1", "--trace-out", "{file}"], None),
             (["anchor", "--edges", "{edges}", "-b", "1", "--workers", "-3"], None),
@@ -140,6 +144,9 @@ class TestBadInput:
             "checkpoint-every",
             "olak-k",
             "cascade-seeds",
+            "cascade-unknown-seed",
+            "cascade-unknown-anchor",
+            "cascade-negative-k",
             "edges-directory",
             "trace-out-without-profile",
             "negative-workers",

@@ -66,8 +66,11 @@ class TestPaperExamples:
         g = figure2_graph()
         state = AnchoredState.build(g)
         report = find_followers(state, 2)
+        # node ids are CSR ids; the tree names the same node by its label
+        labels = state.tables.labels
         by_node = {
-            state.tree.nodes[nid].k: count for nid, count in report.counts.items()
+            state.tree.nodes[labels[nid]].k: count
+            for nid, count in report.counts.items()
         }
         assert by_node == {2: 2, 3: 2}
 

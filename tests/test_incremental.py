@@ -21,14 +21,13 @@ from repro.datasets import registry
 from repro.datasets.toy import figure2_graph
 from repro.olak.olak import olak
 
-from conftest import small_random_graph
+from conftest import small_random_graph, string_labeled
 
 
 #: Every maintained per-id table, compared one by one (row order
 #: included): an oracle of its own, not ``FlatTables.FIELDS``.
 TABLE_FIELDS = (
     "core",
-    "shell",
     "layer",
     "keys",
     "is_anchor",
@@ -160,6 +159,19 @@ class TestRemovalsMatchResultReuse:
             old = AnchoredState.build(g, anchors)
             expected = result_reuse(old, old.with_anchor(x), x)
             assert apply_anchor(state, x) == expected, (seed, x)
+            anchors.append(x)
+
+    def test_replica_rounds_with_widened_suspects(self):
+        """GAC's first anchors on a string-labeled replica: lines 12-16 of
+        Algorithm 3 (vertices that join an affected vertex's new node)
+        contribute removals here, unlike on the small random graphs."""
+        graph = string_labeled(registry.load("brightkite"))
+        state = AnchoredState.build(graph)
+        anchors: list = []
+        for x in ["v1167", "v725", "v1087"]:
+            old = AnchoredState.build(graph, anchors)
+            expected = result_reuse(old, old.with_anchor(x), x)
+            assert apply_anchor(state, x) == expected, x
             anchors.append(x)
 
     def test_skippable(self):

@@ -30,7 +30,7 @@ from repro.datasets import registry
 from repro.olak.olak import olak
 from repro.verify.reference import reference_gain
 
-from conftest import graph_strategy
+from conftest import graph_strategy, string_labeled
 
 
 FAST = settings(max_examples=25, deadline=None)
@@ -143,17 +143,19 @@ def test_oracle_seam_reaches_the_dict_backend(monkeypatch):
 
 def _explore_all(explorer, state, x):
     """Every ``sn(x)`` node explored: (node id, count, heap pops, survivors)."""
-    own = state.node_id(x)
-    todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
-    return explorer.explore_nodes(todo, True)
+    tables = state.tables
+    xid = tables.index[x]
+    own = tables.nid[xid]
+    todo = [(nid, nid == own) for nid in tables.sn_ids[xid]]
+    return explorer(state, xid).explore_nodes(todo, True)
 
 
 @st.composite
 def _graph_and_anchors(draw):
-    graph = draw(graph_strategy(max_vertices=16))
+    graph = string_labeled(draw(graph_strategy(max_vertices=16)))
     anchors = draw(
         st.lists(
-            st.integers(min_value=0, max_value=graph.num_vertices - 1),
+            st.integers(min_value=0, max_value=graph.num_vertices - 1).map("v{}".format),
             min_size=2,
             max_size=3,
             unique=True,
@@ -176,8 +178,8 @@ def test_incremental_tables_match_fresh_build(pair):
     for u in sorted(graph.vertices()):
         if u in anchors:
             continue
-        assert _explore_all(flat_explorer(state, u), state, u) == _explore_all(
-            DictExplorer(fresh, u), fresh, u
+        assert _explore_all(flat_explorer, state, u) == _explore_all(
+            DictExplorer, fresh, u
         ), u
         incremental = find_followers(state, u)
         with pytest.MonkeyPatch.context() as patch:

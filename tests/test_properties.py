@@ -125,7 +125,7 @@ def test_theorem_4_17_upper_bound_dominates(pair):
     graph, x = pair
     state = AnchoredState.build(graph)
     bounds = compute_upper_bounds(state)
-    assert bounds.total_of(x) >= find_followers(state, x).total
+    assert bounds.total[state.tables.index[x]] >= find_followers(state, x).total
 
 
 @given(graph_strategy())
@@ -142,18 +142,18 @@ def test_reuse_preserves_counts(pair):
     """Theorem 4.9 as a property: surviving cache entries stay exact."""
     graph, x = pair
     old = AnchoredState.build(graph)
+    index = old.tables.index
     cache = FollowerCache()
-    node_k = {nid: node.k for nid, node in old.tree.nodes.items()}
     for u in graph.vertices():
-        cache.store(find_followers(old, u), node_k)
+        cache.store(index[u], find_followers(old, u).counts, old.tables.core)
     new = old.with_anchor(x)
     cache.apply_removals(result_reuse(old, new, x))
-    cache.forget(x)
+    cache.forget(index[x])
     for u in graph.vertices():
         if u == x:
             continue
         fresh = find_followers(new, u)
-        for nid, count in cache.valid_counts(u, new).items():
+        for nid, count in cache.valid_counts(index[u], new).items():
             assert fresh.counts.get(nid) == count
 
 
@@ -318,7 +318,6 @@ from repro.anchors import followers as followers_mod
 from repro.anchors.followers import FollowerCounters
 from repro.anchors.kernels.dict_backend import DictExplorer
 from repro.anchors.kernels.flat_backend import flat_explorer
-from repro.core.decomposition import _sort_key
 from repro.graphs.graph import Graph, GraphError
 
 
@@ -369,10 +368,11 @@ def test_kernel_backends_byte_identical(pair):
     """The flat kernel agrees with the dict oracle to the byte."""
     graph, x = pair
     state = AnchoredState.build(graph)
-    own = state.node_id(x)
-    todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
-    assert flat_explorer(state, x).explore_nodes(todo, True) == DictExplorer(
-        state, x
+    xid = state.tables.index[x]
+    own = state.tables.nid[xid]
+    todo = [(nid, nid == own) for nid in state.tables.sn_ids[xid]]
+    assert flat_explorer(state, xid).explore_nodes(todo, True) == DictExplorer(
+        state, xid
     ).explore_nodes(todo, True)
     assert _kernel_observables(graph, x) == _oracle_observables(graph, x)
     # ...and the oracle itself agrees with brute force.

@@ -11,84 +11,86 @@ from repro.anchors.followers import find_followers
 from repro.anchors.reuse import FollowerCache, result_reuse
 from repro.anchors.state import AnchoredState
 
-from conftest import small_random_graph
+from conftest import small_random_graph, string_labeled
 
 
-def _node_k(state):
-    return {nid: node.k for nid, node in state.tree.nodes.items()}
+def _graph(seed):
+    """Labels that are not CSR ids: the cache must be keyed by id."""
+    return string_labeled(small_random_graph(seed))
+
+
+def _store(cache, state, u):
+    """Cache ``u``'s fresh per-node counts as the greedy scan does."""
+    report = find_followers(state, u)
+    cache.store(state.tables.index[u], report.counts, state.tables.core)
+    return report
+
+
+def _valid(cache, state, u):
+    return cache.valid_counts(state.tables.index[u], state)
 
 
 class TestFollowerCache:
     def test_store_and_valid(self):
-        g = small_random_graph(0)
-        state = AnchoredState.build(g)
+        state = AnchoredState.build(_graph(0))
         cache = FollowerCache()
-        report = find_followers(state, 1)
-        cache.store(report, _node_k(state))
-        valid = cache.valid_counts(1, state)
-        assert valid == report.counts
+        report = _store(cache, state, "v1")
+        assert _valid(cache, state, "v1") == report.counts
+        assert list(cache.entries) == [state.tables.index["v1"]]
 
     def test_valid_counts_empty_for_unknown(self):
-        g = small_random_graph(0)
-        state = AnchoredState.build(g)
-        assert FollowerCache().valid_counts(1, state) == {}
+        state = AnchoredState.build(_graph(0))
+        assert _valid(FollowerCache(), state, "v1") == {}
 
     def test_apply_removals(self):
-        g = small_random_graph(0)
-        state = AnchoredState.build(g)
+        state = AnchoredState.build(_graph(0))
         cache = FollowerCache()
-        report = find_followers(state, 1)
-        cache.store(report, _node_k(state))
+        report = _store(cache, state, "v1")
         nids = list(report.counts)
-        dropped = cache.apply_removals({1: set(nids)})
+        dropped = cache.apply_removals({state.tables.index["v1"]: set(nids)})
         assert dropped == len(nids)
-        assert cache.valid_counts(1, state) == {}
+        assert _valid(cache, state, "v1") == {}
 
     def test_forget(self):
-        g = small_random_graph(0)
-        state = AnchoredState.build(g)
+        state = AnchoredState.build(_graph(0))
         cache = FollowerCache()
-        cache.store(find_followers(state, 1), _node_k(state))
-        cache.forget(1)
-        assert cache.valid_counts(1, state) == {}
+        _store(cache, state, "v1")
+        cache.forget(state.tables.index["v1"])
+        assert _valid(cache, state, "v1") == {}
 
     def test_coreness_mismatch_rejected(self):
-        g = small_random_graph(0)
-        state = AnchoredState.build(g)
+        state = AnchoredState.build(_graph(0))
         cache = FollowerCache()
-        report = find_followers(state, 1)
-        wrong_k = {nid: k + 1 for nid, k in _node_k(state).items()}
-        cache.store(report, wrong_k)
-        assert cache.valid_counts(1, state) == {}
+        report = find_followers(state, "v1")
+        wrong_k = [k + 1 for k in state.tables.core]
+        cache.store(state.tables.index["v1"], report.counts, wrong_k)
+        assert _valid(cache, state, "v1") == {}
 
 
 class TestResultReuse:
     def test_rejects_wrong_anchor(self):
-        g = small_random_graph(0)
-        old = AnchoredState.build(g)
-        new = old.with_anchor(1)
+        old = AnchoredState.build(_graph(0))
+        new = old.with_anchor("v1")
         with pytest.raises(ValueError):
-            result_reuse(old, new, 2)
+            result_reuse(old, new, "v2")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_surviving_cache_entries_are_correct(self, seed):
         """Theorem 4.9: reused counts equal freshly computed counts."""
-        g = small_random_graph(seed)
+        g = _graph(seed)
         old = AnchoredState.build(g)
         cache = FollowerCache()
-        node_k = _node_k(old)
-        for u in g.vertices():
-            cache.store(find_followers(old, u), node_k)
+        totals = {u: _store(cache, old, u).total for u in g.vertices()}
         # anchor the vertex with the most followers (max churn)
-        x = max(g.vertices(), key=lambda u: sum(cache.entries[u][n][1] for n in cache.entries[u]) if u in cache.entries else 0)
+        x = max(sorted(g.vertices()), key=totals.__getitem__)
         new = old.with_anchor(x)
         removals = result_reuse(old, new, x)
         cache.apply_removals(removals)
-        cache.forget(x)
+        cache.forget(old.tables.index[x])
         for u in g.vertices():
             if u == x:
                 continue
-            surviving = cache.valid_counts(u, new)
+            surviving = _valid(cache, new, u)
             fresh = find_followers(new, u)
             for nid, count in surviving.items():
                 assert fresh.counts.get(nid) == count, (seed, x, u, nid)
@@ -96,41 +98,40 @@ class TestResultReuse:
     @pytest.mark.parametrize("seed", range(6))
     def test_reused_totals_match_fresh_totals(self, seed):
         """End-to-end: totals computed with reuse == totals without."""
-        g = small_random_graph(seed)
+        g = _graph(seed)
         old = AnchoredState.build(g)
         cache = FollowerCache()
-        node_k = _node_k(old)
         for u in g.vertices():
-            cache.store(find_followers(old, u), node_k)
+            _store(cache, old, u)
         x = sorted(g.vertices())[0]
         new = old.with_anchor(x)
         cache.apply_removals(result_reuse(old, new, x))
-        cache.forget(x)
+        cache.forget(old.tables.index[x])
         for u in g.vertices():
             if u == x:
                 continue
-            cached = cache.valid_counts(u, new)
+            cached = _valid(cache, new, u)
             with_reuse = find_followers(new, u, reusable_counts=cached)
             without = find_followers(new, u)
             assert with_reuse.total == without.total, (seed, u)
 
     def test_three_iterations_of_reuse(self):
         """Cache entries surviving several anchorings stay correct."""
-        g = small_random_graph(3)
+        g = _graph(3)
         state = AnchoredState.build(g)
         cache = FollowerCache()
         for u in g.vertices():
-            cache.store(find_followers(state, u), _node_k(state))
+            _store(cache, state, u)
         for x in sorted(g.vertices())[:3]:
             new = state.with_anchor(x)
             cache.apply_removals(result_reuse(state, new, x))
-            cache.forget(x)
+            cache.forget(state.tables.index[x])
             state = new
             for u in g.vertices():
                 if u in state.anchors:
                     continue
-                surviving = cache.valid_counts(u, state)
+                surviving = _valid(cache, state, u)
                 fresh = find_followers(state, u)
                 for nid, count in surviving.items():
                     assert fresh.counts.get(nid) == count, (x, u, nid)
-                cache.store(fresh, _node_k(state))
+                cache.store(state.tables.index[u], fresh.counts, state.tables.core)

@@ -4,13 +4,15 @@
 the round became id-native: label-keyed candidates sorted by
 ``(-refined, sort key)``, one ``valid_counts`` per candidate in the
 refined-bound pass and again in the scan, one ``find_followers`` per
-evaluated candidate, ``FollowerCache.store`` of each report, and a
-``continue`` through the pruned tail. The production round
-(``gac._select_best``) must pick the same candidate with the same gain,
-leave the same cache rows (row order included) and report the same
-Figure-13 counters, round by round — while counting each served cache
-entry once per candidate per round, and ``break``-ing at the first
-pruned candidate.
+evaluated candidate, ``FollowerCache.store`` of each report with node
+corenesses read off the tree, and a ``continue`` through the pruned
+tail. The production round (``gac._select_best``) must pick the same
+candidate with the same gain, leave the same cache rows (row order
+included) and report the same Figure-13 counters, round by round —
+while counting each served cache entry once per candidate per round,
+and ``break``-ing at the first pruned candidate. The graphs carry
+string labels, so CSR ids and labels disagree and a label used where
+an id belongs shows.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 
-from conftest import graph_strategy, needs_fork, small_random_graph
+from conftest import graph_strategy, needs_fork, small_random_graph, string_labeled
 
 gac_mod = importlib.import_module("repro.anchors.gac")
 
@@ -69,30 +71,34 @@ def _oracle_tie(tie_break, state, refined):
 def _oracle_select_best(
     state, cache, *, base_coreness, use_upper_bounds, reuse, tie_break
 ):
-    """The per-candidate label-keyed round (tree follower method)."""
+    """The per-candidate label-keyed round (tree follower method).
+
+    ``base_coreness`` is label-keyed; the cache and the bounds take ids.
+    """
     candidates = state.candidates()
     if not candidates:
         return None, 0
+    index = state.tables.index
     refined = {}
     if use_upper_bounds:
         bounds = compute_upper_bounds(state)
         for u in candidates:
-            cached = cache.valid_counts(u, state) if reuse else {}
-            refined[u] = refined_total(u, bounds, cached)
+            cached = cache.valid_counts(index[u], state) if reuse else {}
+            refined[u] = refined_total(index[u], bounds, cached)
         order = sorted(candidates, key=lambda u: (-refined[u], _sort_key(u)))
     else:
         order = sorted(candidates, key=_sort_key)
     tie_of = _oracle_tie(tie_break, state, refined)
-    node_k = {nid: node.k for nid, node in state.tree.nodes.items()}
+    node_k = {index[nid]: node.k for nid, node in state.tree.nodes.items()}
     best, best_gain, best_tie = None, -1, None
     for u in order:
         if use_upper_bounds and refined[u] < best_gain:
             obs.add(obs.PRUNED_CANDIDATES)
             continue
-        cached = cache.valid_counts(u, state) if reuse else None
+        cached = cache.valid_counts(index[u], state) if reuse else None
         report = find_followers(state, u, reusable_counts=cached)
         if reuse:
-            cache.store(report, node_k)
+            cache.store(index[u], report.counts, node_k)
         gain = report.total - (state.decomposition.coreness[u] - base_coreness[u])
         if gain > best_gain:
             best, best_gain, best_tie = u, gain, tie_of(u)
@@ -110,26 +116,30 @@ def _rows(cache):
 
 def _expected_served(state, cache):
     """Valid cache entries over all candidates: each counted once."""
+    index = state.tables.index
     with obs.suspended():
-        return sum(len(cache.valid_counts(u, state)) for u in state.candidates())
+        return sum(
+            len(cache.valid_counts(index[u], state)) for u in state.candidates()
+        )
 
 
 def _commit(state, cache, best, reuse):
+    i = state.tables.index[best]
     removals = apply_anchor(state, best, compute_removals=reuse)
     if reuse:
         cache.apply_removals(removals)
-        cache.forget(best)
+        cache.forget(i)
     else:
         cache.clear()
 
 
 @st.composite
 def _round_case(draw):
-    graph = draw(graph_strategy(max_vertices=18))
+    graph = string_labeled(draw(graph_strategy(max_vertices=18)))
     n = graph.num_vertices
     prior = draw(
         st.lists(
-            st.integers(min_value=0, max_value=n - 1),
+            st.integers(min_value=0, max_value=n - 1).map("v{}".format),
             max_size=min(3, n - 1),
             unique=True,
         )
@@ -146,6 +156,7 @@ def test_round_matches_per_candidate_oracle(case):
     use_upper_bounds, reuse = VARIANTS[variant]
     state = AnchoredState.build(graph, prior)
     base = dict(state.decomposition.coreness)
+    base_ids = [base[u] for u in state.tables.labels]
     cache = FollowerCache()
     for _ in range(3):
         candidates = len(state.candidates())
@@ -165,10 +176,10 @@ def test_round_matches_per_candidate_oracle(case):
 
         served = _expected_served(state, cache) if reuse else 0
         window = obs.window()
-        best, gain, expired = gac_mod._select_best(
+        best_id, gain, expired = gac_mod._select_best(
             state,
             cache,
-            base_coreness=base,
+            base_coreness=base_ids,
             use_upper_bounds=use_upper_bounds,
             reuse=reuse,
             follower_method="tree",
@@ -176,6 +187,7 @@ def test_round_matches_per_candidate_oracle(case):
             rng=random.Random(0),
         )
         counters = FollowerCounters.from_window(window)
+        best = None if best_id is None else state.tables.labels[best_id]
 
         assert not expired
         assert (best, gain) == expected
@@ -195,13 +207,15 @@ def test_kernel_count_is_the_survivor_count(case):
     """Both kernels: ``count == len(survivors)``; counts need no sets."""
     graph, prior, _, _ = case
     state = AnchoredState.build(graph, prior)
+    tables = state.tables
     for x in state.candidates():
-        own = state.node_id(x)
-        todo = [(nid, nid == own) for nid in sorted(state.sn(x), key=_sort_key)]
+        xid = tables.index[x]
+        own = tables.nid[xid]
+        todo = [(nid, nid == own) for nid in tables.sn_ids[xid]]
         for explorer in (flat_explorer, DictExplorer):
-            full = explorer(state, x).explore_nodes(todo, True)
+            full = explorer(state, xid).explore_nodes(todo, True)
             assert all(count == len(members) for _, count, _, members in full)
-            bare = explorer(state, x).explore_nodes(todo)
+            bare = explorer(state, xid).explore_nodes(todo)
             assert bare == [(nid, count, pops, None) for nid, count, pops, _ in full]
 
 
@@ -248,7 +262,7 @@ def _run(graph, budget, variant, tie_break, workers):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_whole_run_matches_oracle_with_dict_kernel(variant, monkeypatch):
     """Serial runs on either kernel equal the oracle's, served count included."""
-    graph = small_random_graph(3, n=60, m=180)
+    graph = string_labeled(small_random_graph(3, n=60, m=180))
     expected = _oracle_run(graph, 4, variant, "ub")
     assert _run(graph, 4, variant, "ub", 0) == expected
     monkeypatch.setattr(followers_mod, "_explorer", DictExplorer)
@@ -260,7 +274,7 @@ def test_whole_run_matches_oracle_with_dict_kernel(variant, monkeypatch):
 def test_parallel_round_counts_served_once(variant, monkeypatch):
     """The pool's replay reports the serial round's counters and served count."""
     monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
-    graph = small_random_graph(3, n=60, m=180)
+    graph = string_labeled(small_random_graph(3, n=60, m=180))
     expected = _oracle_run(graph, 3, variant, "id")
     assert _run(graph, 3, variant, "id", 2) == expected
     assert _run(graph, 3, variant, "id", 0) == expected

@@ -191,10 +191,10 @@ class TestFollowerInvariants:
         state = AnchoredState.build(g)
         x = sorted(g.vertices())[0]
         report = find_followers(state, x)
-        nid = sorted(report.counts, key=repr)[0]
+        nid = sorted(report.counts)[0]
         stale = {nid: report.counts[nid] + 1}
         with pytest.raises(VerificationError, match="reuse-cache-count"):
-            verify_cache_counts(state, x, stale)
+            verify_cache_counts(state, state.tables.index[x], stale)
 
     def test_valid_cache_count_passes(self):
         from repro.anchors.followers import find_followers
@@ -203,14 +203,14 @@ class TestFollowerInvariants:
         state = AnchoredState.build(g)
         x = sorted(g.vertices())[0]
         report = find_followers(state, x)
-        verify_cache_counts(state, x, dict(report.counts))
+        verify_cache_counts(state, state.tables.index[x], dict(report.counts))
 
 
 class TestSelectionInvariants:
     def test_wrong_gain_fails(self):
         g = small_random_graph(7)
         state = AnchoredState.build(g)
-        base = dict(state.decomposition.coreness)
+        base = list(state.tables.core)
         some = sorted(state.candidates())[0]
         with pytest.raises(VerificationError, match="pruning-soundness"):
             verify_selection(state, base, some, -41)
@@ -218,7 +218,7 @@ class TestSelectionInvariants:
     def test_true_argmax_passes(self):
         g = small_random_graph(7)
         state = AnchoredState.build(g)
-        base = dict(state.decomposition.coreness)
+        base = list(state.tables.core)
         best, gain = None, -1
         for u in sorted(state.candidates()):
             followers = reference_followers(g, u, frozenset())
