@@ -44,7 +44,9 @@ class UpperBounds:
 
 
 @pure
-def compute_upper_bounds(state: AnchoredState) -> UpperBounds:
+def compute_upper_bounds(  # lint: obs-ok one pass per round, in gac.iteration
+    state: AnchoredState,
+) -> UpperBounds:
     """Equations 1-3 for every non-anchor vertex of the current state.
 
     Runs on the state's per-id tables: the own-node bound of ``u`` sums

@@ -12,7 +12,7 @@ The per-node exploration itself is the flat kernel
 (:mod:`repro.anchors.kernels.flat_backend`); this module owns
 everything around it — node iteration order, reuse, the Figure-13
 counters, verification — so the dict oracle the tests substitute for
-it (:mod:`repro.anchors.kernels.dict_backend`) is byte-identical by
+it (:mod:`repro.verify.dict_explorer`) is byte-identical by
 construction on those observables.
 
 ``followers_naive`` is the brute-force oracle (two full decompositions);
@@ -215,14 +215,19 @@ def find_followers(
         A :class:`FollowerReport` whose total is the coreness gain of
         anchoring ``x`` on top of the current anchors (restricted to the
         selected shell when ``only_coreness`` is given).
+
+    Raises:
+        VertexNotFoundError: if ``x`` is not in the graph.
+        ValueError: if ``x`` is already anchored.
     """
+    xid = state.id_of(x)
     if x in state.anchors:
         raise ValueError(f"candidate {x!r} is already anchored")
     report = FollowerReport(anchor=x)
     with _obs.span("followers.search", anchor=x):
         search = FollowerSearch(state)
         report.counts = search.counts(
-            state.tables.index[x],
+            xid,
             reusable_counts,
             only_coreness=only_coreness,
             members=report.members,

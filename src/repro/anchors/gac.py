@@ -468,13 +468,15 @@ def _select_best(
         base_coreness=base_coreness,
     )
     search = FollowerSearch(state)
+    # The Baseline's "before" decomposition: one label copy per round.
+    base = state.label_decomposition() if follower_method == "naive" else None
 
     def evaluate(i: int) -> tuple[int, dict[int, int] | None]:
-        if follower_method != "naive":
+        if base is None:
             counts = search.counts(i, served.get(i))
             return sum(counts.values()), counts
         search.evaluated += 1
-        u, base = state.tables.labels[i], state.decomposition
+        u = state.tables.labels[i]
         return len(followers_naive(state.graph, u, state.anchors, base)), None
 
     with _obs.span("gac.candidate_scan", candidates=len(order)):
@@ -703,7 +705,10 @@ def _follower_set(
     if follower_method == "naive":
         return frozenset(
             followers_naive(
-                state.graph, anchor, anchors=state.anchors, base=state.decomposition
+                state.graph,
+                anchor,
+                anchors=state.anchors,
+                base=state.label_decomposition(),
             )
         )
     return frozenset(find_followers(state, anchor).all_members())

@@ -4,15 +4,15 @@ The follower search is the hot path of every greedy anchor scan, so the
 per-node exploration runs on flat arrays over the interned CSR ids
 (:mod:`repro.anchors.kernels.flat_backend`): dense per-id tables, an
 int-packed ``(shell, layer, id)`` heap key, generation-stamped scratch
-arrays. It is the only search :func:`repro.anchors.followers.find_followers`
-runs.
+arrays. It is the only kernel in the package and the only search
+:func:`repro.anchors.followers.find_followers` runs.
 
-:mod:`repro.anchors.kernels.dict_backend` keeps the original
-dict-of-sets exploration as a test oracle: it shares no table code with
-the flat kernel, and the differential harness in
-``tests/test_properties.py`` plus ``tests/test_kernels.py`` require the
-two to agree byte for byte — follower sets, Figure-13 counters, heap
-pop counts, anchor sequences (``docs/kernels.md``).
+Its oracle, the original dict-of-sets exploration, lives in
+:mod:`repro.verify.dict_explorer` and shares no table code with it; the
+differential harness in ``tests/test_properties.py`` plus
+``tests/test_kernels.py`` require the two to agree byte for byte —
+follower sets, Figure-13 counters, heap pop counts, anchor sequences
+(``docs/kernels.md``).
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ the interned CSR ids of :mod:`repro.graphs.csr`:
 
 A tree node is named by the CSR id of its smallest member (the paper's
 ``TN.I`` under sorted interning), so ``core[nid]`` is its coreness.
-Labels enter only in :meth:`FlatTables.__init__` and
-:func:`~repro.anchors.incremental.apply_anchor`'s Δ.
+The tables are computed on ids
+(:meth:`~repro.anchors.state.AnchoredState.build`) and hold no label;
+labels appear only in an exploration's survivor sets (``members=True``)
+and in the label views of :class:`~repro.anchors.state.AnchoredState`.
 
 Plain lists rather than ``array('i')`` for the same re-boxing reason as
 :meth:`repro.graphs.csr.CSRGraph.as_lists`. The tables are built once
@@ -42,13 +44,11 @@ from collections.abc import Iterable
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.graphs.csr import CSRGraph, decomposition_arrays
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Vertex
 
 if TYPE_CHECKING:
     from repro.anchors.state import AnchoredState
-    from repro.core.decomposition import CoreDecomposition
-    from repro.core.tree import CoreComponentTree
 
 # Exploration status tags, identical to the dict backend's. UNEXPLORED
 # is represented by a stale (below the current base) generation word.
@@ -150,28 +150,21 @@ class FlatTables:
     def __init__(
         self,
         csr: CSRGraph,
-        decomposition: "CoreDecomposition",
-        tree: "CoreComponentTree",
+        core: list[int],
+        layer: list[int],
+        is_anchor: bytearray,
+        nid: "list[int | None]",
     ) -> None:
+        """Own the per-id values (see the fields) and build every row."""
         n = csr.num_vertices
         self.csr = csr
-        self.index = index = csr.index
-        self.labels = labels = csr.labels
+        self.index = csr.index
+        self.labels = csr.labels
         self.rows = csr.rows()
-        self.core, self.layer = decomposition_arrays(
-            csr, decomposition.coreness, decomposition.shell_layer
-        )
-        is_anchor = bytearray(n)
-        for a in decomposition.anchors:  # lint: order-ok independent flag writes
-            is_anchor[index[a]] = 1
+        self.core = core
+        self.layer = layer
         self.is_anchor = is_anchor
-        # T[u].I is the smallest member's label; its CSR id names the node.
-        node_of = tree.node_of
-        id_of = index.__getitem__
-        self.nid: "list[int | None]" = [
-            None if is_anchor[i] else id_of(node_of[u].node_id)
-            for i, u in enumerate(labels)
-        ]
+        self.nid = nid
         # Key geometry: 2**shift > n covers both the id field (ids are
         # < n) and the layer field (a shell has at most n layers), so
         # (core << 2w) | (layer << w) | id compares exactly like the
@@ -179,8 +172,6 @@ class FlatTables:
         self.shift = w1 = max(1, n.bit_length())
         self.shift2 = w2 = 2 * w1
         self.idmask = (1 << w1) - 1
-        core = self.core
-        layer = self.layer
         self.keys = [(core[i] << w2) | (layer[i] << w1) | i for i in range(n)]
         self.fixed = [0] * n
         empty: list[int] = []
@@ -441,7 +432,7 @@ class FlatExplorer:
         lookup, and the worklist bindings amortize over all of the
         candidate's explorations instead of being repaid per node.
         Each exploration is step-for-step the dict backend's loop; see
-        :class:`repro.anchors.kernels.dict_backend.DictExplorer` for the
+        :class:`repro.verify.dict_explorer.DictExplorer` for the
         Theorem 4.15 commentary, with three mechanical fusions:
 
         * status tests compare the packed word against ``base | TAG``
@@ -590,6 +581,8 @@ class FlatExplorer:
         return out
 
 
-def flat_explorer(state: AnchoredState, xid: int) -> FlatExplorer:
+def flat_explorer(  # lint: obs-ok flyweight re-point; FollowerSearch counts
+    state: AnchoredState, xid: int
+) -> FlatExplorer:
     """The flat backend's explorer factory (reuses the tables flyweight)."""
     return state.tables.explorer_for(xid)

@@ -1,88 +1,138 @@
-"""Bundled decomposition state for anchored-coreness algorithms.
+"""The anchored state: a graph, its anchors, and the per-id tables.
 
-The greedy algorithms repeatedly need, for the current graph + anchor
-set: the peel decomposition (coreness + shell-layer pairs), the core
-component tree, and the tree-classified adjacency structures. This
-module bundles them into one object.
+Everything the greedy algorithms read for the current graph + anchor
+set — coreness, shell-layer pairs, tree-node ids, the ``tca``/``sn``/
+``pn`` rows and the follower support tables — lives once, in the per-id
+:class:`~repro.anchors.kernels.flat_backend.FlatTables` over the
+graph's interned CSR ids. :meth:`AnchoredState.build` computes it from
+scratch on ids; :func:`repro.anchors.incremental.apply_anchor` (the
+paper's local subtree rebuild, Algorithm 3 lines 7–10) keeps it current
+with the same helpers, :func:`effective_coreness` and :func:`node_ids`,
+and edge-delta patches (DESIGN.md §6).
 
-:meth:`AnchoredState.build` computes everything from scratch; the
-greedy loops then keep the state current with
-:func:`repro.anchors.incremental.apply_anchor`, the paper's local
-subtree rebuild (Algorithm 3 lines 7–10), which re-peels only the
-anchored vertex's core component and patches the per-id tables by edge
-deltas (DESIGN.md §6). The adjacency structures (``tca``/``sn``/``pn``)
-and the follower-search support tables live once, in the per-id
-:class:`~repro.anchors.kernels.flat_backend.FlatTables` (nodes named by
-CSR id); the label-keyed accessors below are views over them.
-:class:`~repro.core.tree.TreeAdjacency` builds the same structures
-label-keyed from scratch and serves as their oracle.
+Labels enter only through the label views below, which read the
+tables. The label-keyed ``peel_decomposition``, ``CoreComponentTree``
+and ``TreeAdjacency`` build the same facts from scratch and are their
+oracles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
+from repro import obs as _obs
 from repro.anchors.kernels.flat_backend import FlatTables
-from repro.core.decomposition import CoreDecomposition, peel_decomposition
-from repro.core.tree import CoreComponentTree, NodeId
-from repro.graphs.csr import csr_view
+from repro.core.decomposition import (
+    CoreDecomposition,
+    _require_anchors_present,
+    _sort_key,
+)
+from repro.core.tree import NodeId
+from repro.errors import VertexNotFoundError
+from repro.graphs.csr import csr_view, peel_layers
 from repro.graphs.graph import Graph, Vertex
+from repro.verify import enabled as _verify_enabled
 
 
 class AnchoredState:
-    """Graph + anchors + every derived structure the algorithms need.
+    """Graph + anchors + the per-id tables the algorithms read.
 
     Attributes:
         graph: the underlying (never-mutated) graph.
         anchors: the current anchor set.
-        decomposition: peel decomposition with shell-layer pairs,
-            computed with ``anchors`` treated as infinite-degree.
-        tree: the core component tree of the anchored decomposition.
-        tables: the per-id ``tca`` / ``sn`` / ``pn`` rows and support
-            tables over the graph's interned CSR ids.
+        tables: per-id coreness, shell layer, anchor flag and tree node
+            id, the ``tca`` / ``sn`` / ``pn`` rows and the follower
+            support tables over the graph's interned CSR ids.
     """
 
-    __slots__ = ("graph", "anchors", "decomposition", "tree", "tables")
+    __slots__ = ("graph", "anchors", "tables")
 
     def __init__(
-        self,
-        graph: Graph,
-        anchors: frozenset[Vertex],
-        decomposition: CoreDecomposition,
-        tree: CoreComponentTree,
+        self, graph: Graph, anchors: frozenset[Vertex], tables: FlatTables
     ) -> None:
         self.graph = graph
         self.anchors = anchors
-        self.decomposition = decomposition
-        self.tree = tree
-        self.tables = FlatTables(csr_view(graph), decomposition, tree)
+        self.tables = tables
 
     @classmethod
     def build(cls, graph: Graph, anchors: Iterable[Vertex] = ()) -> "AnchoredState":
-        """Compute all derived structures for ``graph`` with ``anchors``."""
+        """Compute the tables for ``graph`` with ``anchors`` from scratch.
+
+        Raises:
+            AnchorNotFoundError: if any anchor vertex is absent from the graph.
+            GraphError: if the vertex labels are mutually unorderable.
+        """
         anchor_set = frozenset(anchors)
-        decomposition = peel_decomposition(graph, anchor_set)
-        tree = CoreComponentTree.build(graph, decomposition)
-        return cls(graph, anchor_set, decomposition, tree)
+        _require_anchors_present(graph, anchor_set)
+        csr = csr_view(graph)
+        n = csr.num_vertices
+        anchor_ids = sorted(csr.index[a] for a in anchor_set)
+        with _obs.span("decomposition.peel", n=n):
+            core, layer, order = peel_layers(csr, anchor_ids)
+        # The peel deletes each non-anchor vertex exactly once.
+        _obs.add(_obs.PEEL_POPS, n - len(anchor_ids))
+        is_anchor = bytearray(n)
+        for a in anchor_ids:
+            is_anchor[a] = 1
+        rows = csr.rows()
+        for a in anchor_ids:
+            core[a] = effective_coreness(rows[a], core, is_anchor)
+        members = [i for i in range(n) if not is_anchor[i]]
+        nid: "list[int | None]" = [None] * n
+        for i, node in node_ids(rows, members, core, anchor_ids).items():
+            nid[i] = node
+        state = cls(graph, anchor_set, FlatTables(csr, core, layer, is_anchor, nid))
+        if _verify_enabled():
+            from repro.verify import invariants
+
+            order = [csr.labels[i] for i in order] + sorted(anchor_set, key=_sort_key)
+            decomposition = state.label_decomposition(order)
+            invariants.verify_decomposition(graph, anchor_set, decomposition)
+            invariants.verify_shell_layers(graph, decomposition)
+        return state
 
     def with_anchor(self, x: Vertex) -> "AnchoredState":
         """A fresh state with ``x`` added to the anchor set."""
         return AnchoredState.build(self.graph, self.anchors | {x})
 
+    def id_of(self, u: Vertex) -> int:
+        """The CSR id of ``u``; :class:`VertexNotFoundError` if absent."""
+        try:
+            return self.tables.index[u]
+        except KeyError:
+            raise VertexNotFoundError(u) from None
+
+    def label_decomposition(self, order: Sequence[Vertex] = ()) -> CoreDecomposition:
+        """A label-keyed copy of the tables' corenesses and pairs
+        (``order`` is stored as given: the tables keep none)."""
+        t = self.tables
+        labels = t.labels
+        return CoreDecomposition(
+            coreness=dict(zip(labels, t.core)),
+            shell_layer=dict(zip(labels, zip(t.core, t.layer))),
+            order=list(order),
+            anchors=self.anchors,
+        )
+
     # ------------------------------------------------------------------
-    # Convenience accessors used heavily by the algorithms
+    # Label views over the tables
     # ------------------------------------------------------------------
     def coreness(self, u: Vertex) -> int:
         """``c^A(u)`` under the current anchors."""
-        return self.decomposition.coreness[u]
+        t = self.tables
+        return t.core[t.index[u]]
 
     def pair(self, u: Vertex) -> tuple[int, int]:
-        """The shell-layer pair ``P(u)``."""
-        return self.decomposition.shell_layer[u]
+        """The shell-layer pair ``P(u)`` (anchors: layer 0)."""
+        t = self.tables
+        i = t.index[u]
+        return t.core[i], t.layer[i]
 
     def node_id(self, u: Vertex) -> NodeId:
-        """``i_u = T[u].I``."""
-        return self.tree.node_of[u].node_id
+        """``i_u = T[u].I`` as a label (``None`` for an anchor)."""
+        t = self.tables
+        node = t.nid[t.index[u]]
+        return None if node is None else t.labels[node]
 
     def sn(self, u: Vertex) -> set[NodeId]:
         """``sn(u)``: adjacent node ids with coreness >= ``c(u)``."""
@@ -106,3 +156,73 @@ class AnchoredState:
     def candidates(self) -> list[Vertex]:
         """All non-anchor vertices (the anchor candidate pool)."""
         return [u for u in self.graph.vertices() if u not in self.anchors]
+
+
+def effective_coreness(  # lint: obs-ok pure O(deg) max over one row
+    row: Iterable[int], core: Sequence[int], is_anchor: Sequence[int]
+) -> int:
+    """An anchor's effective coreness: the max over its non-anchor row
+    (independent of other anchors' values; DESIGN.md §3)."""
+    return max((core[j] for j in row if not is_anchor[j]), default=0)
+
+
+def node_ids(  # lint: obs-ok one union-find pass, timed by its callers' spans
+    rows: Sequence[Sequence[int]],
+    members: Sequence[int],
+    core: Sequence[int],
+    anchor_ids: Iterable[int],
+) -> dict[int, int]:
+    """``T[u].I`` for every member id ``u``: one union-find pass on ids.
+
+    The core component tree's node partition without the tree: members
+    join in descending coreness, each level's new components are nodes,
+    and a node is named by its smallest member id (``members`` must be
+    ascending). ``anchor_ids`` are connectors present at every level
+    that join no node; a neighbor outside ``members`` and ``anchor_ids``
+    is ignored, so the in-place anchoring passes one component.
+    """
+    n = len(rows)
+    parent = list(range(n))
+    size = [1] * n
+    made = bytearray(n)
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    def join(u: int) -> None:
+        # ``root`` stays u's current root across the row, so each edge
+        # costs one find (of the neighbor, inlined), not two.
+        root = find(u)
+        for v in rows[u]:
+            if made[v]:
+                while parent[v] != v:
+                    parent[v] = parent[parent[v]]
+                    v = parent[v]
+                if v != root:
+                    if size[root] < size[v]:
+                        root, v = v, root
+                    parent[v] = root
+                    size[root] += size[v]
+
+    anchors = list(anchor_ids)
+    for a in anchors:
+        made[a] = 1
+    for a in anchors:
+        join(a)
+    by_coreness: dict[int, list[int]] = {}
+    for i in members:
+        by_coreness.setdefault(core[i], []).append(i)
+    node_of: dict[int, int] = {}
+    for k in sorted(by_coreness, reverse=True):
+        group = by_coreness[k]
+        for u in group:
+            made[u] = 1
+        for u in group:  # every made id is an anchor or has coreness >= k
+            join(u)
+        first: dict[int, int] = {}
+        for u in group:
+            node_of[u] = first.setdefault(find(u), u)
+    return node_of

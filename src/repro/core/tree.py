@@ -10,7 +10,9 @@ structures and the cached follower sets ``F[x][id]``.
 The paper builds the tree with a recursive DFS (Algorithm 2); we build
 the identical tree bottom-up with a union-find pass over vertices in
 descending coreness order, which avoids Python recursion limits on deep
-core hierarchies and runs in near-linear time.
+core hierarchies and runs in near-linear time. The tree is label-keyed
+public API and the oracle of the per-id tables the greedy round keeps
+(:mod:`repro.anchors.state`), which never build it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.decomposition import CoreDecomposition, _sort_key
-from repro.graphs.csr import CSRGraph, csr_view
 from repro.graphs.graph import Graph, Vertex
 
 NodeId = Vertex  # a tree node is identified by its smallest vertex id
@@ -117,112 +118,53 @@ class CoreComponentTree:
         are one component at every level (exactly the paper's Algorithm
         1 semantics, where anchors are never deleted).
 
-        Runs on the graph's interned CSR view (see
-        :mod:`repro.graphs.csr`) through :meth:`from_ids`.
-        """
-        csr = csr_view(graph)
-        coreness = decomposition.coreness
-        anchors = decomposition.anchors
-        index = csr.index
-        core = [coreness[u] for u in csr.labels]
-        anchor_ids = sorted(index[a] for a in anchors)
-        is_anchor = bytearray(csr.num_vertices)
-        for a in anchor_ids:
-            is_anchor[a] = 1
-        members = [i for i in range(csr.num_vertices) if not is_anchor[i]]
-        return cls.from_ids(csr, members, core, anchor_ids)
-
-    @classmethod
-    def from_ids(
-        cls,
-        csr: CSRGraph,
-        members: list[int],
-        core: list[int],
-        anchor_ids: list[int],
-    ) -> "CoreComponentTree":
-        """The forest of the subgraph induced by ``members`` + ``anchor_ids``.
-
-        ``members`` are the non-anchor ids to place (``core[i]`` is the
-        coreness of member ``i``); ``anchor_ids`` act as universal
-        connectors and join no node. Rows are masked, not copied: a
-        neighbor outside both lists is ignored. :meth:`build` passes
-        every id; the in-place anchoring passes one re-peeled core
-        component and the anchors adjacent to it. The union-find runs
-        on CSR ids (two plain lists); only the finished nodes carry
-        original labels.
+        A label-keyed union-find (the per-id tables of
+        :mod:`repro.anchors.state` name the same nodes with an id-only
+        pass of their own; this build is their oracle). Grouping is
+        order-free: node ids are canonicalized to the minimum member and
+        children re-sorted after the build.
         """
         tree = cls()
-        labels = csr.labels
-        n = csr.num_vertices
-        rows = csr.rows()
-        is_anchor = bytearray(n)
-        for a in anchor_ids:
-            is_anchor[a] = 1
-        by_coreness: dict[int, list[int]] = {}
-        for i in members:
-            by_coreness.setdefault(core[i], []).append(i)
+        coreness = decomposition.coreness
+        anchors = decomposition.anchors
+        uf = _UnionFind()
+        made = uf.parent  # an anchor, or a member of coreness >= the level
 
-        parent = list(range(n))
-        size = [1] * n
-        made = bytearray(n)
+        def join(u: Vertex) -> None:
+            for v in graph.neighbors(u):  # lint: order-ok union-find is order-free
+                if v in made:
+                    uf.union(u, v)
 
-        def find(u: int) -> int:
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
+        # Anchors join up front as universal connectors (present at
+        # every level); they never join a node's vertex set.
+        for a in anchors:  # lint: order-ok union-find is order-free
+            uf.make(a)
+        for a in anchors:  # lint: order-ok union-find is order-free
+            join(a)
+        by_coreness: dict[int, list[Vertex]] = {}
+        for u in graph.vertices():
+            if u not in anchors:
+                by_coreness.setdefault(coreness[u], []).append(u)
 
-        def union(u: int, v: int) -> None:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-
-        # Anchors join the union-find up front as universal connectors
-        # (present at every level); they never join a node's vertex set.
-        # Union-find grouping is order-free: node ids are canonicalized
-        # to the minimum member and children re-sorted after the build.
-        for i in anchor_ids:
-            made[i] = 1
-            for v in rows[i]:
-                if is_anchor[v]:
-                    union(i, v)
-
-        current: dict[int, TreeNode] = {}
+        current: dict[Vertex, TreeNode] = {}
         for k in sorted(by_coreness, reverse=True):
             group = by_coreness[k]
             for u in group:
-                made[u] = 1
+                uf.make(u)
             for u in group:
-                # ``root`` stays u's current root across the row, so each
-                # edge costs one find (of the neighbor, inlined), not two.
-                root = find(u)
-                for v in rows[u]:
-                    if made[v] and (is_anchor[v] or core[v] >= k):
-                        while parent[v] != v:
-                            parent[v] = parent[parent[v]]
-                            v = parent[v]
-                        if v != root:
-                            if size[root] < size[v]:
-                                root, v = v, root
-                            parent[v] = root
-                            size[root] += size[v]
+                join(u)
             # Every component touched at this level gets a fresh node.
-            new_nodes: dict[int, TreeNode] = {}
+            new_nodes: dict[Vertex, TreeNode] = {}
             for u in group:
-                root = find(u)
+                root = uf.find(u)
                 node = new_nodes.get(root)
                 if node is None:
-                    node = TreeNode(k=k)
-                    new_nodes[root] = node
-                node.vertices.add(labels[u])
+                    node = new_nodes[root] = TreeNode(k=k)
+                node.vertices.add(u)
             # Re-parent old component nodes swallowed by the new level.
-            survivors: dict[int, TreeNode] = {}
+            survivors: dict[Vertex, TreeNode] = {}
             for old_root, node in current.items():
-                root = find(old_root)
+                root = uf.find(old_root)
                 parent_node = new_nodes.get(root)
                 if parent_node is None:
                     survivors[root] = node
@@ -336,57 +278,30 @@ class TreeAdjacency:
         self.fixed_support: dict[Vertex, int] = {}
         self.same_shell: dict[Vertex, list[Vertex]] = {}
         track_support = anchors is not None
-        # CSR rows are already in canonical (ascending-id = sorted-label)
-        # order, which keeps same_shell lists stable across hash seeds
-        # (and equal to an incremental refresh); coreness, anchor
-        # membership, and node ids resolve through flat per-id arrays.
-        csr = csr_view(graph)
         coreness = decomposition.coreness
         anchor_set = decomposition.anchors
         node_of = tree.node_of
-        labels = csr.labels
-        n = csr.num_vertices
-        indptr, nbrs = csr.as_lists()
-        core_arr = [0] * n
-        is_anchor = bytearray(n)
-        nid_arr: list[NodeId] = [None] * n
-        for i, u in enumerate(labels):
-            core_arr[i] = coreness[u]
-            if u in anchor_set:
-                is_anchor[i] = 1
-            else:
-                nid_arr[i] = node_of[u].node_id
-        for i in range(n):
-            u = labels[i]
-            cu = core_arr[i]
+        for u in graph.vertices():
+            cu = coreness[u]
             tca_u: dict[NodeId, set[Vertex]] = {}
             sn_u: set[NodeId] = set()
             pn_u: set[NodeId] = set()
             fixed = 0
             same: list[Vertex] = []
-            for j in range(indptr[i], indptr[i + 1]):
-                vi = nbrs[j]
-                if is_anchor[vi]:
-                    if track_support:
-                        fixed += 1
+            # Canonical neighbor order keeps same_shell lists stable
+            # across hash seeds (and equal to the per-id rows).
+            for v in sorted(graph.neighbors(u), key=_sort_key):
+                if v in anchor_set:
+                    fixed += 1
                     continue
-                cv = core_arr[vi]
-                v = labels[vi]
-                nid = nid_arr[vi]
-                bucket = tca_u.get(nid)
-                if bucket is None:
-                    tca_u[nid] = {v}
-                else:
-                    bucket.add(v)
-                if cv >= cu:
-                    sn_u.add(nid)
-                else:
-                    pn_u.add(nid)
-                if track_support:
-                    if cv > cu:
-                        fixed += 1
-                    elif cv == cu:
-                        same.append(v)
+                cv = coreness[v]
+                nid = node_of[v].node_id
+                tca_u.setdefault(nid, set()).add(v)
+                (sn_u if cv >= cu else pn_u).add(nid)
+                if cv > cu:
+                    fixed += 1
+                elif cv == cu:
+                    same.append(v)
             self.tca[u] = tca_u
             self.sn[u] = sn_u
             self.pn[u] = pn_u

@@ -55,9 +55,10 @@ def run(
         for u in sample:
             find_followers(state, u)
         local_time = _clock() - t0
+        base = state.label_decomposition()
         t0 = _clock()
         for u in sample:
-            followers_naive(graph, u, base=state.decomposition)
+            followers_naive(graph, u, base=base)
         naive_time = _clock() - t0
     speedup = naive_time / local_time if local_time else float("inf")
 

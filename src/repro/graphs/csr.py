@@ -192,28 +192,6 @@ def _unorderable_types(graph: Graph) -> list[str]:
 # ----------------------------------------------------------------------
 # Flat-array substrate kernels (operate purely on CSR ids)
 # ----------------------------------------------------------------------
-def decomposition_arrays(
-    csr: CSRGraph,
-    coreness: "dict[Vertex, int]",
-    shell_layer: "dict[Vertex, tuple[int, int]]",
-) -> tuple[list[int], list[int]]:
-    """Per-id ``(core, layer)`` lists from a decomposition's dicts.
-
-    The bridge the follower kernels (:mod:`repro.anchors.kernels`) use
-    to run Algorithm 4/5 on dense ids: one label-keyed dict walk at
-    table-build time, list indexing ever after. Plain lists for the same
-    reason as :meth:`CSRGraph.as_lists` — CPython indexes them faster
-    than ``array('i')``, which re-boxes every element.
-    """
-    n = csr.num_vertices
-    core = [0] * n
-    layer = [0] * n
-    for i, u in enumerate(csr.labels):
-        core[i] = coreness[u]
-        layer[i] = shell_layer[u][1]
-    return core, layer
-
-
 def bucket_coreness(csr: CSRGraph, anchor_ids: Iterable[int] = ()) -> list[int]:
     """Coreness per id via the Batagelj–Zaveršnik O(m) bucket algorithm.
 

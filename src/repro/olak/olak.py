@@ -186,12 +186,13 @@ def _run_olak(
                     base_coreness,
                 )
 
-    anchor_set = set(result.anchors)
-    final = core_decomposition(graph, anchor_set).coreness
+    # The maintained corenesses are the anchored graph's (under
+    # REPRO_VERIFY every anchoring is checked against a fresh peel).
+    tables = state.tables
     result.coreness_gain = sum(
-        final[u] - base
-        for u, base in zip(state.tables.labels, base_coreness)
-        if u not in anchor_set
+        c - base
+        for c, base, anchored in zip(tables.core, base_coreness, tables.is_anchor)
+        if not anchored
     )
     result.elapsed_seconds = _obs.clock() - start
     return result

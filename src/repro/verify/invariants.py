@@ -20,8 +20,9 @@ Checked invariants (see ``docs/verification.md``):
   re-decomposition;
 * the Algorithm-3 reuse cache never serves a count that a fresh
   exploration would contradict (no stale tree nodes);
-* the state an in-place anchoring leaves behind — decomposition, tree
-  and every per-id table — equals a fresh build for the same anchors;
+* the state an in-place anchoring leaves behind equals the from-scratch
+  label-keyed oracle (peel, tree nodes, adjacency) and, table by table,
+  a fresh id-native build for the same anchors;
 * upper-bound pruning never discards a candidate whose true marginal
   gain exceeds the selected one, i.e. the greedy pick is a true argmax;
 * the greedy run's summed marginal gains equal the coreness gain of
@@ -34,8 +35,8 @@ from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro import verify
-from repro.core.decomposition import CoreDecomposition
-from repro.core.tree import TreeAdjacency
+from repro.core.decomposition import CoreDecomposition, peel_decomposition
+from repro.core.tree import CoreComponentTree, TreeAdjacency
 from repro.errors import VerificationError
 from repro.graphs.graph import Graph, Vertex
 from repro.verify.reference import reference_coreness, reference_followers
@@ -218,32 +219,30 @@ def verify_cache_counts(
 
 
 def verify_anchor_state(state: "AnchoredState") -> None:
-    """An in-place anchoring left exactly the state a fresh build has."""
+    """An in-place anchoring left exactly the state a fresh build has:
+    the label views equal the from-scratch label oracle (peel, tree,
+    ``TreeAdjacency``), every per-id table a fresh id-native build's."""
     graph = state.graph
     if graph.num_edges > verify.edge_limit(2):
         return
     with verify.suspended():
         from repro.anchors.state import AnchoredState
 
-        fresh = AnchoredState.build(graph, state.anchors)
-        for name in ("coreness", "shell_layer"):
-            if getattr(state.decomposition, name) != getattr(
-                fresh.decomposition, name
-            ):
-                _fail(
-                    "anchor-state-decomposition",
-                    f"{name} after anchoring differs from a fresh peel",
-                )
-        got = {nid: (nd.k, nd.vertices) for nid, nd in state.tree.nodes.items()}
-        want = {nid: (nd.k, nd.vertices) for nid, nd in fresh.tree.nodes.items()}
-        if got != want:
-            _fail("anchor-state-tree", "tree nodes differ from a fresh build")
+        anchors = state.anchors
+        decomposition = peel_decomposition(graph, anchors)
+        tree = CoreComponentTree.build(graph, decomposition)
+        oracle = TreeAdjacency(graph, decomposition, tree, anchors)
         tables = state.tables
         labels = tables.labels
-        oracle = TreeAdjacency(graph, fresh.decomposition, fresh.tree, fresh.anchors)
         for u in labels:
             i = tables.index[u]
+            node = tree.node_of.get(u)
+            node_id = None if node is None else node.node_id
             views = (
+                ("coreness", state.coreness(u), decomposition.coreness[u]),
+                ("shell-layer pair", state.pair(u), decomposition.shell_layer[u]),
+                ("anchor flag", bool(tables.is_anchor[i]), u in anchors),
+                ("tree node", state.node_id(u), node_id),
                 ("tca", state.tca(u), oracle.tca[u]),
                 ("sn", state.sn(u), oracle.sn[u]),
                 ("pn", state.pn(u), oracle.pn[u]),
@@ -257,10 +256,11 @@ def verify_anchor_state(state: "AnchoredState") -> None:
             for name, ours, theirs in views:
                 if ours != theirs:
                     _fail(
-                        "anchor-state-adjacency",
-                        f"{name} of {u!r} is {ours!r} after anchoring, a "
-                        f"from-scratch TreeAdjacency has {theirs!r}",
+                        "anchor-state-oracle",
+                        f"{name} of {u!r} is {ours!r} after anchoring, the "
+                        f"from-scratch label oracle has {theirs!r}",
                     )
+        fresh = AnchoredState.build(graph, anchors)
         for name in tables.FIELDS:
             ours = getattr(tables, name)
             theirs = getattr(fresh.tables, name)

@@ -10,6 +10,9 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.core.decomposition import CoreDecomposition, peel_decomposition
+from repro.core.tree import CoreComponentTree
 from repro.graphs.generators import gnm_random_graph, powerlaw_social_graph
 from repro.graphs.graph import Graph
 
@@ -94,6 +97,20 @@ def string_labeled(graph: Graph) -> Graph:
     for u, v in graph.edges():
         out.add_edge(f"v{u}", f"v{v}")
     return out
+
+
+def label_oracle(
+    graph: Graph, anchors=()
+) -> tuple[CoreDecomposition, CoreComponentTree]:
+    """The from-scratch label-keyed peel and core component tree.
+
+    What an :class:`~repro.anchors.state.AnchoredState` with ``anchors``
+    must agree with; built with counters muted, so a test comparing
+    counter windows can call it mid-window.
+    """
+    with obs.suspended():
+        decomposition = peel_decomposition(graph, anchors)
+        return decomposition, CoreComponentTree.build(graph, decomposition)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from repro.anchors.bounds import compute_upper_bounds, refined_total
 from repro.anchors.followers import find_followers
 from repro.anchors.state import AnchoredState
+from repro.core.decomposition import peel_decomposition
 from repro.datasets.toy import figure2_graph, figure5b_graph
 from repro.graphs.graph import Graph
 
@@ -51,7 +52,7 @@ class TestHandComputed:
         state = AnchoredState.build(g)
         bounds = compute_upper_bounds(state)
         # vertices 0,1,2 are the 1-shell chain, layers 1,2,3
-        pairs = state.decomposition.shell_layer
+        pairs = peel_decomposition(g).shell_layer
         assert pairs[0] < pairs[1] < pairs[2]
         # UB for 0: own-node chain 1 -> 2 (+ their cross bounds)
         own = {u: bounds.own[i] for u, i in state.tables.index.items()}

@@ -10,8 +10,9 @@ from repro.anchors.followers import (
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import core_decomposition
 from repro.datasets.toy import figure2_graph, figure5b_graph
+from repro.errors import VertexNotFoundError
 
-from conftest import small_random_graph
+from conftest import label_oracle, small_random_graph
 
 
 class TestAgainstOracle:
@@ -68,14 +69,19 @@ class TestPaperExamples:
         report = find_followers(state, 2)
         # node ids are CSR ids; the tree names the same node by its label
         labels = state.tables.labels
+        _, tree = label_oracle(g)
         by_node = {
-            state.tree.nodes[labels[nid]].k: count
-            for nid, count in report.counts.items()
+            tree.nodes[labels[nid]].k: count for nid, count in report.counts.items()
         }
         assert by_node == {2: 2, 3: 2}
 
 
 class TestReportAndFilters:
+    def test_unknown_vertex(self):
+        state = AnchoredState.build(figure2_graph())
+        with pytest.raises(VertexNotFoundError, match="999"):
+            find_followers(state, 999)
+
     def test_report_total(self):
         g = figure2_graph()
         state = AnchoredState.build(g)
@@ -134,10 +140,11 @@ class TestTheorems:
         g = small_random_graph(seed)
         state = AnchoredState.build(g)
         base = core_decomposition(g)
+        _, tree = label_oracle(g)
         for x in g.vertices():
             allowed = set()
             for nid in state.sn(x):
-                allowed |= state.tree.nodes[nid].vertices
+                allowed |= tree.nodes[nid].vertices
             assert followers_naive(g, x, base=base) <= allowed, x
 
     @pytest.mark.parametrize("seed", range(6))
@@ -145,8 +152,8 @@ class TestTheorems:
         from repro.core.layers import upstair_reachable
 
         g = small_random_graph(seed)
-        state = AnchoredState.build(g)
+        decomposition, _ = label_oracle(g)
         base = core_decomposition(g)
         for x in g.vertices():
-            reachable = upstair_reachable(g, state.decomposition, x)
+            reachable = upstair_reachable(g, decomposition, x)
             assert followers_naive(g, x, base=base) <= reachable, x

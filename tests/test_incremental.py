@@ -1,10 +1,11 @@
 """Tests for the in-place local subtree rebuild (Algorithm 3 lines 7-10).
 
-The oracle: after any sequence of `apply_anchor` calls, every structure
-in the mutated state equals a fresh `AnchoredState.build` — corenesses,
-shell-layer pairs, tree shape, and every per-id table field by field —
-the label-keyed views equal a from-scratch `TreeAdjacency`, and the
-returned removals match the pure-functional `result_reuse`.
+The oracle: after any sequence of `apply_anchor` calls, every per-id
+table of the mutated state equals a fresh `AnchoredState.build` field
+by field, the label views (corenesses, shell-layer pairs, tree node
+ids, `tca`/`sn`/`pn`) equal the from-scratch `peel_decomposition`,
+`CoreComponentTree` and `TreeAdjacency`, and the returned removals
+match the pure-functional `result_reuse`.
 """
 
 import sys
@@ -19,9 +20,10 @@ from repro.anchors.state import AnchoredState
 from repro.core.tree import TreeAdjacency
 from repro.datasets import registry
 from repro.datasets.toy import figure2_graph
+from repro.errors import VertexNotFoundError
 from repro.olak.olak import olak
 
-from conftest import small_random_graph, string_labeled
+from conftest import label_oracle, small_random_graph, string_labeled
 
 
 #: Every maintained per-id table, compared one by one (row order
@@ -45,23 +47,6 @@ TABLE_FIELDS = (
 
 def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
     assert actual.anchors == expected.anchors
-    assert actual.decomposition.coreness == expected.decomposition.coreness
-    assert actual.decomposition.shell_layer == expected.decomposition.shell_layer
-    # tree: same node ids, levels, vertex sets, and parent links
-    assert set(actual.tree.nodes) == set(expected.tree.nodes)
-    for nid, node in actual.tree.nodes.items():
-        other = expected.tree.nodes[nid]
-        assert node.k == other.k, nid
-        assert node.vertices == other.vertices, nid
-        pid = node.parent.node_id if node.parent else None
-        other_pid = other.parent.node_id if other.parent else None
-        assert pid == other_pid, nid
-        assert [c.node_id for c in node.children] == [
-            c.node_id for c in other.children
-        ], nid
-    assert [r.node_id for r in actual.tree.roots] == [
-        r.node_id for r in expected.tree.roots
-    ]
     # every per-id table, against a fresh build, row order included
     tables = actual.tables
     fresh = expected.tables
@@ -72,23 +57,25 @@ def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
         assert len(ours) == len(theirs), name
         for i, (a, b) in enumerate(zip(ours, theirs)):
             assert a == b, (name, labels[i])
-    # the label-keyed views against the from-scratch TreeAdjacency oracle
+    # the label views against the from-scratch label oracle: peel,
+    # core component tree, TreeAdjacency
+    decomposition, tree = label_oracle(actual.graph, actual.anchors)
+    tree.validate(actual.graph, decomposition)
     oracle = TreeAdjacency(
-        expected.graph,
-        expected.decomposition,
-        expected.tree,
-        anchors=expected.anchors,
+        actual.graph, decomposition, tree, anchors=actual.anchors
     )
     index = tables.index
     for u in actual.graph.vertices():
+        assert actual.coreness(u) == decomposition.coreness[u], u
+        assert actual.pair(u) == decomposition.shell_layer[u], u
+        node = tree.node_of.get(u)
+        assert actual.node_id(u) == (None if node is None else node.node_id), u
         assert actual.tca(u) == oracle.tca[u], u
         assert actual.sn(u) == oracle.sn[u], u
         assert actual.pn(u) == oracle.pn[u], u
         i = index[u]
         assert tables.fixed[i] == oracle.fixed_support[u], u
         assert [labels[j] for j in tables.same[i]] == oracle.same_shell[u], u
-    # the tree must still satisfy its own invariants
-    actual.tree.validate(actual.graph, actual.decomposition)
 
 
 class TestEquivalence:
@@ -124,6 +111,14 @@ class TestEquivalence:
         apply_anchor(state, 2)
         with pytest.raises(ValueError):
             apply_anchor(state, 2)
+
+    def test_unknown_vertex_rejected(self):
+        state = AnchoredState.build(figure2_graph())
+        tables = state.tables
+        before = list(tables.core)
+        with pytest.raises(VertexNotFoundError, match="999"):
+            apply_anchor(state, 999)
+        assert state.anchors == frozenset() and tables.core == before
 
 
 class TestRemovalsMatchResultReuse:
@@ -197,7 +192,8 @@ def _record_rounds(monkeypatch, module, rounds):
         csr = state.tables.csr
         index = csr.index
         degree = csr.degree
-        component = [index[v] for v in state.tree.node_of[x].subtree_vertices()]
+        _, tree = label_oracle(state.graph, state.anchors)
+        component = [index[v] for v in tree.node_of[x].subtree_vertices()]
         neighborhood = set(component)
         for i in component:
             neighborhood.update(csr.row(i))

@@ -22,12 +22,12 @@ from repro.anchors import kernels
 from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
-from repro.anchors.kernels.dict_backend import DictExplorer
 from repro.anchors.kernels.flat_backend import flat_explorer
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 from repro.datasets import registry
 from repro.olak.olak import olak
+from repro.verify.dict_explorer import DictExplorer
 from repro.verify.reference import reference_gain
 
 from conftest import graph_strategy, string_labeled

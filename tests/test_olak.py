@@ -7,7 +7,7 @@ from repro.datasets.toy import figure2_graph
 from repro.errors import BudgetError
 from repro.olak.olak import olak, olak_sweep
 
-from conftest import small_random_graph
+from conftest import Killed, kill_after_round, small_random_graph, string_labeled
 
 
 class TestTable1Rows:
@@ -40,12 +40,24 @@ class TestCorrectness:
         }
         assert len(after - before) == res.kcore_growth
 
-    def test_coreness_gain_reported(self):
+    def test_coreness_gain_reported(self, tmp_path):
         g = figure2_graph()
         res = olak(g, 3, 1)
         from repro.core.decomposition import coreness_gain
 
         assert res.coreness_gain == coreness_gain(g, res.anchors) == 3
+        # Read off the maintained tables: equal to a fresh decomposition
+        # on string labels (ids and labels disagree) and after a resume.
+        g = string_labeled(small_random_graph(3))
+        res = olak(g, 3, 4)
+        assert len(res.anchors) == 4
+        assert res.coreness_gain == coreness_gain(g, res.anchors) > 0
+        path = tmp_path / "olak.ckpt"
+        with kill_after_round(2), pytest.raises(Killed):
+            olak(g, 3, 4, checkpoint=path)
+        resumed = olak(g, 3, 4, resume=path)
+        assert resumed.anchors == res.anchors
+        assert resumed.coreness_gain == coreness_gain(g, resumed.anchors)
 
     def test_candidates_below_k_only(self):
         g = figure2_graph()

@@ -24,7 +24,13 @@ from repro.core.decomposition import (
 from repro.core.layers import upstair_reachable
 from repro.core.tree import CoreComponentTree
 
-from conftest import Killed, graph_and_vertex, graph_strategy, kill_after_round
+from conftest import (
+    Killed,
+    graph_and_vertex,
+    graph_strategy,
+    kill_after_round,
+    label_oracle,
+)
 
 FAST = settings(max_examples=40, deadline=None)
 SLOW = settings(max_examples=20, deadline=None)
@@ -316,9 +322,9 @@ def test_kill_and_resume_matches_the_uninterrupted_oracle(
 from repro import obs
 from repro.anchors import followers as followers_mod
 from repro.anchors.followers import FollowerCounters
-from repro.anchors.kernels.dict_backend import DictExplorer
 from repro.anchors.kernels.flat_backend import flat_explorer
 from repro.graphs.graph import Graph, GraphError
+from repro.verify.dict_explorer import DictExplorer
 
 
 
@@ -414,9 +420,12 @@ def test_in_place_anchor_matches_fresh_build(pair):
     state = AnchoredState.build(graph)
     apply_anchor(state, x)
     fresh = AnchoredState.build(graph, {x})
-    assert state.decomposition.coreness == fresh.decomposition.coreness
-    assert state.decomposition.shell_layer == fresh.decomposition.shell_layer
-    assert set(state.tree.nodes) == set(fresh.tree.nodes)
+    decomposition, tree = label_oracle(graph, {x})
+    for u in graph.vertices():
+        node = tree.node_of.get(u)
+        assert state.coreness(u) == decomposition.coreness[u]
+        assert state.pair(u) == decomposition.shell_layer[u]
+        assert state.node_id(u) == (None if node is None else node.node_id)
     for u in graph.vertices():
         assert state.sn(u) == fresh.sn(u)
         assert state.tca(u) == fresh.tca(u)

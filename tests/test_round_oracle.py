@@ -31,13 +31,19 @@ from repro.anchors.bounds import compute_upper_bounds, refined_total
 from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import greedy_anchored_coreness
 from repro.anchors.incremental import apply_anchor
-from repro.anchors.kernels.dict_backend import DictExplorer
 from repro.anchors.kernels.flat_backend import flat_explorer
 from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
+from repro.verify.dict_explorer import DictExplorer
 
-from conftest import graph_strategy, needs_fork, small_random_graph, string_labeled
+from conftest import (
+    graph_strategy,
+    label_oracle,
+    needs_fork,
+    small_random_graph,
+    string_labeled,
+)
 
 gac_mod = importlib.import_module("repro.anchors.gac")
 
@@ -89,7 +95,8 @@ def _oracle_select_best(
     else:
         order = sorted(candidates, key=_sort_key)
     tie_of = _oracle_tie(tie_break, state, refined)
-    node_k = {index[nid]: node.k for nid, node in state.tree.nodes.items()}
+    decomposition, tree = label_oracle(state.graph, state.anchors)
+    node_k = {index[nid]: node.k for nid, node in tree.nodes.items()}
     best, best_gain, best_tie = None, -1, None
     for u in order:
         if use_upper_bounds and refined[u] < best_gain:
@@ -99,7 +106,7 @@ def _oracle_select_best(
         report = find_followers(state, u, reusable_counts=cached)
         if reuse:
             cache.store(index[u], report.counts, node_k)
-        gain = report.total - (state.decomposition.coreness[u] - base_coreness[u])
+        gain = report.total - (decomposition.coreness[u] - base_coreness[u])
         if gain > best_gain:
             best, best_gain, best_tie = u, gain, tie_of(u)
         elif gain == best_gain and best is not None:
@@ -155,7 +162,7 @@ def test_round_matches_per_candidate_oracle(case):
     graph, prior, variant, tie_break = case
     use_upper_bounds, reuse = VARIANTS[variant]
     state = AnchoredState.build(graph, prior)
-    base = dict(state.decomposition.coreness)
+    base = dict(label_oracle(graph, prior)[0].coreness)
     base_ids = [base[u] for u in state.tables.labels]
     cache = FollowerCache()
     for _ in range(3):
@@ -223,7 +230,7 @@ def _oracle_run(graph, budget, variant, tie_break):
     """Whole greedy run on the oracle round: per-round picks and counters."""
     use_upper_bounds, reuse = VARIANTS[variant]
     state = AnchoredState.build(graph)
-    base = dict(state.decomposition.coreness)
+    base = dict(label_oracle(graph)[0].coreness)
     cache = FollowerCache()
     picks, rounds, served = [], [], 0
     for _ in range(budget):

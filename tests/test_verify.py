@@ -279,6 +279,15 @@ class TestAnchorStateInvariant:
         with pytest.raises(VerificationError, match="per-id support"):
             verify_anchor_state(state)
 
+    def test_stale_anchor_coreness_fails(self):
+        """The label oracle, not only a fresh id-native build, is consulted."""
+        g = small_random_graph(6, n=30, m=70)
+        state = AnchoredState.build(g)
+        apply_anchor(state, 0)
+        state.tables.core[state.tables.index[0]] += 1
+        with pytest.raises(VerificationError, match="coreness of 0"):
+            verify_anchor_state(state)
+
     def test_hook_catches_a_dropped_patch(self, monkeypatch):
         """apply_anchor's own hook fires when neighbor patches are lost."""
         monkeypatch.setattr(FlatTables, "_patch", lambda self, u, v, prev: None)
