@@ -252,8 +252,13 @@ def followers_naive(
 
     Returns every non-anchor vertex (other than ``x``) whose coreness
     strictly increases when ``x`` is anchored on top of ``anchors``.
+
+    Raises:
+        ValueError: if ``x`` is already anchored.
     """
     anchor_set = frozenset(anchors)
+    if x in anchor_set:
+        raise ValueError(f"candidate {x!r} is already anchored")
     if base is None:
         base = core_decomposition(graph, anchor_set)
     after = core_decomposition(graph, anchor_set | {x})

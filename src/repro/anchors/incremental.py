@@ -43,8 +43,8 @@ from collections.abc import Iterable
 from repro import obs as _obs
 from repro.anchors.kernels.flat_backend import FlatTables, Signature
 from repro.anchors.reuse import Removals
-from repro.anchors.state import AnchoredState, effective_coreness, node_ids
-from repro.graphs.csr import peel_layers
+from repro.anchors.state import AnchoredState, node_ids
+from repro.graphs.csr import effective_coreness, peel_layers
 from repro.graphs.graph import Vertex
 from repro.verify import enabled as _verify_enabled
 

@@ -22,7 +22,7 @@ labels appear only in an exploration's survivor sets (``members=True``)
 and in the label views of :class:`~repro.anchors.state.AnchoredState`.
 
 Plain lists rather than ``array('i')`` for the same re-boxing reason as
-:meth:`repro.graphs.csr.CSRGraph.as_lists`. The tables are built once
+:meth:`repro.graphs.csr.CSRGraph.rows`. The tables are built once
 per :class:`~repro.anchors.state.AnchoredState` and patched in place by
 :func:`repro.anchors.incremental.apply_anchor` through
 :meth:`FlatTables.apply_update`, which rewrites only the rows of the

@@ -7,8 +7,8 @@ set — coreness, shell-layer pairs, tree-node ids, the ``tca``/``sn``/
 graph's interned CSR ids. :meth:`AnchoredState.build` computes it from
 scratch on ids; :func:`repro.anchors.incremental.apply_anchor` (the
 paper's local subtree rebuild, Algorithm 3 lines 7–10) keeps it current
-with the same helpers, :func:`effective_coreness` and :func:`node_ids`,
-and edge-delta patches (DESIGN.md §6).
+with the same helpers, :func:`~repro.graphs.csr.effective_coreness` and
+:func:`node_ids`, and edge-delta patches (DESIGN.md §6).
 
 Labels enter only through the label views below, which read the
 tables. The label-keyed ``peel_decomposition``, ``CoreComponentTree``
@@ -20,16 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro import obs as _obs
 from repro.anchors.kernels.flat_backend import FlatTables
-from repro.core.decomposition import (
-    CoreDecomposition,
-    _require_anchors_present,
-    _sort_key,
-)
+from repro.core.decomposition import CoreDecomposition, _labelled, _peel
 from repro.core.tree import NodeId
 from repro.errors import VertexNotFoundError
-from repro.graphs.csr import csr_view, peel_layers
 from repro.graphs.graph import Graph, Vertex
 from repro.verify import enabled as _verify_enabled
 
@@ -63,29 +57,17 @@ class AnchoredState:
             GraphError: if the vertex labels are mutually unorderable.
         """
         anchor_set = frozenset(anchors)
-        _require_anchors_present(graph, anchor_set)
-        csr = csr_view(graph)
-        n = csr.num_vertices
-        anchor_ids = sorted(csr.index[a] for a in anchor_set)
-        with _obs.span("decomposition.peel", n=n):
-            core, layer, order = peel_layers(csr, anchor_ids)
-        # The peel deletes each non-anchor vertex exactly once.
-        _obs.add(_obs.PEEL_POPS, n - len(anchor_ids))
-        is_anchor = bytearray(n)
-        for a in anchor_ids:
-            is_anchor[a] = 1
+        csr, core, layer, order, is_anchor = _peel(graph, anchor_set)
         rows = csr.rows()
-        for a in anchor_ids:
-            core[a] = effective_coreness(rows[a], core, is_anchor)
-        members = [i for i in range(n) if not is_anchor[i]]
-        nid: "list[int | None]" = [None] * n
+        anchor_ids = sorted(csr.index[a] for a in anchor_set)
+        members = [i for i in range(csr.num_vertices) if not is_anchor[i]]
+        nid: "list[int | None]" = [None] * csr.num_vertices
         for i, node in node_ids(rows, members, core, anchor_ids).items():
             nid[i] = node
         state = cls(graph, anchor_set, FlatTables(csr, core, layer, is_anchor, nid))
         if _verify_enabled():
             from repro.verify import invariants
 
-            order = [csr.labels[i] for i in order] + sorted(anchor_set, key=_sort_key)
             decomposition = state.label_decomposition(order)
             invariants.verify_decomposition(graph, anchor_set, decomposition)
             invariants.verify_shell_layers(graph, decomposition)
@@ -102,17 +84,13 @@ class AnchoredState:
         except KeyError:
             raise VertexNotFoundError(u) from None
 
-    def label_decomposition(self, order: Sequence[Vertex] = ()) -> CoreDecomposition:
-        """A label-keyed copy of the tables' corenesses and pairs
-        (``order`` is stored as given: the tables keep none)."""
+    def label_decomposition(
+        self, order: Iterable[int] | None = None
+    ) -> CoreDecomposition:
+        """A label-keyed copy of the tables' corenesses and pairs; the
+        tables keep no deletion order, so ``order`` (ids) is optional."""
         t = self.tables
-        labels = t.labels
-        return CoreDecomposition(
-            coreness=dict(zip(labels, t.core)),
-            shell_layer=dict(zip(labels, zip(t.core, t.layer))),
-            order=list(order),
-            anchors=self.anchors,
-        )
+        return _labelled(t.labels, self.anchors, t.core, t.layer, order)
 
     # ------------------------------------------------------------------
     # Label views over the tables
@@ -156,14 +134,6 @@ class AnchoredState:
     def candidates(self) -> list[Vertex]:
         """All non-anchor vertices (the anchor candidate pool)."""
         return [u for u in self.graph.vertices() if u not in self.anchors]
-
-
-def effective_coreness(  # lint: obs-ok pure O(deg) max over one row
-    row: Iterable[int], core: Sequence[int], is_anchor: Sequence[int]
-) -> int:
-    """An anchor's effective coreness: the max over its non-anchor row
-    (independent of other anchors' values; DESIGN.md §3)."""
-    return max((core[j] for j in row if not is_anchor[j]), default=0)
 
 
 def node_ids(  # lint: obs-ok one union-find pass, timed by its callers' spans

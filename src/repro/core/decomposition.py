@@ -1,31 +1,33 @@
 """Core decomposition with anchor support (Algorithm 1 of the paper).
 
-Two implementations are provided:
+Both entry points run the paper's batched min-degree peel on the
+graph's interned CSR view (:func:`repro.graphs.csr.peel_layers`, the
+package's one coreness kernel):
 
-* :func:`core_decomposition` — the O(m + n) Batagelj–Zaveršnik bucket
-  algorithm, used when only coreness values are needed.
-* :func:`peel_decomposition` — a faithful simulation of the paper's
-  Algorithm 1 (batched min-degree peeling), which additionally yields the
-  *shell-layer pair* ``P(u) = (k, i)`` of every vertex (Section 4.4) and
-  the deletion (degeneracy) order. This costs the same asymptotically but
-  with a larger constant, so the bucket algorithm is preferred when
-  layers are not needed.
+* :func:`core_decomposition` — coreness only;
+* :func:`peel_decomposition` — also the *shell-layer pair*
+  ``P(u) = (k, i)`` of every vertex (Section 4.4) and the deletion
+  (degeneracy) order.
 
 Anchored vertices are treated as having degree ``+inf``: they are never
 deleted, so they remain in the k-core for every k and permanently support
 their neighbors. Their *effective coreness* — used to place them in the
-core component tree — is the maximum coreness among their neighbors
-(see DESIGN.md §3).
+core component tree — is the maximum coreness among their non-anchor
+neighbors (:func:`repro.graphs.csr.effective_coreness`; DESIGN.md §3).
+
+Every label-keyed result lists its vertices in ascending CSR id order
+(= :func:`~repro.graphs.graph.vertex_sort_key` order), so no dict or
+list depends on set iteration order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro import obs as _obs
 from repro.errors import AnchorNotFoundError
-from repro.graphs.csr import bucket_coreness, csr_view, peel_layers
+from repro.graphs.csr import CSRGraph, csr_view, effective_coreness, peel_layers
 from repro.graphs.graph import Graph, Vertex, vertex_sort_key
 from repro.verify import enabled as _verify_enabled
 from repro.verify import verification as _verification
@@ -74,30 +76,6 @@ class CoreDecomposition:
         return self.shell_layer[u][1]
 
 
-def _effective_anchor_coreness(
-    graph: Graph, anchors: Collection[Vertex], coreness: dict[Vertex, int]
-) -> None:
-    """Assign each anchor the max coreness among its *non-anchor* neighbors.
-
-    Restricting to non-anchor neighbors makes the value order-independent
-    (anchor-anchor chains would otherwise depend on assignment order) and
-    locally computable (an anchor's placement never depends on another
-    anchor's placement), which the in-place subtree rebuild relies on.
-    """
-    anchor_set = anchors if isinstance(anchors, (set, frozenset)) else set(anchors)
-    # lint waivers: the docstring above proves per-anchor independence,
-    # and the inner max-accumulation is commutative.
-    for a in anchor_set:  # lint: order-ok per-anchor values are independent
-        best = 0
-        for v in graph.neighbors(a):  # lint: order-ok commutative max
-            if v in anchor_set:
-                continue
-            c = coreness.get(v, 0)
-            if c > best:
-                best = c
-        coreness[a] = best
-
-
 def _require_anchors_present(graph: Graph, anchors: Collection[Vertex]) -> None:
     """Reject anchor sets naming vertices outside the graph.
 
@@ -110,36 +88,80 @@ def _require_anchors_present(graph: Graph, anchors: Collection[Vertex]) -> None:
         raise AnchorNotFoundError(sorted(missing, key=_sort_key))
 
 
+def _peel(
+    graph: Graph, anchors: frozenset[Vertex]
+) -> tuple[CSRGraph, list[int], list[int], list[int], bytearray]:
+    """Algorithm 1 on CSR ids: the view, per-id coreness and shell
+    layer, the deletion order and the per-id anchor flag.
+
+    Anchors are never deleted: they are missing from the order, keep
+    layer 0 and get their effective coreness.
+
+    Raises:
+        AnchorNotFoundError: if any anchor vertex is absent from the graph.
+        GraphError: if the vertex labels are mutually unorderable.
+    """
+    _require_anchors_present(graph, anchors)
+    with _obs.span("decomposition.peel", n=graph.num_vertices):
+        csr = csr_view(graph)
+        anchor_ids = sorted(csr.index[a] for a in anchors)
+        core, layer, order = peel_layers(csr, anchor_ids)
+    # The peel deletes each non-anchor vertex exactly once.
+    _obs.add(_obs.PEEL_POPS, csr.num_vertices - len(anchor_ids))
+    is_anchor = bytearray(csr.num_vertices)
+    for a in anchor_ids:
+        is_anchor[a] = 1
+    rows = csr.rows()
+    for a in anchor_ids:
+        core[a] = effective_coreness(rows[a], core, is_anchor)
+    return csr, core, layer, order, is_anchor
+
+
+def _labelled(
+    labels: Sequence[Vertex],
+    anchors: frozenset[Vertex],
+    core: Sequence[int],
+    layer: Sequence[int] | None = None,
+    order: Iterable[int] | None = None,
+) -> CoreDecomposition:
+    """The label-keyed :class:`CoreDecomposition` of per-id values.
+
+    The dicts list ``labels`` in ascending id order; ``shell_layer`` is
+    filled only with ``layer``. ``order`` holds deletion-order ids, and
+    the anchors are appended to it in ascending order.
+    """
+    coreness = dict(zip(labels, core))
+    if layer is None:
+        return CoreDecomposition(coreness=coreness, anchors=anchors)
+    return CoreDecomposition(
+        coreness=coreness,
+        shell_layer=dict(zip(labels, zip(core, layer))),
+        order=[]
+        if order is None
+        else [labels[i] for i in order] + sorted(anchors, key=_sort_key),
+        anchors=anchors,
+    )
+
+
 def core_decomposition(
     graph: Graph, anchors: Iterable[Vertex] = (), *, verify: bool | None = None
 ) -> CoreDecomposition:
-    """Coreness of every vertex via the Batagelj–Zaveršnik bucket algorithm.
+    """Coreness of every vertex (Algorithm 1), anchors never deleted.
 
-    Anchors are never deleted (degree treated as infinite). Runs in
-    O(m + n) on the flat-array kernel over the graph's interned CSR view
-    (see :mod:`repro.graphs.csr`). The returned decomposition has empty ``shell_layer`` and ``order``;
-    use :func:`peel_decomposition` when those are needed. ``verify=True``
-    force-enables the runtime invariant checks for this call (``None``
-    defers to ``REPRO_VERIFY``).
+    Runs the batch peel over the graph's interned CSR view (see
+    :mod:`repro.graphs.csr`). The returned decomposition has empty
+    ``shell_layer`` and ``order``; use :func:`peel_decomposition` when
+    those are needed. ``verify=True`` force-enables the runtime
+    invariant checks for this call (``None`` defers to
+    ``REPRO_VERIFY``).
 
     Raises:
         AnchorNotFoundError: if any anchor vertex is absent from the graph.
         GraphError: if the vertex labels are mutually unorderable.
     """
     anchor_set = frozenset(anchors)
-    _require_anchors_present(graph, anchor_set)
-    if graph.num_vertices == 0:
-        return CoreDecomposition(coreness={}, anchors=anchor_set)
-
-    with _obs.span("decomposition.bucket", n=graph.num_vertices):
-        csr = csr_view(graph)
-        anchor_ids = sorted(csr.index[a] for a in anchor_set)
-        coreness = dict(zip(csr.labels, bucket_coreness(csr, anchor_ids)))
-    # The bucket pass processes each non-anchor vertex exactly once.
-    _obs.add(_obs.BUCKET_POPS, graph.num_vertices - len(anchor_set))
-
-    _effective_anchor_coreness(graph, anchor_set, coreness)
-    result = CoreDecomposition(coreness=coreness, anchors=anchor_set)
+    csr, core, _, _, _ = _peel(graph, anchor_set)
+    result = _labelled(csr.labels, anchor_set, core)
     with _verification(verify):
         if _verify_enabled():
             from repro.verify.invariants import verify_decomposition
@@ -166,31 +188,8 @@ def peel_decomposition(
         GraphError: if the vertex labels are mutually unorderable.
     """
     anchor_set = frozenset(anchors)
-    _require_anchors_present(graph, anchor_set)
-
-    with _obs.span("decomposition.peel", n=graph.num_vertices):
-        csr = csr_view(graph)
-        anchor_ids = sorted(csr.index[a] for a in anchor_set)
-        core, layer_of, id_order = peel_layers(csr, anchor_ids)
-        labels = csr.labels
-        coreness: dict[Vertex, int] = {}
-        shell_layer: dict[Vertex, ShellLayer] = {}
-        order: list[Vertex] = []
-        for i in id_order:
-            u = labels[i]
-            coreness[u] = core[i]
-            shell_layer[u] = (core[i], layer_of[i])
-            order.append(u)
-    # The peel deletes each non-anchor vertex exactly once.
-    _obs.add(_obs.PEEL_POPS, graph.num_vertices - len(anchor_set))
-
-    _effective_anchor_coreness(graph, anchor_set, coreness)
-    for a in sorted(anchor_set, key=_sort_key):
-        shell_layer[a] = (coreness[a], 0)
-        order.append(a)
-    result = CoreDecomposition(
-        coreness=coreness, shell_layer=shell_layer, order=order, anchors=anchor_set
-    )
+    csr, core, layer, order, _ = _peel(graph, anchor_set)
+    result = _labelled(csr.labels, anchor_set, core, layer, order)
     with _verification(verify):
         if _verify_enabled():
             from repro.verify.invariants import (

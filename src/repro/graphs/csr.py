@@ -4,9 +4,10 @@ The adjacency-set :class:`~repro.graphs.graph.Graph` is the mutable
 substrate every algorithm accepts, but its hot loops pay for pointer
 chasing through ``dict[Vertex, set[Vertex]]`` on every neighbor scan.
 This module provides the compressed-sparse-row snapshot that the
-substrate kernels (Batagelj–Zaveršnik bucket decomposition, the batch
-peel, the core-component-tree build, and the tree-adjacency pass) run
-against instead:
+id-native code runs against instead: the Algorithm 1 batch peel
+(:func:`peel_layers`, the package's one coreness kernel, with
+:func:`effective_coreness` for anchors) and the per-id anchoring tables
+of :mod:`repro.anchors` built on it:
 
 * vertices are interned to contiguous ``int`` ids ``0..n-1`` assigned in
   :func:`~repro.graphs.graph.vertex_sort_key` order, so ascending-id
@@ -29,7 +30,7 @@ canonical id assignment exists) is rejected with a
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import cast
 
 from repro import obs as _obs
@@ -60,7 +61,6 @@ class CSRGraph:
         "neighbors",
         "labels",
         "index",
-        "_lists",
         "_rows",
     )
 
@@ -77,7 +77,6 @@ class CSRGraph:
         self.neighbors = neighbors
         self.labels = labels
         self.index = index
-        self._lists: tuple[list[int], list[int]] | None = None
         self._rows: list[list[int]] | None = None
 
     @classmethod
@@ -110,30 +109,19 @@ class CSRGraph:
         """The (ascending) neighbor ids of id ``i``."""
         return self.neighbors[self.indptr[i] : self.indptr[i + 1]]
 
-    def as_lists(self) -> tuple[list[int], list[int]]:
-        """Plain-list mirrors of ``(indptr, neighbors)`` for hot kernels.
-
-        CPython indexes and slice-iterates ``list`` faster than
-        ``array('i')`` (array access re-boxes every element); the
-        kernels below run on these mirrors, built once per view.
-        """
-        lists = self._lists
-        if lists is None:
-            lists = (list(self.indptr), list(self.neighbors))
-            self._lists = lists
-        return lists
-
     def rows(self) -> list[list[int]]:
         """Per-id neighbor rows as plain lists, built once per view.
 
-        The decomposition kernels scan every row on every call; slicing
-        ``neighbors`` per vertex per call would re-allocate ``n`` lists
-        each time, so the interned view amortizes the row lists too.
+        CPython indexes and iterates ``list`` faster than ``array('i')``
+        (array access re-boxes every element), and the kernels scan
+        every row on every call, so the interned view amortizes one
+        list per row, cut straight from ``neighbors``.
         """
         rows = self._rows
         if rows is None:
-            indptr, nbrs = self.as_lists()
-            rows = [nbrs[indptr[i] : indptr[i + 1]] for i in range(self.num_vertices)]
+            nbrs = self.neighbors
+            ptr = self.indptr
+            rows = [nbrs[s:e].tolist() for s, e in zip(ptr, ptr[1:])]
             self._rows = rows
         return rows
 
@@ -192,103 +180,6 @@ def _unorderable_types(graph: Graph) -> list[str]:
 # ----------------------------------------------------------------------
 # Flat-array substrate kernels (operate purely on CSR ids)
 # ----------------------------------------------------------------------
-def bucket_coreness(csr: CSRGraph, anchor_ids: Iterable[int] = ()) -> list[int]:
-    """Coreness per id via the Batagelj–Zaveršnik O(m) bucket algorithm.
-
-    The textbook flat-array formulation: ids counting-sorted by degree
-    into ``vert`` with per-degree bin starts, processed left to right;
-    decrementing a neighbor swaps it to its bin front and advances the
-    bin. Anchored ids are never processed or decremented (their degree
-    is treated as infinite); their slots in the returned list stay 0 —
-    callers assign effective anchor coreness from the non-anchor values.
-    """
-    n = csr.num_vertices
-    core = [0] * n
-    if n == 0:
-        return core
-    rows = csr.rows()
-    is_anchor = bytearray(n)
-    anchored = 0
-    for a in anchor_ids:
-        if not is_anchor[a]:
-            is_anchor[a] = 1
-            anchored += 1
-
-    deg = [len(row) for row in rows]
-    free = n - anchored
-    if free == 0:
-        return core
-    if anchored:
-        max_deg = max(d for u, d in enumerate(deg) if not is_anchor[u])
-    else:
-        max_deg = max(deg)
-
-    # Counting sort of non-anchor ids by degree: vert is sorted by
-    # current degree throughout, pos[u] is u's slot, bin_start[d] the
-    # first slot of degree-d ids.
-    counts = [0] * (max_deg + 1)
-    for u in range(n):
-        if not is_anchor[u]:
-            counts[deg[u]] += 1
-    bin_start = [0] * (max_deg + 1)
-    total = 0
-    for d in range(max_deg + 1):
-        bin_start[d] = total
-        total += counts[d]
-    fill = bin_start.copy()
-    pos = [0] * n
-    vert = [0] * free
-    for u in range(n):
-        if not is_anchor[u]:
-            p = fill[deg[u]]
-            fill[deg[u]] = p + 1
-            vert[p] = u
-            pos[u] = p
-
-    if anchored:
-        for i in range(free):
-            v = vert[i]
-            dv = deg[v]
-            core[v] = dv
-            for u in rows[v]:
-                du = deg[u]
-                # du > dv implies u is unprocessed and non-anchor degrees
-                # never drop below the current level, so processed ids
-                # keep their final coreness in deg[].
-                if du > dv and not is_anchor[u]:
-                    pu = pos[u]
-                    sw = bin_start[du]
-                    if pu != sw:
-                        w = vert[sw]
-                        vert[pu] = w
-                        pos[w] = pu
-                        vert[sw] = u
-                        pos[u] = sw
-                    bin_start[du] = sw + 1
-                    deg[u] = du - 1
-    else:
-        # Anchor-free specialization of the identical loop: no mask test
-        # on the (hot) per-edge path.
-        for i in range(free):
-            v = vert[i]
-            dv = deg[v]
-            core[v] = dv
-            for u in rows[v]:
-                du = deg[u]
-                if du > dv:
-                    pu = pos[u]
-                    sw = bin_start[du]
-                    if pu != sw:
-                        w = vert[sw]
-                        vert[pu] = w
-                        pos[w] = pu
-                        vert[sw] = u
-                        pos[u] = sw
-                    bin_start[du] = sw + 1
-                    deg[u] = du - 1
-    return core
-
-
 def peel_layers(
     csr: CSRGraph,
     anchor_ids: Iterable[int] = (),
@@ -382,3 +273,17 @@ def peel_layers(
             frontier = nxt
         k += 1
     return core, layer_of, order
+
+
+def effective_coreness(
+    row: Iterable[int], core: Sequence[int], is_anchor: Sequence[int]
+) -> int:
+    """An anchor's effective coreness: the max coreness over its
+    non-anchor row, 0 if none.
+
+    Skipping anchor neighbors makes the value independent of other
+    anchors' values (no anchor-anchor chains, so no assignment order)
+    and locally computable, which the in-place subtree rebuild relies
+    on (DESIGN.md §3).
+    """
+    return max((core[j] for j in row if not is_anchor[j]), default=0)

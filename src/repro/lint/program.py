@@ -27,6 +27,7 @@ Function keys are ``"<module>:<qualname>"`` (``repro.anchors.gac:gac``,
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -513,6 +514,21 @@ def _collect_definitions(mod: ModuleInfo) -> None:
                         mod.global_names.add(node.id)
 
 
+def _code_nodes(root: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` minus annotations: a parameter, return or variable
+    annotation names a type, it does not call its constructor."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        skip = (getattr(node, "annotation", None), getattr(node, "returns", None))
+        todo.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if child is not skip[0] and child is not skip[1]
+        )
+
+
 def _link_calls(model: ProjectModel) -> None:
     """Populate ``FunctionInfo.callees`` and ``touches_obs`` flags."""
     for mod in model.modules.values():
@@ -540,7 +556,7 @@ def _link_calls(model: ProjectModel) -> None:
             or (origin == "repro.obs" and name == "shipping")
         }
         for fn in mod.functions.values():
-            for child in ast.walk(fn.node):
+            for child in _code_nodes(fn.node):
                 if child is fn.node:
                     continue
                 if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):

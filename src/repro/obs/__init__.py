@@ -9,7 +9,7 @@ requires (Figure 12 runtime breakdowns, Figure 13 work counters):
   greedy entry points); a shared no-op handle keeps disabled spans out
   of hot-loop budgets;
 * **counters/gauges** — the registry is the single home for work
-  counters (bucket pops, CSR builds/cache hits, heap pops, reuse hits,
+  counters (peel pops, CSR builds/cache hits, heap pops, reuse hits,
   prunings); always on, muted only under :func:`suspended`;
 * **exporters** — Chrome trace-event JSON artifacts and ASCII phase
   profiles;
@@ -32,7 +32,6 @@ from repro.obs.export import (
 )
 from repro.obs.resources import ResourceSample, ResourceSampler
 from repro.obs.runtime import (
-    BUCKET_POPS,
     CHECKPOINT_RESUMES,
     CHECKPOINT_WRITES,
     CSR_BUILDS,
@@ -74,7 +73,6 @@ from repro.obs.runtime import (
 )
 
 __all__ = [
-    "BUCKET_POPS",
     "CHECKPOINT_RESUMES",
     "CHECKPOINT_WRITES",
     "CSR_BUILDS",

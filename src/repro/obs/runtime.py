@@ -6,7 +6,7 @@ kernels, greedy loops) without cycles. It holds four pieces of global
 state:
 
 * a **counter registry** (``add`` / ``get``): monotone work counters
-  (bucket pops, CSR builds, heap pops, reuse hits, prunings). Counters
+  (peel pops, CSR builds, heap pops, reuse hits, prunings). Counters
   are *always on* — they are plain integer adds, and experiments read
   their figures from them — except while :func:`suspended` is active,
   which the verification oracles use so cross-checks never pollute the
@@ -39,8 +39,6 @@ _ENV_FLAG = "REPRO_TRACE"
 # ----------------------------------------------------------------------
 # Canonical counter names (the registry naming scheme: <layer>.<what>)
 # ----------------------------------------------------------------------
-#: Non-anchor vertices processed by the bucket decomposition kernel.
-BUCKET_POPS = "decomposition.bucket_pops"
 #: Non-anchor vertices deleted by the batch peel kernel.
 PEEL_POPS = "decomposition.peel_pops"
 #: CSR views built from scratch (sorted interning runs).

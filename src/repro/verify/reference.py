@@ -1,10 +1,12 @@
 """Independent reference implementations used as verification oracles.
 
 These deliberately share no code with :mod:`repro.core.decomposition`:
-the production path is the O(m) Batagelj–Zaveršnik bucket algorithm,
-while :func:`reference_coreness` is a textbook lazy-heap min-degree
-peel. Agreement between two structurally different implementations is
-the point — a bug in shared machinery cannot cancel out.
+the production path is the paper's batched frontier peel
+(:func:`repro.graphs.csr.peel_layers` on the CSR view), while
+:func:`reference_coreness` is a textbook lazy-heap min-degree peel over
+the adjacency sets. Agreement between two structurally different
+implementations is the point — a bug in shared machinery cannot cancel
+out.
 """
 
 from __future__ import annotations

@@ -4,20 +4,17 @@ This is the pre-CSR production peel, kept verbatim so the flat-array
 kernel :func:`repro.graphs.csr.peel_layers` (shell layers and deletion
 order included) is compared against an implementation that walks the
 adjacency-set :class:`~repro.graphs.graph.Graph` and never touches the
-CSR view. Coreness alone is checked against the independent heap peel
-in :mod:`repro.verify.reference`, which does not produce layers.
+CSR view; it carries its own label-keyed copy of the anchor
+effective-coreness rule, so it shares no code with production.
+Coreness alone is checked against the independent heap peel in
+:mod:`repro.verify.reference`, which does not produce layers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.decomposition import (
-    CoreDecomposition,
-    ShellLayer,
-    _effective_anchor_coreness,
-    _sort_key,
-)
+from repro.core.decomposition import CoreDecomposition, ShellLayer, _sort_key
 from repro.graphs.graph import Graph, Vertex
 
 
@@ -77,13 +74,24 @@ def dict_batch_peel(
     return coreness, shell_layer, order
 
 
+def effective_anchor_coreness(
+    graph: Graph, anchor_set: frozenset[Vertex], coreness: dict[Vertex, int]
+) -> None:
+    """Assign each anchor the max coreness among its non-anchor neighbors."""
+    for a in sorted(anchor_set, key=_sort_key):
+        coreness[a] = max(
+            (coreness[v] for v in graph.neighbors(a) if v not in anchor_set),
+            default=0,
+        )
+
+
 def dict_peel_decomposition(
     graph: Graph, anchors: Iterable[Vertex] = ()
 ) -> CoreDecomposition:
     """End-to-end dict-path peel decomposition, anchors appended last."""
     anchor_set = frozenset(anchors)
     coreness, shell_layer, order = dict_batch_peel(graph, anchor_set)
-    _effective_anchor_coreness(graph, anchor_set, coreness)
+    effective_anchor_coreness(graph, anchor_set, coreness)
     for a in sorted(anchor_set, key=_sort_key):
         shell_layer[a] = (coreness[a], 0)
         order.append(a)

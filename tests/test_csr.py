@@ -23,7 +23,7 @@ from repro.core.decomposition import (
 from repro.core.tree import CoreComponentTree, TreeAdjacency
 from repro.errors import GraphError
 from repro.graphs.components import restricted_component
-from repro.graphs.csr import CSRGraph, bucket_coreness, csr_view, peel_layers
+from repro.graphs.csr import CSRGraph, csr_view, peel_layers
 from repro.graphs.generators import clique, disjoint_union, gnm_random_graph
 from repro.graphs.graph import Graph
 from repro.verify.reference import reference_coreness
@@ -96,7 +96,6 @@ class TestCSRStructure:
     def test_empty_graph(self):
         csr = CSRGraph.from_graph(Graph())
         assert csr.num_vertices == 0
-        assert bucket_coreness(csr) == []
         assert peel_layers(csr) == ([], [], [])
 
 

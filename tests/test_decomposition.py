@@ -13,8 +13,9 @@ from repro.core.decomposition import (
 from repro.datasets.toy import figure2_graph, figure5b_graph
 from repro.graphs.generators import clique, gnm_random_graph, powerlaw_social_graph
 from repro.graphs.graph import Graph
+from repro.verify.reference import reference_coreness
 
-from conftest import small_random_graph
+from conftest import small_random_graph, string_labeled
 
 
 class TestCoreness:
@@ -49,8 +50,14 @@ class TestCoreness:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_peel_matches_bucket(self, seed):
+        """Both entry points agree with the independent heap peel, on
+        string labels for odd seeds."""
         g = small_random_graph(seed)
-        assert peel_decomposition(g).coreness == core_decomposition(g).coreness
+        if seed % 2:
+            g = string_labeled(g)
+        expected = reference_coreness(g)
+        assert peel_decomposition(g).coreness == expected
+        assert core_decomposition(g).coreness == expected
 
 
 class TestAnchoredDecomposition:
@@ -80,11 +87,16 @@ class TestAnchoredDecomposition:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_peel_matches_bucket_with_anchors(self, seed):
+        """Anchored coreness against the independent heap peel, on
+        string labels for odd seeds (CSR ids and labels disagree)."""
         g = small_random_graph(seed)
         anchors = {0, 5}
-        a = core_decomposition(g, anchors).coreness
-        b = peel_decomposition(g, anchors).coreness
-        assert a == b
+        if seed % 2:
+            g = string_labeled(g)
+            anchors = {"v0", "v5"}
+        expected = reference_coreness(g, frozenset(anchors))
+        assert core_decomposition(g, anchors).coreness == expected
+        assert peel_decomposition(g, anchors).coreness == expected
 
 
 class TestShellLayers:

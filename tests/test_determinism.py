@@ -83,3 +83,54 @@ def test_peel_order_identical_across_hash_seeds():
     a = _run_probe("0", "id")
     b = _run_probe("1", "id")
     assert a["order_head"] == b["order_head"]
+
+
+# The decomposition probe prints every label list of both entry points on
+# a string-labeled graph with anchors (whose placement once followed the
+# anchor frozenset's iteration order).
+_DECOMPOSITION_PROBE = """\
+import json
+
+from repro.core.decomposition import core_decomposition, peel_decomposition
+from repro.graphs.graph import Graph
+
+graph = Graph.from_edges(
+    [*zip("abcdefghij", "bcdefghija"), *zip("abcdefghij", "cdefghijab")]
+)
+anchors = ["b", "e", "g", "f"]
+peel = peel_decomposition(graph, anchors)
+core = core_decomposition(graph, anchors)
+print(
+    json.dumps(
+        {
+            "peel_coreness": list(peel.coreness.items()),
+            "peel_shell_layer": list(peel.shell_layer.items()),
+            "peel_order": peel.order,
+            "core_coreness": list(core.coreness.items()),
+        }
+    )
+)
+"""
+
+
+def test_decomposition_label_order_identical_across_hash_seeds():
+    runs = []
+    for hashseed in ("1", "2", "31337"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DECOMPOSITION_PROBE],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env={
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PYTHONHASHSEED": hashseed,
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    baseline, *rest = runs
+    for other in rest:
+        assert other == baseline
+    # Label dicts list vertices in ascending sort-key order.
+    assert [u for u, _ in baseline["peel_coreness"]] == list("abcdefghij")

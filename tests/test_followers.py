@@ -43,6 +43,11 @@ class TestAgainstOracle:
         with pytest.raises(ValueError):
             find_followers(state, 5)
 
+    def test_naive_candidate_already_anchored(self):
+        g = small_random_graph(0)
+        with pytest.raises(ValueError, match="already anchored"):
+            followers_naive(g, 5, anchors={5, 7})
+
 
 class TestPaperExamples:
     def test_figure2_table1(self):

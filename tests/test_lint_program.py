@@ -128,6 +128,46 @@ class TestProjectModel:
         step = model.function_index["repro.core.use:Driver.step"]
         assert "repro.core.util:helper" in step.callees
 
+    def test_annotations_are_not_calls(self, tmp_path):
+        root = tmp_path / "src"
+        _write_tree(
+            root,
+            {
+                "repro/anchors/h.py": """
+                    from repro import obs
+
+
+                    class Traced:
+                        def __init__(self) -> None:
+                            obs.add("h.made")
+
+
+                    def takes(state: Traced) -> int:
+                        return 1
+
+
+                    def gives() -> Traced:
+                        return None
+
+
+                    def holds() -> int:
+                        local: Traced = None
+                        return 0
+
+
+                    def builds() -> int:
+                        made: Traced = Traced()
+                        return 0
+                """,
+            },
+        )
+        model, _ = build_project([root])
+        init = "repro.anchors.h:Traced.__init__"
+        assert init not in model.function_index["repro.anchors.h:takes"].callees
+        assert init in model.function_index["repro.anchors.h:builds"].callees
+        flagged = {d.code for d in run_program_passes([root], passes=["L3"])}
+        assert flagged == {"def takes", "def gives", "def holds"}
+
     def test_real_tree_worker_entry_points(self):
         model, _ = build_project([SRC])
         entries = model.worker_entry_points()

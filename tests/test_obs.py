@@ -93,7 +93,7 @@ class TestSpanRuntime:
     def test_disabled_overhead_below_two_percent_of_bucket_pass(self):
         """Per decomposition call the obs hooks cost one no-op span plus
         two counter adds; that fixed cost must stay below 2% of the
-        bucket kernel itself (best of 3 on a warm CSR view)."""
+        peel kernel itself (best of 3 on a warm CSR view)."""
         graph = registry.load("brightkite")
         with obs.tracing(False):
             core_decomposition(graph)  # interns the CSR view
@@ -105,7 +105,7 @@ class TestSpanRuntime:
             for _ in range(reps):
                 with obs.span("bench.noop", n=0):
                     pass
-                obs.add(obs.BUCKET_POPS, 0)
+                obs.add(obs.PEEL_POPS, 0)
                 obs.add(obs.CSR_CACHE_HITS, 0)
             per_call = (time.perf_counter() - t0) / reps
         assert per_call < 0.02 * best

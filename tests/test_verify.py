@@ -36,7 +36,7 @@ from repro.verify.invariants import (
 )
 from repro.verify.reference import reference_coreness, reference_followers
 
-from conftest import small_random_graph
+from conftest import small_random_graph, string_labeled
 
 
 def _gac_module():
@@ -93,9 +93,15 @@ class TestReference:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reference_coreness_matches_bucket(self, seed):
+        """The heap peel against both production entry points, with and
+        without anchors, on integer and string labels."""
         g = small_random_graph(seed)
-        anchors = frozenset(list(g.vertices())[:2]) if seed % 2 else frozenset()
-        assert reference_coreness(g, anchors) == core_decomposition(g, anchors).coreness
+        if seed >= 2:
+            g = string_labeled(g)
+        anchors = frozenset(sorted(g.vertices())[:2]) if seed % 2 else frozenset()
+        expected = reference_coreness(g, anchors)
+        assert core_decomposition(g, anchors).coreness == expected
+        assert peel_decomposition(g, anchors).coreness == expected
 
     def test_reference_followers_match_naive(self):
         from repro.anchors.followers import followers_naive
