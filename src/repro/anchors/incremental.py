@@ -18,7 +18,9 @@ lines 7-10). This module does that on CSR ids, in three steps:
    are rebuilt, and Δ's entries in its neighbors' rows are patched in
    place (:meth:`~repro.anchors.kernels.flat_backend.FlatTables.apply_update`),
    so the table upkeep costs O(Σ_{v∈Δ} deg v) — the
-   ``incremental.touched_edges`` counter.
+   ``incremental.touched_edges`` counter. Δ's previous values are
+   handed back with the removals (:class:`Anchoring`), so the GAC round
+   can bring its bounds and cache rows up to date from Δ alone.
 
 Locality rests on two facts:
 
@@ -39,6 +41,7 @@ runs in the tests and, under ``REPRO_VERIFY=1``, after every anchoring
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from repro import obs as _obs
 from repro.anchors.kernels.flat_backend import FlatTables, Signature
@@ -49,10 +52,25 @@ from repro.graphs.graph import Vertex
 from repro.verify import enabled as _verify_enabled
 
 
+class Anchoring(NamedTuple):
+    """What one in-place anchoring changed.
+
+    Attributes:
+        removals: Algorithm 3's removals — per vertex id, the old node
+            ids whose cached ``F[u][id]`` counts must be dropped (empty
+            when they were not asked for).
+        changed: Δ — the previous :data:`Signature` of every id whose
+            anchor flag, coreness, layer or node id changed.
+    """
+
+    removals: Removals
+    changed: dict[int, Signature]
+
+
 def apply_anchor(
     state: AnchoredState, x: Vertex, compute_removals: bool = True
-) -> Removals:
-    """Anchor ``x`` in place; returns Algorithm 3's cache removals.
+) -> Anchoring:
+    """Anchor ``x`` in place; returns Algorithm 3's removals and Δ.
 
     Runs on CSR ids throughout: no label enters, and only the per-id
     tables and ``state.anchors`` change.
@@ -64,9 +82,9 @@ def apply_anchor(
             caller runs without a follower cache (GAC-U-R).
 
     Returns:
-        ``removals[u]`` — per vertex id, old node ids whose cached
-        ``F[u][id]`` counts must be dropped (empty when
-        ``compute_removals`` is false).
+        An :class:`Anchoring`: ``removals[u]`` — per vertex id, old node
+        ids whose cached ``F[u][id]`` counts must be dropped (empty when
+        ``compute_removals`` is false) — and Δ's previous signatures.
 
     Raises:
         VertexNotFoundError: if ``x`` is not in the graph.
@@ -126,7 +144,8 @@ def apply_anchor(
 
     # ---- Commit: the anchor set, then the per-id tables.
     state.anchors = state.anchors | {x}
-    _obs.add(_obs.TOUCHED_EDGES, tables.apply_update(delta))
+    changed = tables.apply_update(delta)
+    _obs.add(_obs.TOUCHED_EDGES, sum(len(rows[i]) for i in delta))
 
     # ---- Lines 12-16: invalidation from the new structures.
     _invalidate(tables, dying, removals)
@@ -134,7 +153,7 @@ def apply_anchor(
         from repro.verify.invariants import verify_anchor_state
 
         verify_anchor_state(state)
-    return removals
+    return Anchoring(removals, changed)
 
 
 def _component(
@@ -177,10 +196,23 @@ def _invalidate(
     for ``v``'s lower-coreness neighbors (per the current tables)."""
     tca_ids = tables.tca_ids
     pn_ids = tables.pn_ids
+    # Per dying node id, the ids it dies for: a node's members share
+    # their lower-coreness neighbors, so each one is added once.
+    dies_for: dict[int, set[int]] = {}
     for v, vid in dying:
         assert vid is not None  # a node member is never an anchor
-        removals.setdefault(v, set()).add(vid)
+        ids = dies_for.get(vid)
+        if ids is None:
+            ids = dies_for[vid] = set()
+        ids.add(v)
         tca_v = tca_ids[v]
         for nid2 in pn_ids[v]:
-            for j in tca_v[nid2]:
-                removals.setdefault(j, set()).add(vid)
+            ids.update(tca_v[nid2])
+    get = removals.get
+    for vid, ids in dies_for.items():
+        for j in ids:  # lint: order-ok commutative set inserts
+            dead = get(j)
+            if dead is None:
+                removals[j] = {vid}
+            else:
+                dead.add(vid)

@@ -195,15 +195,15 @@ class FlatTables:
         self.explorer = FlatExplorer.__new__(FlatExplorer)
         self.explorer.tables = self
 
-    def apply_update(self, delta: dict[int, Signature]) -> int:
+    def apply_update(self, delta: dict[int, Signature]) -> dict[int, Signature]:
         """Apply one anchoring's per-vertex changes as edge deltas.
 
         ``delta`` maps each id whose anchor flag, coreness, layer or
         node id changed to its new :data:`Signature`. Every such id's
         row is rebuilt, and its entries in each neighbor's rows are
         moved in place (bisect keeps the ascending order); no other row
-        is read. Returns the number of adjacency entries walked — the
-        sum of the changed ids' degrees.
+        is read, so the walk costs the sum of the changed ids' degrees.
+        Returns the previous :data:`Signature` of every id in ``delta``.
         """
         core = self.core
         layer = self.layer
@@ -220,9 +220,10 @@ class FlatTables:
             layer[i] = lay
             nid[i] = node
             keys[i] = (c << w2) | (lay << w1) | i
-        return self._write_rows(delta, old)
+        self._write_rows(delta, old)
+        return old
 
-    def _write_rows(self, ids: Iterable[int], old: dict[int, Signature]) -> int:
+    def _write_rows(self, ids: Iterable[int], old: dict[int, Signature]) -> None:
         """Rebuild the rows of ``ids``; patch their neighbors' rows.
 
         ``old`` holds the previous signature of every rebuilt id; a
@@ -245,10 +246,8 @@ class FlatTables:
         sn_ids = self.sn_ids
         pn_ids = self.pn_ids
         patch = self._patch
-        walked = 0
         for v in ids:
             row = rows[v]
-            walked += len(row)
             cv = core[v]
             lv = layer[v]
             prev = old.get(v)
@@ -295,7 +294,6 @@ class FlatTables:
             pn.sort()
             sn_ids[v] = sn
             pn_ids[v] = pn
-        return walked
 
     def _patch(self, u: int, v: int, prev: Signature) -> None:
         """Move ``v``'s entries in ``u``'s rows from ``prev`` to now.
@@ -460,7 +458,6 @@ class FlatExplorer:
         loweq = t.loweq
         keys = t.keys
         labels = t.labels
-        is_anchor = t.is_anchor
         packed = t.packed
         dplus = t.dplus
         xmark = t.xmark
@@ -490,20 +487,18 @@ class FlatExplorer:
             bh = base | _IN_HEAP
             del survived[:]
 
+            # A tca bucket never holds an anchor (its rows count anchors
+            # in ``fixed``, and ``_patch`` moves a newly anchored id out).
             seeds = seeds_of(nid)
             if seeds:
                 if is_own_node:
                     for vi in seeds:
-                        if is_anchor[vi]:
-                            continue
                         k = keys[vi]
                         if lo <= k < hi:
                             packed[vi] = bh
                             push(heap, k)
                 else:
                     for vi in seeds:
-                        if is_anchor[vi]:
-                            continue
                         packed[vi] = bh
                         push(heap, keys[vi])
             if not heap:

@@ -14,7 +14,10 @@ the node ids whose cached counts must be dropped — and
 (the paper stores counts, not member sets, for an O(m) space bound).
 Vertices and node ids are CSR ids throughout (a node is named by its
 smallest member's id), so a cache row is keyed exactly like the
-per-id tables it is validated against.
+per-id tables it is validated against. The servable ("live") part of
+every row is validated in full on a GAC run's first round only; after
+that the removals, the stores and :meth:`FollowerCache.refresh` over
+the anchoring's Δ keep it current.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections import defaultdict
 from collections.abc import Mapping, Sequence
 
 from repro import obs as _obs
+from repro.anchors.kernels.flat_backend import Signature
 from repro.anchors.state import AnchoredState
 from repro.graphs.graph import Vertex
 from repro.verify import enabled as _verify_enabled
@@ -41,20 +45,34 @@ class FollowerCache:
     node; the coreness check additionally rules out the pathological
     case where a relocated anchor produces a fresh node that happens to
     reuse an old node id).
+
+    ``live[u]`` is the servable part of ``entries[u]`` under the current
+    state (rows with nothing servable are absent). :meth:`served`
+    validates every row from scratch — the GAC round's first build and
+    the ``REPRO_VERIFY`` oracle; after that the rows are kept current:
+    :meth:`store` installs the search's counts dict as the live row,
+    :meth:`apply_removals` pops from both, and :meth:`refresh`
+    revalidates only the rows an anchoring's Δ can have changed.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "live")
 
     def __init__(self) -> None:
         self.entries: dict[int, dict[int, tuple[int, int]]] = {}
+        self.live: dict[int, dict[int, int]] = {}
 
-    def store(self, i: int, counts: Mapping[int, int], core: Sequence[int]) -> None:
+    def store(self, i: int, counts: dict[int, int], core: Sequence[int]) -> None:
         """Record candidate ``i``'s freshly evaluated per-node counts.
 
         A node's coreness is its id vertex's (the id is its smallest
-        member), read from the per-id ``core``.
+        member), read from the per-id ``core``. Every node of the row is
+        in ``sn(i)`` now, so ``counts`` itself becomes the live row.
         """
         self.entries[i] = {nid: (core[nid], count) for nid, count in counts.items()}
+        if counts:
+            self.live[i] = counts
+        else:
+            self.live.pop(i, None)
 
     def valid_counts(self, i: int, state: AnchoredState) -> dict[int, int]:
         """Candidate ``i``'s cached counts valid under the current state.
@@ -72,33 +90,73 @@ class FollowerCache:
         return valid
 
     def served(self, state: AnchoredState) -> dict[int, dict[int, int]]:
-        """One round's valid counts per candidate id, each row validated once.
-
-        Each served entry counts once per round (``reuse.counts_served``).
-        """
+        """Every row's valid counts, validated from scratch (the live rows' oracle)."""
         out: dict[int, dict[int, int]] = {}
         with _obs.span("reuse.validate", rows=len(self.entries)):
             for i, stored in self.entries.items():  # anchors hold no rows (forget)
                 valid = _live(state, i, stored)
                 if valid:
                     out[i] = valid
-        served = sum(map(len, out.values()))
-        if served:
-            _obs.add(_obs.REUSE_SERVED, served)
         return out
+
+    def refresh(
+        self, state: AnchoredState, changed: Mapping[int, Signature]
+    ) -> set[int]:
+        """Revalidate the live rows one anchoring's Δ can have changed.
+
+        ``changed`` maps each Δ id to its previous signature. Row ``i``
+        is valid by ``tca[i]``'s node ids, ``c(i)`` and the coreness of
+        each such node, and a node's coreness is that of any member:
+        so only the rows of Δ ids whose coreness or anchor flag moved,
+        and of the neighbors of Δ ids whose coreness, node id or anchor
+        flag moved, can change (a layer move changes none). Returns the
+        ids of the rows revalidated, changed or not: a Δ neighbor that
+        moved between two nodes moves its part of the bound between
+        them, which changes the row's refined bound when one of the two
+        is served.
+        """
+        t = state.tables
+        rows = t.rows
+        core = t.core
+        nid = t.nid
+        is_anchor = t.is_anchor
+        entries = self.entries
+        live = self.live
+        ids: set[int] = set()
+        for j, (a0, c0, _, n0) in changed.items():
+            if a0 != is_anchor[j] or c0 != core[j]:
+                ids.add(j)
+            elif n0 == nid[j]:
+                continue
+            ids.update(rows[j])
+        ids.intersection_update(entries)
+        with _obs.span("reuse.validate", rows=len(ids)):
+            for i in ids:  # lint: order-ok independent per-row writes
+                valid = _live(state, i, entries[i])
+                if valid:
+                    live[i] = valid
+                else:
+                    live.pop(i, None)
+        return ids
 
     def apply_removals(self, removals: Mapping[int, set[int]]) -> int:
         """Drop invalidated entries; returns how many were dropped."""
         dropped = 0
+        live = self.live
         for i, ids in removals.items():
             stored = self.entries.get(i)
             if not stored:
                 continue
+            row = live.get(i)
             for nid in ids:
                 if stored.pop(nid, None) is not None:
                     dropped += 1
+                    if row:
+                        row.pop(nid, None)
             if not stored:
                 del self.entries[i]
+            if row is not None and not row:
+                del live[i]
         if dropped:
             _obs.add(_obs.REUSE_DROPPED, dropped)
         return dropped
@@ -106,9 +164,11 @@ class FollowerCache:
     def forget(self, i: int) -> None:
         """Remove every entry for id ``i`` (used when it becomes an anchor)."""
         self.entries.pop(i, None)
+        self.live.pop(i, None)
 
     def clear(self) -> None:
         self.entries.clear()
+        self.live.clear()
 
 
 def _live(

@@ -32,6 +32,7 @@ from repro.obs.export import (
 )
 from repro.obs.resources import ResourceSample, ResourceSampler
 from repro.obs.runtime import (
+    BOUNDS_RECOMPUTED,
     CHECKPOINT_RESUMES,
     CHECKPOINT_WRITES,
     CSR_BUILDS,
@@ -73,6 +74,7 @@ from repro.obs.runtime import (
 )
 
 __all__ = [
+    "BOUNDS_RECOMPUTED",
     "CHECKPOINT_RESUMES",
     "CHECKPOINT_WRITES",
     "CSR_BUILDS",

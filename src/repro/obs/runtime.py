@@ -64,6 +64,9 @@ REUSE_DROPPED = "reuse.entries_dropped"
 #: Adjacency entries walked by the in-place anchoring's table update
 #: (the summed degree of the vertices whose values changed).
 TOUCHED_EDGES = "incremental.touched_edges"
+#: Eq. 1 own-node bounds recomputed by the GAC round's upkeep after an
+#: anchoring (the first round's full pass is not counted).
+BOUNDS_RECOMPUTED = "bounds.recomputed"
 #: Greedy iterations completed by OLAK.
 OLAK_ITERATIONS = "olak.iterations"
 #: Candidate evaluations shipped to scan workers (repro.parallel).

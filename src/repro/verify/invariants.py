@@ -20,6 +20,8 @@ Checked invariants (see ``docs/verification.md``):
   re-decomposition;
 * the Algorithm-3 reuse cache never serves a count that a fresh
   exploration would contradict (no stale tree nodes);
+* the bounds, live cache rows and refined bounds the GAC round keeps
+  across rounds equal a from-scratch build for the current state;
 * the state an in-place anchoring leaves behind equals the from-scratch
   label-keyed oracle (peel, tree nodes, adjacency) and, table by table,
   a fresh id-native build for the same anchors;
@@ -42,6 +44,8 @@ from repro.graphs.graph import Graph, Vertex
 from repro.verify.reference import reference_coreness, reference_followers
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import, avoids a cycle
+    from repro.anchors.bounds import UpperBounds
+    from repro.anchors.reuse import FollowerCache
     from repro.anchors.state import AnchoredState
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "verify_greedy_total",
     "verify_olak_selection",
     "verify_resume_replay",
+    "verify_round_upkeep",
     "verify_selection",
     "verify_shell_layers",
 ]
@@ -215,6 +220,62 @@ def verify_cache_counts(
                     "reuse-cache-count",
                     f"cache served |F[{u!r}][{nid!r}]| = {count} but a fresh "
                     f"exploration finds {actual} — stale count",
+                )
+
+
+def verify_round_upkeep(
+    state: "AnchoredState",
+    cache: "FollowerCache",
+    bounds: "UpperBounds | None",
+    refined: Sequence[int],
+) -> None:
+    """What the GAC round kept across an anchoring equals a fresh build.
+
+    The live cache rows equal :meth:`FollowerCache.served` — a full
+    ``_live`` pass, which also checks every served count against a
+    fresh exploration — and, with pruning, ``own`` / ``total`` equal
+    :func:`compute_upper_bounds` and every candidate's refined bound
+    equals :func:`refined_total` over its live row.
+    """
+    fresh_rows = cache.served(state)
+    with verify.suspended():
+        from repro.anchors.bounds import compute_upper_bounds, refined_total
+
+        labels = state.tables.labels
+        if cache.live != fresh_rows:
+            i = next(
+                i
+                for i in sorted(cache.live.keys() | fresh_rows.keys())
+                if cache.live.get(i) != fresh_rows.get(i)
+            )
+            _fail(
+                "round-upkeep-live-rows",
+                f"kept cache row of {labels[i]!r} is {cache.live.get(i)!r}, a "
+                f"full validation gives {fresh_rows.get(i)!r}",
+            )
+        if bounds is None:
+            return
+        fresh = compute_upper_bounds(state)
+        for name, ours, theirs in (
+            ("own", bounds.own, fresh.own),
+            ("total", bounds.total, fresh.total),
+        ):
+            if ours != theirs:
+                i = next(i for i in range(len(ours)) if ours[i] != theirs[i])
+                _fail(
+                    "round-upkeep-bounds",
+                    f"kept {name} bound of {labels[i]!r} is {ours[i]}, a fresh "
+                    f"pass gives {theirs[i]}",
+                )
+        for i, anchored in enumerate(state.tables.is_anchor):
+            if anchored:
+                continue
+            expected = refined_total(i, fresh, fresh_rows.get(i, {}))
+            if refined[i] != expected:
+                _fail(
+                    "round-upkeep-refined",
+                    f"kept refined bound of {labels[i]!r} is {refined[i]}, a "
+                    f"fresh refinement gives {expected}",
                 )
 
 

@@ -7,6 +7,7 @@ from repro.core.decomposition import coreness_gain
 from repro.datasets.toy import figure2_graph, nonsubmodular_graph
 from repro.errors import BudgetError
 from repro.graphs.generators import clique
+from repro.graphs.graph import Graph
 
 from conftest import small_random_graph
 
@@ -46,6 +47,22 @@ class TestGreedyBehaviour:
         g = nonsubmodular_graph()
         res = gac(g, 2, tie_break="id")
         assert res.total_gain == coreness_gain(g, res.anchors)
+
+    def test_stops_when_every_marginal_gain_is_negative(self):
+        """Two triangles joined by an edge, a separate edge and an isolated
+        vertex: GAC's fourth anchor raises the bridge vertex 3 as a
+        follower, so anchoring 3 itself would lose that gain and the run
+        ends one anchor short, untruncated. GAC-U ranks by degree, anchors
+        3 first and fills the budget."""
+        g = Graph.from_edges(
+            [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4), (7, 8)]
+        )
+        g.add_vertex(9)
+        res = gac(g, 9)
+        assert len(res.anchors) == 8
+        assert 3 not in res.anchors
+        assert not res.truncated
+        assert len(gac_u(g, 9).anchors) == 9
 
     def test_followers_recorded(self):
         res = gac(figure2_graph(), 1)

@@ -187,3 +187,19 @@ def test_incremental_tables_match_fresh_build(pair):
             scratch = find_followers(fresh, u)
         assert incremental.counts == scratch.counts, u
         assert incremental.members == scratch.members, u
+
+
+def test_no_tca_bucket_holds_an_anchor():
+    """The kernel seeds from ``tca`` buckets unfiltered: neither the build
+    nor ``apply_anchor``'s patches may leave an anchor in one."""
+    graph = registry.load("gowalla")
+    anchors = gac(graph, 5).anchors
+    state = AnchoredState.build(graph)
+    for x in anchors:
+        apply_anchor(state, x)
+        tables = state.tables
+        for row in tables.tca_ids:
+            for bucket in row.values():
+                assert not any(tables.is_anchor[v] for v in bucket), x
+    fresh = AnchoredState.build(graph, anchors)
+    assert fresh.tables.tca_ids == state.tables.tca_ids

@@ -135,3 +135,41 @@ class TestResultReuse:
                 for nid, count in surviving.items():
                     assert fresh.counts.get(nid) == count, (x, u, nid)
                 cache.store(state.tables.index[u], fresh.counts, state.tables.core)
+
+
+#: Two anchorings, then a third whose component members move into
+#: another node: row v5 keeps the count it cached for node v0 from
+#: outside it, and that count is stale once v5 is a member.
+_MOVED_INTO_NODE = [
+    ("v0", "v1"), ("v0", "v2"), ("v0", "v4"), ("v0", "v5"), ("v0", "v6"),
+    ("v0", "v8"), ("v0", "v9"), ("v1", "v10"), ("v1", "v2"), ("v1", "v4"),
+    ("v1", "v5"), ("v1", "v8"), ("v2", "v10"), ("v2", "v3"), ("v2", "v4"),
+    ("v2", "v6"), ("v2", "v9"), ("v3", "v10"), ("v3", "v4"), ("v3", "v7"),
+    ("v4", "v10"), ("v5", "v10"), ("v5", "v7"), ("v5", "v9"), ("v6", "v10"),
+    ("v6", "v7"), ("v7", "v10"), ("v7", "v8"), ("v8", "v9"), ("v8", "v10"),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: Algorithm 3's removals keep a row's count for the "
+    "node it has just moved into (CHANGES.md FOUND)",
+)
+def test_no_stale_count_after_a_member_moves_into_a_cached_node():
+    from repro.anchors.incremental import apply_anchor
+    from repro.graphs.graph import Graph
+
+    graph = Graph.from_edges(_MOVED_INTO_NODE)
+    state = AnchoredState.build(graph, ["v1", "v6", "v9"])
+    cache = FollowerCache()
+    for x in ["v4", "v2", "v3"]:
+        for u in state.candidates():
+            _store(cache, state, u)
+        removals = apply_anchor(state, x).removals
+        cache.apply_removals(removals)
+        cache.forget(state.tables.index[x])
+    for u in state.candidates():
+        fresh = find_followers(state, u).counts
+        for nid, count in _valid(cache, state, u).items():
+            assert fresh[nid] == count, (u, nid)
