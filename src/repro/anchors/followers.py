@@ -8,12 +8,13 @@ explores only the candidate followers reachable via upstair paths
 candidates whose degree bound falls below ``c(u) + 1`` (Theorem 4.15)
 with a cascading shrink (Algorithm 5).
 
-The per-node exploration itself is the flat kernel
-(:mod:`repro.anchors.kernels.flat_backend`); this module owns
-everything around it — node iteration order, reuse, the Figure-13
-counters, verification — so the dict oracle the tests substitute for
-it (:mod:`repro.verify.dict_explorer`) is byte-identical by
-construction on those observables.
+The search itself is the flat kernel's candidate stream
+(:meth:`repro.anchors.kernels.flat_backend.FlatTables.stream`); this
+module owns the one seam every search goes through (:data:`_stream`),
+the Figure-13 counters it tallies and the ``REPRO_VERIFY`` check of its
+results, so the tests can substitute the dict oracle's stream
+(:func:`repro.verify.dict_explorer.dict_stream`) for every round at
+once.
 
 ``followers_naive`` is the brute-force oracle (two full decompositions);
 the test suite asserts both agree on randomized graphs.
@@ -21,20 +22,36 @@ the test suite asserts both agree on randomized graphs.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro import obs as _obs
-from repro.anchors.kernels.flat_backend import flat_explorer
+from repro.anchors.kernels.flat_backend import Evaluation, Tally
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import CoreDecomposition, core_decomposition
 from repro.graphs.graph import Graph, Vertex
 from repro.lint.markers import pure
 from repro.verify import enabled as _verify_enabled
 
-#: The per-candidate explorer factory ``(state, xid)``. Module attribute so
-#: the tests can substitute the dict oracle (``DictExplorer``) for the flat kernel.
-_explorer = flat_explorer
+
+def _flat_stream(
+    state: AnchoredState,
+    ids: Iterable[int],
+    tally: Tally,
+    served: Mapping[int, Mapping[int, int]] | None = None,
+    *,
+    only_coreness: int | None = None,
+    members: dict[int, set[Vertex]] | None = None,
+) -> Iterator[Evaluation]:
+    """The flat kernel's candidate stream over ``state``'s tables."""
+    return state.tables.stream(
+        ids, tally, served, only_coreness=only_coreness, members=members
+    )
+
+
+#: The candidate stream every follower search runs. Module attribute so
+#: the tests can substitute the dict oracle (``dict_stream``) for the flat kernel.
+_stream = _flat_stream
 
 
 @dataclass
@@ -102,89 +119,78 @@ class FollowerReport:
         return result
 
 
-class FollowerSearch:
-    """The count-first per-candidate search (Algorithm 4 over ``sn(x)``).
+class FollowerSearch(Tally):
+    """The count-first candidate search (Algorithm 4 over ``sn(x)``).
 
     One instance serves a GAC or OLAK round (in the parent or in the
-    round's forked pool workers) or one :func:`find_followers` call;
-    :meth:`flush` adds the Figure-13 tallies in one batch (registry
-    reads are deltas over sums).
+    round's forked pool workers) or one :func:`find_followers` call. It
+    is the :class:`~repro.anchors.kernels.flat_backend.Tally` its
+    streams add to; :meth:`flush` moves the tallies into the registry
+    in one batch (registry reads are deltas over sums).
     """
 
-    __slots__ = (
-        "state", "tables", "verify", "reused", "explored", "visited", "evaluated"
-    )
+    __slots__ = ("state", "verify")
 
     def __init__(self, state: AnchoredState) -> None:
+        super().__init__()
         self.state = state
-        self.tables = state.tables
         self.verify = _verify_enabled()
-        self.reused = self.explored = self.visited = self.evaluated = 0
 
-    def counts(
+    def stream(
         self,
-        xid: int,
-        reusable: Mapping[int, int] | None = None,
+        ids: Iterable[int],
+        served: Mapping[int, Mapping[int, int]] | None = None,
         *,
         only_coreness: int | None = None,
         members: dict[int, set[Vertex]] | None = None,
-    ) -> dict[int, int]:
-        """``{node id: |F[x][id]|}`` for the candidate with CSR id ``xid``.
+    ) -> Iterator[Evaluation]:
+        """``(id, {node id: |F[x][id]|}, |F(x)|)`` for each id of ``ids``.
 
-        Nodes of ``sn(x)`` in ``reusable`` are answered from it, the rest
-        explored in one kernel call (reused first, each in ``sn(x)`` order).
-        ``members`` receives each explored node's follower set; otherwise
-        the kernel builds sets only to verify a result that reused nothing.
+        The kernel's stream (:data:`_stream`) with this search as its
+        tally. Under ``REPRO_VERIFY``, every candidate answered without
+        a served count (and without ``only_coreness``) is checked
+        against a full re-decomposition.
         """
-        t = self.tables
-        own = t.nid[xid]
-        counts: dict[int, int] = {}
-        todo: list[tuple[int, bool]] = []
-        for nid in t.sn_ids[xid]:
-            if only_coreness is not None and t.core[nid] != only_coreness:
-                continue
-            if reusable and nid in reusable:
-                counts[nid] = reusable[nid]
-            else:
-                todo.append((nid, nid == own))
-        self.reused += len(counts)
-        self.evaluated += 1
-        check = self.verify and not reusable and only_coreness is None
-        found: dict[int, set[Vertex]] | None = {} if check else None
-        if members is not None:
-            found = members
-        if todo:
-            explorer = _explorer(self.state, xid)
-            for nid, count, pops, survivors in explorer.explore_nodes(
-                todo, found is not None
-            ):
-                counts[nid] = count
-                self.visited += pops
-                if found is not None:
-                    found[nid] = survivors or set()
-            self.explored += len(todo)
-        if check and found is not None:
-            from repro.verify.invariants import verify_follower_report
+        out = _stream(
+            self.state, ids, self, served, only_coreness=only_coreness, members=members
+        )
+        if self.verify and only_coreness is None:
+            return self._checked(out, served)
+        return out
 
-            total = sum(counts.values())
-            every = set().union(*found.values())
-            verify_follower_report(self.state, t.labels[xid], total, every)
-        return counts
+    def _checked(
+        self,
+        out: Iterator[Evaluation],
+        served: Mapping[int, Mapping[int, int]] | None,
+    ) -> Iterator[Evaluation]:
+        from repro.verify.invariants import verify_follower_report
+
+        state = self.state
+        for evaluation in out:
+            i, _, total = evaluation
+            if not (served and served.get(i)):
+                # The members of the same search, from a one-id stream
+                # whose work stays out of the Figure-13 tallies.
+                found: dict[int, set[Vertex]] = {}
+                for _ in _stream(state, (i,), Tally(), members=found):
+                    pass
+                every = set().union(*found.values())
+                verify_follower_report(state, state.tables.labels[i], total, every)
+            yield evaluation
 
     def flush(self) -> None:
         """Move the tallied counters into the registry (one add per counter).
 
-        The tallies restart from zero, so a pool worker can flush after
-        every candidate and ship that candidate's deltas.
+        The tallies restart from zero.
         """
-        if self.reused:
-            _obs.add(_obs.REUSED_NODES, self.reused)
-        if self.explored:
-            _obs.add(_obs.EXPLORED_NODES, self.explored)
-            _obs.add(_obs.VISITED_VERTICES, self.visited)
-        if self.evaluated:
-            _obs.add(_obs.EVALUATED_CANDIDATES, self.evaluated)
-        self.reused = self.explored = self.visited = self.evaluated = 0
+        reused, explored, visited, evaluated = self.take()
+        if reused:
+            _obs.add(_obs.REUSED_NODES, reused)
+        if explored:
+            _obs.add(_obs.EXPLORED_NODES, explored)
+            _obs.add(_obs.VISITED_VERTICES, visited)
+        if evaluated:
+            _obs.add(_obs.EVALUATED_CANDIDATES, evaluated)
 
 
 @pure
@@ -226,12 +232,11 @@ def find_followers(
     report = FollowerReport(anchor=x)
     with _obs.span("followers.search", anchor=x):
         search = FollowerSearch(state)
-        report.counts = search.counts(
-            xid,
-            reusable_counts,
-            only_coreness=only_coreness,
-            members=report.members,
-        )
+        served = {xid: reusable_counts} if reusable_counts else None
+        for _, counts, _ in search.stream(
+            (xid,), served, only_coreness=only_coreness, members=report.members
+        ):
+            report.counts = counts
         if counters is not None:
             counters.explored_nodes += search.explored
             counters.reused_nodes += search.reused

@@ -22,10 +22,10 @@ Tie-breaking between equally good anchors is a first-class parameter
 Each round runs on CSR ids and counts only: candidates, tree nodes,
 cache rows, removals and baseline corenesses are all keyed by id, and
 labels appear only in the result. Candidates are ranked by refined
-bound, and the scan stops at the first pruned one. Each evaluated
-candidate gets per-node counts from one
-:class:`~repro.anchors.followers.FollowerSearch`; only the winner's
-follower set is built, by ``find_followers``.
+bound, and the scan stops at the first pruned one. The round is one
+:class:`~repro.anchors.followers.FollowerSearch` stream: the scan feeds
+it candidate ids until the first pruned one and takes back per-node
+counts; only the winner's follower set is built, by ``find_followers``.
 
 The Eq. 1–3 bounds, the servable cache rows and the refined bounds are
 built from scratch on a run's first round only (:class:`RoundUpkeep`).
@@ -36,8 +36,9 @@ upkeep is proportional to what the anchoring changed, not to ``n``.
 The scan can fan out across worker processes (``workers=`` /
 ``REPRO_PARALLEL``, via :mod:`repro.parallel`) with byte-identical
 results: each round forks workers that run the serial scan's own
-per-candidate evaluator over bound-sorted id chunks, and the serial
-scan then replays over the shipped counts (``docs/parallelism.md``).
+stream, one candidate id at a time, over bound-sorted id chunks, and
+the serial scan then replays over the shipped counts
+(``docs/parallelism.md``).
 Serial is the default and the oracle.
 """
 
@@ -46,9 +47,8 @@ from __future__ import annotations
 import functools
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Literal
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
 from repro import checkpoint as _checkpoint  # lint: layer-ok sanctioned persistence hook
 from repro import obs as _obs
@@ -60,6 +60,7 @@ from repro.anchors.followers import (
     followers_naive,
 )
 from repro.anchors.incremental import apply_anchor
+from repro.anchors.kernels.flat_backend import Tallies
 from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _require_anchors_present
@@ -71,7 +72,6 @@ from repro.verify import verification as _verification
 
 if TYPE_CHECKING:
     from repro.parallel.pool import CandidateScanPool
-    from repro.parallel.worker import Evaluate, Flush
 
 TieBreak = Literal["ub", "degree", "random", "id"]
 FollowerMethod = Literal["tree", "naive"]
@@ -469,8 +469,8 @@ class RoundUpkeep:
             _obs.add(_obs.REUSE_SERVED, sum(map(len, served.values())))
         return served, self.refined
 
-    def stored(self, rows: list[tuple[int, int]]) -> None:
-        """The scan stored these ``(id, |F(x)|)`` rows, whole.
+    def stored(self, rows: dict[int, int]) -> None:
+        """The scan stored these rows, whole: ``{id: |F(x)|}``.
 
         A whole row substitutes every part of the bound, so its refined
         bound is the count itself until Δ or a removal touches it.
@@ -479,7 +479,7 @@ class RoundUpkeep:
         """
         if self.bounds is not None:
             refined = self.refined
-            for i, count in rows:
+            for i, count in rows.items():
                 refined[i] = count
 
     def anchor(self, state: AnchoredState, cache: FollowerCache, x: Vertex) -> None:
@@ -522,6 +522,13 @@ class RoundUpkeep:
             verify_round_upkeep(state, cache, bounds, self.refined)
 
 
+#: One scanned candidate: (id, per-node counts — ``None`` on the naive
+#: path — and ``|F(x)|``).
+Scored = tuple[int, "dict[int, int] | None", int]
+#: A round's candidate stream: scanned candidates for the ids it is fed.
+Stream = Callable[[Iterable[int]], Iterator[Scored]]
+
+
 def _select_best(
     state: AnchoredState,
     cache: FollowerCache,
@@ -547,7 +554,7 @@ def _select_best(
     Returns ``(best, gain, expired)``. When ``deadline`` passes mid-scan
     the iteration aborts with ``(None, 0, True)``: a partial winner
     would depend on wall-clock noise. With a ``pool`` the scan is
-    dispatched to workers forked with the same ``evaluate``
+    dispatched to workers forked with the same stream
     (:func:`_scan_parallel`); any failure there falls back to the serial
     scan with no state mutated.
     """
@@ -560,7 +567,7 @@ def _select_best(
     if use_upper_bounds:
         # A stable descending sort keeps equal bounds in ascending id order.
         order.sort(key=refined.__getitem__, reverse=True)
-    stored: list[tuple[int, int]] = []
+    stored: dict[int, int] = {}
 
     scan = functools.partial(
         _scan,
@@ -575,35 +582,44 @@ def _select_best(
         stored=stored,
     )
     search = FollowerSearch(state)
-    # The Baseline's "before" decomposition: one label copy per round.
-    base = state.label_decomposition() if follower_method == "naive" else None
+    stream: Stream
+    if follower_method == "naive":
+        # The Baseline's "before" decomposition: one label copy per round.
+        base = state.label_decomposition()
+        labels = state.tables.labels
+
+        def stream(ids: Iterable[int]) -> Iterator[Scored]:
+            for i in ids:
+                search.evaluated += 1
+                found = followers_naive(state.graph, labels[i], state.anchors, base)
+                yield i, None, len(found)
+
+    else:
+        stream = functools.partial(search.stream, served=served)
 
     def evaluate(i: int) -> tuple[int, dict[int, int] | None]:
-        if base is None:
-            counts = search.counts(i, served.get(i))
-            return sum(counts.values()), counts
-        search.evaluated += 1
-        u = state.tables.labels[i]
-        return len(followers_naive(state.graph, u, state.anchors, base)), None
+        """The pool workers' call: the round's stream, fed one id."""
+        ((_, counts, total),) = stream((i,))
+        return total, counts
 
     with _obs.span("gac.candidate_scan", candidates=len(order)):
-        if pool is not None and not pool.broken:
-            outcome = _scan_parallel(
-                state,
-                pool,
-                scan,
-                (evaluate, search.flush),
-                order=order,
-                refined=refined,
-                use_upper_bounds=use_upper_bounds,
-                base_coreness=base_coreness,
-                deadline=deadline,
-            )
-            if outcome is not None:
-                upkeep.stored(stored)
-                return outcome
         try:
-            outcome = scan(evaluate=evaluate, deadline=deadline)
+            outcome = None
+            if pool is not None and not pool.broken:
+                outcome = _scan_parallel(
+                    state,
+                    pool,
+                    scan,
+                    search,
+                    evaluate,
+                    order=order,
+                    refined=refined,
+                    use_upper_bounds=use_upper_bounds,
+                    base_coreness=base_coreness,
+                    deadline=deadline,
+                )
+            if outcome is None:
+                outcome = scan(stream, deadline=deadline)
         finally:
             search.flush()
     upkeep.stored(stored)
@@ -613,6 +629,7 @@ def _select_best(
 def _scan(
     state: AnchoredState,
     cache: FollowerCache,
+    stream: Stream,
     *,
     order: list[int],
     refined: list[int],
@@ -620,34 +637,44 @@ def _scan(
     reuse: bool,
     tie_of: Callable[[int], object],
     base_coreness: list[int],
-    stored: list[tuple[int, int]],
+    stored: dict[int, int],
     deadline: float | None,
-    evaluate: Callable[[int], tuple[int, dict[int, int] | None]],
 ) -> tuple[int | None, int, bool]:
-    """The candidate scan in ``order``: prune, ``evaluate``, cache, pick.
+    """The candidate scan in ``order``: prune, evaluate, cache, pick.
 
-    ``evaluate`` returns ``(|F(x)|, per-node counts or None)``; the
-    counts go straight into the cache, and ``(id, |F(x)|)`` onto
-    ``stored``.
+    ``stream`` is fed the ids in ``order`` until the first pruned one
+    (or the deadline) and yields each one's per-node counts and
+    ``|F(x)|``; the counts go straight into the cache, and ``|F(x)|``
+    into ``stored[id]``.
     """
     core = state.tables.core
     best: int | None = None
     best_gain = -1
     best_tie = None
-    for pos, i in enumerate(order):
-        if deadline is not None and _clock() > deadline:
-            return None, 0, True
-        # Prune strictly below the best gain (the paper prunes <=; the
-        # strict form also evaluates potential ties so tie-breaking sees
-        # the same candidate pool as the unpruned variants). The order
-        # descends in the bound, so every later candidate is pruned too.
-        if use_upper_bounds and refined[i] < best_gain:
-            _obs.add(_obs.PRUNED_CANDIDATES, len(order) - pos)
-            break
-        count, counts = evaluate(i)
+    expired = False
+
+    def candidates() -> Iterator[int]:
+        # Drawn one at a time, after the loop below has taken the last
+        # result, so each check sees the current best gain.
+        nonlocal expired
+        for pos, i in enumerate(order):
+            if deadline is not None and _clock() > deadline:
+                expired = True
+                return
+            # Prune strictly below the best gain (the paper prunes <=;
+            # the strict form also evaluates potential ties so
+            # tie-breaking sees the same candidate pool as the unpruned
+            # variants). The order descends in the bound, so every later
+            # candidate is pruned too.
+            if use_upper_bounds and refined[i] < best_gain:
+                _obs.add(_obs.PRUNED_CANDIDATES, len(order) - pos)
+                return
+            yield i
+
+    for i, counts, count in stream(candidates()):
         if reuse and counts is not None:
             cache.store(i, counts, core)
-            stored.append((i, count))
+            stored[i] = count
         gain = count - (core[i] - base_coreness[i])
         if gain > best_gain:
             best, best_gain, best_tie = i, gain, tie_of(i)
@@ -655,6 +682,8 @@ def _scan(
             tie = tie_of(i)
             if tie > best_tie:
                 best, best_tie = i, tie
+    if expired:
+        return None, 0, True
     return best, best_gain, False
 
 
@@ -662,7 +691,8 @@ def _scan_parallel(
     state: AnchoredState,
     pool: "CandidateScanPool",
     scan: Callable[..., tuple[int | None, int, bool]],
-    evaluator: "tuple[Evaluate, Flush]",
+    search: FollowerSearch,
+    evaluate: Callable[[int], tuple[int, dict[int, int] | None]],
     *,
     order: list[int],
     refined: list[int],
@@ -672,24 +702,26 @@ def _scan_parallel(
 ) -> tuple[int | None, int, bool] | None:
     """Dispatch the candidate scan to the pool, then replay the serial scan.
 
-    Phase A forks the round's workers with ``evaluator`` (the serial
-    scan's own per-candidate call and its counter flush) and ships
-    bound-sorted chunks of candidate ids to them. Between chunk barriers
-    a *simulated* best gain advances like the serial threshold, so a
-    chunk only dispatches candidates whose bound still clears it; that
-    threshold never exceeds the serial one (pruned gains cannot raise
-    the maximum), so every candidate the serial scan evaluates is
-    dispatched. Phase A mutates neither the cache nor the registry, so
-    any failure returns ``None`` and the serial scan runs instead. The
-    workers are shut down before phase B starts.
+    Phase A forks the round's workers with ``evaluate`` (the serial
+    scan's own stream, fed one id) and ``search`` (the tally it adds
+    to), and ships bound-sorted chunks of candidate ids to them. Between
+    chunk barriers a *simulated* best gain advances like the serial
+    threshold, so a chunk only dispatches candidates whose bound still
+    clears it; that threshold never exceeds the serial one (pruned gains
+    cannot raise the maximum), so every candidate the serial scan
+    evaluates is dispatched. Phase A mutates neither the cache nor the
+    registry nor ``search``, so any failure returns ``None`` and the
+    serial scan runs instead. The workers are shut down before phase B
+    starts.
 
-    Phase B runs the serial ``scan`` over the shipped counts (same
-    pruning, tie-breaks, RNG use and cache stores) and merges the
-    workers' counter deltas inside the caller's iteration window.
+    Phase B runs the serial ``scan`` over a replay stream of the shipped
+    counts (same pruning, tie-breaks, RNG use and cache stores), adding
+    the shipped tallies of exactly the candidates it replays to
+    ``search``, inside the caller's iteration window.
     """
     core = state.tables.core
-    # candidate id -> (follower total, per-node counts | None, counter deltas)
-    shipped: dict[int, tuple[int, dict[int, int] | None, dict[str, int]]] = {}
+    # candidate id -> (follower total, per-node counts | None, tallies)
+    shipped: dict[int, tuple[int, dict[int, int] | None, Tallies]] = {}
     sim_best = -1
     chunk_count = 0
     shipped_base = pool.spans_shipped
@@ -697,7 +729,7 @@ def _scan_parallel(
         "gac.parallel_scan", candidates=len(order), workers=pool.workers
     ) as sp:
         try:
-            with pool.round(*evaluator):
+            with pool.round(evaluate, search):
                 start = 0
                 while start < len(order):
                     if deadline is not None and _clock() > deadline:
@@ -717,8 +749,8 @@ def _scan_parallel(
                     start = end
                     if ids:
                         chunk_count += 1
-                        for i, total, counts, deltas in pool.evaluate(ids):
-                            shipped[i] = (total, counts, deltas)
+                        for i, total, counts, tallies in pool.evaluate(ids):
+                            shipped[i] = (total, counts, tallies)
                             # Advance the threshold exactly as phase B will:
                             # gains of candidates it prunes are below it.
                             gain = total - (core[i] - base_coreness[i])
@@ -730,16 +762,13 @@ def _scan_parallel(
             _obs.gauge(f"gac.parallel_fallback.{reason}", 1.0)
             return None
 
-        pending: Counter[str] = Counter()
+        def replay(ids: Iterable[int]) -> Iterator[Scored]:
+            for i in ids:
+                total, counts, tallies = shipped[i]
+                search.add(tallies)
+                yield i, counts, total
 
-        def replay(i: int) -> tuple[int, dict[int, int] | None]:
-            total, counts, deltas = shipped[i]
-            pending.update(deltas)
-            return total, counts
-
-        outcome = scan(evaluate=replay, deadline=None)
-        for name in sorted(pending):
-            _obs.add(name, pending[name])
+        outcome = scan(replay, deadline=None)
         if isinstance(sp, _obs.Span):
             sp.args["tasks"] = len(shipped)
             sp.args["chunks"] = chunk_count

@@ -4,8 +4,10 @@ The follower search is the hot path of every greedy anchor scan, so the
 per-node exploration runs on flat arrays over the interned CSR ids
 (:mod:`repro.anchors.kernels.flat_backend`): dense per-id tables, an
 int-packed ``(shell, layer, id)`` heap key, generation-stamped scratch
-arrays. It is the only kernel in the package and the only search
-:func:`repro.anchors.followers.find_followers` runs.
+arrays. It is the only kernel in the package: one generator,
+:meth:`~repro.anchors.kernels.flat_backend.FlatTables.stream`, that the
+GAC and OLAK rounds, :func:`repro.anchors.followers.find_followers` and
+the pool workers all run.
 
 Its oracle, the original dict-of-sets exploration, lives in
 :mod:`repro.verify.dict_explorer` and shares no table code with it; the

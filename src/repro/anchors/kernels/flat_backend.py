@@ -12,13 +12,13 @@ the interned CSR ids of :mod:`repro.graphs.csr`:
   ``(pair, sort_key, vertex)`` heap order exactly);
 * per-id rows of Definitions 4.2–4.4 (``tca``/``sn``/``pn``) and the
   Algorithm 4 support tables (fixed support, same-shell neighbors split
-  by layer, the candidate support row), all in ascending id order.
+  by layer), all in ascending id order.
 
 A tree node is named by the CSR id of its smallest member (the paper's
 ``TN.I`` under sorted interning), so ``core[nid]`` is its coreness.
 The tables are computed on ids
 (:meth:`~repro.anchors.state.AnchoredState.build`) and hold no label;
-labels appear only in an exploration's survivor sets (``members=True``)
+labels appear only in an exploration's survivor sets (``members``)
 and in the label views of :class:`~repro.anchors.state.AnchoredState`.
 
 Plain lists rather than ``array('i')`` for the same re-boxing reason as
@@ -28,6 +28,11 @@ per :class:`~repro.anchors.state.AnchoredState` and patched in place by
 :meth:`FlatTables.apply_update`, which rewrites only the rows of the
 vertices whose values changed and the entries of those vertices in
 their neighbors' rows — O(sum of their degrees), never a neighborhood.
+
+The follower search is one generator, :meth:`FlatTables.stream`: it
+takes candidate ids from an iterator its caller controls and yields
+each candidate's per-node follower counts, so a whole candidate round
+is one kernel call that binds the tables once.
 
 The exploration scratch is one generation-packed word per id:
 ``packed[i] = (gen << 2) | status``. ``gen`` strictly increases per
@@ -40,15 +45,14 @@ entries for free). The cascading shrink uses a preallocated worklist.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.graph import Vertex
 
 if TYPE_CHECKING:
-    from repro.anchors.state import AnchoredState
+    from repro.graphs.graph import Vertex
 
 # Exploration status tags, identical to the dict backend's. UNEXPLORED
 # is represented by a stale (below the current base) generation word.
@@ -58,8 +62,38 @@ _DISCARDED = 3
 
 #: A vertex's row-relevant values: (anchor flag, core, layer, node id).
 Signature = tuple[int, int, int, "int | None"]
-#: One node's exploration: (node id, survivor count, heap pops, members or None).
-Exploration = tuple[int, int, int, "set[Vertex] | None"]
+#: One evaluated candidate: (candidate id, {node id: |F[x][id]|}, |F(x)|).
+Evaluation = tuple[int, dict[int, int], int]
+#: The Figure-13 tallies: (reused nodes, explored nodes, heap pops,
+#: evaluated candidates).
+Tallies = tuple[int, int, int, int]
+
+
+class Tally:
+    """The Figure-13 work a follower stream has done.
+
+    A stream adds each candidate's work before it yields the candidate,
+    so the tally is current whenever its consumer holds a result.
+    """
+
+    __slots__ = ("reused", "explored", "visited", "evaluated")
+
+    def __init__(self) -> None:
+        self.reused = self.explored = self.visited = self.evaluated = 0
+
+    def take(self) -> Tallies:
+        """The tallies so far; they restart from zero."""
+        out = (self.reused, self.explored, self.visited, self.evaluated)
+        self.reused = self.explored = self.visited = self.evaluated = 0
+        return out
+
+    def add(self, tallies: Tallies) -> None:
+        """Add work done elsewhere (a pool worker's, replayed)."""
+        reused, explored, visited, evaluated = tallies
+        self.reused += reused
+        self.explored += explored
+        self.visited += visited
+        self.evaluated += evaluated
 
 
 class FlatTables:
@@ -75,16 +109,13 @@ class FlatTables:
         keys: per-id packed heap key ``(core << 2w) | (layer << w) | id``.
         shift / shift2 / idmask: the packed heap-key geometry.
         fixed: per-id fixed support (anchored + deeper-shell neighbors).
-        same: per-id same-shell neighbor ids (anchors excluded).
-        higher / loweq: ``same`` split by layer relative to the row
-            owner (strictly higher vs lower-or-equal). The Theorem 4.15
-            bound treats the two classes differently on every heap pop;
-            the split deletes the per-neighbor layer comparison from
-            the hottest loop in the package.
-        support: per-id neighbor rows filtered to ``core >= core(owner)``
-            (anchors included) — the neighbors that would pass the
-            oracle's ``c(x) <= c(u)`` support test if the owner were
-            the candidate. ``begin_candidate`` stamps this row verbatim.
+        higher / loweq: per-id same-shell neighbor ids (anchors
+            excluded), split by layer relative to the row owner
+            (strictly higher vs lower-or-equal); together they are the
+            oracle's same-shell row. The Theorem 4.15 bound treats the
+            two classes differently on every heap pop; the split deletes
+            the per-neighbor layer comparison from the hottest loop in
+            the package.
         tca_ids: ``tca[u]`` — per node id, the non-anchor neighbor ids
             in that node.
         sn_ids / pn_ids: ``sn(u)`` / ``pn(u)`` — adjacent node ids with
@@ -93,18 +124,14 @@ class FlatTables:
         gen / packed: generation-packed scratch; ``packed[i] < (gen << 2)``
             means untouched by the current exploration (UNEXPLORED).
         dplus: per-id scratch for the Theorem 4.15 degree bound.
-        cgen / xmark: generation marks over the current candidate's
-            ``support`` row; ``xmark[u] == cgen`` is the whole
+        xmark: per-id exploration generation of the candidate's last
+            seed loop; ``xmark[u] == gen`` is the whole
             ``u in adj_x and c(x) <= c(u)`` test (no clearing between
-            candidates).
+            explorations).
         survived / work / fresh / heap: reusable id worklists (ids that
             survived a pop this exploration, cascading-shrink stack,
             per-pop push candidates, the exploration heap — always
             drained, so it needs no clearing between explorations).
-        explorer: the reusable :class:`FlatExplorer` flyweight
-            (:func:`flat_explorer` re-points it per candidate instead
-            of allocating — the greedy scan builds one explorer per
-            evaluated candidate, serially).
 
     Every row, node-id rows included, lists ids in ascending order.
     """
@@ -117,10 +144,8 @@ class FlatTables:
         "nid",
         "keys",
         "fixed",
-        "same",
         "higher",
         "loweq",
-        "support",
         "tca_ids",
         "sn_ids",
         "pn_ids",
@@ -138,13 +163,11 @@ class FlatTables:
         "gen",
         "packed",
         "dplus",
-        "cgen",
         "xmark",
         "survived",
         "work",
         "fresh",
         "heap",
-        "explorer",
     )
 
     def __init__(
@@ -175,10 +198,8 @@ class FlatTables:
         self.keys = [(core[i] << w2) | (layer[i] << w1) | i for i in range(n)]
         self.fixed = [0] * n
         empty: list[int] = []
-        self.same = [empty] * n
         self.higher = [empty] * n
         self.loweq = [empty] * n
-        self.support = [empty] * n
         self.tca_ids: list[dict[int, list[int]]] = [{}] * n
         self.sn_ids: list[list[int]] = [[]] * n
         self.pn_ids: list[list[int]] = [[]] * n
@@ -186,14 +207,11 @@ class FlatTables:
         self.gen = 0
         self.packed = [0] * n
         self.dplus = [0] * n
-        self.cgen = 0
         self.xmark = [0] * n
         self.survived: list[int] = []
         self.work: list[int] = []
         self.fresh: list[int] = []
         self.heap: list[int] = []
-        self.explorer = FlatExplorer.__new__(FlatExplorer)
-        self.explorer.tables = self
 
     def apply_update(self, delta: dict[int, Signature]) -> dict[int, Signature]:
         """Apply one anchoring's per-vertex changes as edge deltas.
@@ -238,10 +256,8 @@ class FlatTables:
         is_anchor = self.is_anchor
         nid = self.nid
         fixed = self.fixed
-        same = self.same
         higher = self.higher
         loweq = self.loweq
-        support = self.support
         tca_ids = self.tca_ids
         sn_ids = self.sn_ids
         pn_ids = self.pn_ids
@@ -252,15 +268,11 @@ class FlatTables:
             lv = layer[v]
             prev = old.get(v)
             fix = 0
-            sam: list[int] = []
             hi: list[int] = []
             lo: list[int] = []
-            sup: list[int] = []
             tca: dict[int, list[int]] = {}
             for u in row:
                 cu = core[u]
-                if cu >= cv:
-                    sup.append(u)
                 if is_anchor[u]:
                     fix += 1
                 else:
@@ -273,7 +285,6 @@ class FlatTables:
                     if cu > cv:
                         fix += 1
                     elif cu == cv:
-                        sam.append(u)
                         if layer[u] > lv:
                             hi.append(u)
                         else:
@@ -281,10 +292,8 @@ class FlatTables:
                 if prev is not None and u not in old:
                     patch(u, v, prev)
             fixed[v] = fix
-            same[v] = sam
             higher[v] = hi
             loweq[v] = lo
-            support[v] = sup
             tca_ids[v] = tca
             sn: list[int] = []
             pn: list[int] = []
@@ -307,8 +316,6 @@ class FlatTables:
         cu = core[u]
         a1 = self.is_anchor[v]
         c1 = core[v]
-        if (c0 >= cu) != (c1 >= cu):
-            _toggle(self.support[u], v, c1 >= cu)
         f0 = a0 or c0 > cu
         f1 = a1 or c1 > cu
         if f0 != f1:
@@ -318,8 +325,6 @@ class FlatTables:
         s0 = 0 if a0 or c0 != cu else (2 if l0 > lu else 1)
         s1 = 0 if a1 or c1 != cu else (2 if self.layer[v] > lu else 1)
         if s0 != s1:
-            if not s0 or not s1:
-                _toggle(self.same[u], v, bool(s1))
             if s0:
                 _toggle((self.higher if s0 == 2 else self.loweq)[u], v, False)
             if s1:
@@ -365,36 +370,221 @@ class FlatTables:
             elif not present and want == tag:
                 ids.insert(p, node)
 
-    def explorer_for(self, xid: int) -> "FlatExplorer":
-        """The flyweight explorer, re-pointed at candidate id ``xid``."""
-        e = self.explorer
-        e.xid = xid
-        e.cg = self.begin_candidate(xid)
-        e.seeds = self.tca_ids[xid]
-        # Own-node seed window — same shell as x, strictly higher layer
-        # — as one key range: lo = (shell_x, layer_x + 1, 0) and
-        # hi = (shell_x + 1, 0, 0). Constant per candidate.
-        kx = self.keys[xid]
-        e.lo = ((kx >> self.shift) + 1) << self.shift
-        e.hi = ((kx >> self.shift2) + 1) << self.shift2
-        return e
+    def stream(
+        self,
+        ids: Iterable[int],
+        tally: Tally,
+        served: "Mapping[int, Mapping[int, int]] | None" = None,
+        *,
+        only_coreness: int | None = None,
+        members: "dict[int, set[Vertex]] | None" = None,
+    ) -> Iterator[Evaluation]:
+        """Evaluate candidates as they arrive: one kernel call per round.
 
-    def begin_candidate(self, xid: int) -> int:
-        """Mark ``xid``'s support row under a fresh candidate generation.
+        Takes candidate ids from ``ids`` one at a time and yields
+        ``(id, counts, |F(x)|)`` per id, ``counts`` being
+        ``{node id: |F[x][id]|}`` over ``sn(x)``. Nodes in the id's
+        ``served`` row are answered from it; the rest are explored, and
+        ``counts`` lists the served ones first, each part in ``sn(x)``
+        order. ``only_coreness`` restricts ``sn(x)`` to nodes of that
+        coreness (explorations are per node and independent, so skipping
+        nodes is sound); ``members``, when given, receives each explored
+        node's survivor label set (the caller clears it between
+        candidates if it wants them apart). ``tally`` gets each
+        candidate's Figure-13 work before the candidate is yielded.
 
-        Returns the generation; ``xmark[u] == cgen`` is the membership
-        test. Previous candidates' marks are simply stale generations,
-        so nothing needs clearing. The row is pre-filtered to
-        ``core >= core(xid)`` — the oracle's support test is
-        ``u in adj(x) and c(x) <= c(u)``, and core values cannot move
-        between here and the candidate's explorations — so the test
-        collapses to the single generation check.
+        The next id is drawn only after the consumer has taken the last
+        result, so an ``ids`` iterator that reads the consumer's state
+        (GAC's prune threshold) stops the stream before it evaluates a
+        candidate the consumer would skip.
+
+        Each exploration is step-for-step the dict oracle's loop; see
+        :class:`repro.verify.dict_explorer.DictExplorer` for the
+        Theorem 4.15 commentary. Mechanical fusions:
+
+        * status tests compare the packed word against ``base | TAG``
+          directly — a stale word (older generation) is below ``base``,
+          so it can never equal a current-generation tag;
+        * the seed loop marks every neighbor of ``x`` in the node with
+          the exploration's generation (``xmark``). An exploration never
+          leaves its node and every node of ``sn(x)`` has coreness
+          ``>= c(x)``, so ``xmark[u] == gen`` is the oracle's whole
+          ``u in adj(x) and c(x) <= c(u)`` test;
+        * the bound scan runs over the pre-split ``higher`` / ``loweq``
+          rows (no per-neighbor layer comparison) and collects push
+          candidates (untouched higher-layer neighbors, in row order)
+          as it counts them, so a surviving pop never re-scans its row.
+          Nothing mutates ``packed`` between the scan and the pushes,
+          so the collected list is exactly what the oracle's second
+          scan would select, in the same order — the heap is identical;
+        * the cascading shrink walks ``higher`` and then ``loweq``: the
+          shrink is a fixpoint, so the set it discards and the bounds it
+          leaves on survivors do not depend on the order;
+        * the candidate's own id is pre-discarded for the exploration
+          instead of being tested per neighbor: the oracle skips ``x``
+          in every scan, and a DISCARDED word contributes nothing in
+          any scan here. Sound because ``x`` can never *enter* an
+          exploration — seeds are neighbors of ``x`` and the graph
+          rejects self-loops — so the mark is never overwritten.
+
+        A candidate reserves its explorations' generations before the
+        first one starts, and every yield leaves the worklists empty, so
+        a stream abandoned mid-way (or one interleaved with another)
+        never aliases a later exploration's scratch words.
         """
-        self.cgen = cg = self.cgen + 1
+        core = self.core
+        fixed = self.fixed
+        higher = self.higher
+        loweq = self.loweq
+        keys = self.keys
+        labels = self.labels
+        nid_of = self.nid
+        sn_ids = self.sn_ids
+        tca_ids = self.tca_ids
+        packed = self.packed
+        dplus = self.dplus
         xmark = self.xmark
-        for i in self.support[xid]:
-            xmark[i] = cg
-        return cg
+        work = self.work
+        mask = self.idmask
+        w1 = self.shift
+        w2 = self.shift2
+        push = heappush
+        pop = heappop
+        survived = self.survived
+        fresh = self.fresh
+        heap = self.heap
+        del heap[:]  # always drained below; clear only stale garbage
+        keep = survived.append
+        for xid in ids:
+            counts: dict[int, int] = {}
+            total = 0
+            todo = sn_ids[xid]
+            if only_coreness is not None:
+                todo = [nid for nid in todo if core[nid] == only_coreness]
+            row = served.get(xid) if served else None
+            if row:
+                sn = todo
+                todo = []
+                for nid in sn:
+                    count = row.get(nid)
+                    if count is None:
+                        todo.append(nid)
+                    else:
+                        counts[nid] = count
+                        total += count
+                tally.reused += len(counts)
+            tally.evaluated += 1
+            if not todo:
+                yield xid, counts, total
+                continue
+            seed_map = tca_ids[xid]
+            own = nid_of[xid]
+            # Own-node seed window — same shell as x, strictly higher
+            # layer — as one key range: lo = (shell_x, layer_x + 1, 0)
+            # and hi = (shell_x + 1, 0, 0).
+            kx = keys[xid]
+            lo = ((kx >> w1) + 1) << w1
+            hi = ((kx >> w2) + 1) << w2
+            gen = self.gen
+            self.gen = gen + len(todo)
+            pops = 0
+            for nid in todo:
+                gen += 1
+                base = gen << 2
+                bh = base | _IN_HEAP
+                # A tca bucket never holds an anchor (its rows count
+                # anchors in ``fixed``, and ``_patch`` moves a newly
+                # anchored id out); every sn(x) node has a bucket.
+                if nid == own:
+                    for vi in seed_map[nid]:
+                        xmark[vi] = gen
+                        k = keys[vi]
+                        if lo <= k < hi:
+                            packed[vi] = bh
+                            push(heap, k)
+                else:
+                    for vi in seed_map[nid]:
+                        xmark[vi] = gen
+                        packed[vi] = bh
+                        push(heap, keys[vi])
+                if not heap:
+                    # Nothing passed the seed window: nothing was
+                    # explored, so nothing can have survived.
+                    counts[nid] = 0
+                    if members is not None:
+                        members[nid] = set()
+                    continue
+                bs = base | _SURVIVED
+                bd = base | _DISCARDED
+                # Pre-discard the candidate itself — sound because the
+                # seed loops above can never have queued it (no
+                # self-loops), so no mark is overwritten.
+                packed[xid] = bd
+                del survived[:]
+                ns = 0  # live survivor count — gates the cascading shrink
+                while heap:
+                    u = pop(heap) & mask
+                    # Heap entries are always this generation; only the
+                    # status can have moved on (survived / discarded).
+                    if packed[u] != bh:
+                        continue
+                    pops += 1
+                    cu = core[u]
+                    bound = fixed[u]
+                    if xmark[u] == gen:
+                        bound += 1
+                    del fresh[:]
+                    for v in higher[u]:
+                        pv = packed[v]
+                        if pv < base:
+                            bound += 1
+                            fresh.append(v)
+                        elif pv != bd:
+                            bound += 1
+                    for v in loweq[u]:
+                        # IN_HEAP or SURVIVED, i.e. strictly between the
+                        # generation base and its DISCARDED word.
+                        if base < packed[v] < bd:
+                            bound += 1
+                    if bound > cu:
+                        packed[u] = bs
+                        dplus[u] = bound
+                        ns += 1
+                        keep(u)
+                        for v in fresh:
+                            packed[v] = bh
+                            push(heap, keys[v])
+                    elif ns:
+                        # The cascade can only decrement SURVIVED
+                        # neighbors; with none alive it is a guaranteed
+                        # no-op, so the (hot) row scans are skipped.
+                        packed[u] = bd
+                        work.append(u)
+                        while work:
+                            wv = work.pop()
+                            for side in (higher[wv], loweq[wv]):
+                                for v in side:
+                                    if packed[v] == bs:
+                                        d = dplus[v] - 1
+                                        dplus[v] = d
+                                        if d <= core[v]:
+                                            packed[v] = bd
+                                            ns -= 1
+                                            work.append(v)
+                            if not ns:
+                                # Every survivor is gone — the remaining
+                                # worklist scans cannot change anything.
+                                del work[:]
+                                break
+                    else:
+                        packed[u] = bd
+                counts[nid] = ns
+                total += ns
+                if members is not None:
+                    members[nid] = {labels[i] for i in survived if packed[i] == bs}
+            tally.explored += len(todo)
+            tally.visited += pops
+            yield xid, counts, total
 
 
 def _toggle(row: list[int], v: int, present: bool) -> None:
@@ -403,181 +593,3 @@ def _toggle(row: list[int], v: int, present: bool) -> None:
         insort(row, v)
     else:
         del row[bisect_left(row, v)]
-
-
-class FlatExplorer:
-    """Per-candidate exploration context for the flat backend.
-
-    Constructed through :func:`flat_explorer`, which reuses the one
-    flyweight instance cached on the tables — the candidate scan is
-    serial and builds one explorer per evaluated candidate, so the
-    per-candidate state (id, generation, seed map, own-node key window)
-    is simply re-pointed instead of re-allocated.
-    """
-
-    __slots__ = ("tables", "xid", "cg", "lo", "hi", "seeds")
-
-    def explore_nodes(
-        self, todo: list[tuple[int, bool]], members: bool = False
-    ) -> "list[Exploration]":
-        """Explore every requested tree node for this candidate.
-
-        Returns one :data:`Exploration` per node, in ``todo`` order. The
-        count is the loop's live-survivor counter ``ns``, exact without a
-        set; the survivor label set is built only when ``members`` is true.
-
-        One batched call per candidate: the table hoists, the seed-map
-        lookup, and the worklist bindings amortize over all of the
-        candidate's explorations instead of being repaid per node.
-        Each exploration is step-for-step the dict backend's loop; see
-        :class:`repro.verify.dict_explorer.DictExplorer` for the
-        Theorem 4.15 commentary, with three mechanical fusions:
-
-        * status tests compare the packed word against ``base | TAG``
-          directly — a stale word (older generation) is below ``base``,
-          so it can never equal a current-generation tag;
-        * the bound scan runs over the pre-split ``higher`` / ``loweq``
-          rows (no per-neighbor layer comparison) and collects push
-          candidates (untouched higher-layer neighbors, in row order)
-          as it counts them, so a surviving pop never re-scans its row.
-          Nothing mutates ``packed`` between the scan and the pushes,
-          so the collected list is exactly what the oracle's second
-          scan would select, in the same order — the heap is identical;
-        * the candidate's own id is pre-discarded for the exploration
-          instead of being tested per neighbor: the oracle skips ``x``
-          in every scan, and a DISCARDED word contributes nothing in
-          any scan here. Sound because ``x`` can never *enter* an
-          exploration — seeds are neighbors of ``x`` and the graph
-          rejects self-loops — so the mark is never overwritten.
-        """
-        t = self.tables
-        core = t.core
-        fixed = t.fixed
-        same = t.same
-        higher = t.higher
-        loweq = t.loweq
-        keys = t.keys
-        labels = t.labels
-        packed = t.packed
-        dplus = t.dplus
-        xmark = t.xmark
-        work = t.work
-        mask = t.idmask
-        xid = self.xid
-        cg = self.cg
-        lo = self.lo
-        hi = self.hi
-        seed_map = self.seeds
-        push = heappush
-        pop = heappop
-        survived = t.survived
-        fresh = t.fresh
-        heap = t.heap
-        del heap[:]  # always drained below; clear only stale garbage
-        seeds_of = seed_map.get
-        keep = survived.append
-        out: "list[Exploration]" = []
-        emit = out.append
-        gen = t.gen
-        for nid, is_own_node in todo:
-            # Consume the generation up front so an aborted exploration
-            # can never alias a later one's scratch words.
-            t.gen = gen = gen + 1
-            base = gen << 2
-            bh = base | _IN_HEAP
-            del survived[:]
-
-            # A tca bucket never holds an anchor (its rows count anchors
-            # in ``fixed``, and ``_patch`` moves a newly anchored id out).
-            seeds = seeds_of(nid)
-            if seeds:
-                if is_own_node:
-                    for vi in seeds:
-                        k = keys[vi]
-                        if lo <= k < hi:
-                            packed[vi] = bh
-                            push(heap, k)
-                else:
-                    for vi in seeds:
-                        packed[vi] = bh
-                        push(heap, keys[vi])
-            if not heap:
-                # Nothing passed the seed filters: nothing was explored,
-                # so nothing can have survived.
-                emit((nid, 0, 0, set() if members else None))
-                continue
-            bs = base | _SURVIVED
-            bd = base | _DISCARDED
-            # Pre-discard the candidate itself — sound because the seed
-            # loops above can never have queued it (no self-loops), so
-            # no mark is overwritten.
-            packed[xid] = bd
-
-            pops = 0
-            ns = 0  # live survivor count — gates the cascading shrink
-            while heap:
-                u = pop(heap) & mask
-                # Heap entries are always this generation; only the
-                # status can have moved on (survived / shrink-discarded).
-                if packed[u] != bh:
-                    continue
-                pops += 1
-                cu = core[u]
-                bound = fixed[u]
-                if xmark[u] == cg:
-                    bound += 1
-                del fresh[:]
-                for v in higher[u]:
-                    pv = packed[v]
-                    if pv < base:
-                        bound += 1
-                        fresh.append(v)
-                    elif pv != bd:
-                        bound += 1
-                for v in loweq[u]:
-                    # IN_HEAP or SURVIVED, i.e. strictly between the
-                    # generation base and its DISCARDED word.
-                    if base < packed[v] < bd:
-                        bound += 1
-                if bound > cu:
-                    packed[u] = bs
-                    dplus[u] = bound
-                    ns += 1
-                    keep(u)
-                    for v in fresh:
-                        packed[v] = bh
-                        push(heap, keys[v])
-                elif ns:
-                    # The cascade can only decrement SURVIVED neighbors;
-                    # with none alive it is a guaranteed no-op, so the
-                    # (hot) row scans are skipped outright.
-                    packed[u] = bd
-                    work.append(u)
-                    while work:
-                        wv = work.pop()
-                        for v in same[wv]:
-                            if packed[v] == bs:
-                                d = dplus[v] - 1
-                                dplus[v] = d
-                                if d <= core[v]:
-                                    packed[v] = bd
-                                    ns -= 1
-                                    work.append(v)
-                        if not ns:
-                            # Every survivor is gone — the remaining
-                            # worklist scans cannot change anything.
-                            del work[:]
-                            break
-                else:
-                    packed[u] = bd
-
-            kept = {labels[i] for i in survived if packed[i] == bs} if members else None
-            emit((nid, ns, pops, kept))
-        return out
-
-
-def flat_explorer(  # lint: obs-ok flyweight re-point; FollowerSearch counts
-    state: AnchoredState, xid: int
-) -> FlatExplorer:
-    """The flat backend's explorer factory (reuses the tables flyweight)."""
-    return state.tables.explorer_for(xid)

@@ -38,27 +38,31 @@ Removals = dict[int, set[int]]
 class FollowerCache:
     """Cross-iteration store of ``|F[u][id]|`` counts, keyed by CSR id.
 
-    ``entries[u][id] = (k, count)``: entries carry the node's coreness
-    ``k`` alongside the count; a surviving entry is only served when
-    the current tree still has a node with the same id *and the same
-    coreness* (Lemma 4.8 guarantees this for every legitimately reusable
-    node; the coreness check additionally rules out the pathological
-    case where a relocated anchor produces a fresh node that happens to
-    reuse an old node id).
+    ``entries[u][id]`` is the count and ``cores[u][id]`` the node's
+    coreness ``k`` when it was stored, two int-to-int rows with the same
+    keys (no per-entry tuple, so the rows are plain int dicts that the
+    garbage collector need not track); a surviving entry is only served
+    when the current tree still has a node with the same id *and the
+    same coreness* (Lemma 4.8 guarantees this for every legitimately
+    reusable node; the coreness check additionally rules out the
+    pathological case where a relocated anchor produces a fresh node
+    that happens to reuse an old node id).
 
     ``live[u]`` is the servable part of ``entries[u]`` under the current
     state (rows with nothing servable are absent). :meth:`served`
     validates every row from scratch — the GAC round's first build and
     the ``REPRO_VERIFY`` oracle; after that the rows are kept current:
-    :meth:`store` installs the search's counts dict as the live row,
-    :meth:`apply_removals` pops from both, and :meth:`refresh`
-    revalidates only the rows an anchoring's Δ can have changed.
+    :meth:`store` installs the search's counts dict as both the entries
+    row and the live row, :meth:`apply_removals` pops from both, and
+    :meth:`refresh` revalidates only the rows an anchoring's Δ can have
+    changed.
     """
 
-    __slots__ = ("entries", "live")
+    __slots__ = ("entries", "cores", "live")
 
     def __init__(self) -> None:
-        self.entries: dict[int, dict[int, tuple[int, int]]] = {}
+        self.entries: dict[int, dict[int, int]] = {}
+        self.cores: dict[int, dict[int, int]] = {}
         self.live: dict[int, dict[int, int]] = {}
 
     def store(self, i: int, counts: dict[int, int], core: Sequence[int]) -> None:
@@ -66,9 +70,11 @@ class FollowerCache:
 
         A node's coreness is its id vertex's (the id is its smallest
         member), read from the per-id ``core``. Every node of the row is
-        in ``sn(i)`` now, so ``counts`` itself becomes the live row.
+        in ``sn(i)`` now, so ``counts`` itself becomes the live row too
+        (the two part when :meth:`refresh` replaces the live one).
         """
-        self.entries[i] = {nid: (core[nid], count) for nid, count in counts.items()}
+        self.entries[i] = counts
+        self.cores[i] = {nid: core[nid] for nid in counts}
         if counts:
             self.live[i] = counts
         else:
@@ -84,7 +90,7 @@ class FollowerCache:
         if not stored:
             return {}
         with _obs.span("reuse.validate", candidate=i):
-            valid = _live(state, i, stored)
+            valid = _live(state, i, stored, self.cores[i])
         if valid:
             _obs.add(_obs.REUSE_SERVED, len(valid))
         return valid
@@ -92,9 +98,10 @@ class FollowerCache:
     def served(self, state: AnchoredState) -> dict[int, dict[int, int]]:
         """Every row's valid counts, validated from scratch (the live rows' oracle)."""
         out: dict[int, dict[int, int]] = {}
+        cores = self.cores
         with _obs.span("reuse.validate", rows=len(self.entries)):
             for i, stored in self.entries.items():  # anchors hold no rows (forget)
-                valid = _live(state, i, stored)
+                valid = _live(state, i, stored, cores[i])
                 if valid:
                     out[i] = valid
         return out
@@ -121,6 +128,7 @@ class FollowerCache:
         nid = t.nid
         is_anchor = t.is_anchor
         entries = self.entries
+        cores = self.cores
         live = self.live
         ids: set[int] = set()
         for j, (a0, c0, _, n0) in changed.items():
@@ -132,7 +140,7 @@ class FollowerCache:
         ids.intersection_update(entries)
         with _obs.span("reuse.validate", rows=len(ids)):
             for i in ids:  # lint: order-ok independent per-row writes
-                valid = _live(state, i, entries[i])
+                valid = _live(state, i, entries[i], cores[i])
                 if valid:
                     live[i] = valid
                 else:
@@ -147,14 +155,17 @@ class FollowerCache:
             stored = self.entries.get(i)
             if not stored:
                 continue
+            ks = self.cores[i]
             row = live.get(i)
             for nid in ids:
                 if stored.pop(nid, None) is not None:
+                    del ks[nid]
                     dropped += 1
                     if row:
                         row.pop(nid, None)
             if not stored:
                 del self.entries[i]
+                del self.cores[i]
             if row is not None and not row:
                 del live[i]
         if dropped:
@@ -164,15 +175,20 @@ class FollowerCache:
     def forget(self, i: int) -> None:
         """Remove every entry for id ``i`` (used when it becomes an anchor)."""
         self.entries.pop(i, None)
+        self.cores.pop(i, None)
         self.live.pop(i, None)
 
     def clear(self) -> None:
         self.entries.clear()
+        self.cores.clear()
         self.live.clear()
 
 
 def _live(
-    state: AnchoredState, i: int, stored: Mapping[int, tuple[int, int]]
+    state: AnchoredState,
+    i: int,
+    stored: Mapping[int, int],
+    cores: Mapping[int, int],
 ) -> dict[int, int]:
     """Id ``i``'s stored counts whose node is in ``sn(i)`` at its coreness."""
     tables = state.tables
@@ -181,9 +197,9 @@ def _live(
     ci = core[i]
     valid = {
         nid: count
-        for nid, (k, count) in stored.items()
+        for nid, count in stored.items()
         # in sn(i): a tca[i] bucket whose id vertex's coreness is k >= c(i)
-        if nid in tca and core[nid] == k >= ci
+        if nid in tca and core[nid] == cores[nid] >= ci
     }
     # Algorithm-3 soundness: a served count must equal what a fresh
     # per-node exploration would find (no stale tree nodes).

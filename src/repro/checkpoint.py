@@ -256,7 +256,7 @@ class RoundState:
             ),
             rng_state=() if rng is None else rng.getstate(),
             cache=() if cache is None else tuple(
-                (i, tuple((nid, k, n) for nid, (k, n) in counts.items()))
+                (i, tuple((nid, cache.cores[i][nid], n) for nid, n in counts.items()))
                 for i, counts in cache.entries.items()
             ),
         )
@@ -272,8 +272,8 @@ class RoundState:
         """Rehydrate the record into a loop's state; returns base corenesses.
 
         The inverse of :meth:`capture`: ids are checked against ``n``,
-        cache entries become ``{nid: (k, count)}`` tuples and the RNG
-        state ``(version, tuple(ints), gauss)``.
+        cache entries become ``{nid: count}`` and ``{nid: k}`` rows and
+        the RNG state ``(version, tuple(ints), gauss)``.
         """
         labels = csr_view(graph).labels
         n = len(labels)
@@ -317,9 +317,10 @@ class RoundState:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CheckpointError(f"checkpoint RNG state: {exc}") from exc
             cache.entries = {
-                checked(i): {checked(nid): (k, count) for nid, k, count in rows}
+                checked(i): {checked(nid): count for nid, _, count in rows}
                 for i, rows in self.cache
             }
+            cache.cores = {i: {nid: k for nid, k, _ in rows} for i, rows in self.cache}
         return list(self.base_coreness)
 
 

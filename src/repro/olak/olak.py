@@ -206,9 +206,8 @@ def _select_best(
     best = best_count = -1
     with _obs.span("olak.candidate_scan", candidates=len(candidates)):
         search = FollowerSearch(state)
-        for i in candidates:
+        for i, _, count in search.stream(candidates, only_coreness=k - 1):
             # The first strictly larger count wins: ties go to the smallest id.
-            count = sum(search.counts(i, only_coreness=k - 1).values())
             if count > best_count:
                 best, best_count = i, count
         search.flush()

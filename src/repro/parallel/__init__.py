@@ -10,8 +10,8 @@ determinism contract — ``workers=N`` returns the same ``GreedyResult``
 serial scan, for every ``N``:
 
 * :mod:`repro.parallel.worker` — the evaluator slot the forked workers
-  read, and the chunk evaluator (candidate ids in; results, counter
-  deltas and shipped spans out);
+  read, and the chunk evaluator (candidate ids in; results, Figure-13
+  tallies and shipped spans out);
 * :mod:`repro.parallel.pool` — :class:`CandidateScanPool`, the parent's
   per-round executor (fork after install, chunked dispatch with
   latency-adaptive sizing, dispatch-ordered results, broken-pool

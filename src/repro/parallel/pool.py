@@ -5,7 +5,7 @@ each round's scan (:meth:`CandidateScanPool.round`). The round's
 per-candidate evaluator goes into :mod:`repro.parallel.worker`'s slot
 right before the fork, so workers inherit the live graph, anchored
 state and reuse rows copy-on-write; only candidate ids travel out and
-``(id, total, counts, counter deltas)`` tuples travel back. The
+``(id, total, counts, tallies)`` tuples travel back. The
 executor is shut down, waiting for its workers, before the round ends.
 The pool itself is policy-free: it ships id chunks and returns results
 in dispatch order; the determinism-preserving two-phase scan
@@ -41,11 +41,15 @@ import multiprocessing
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 from repro import obs as _obs
 from repro.obs import shipping as _shipping
 from repro.parallel import worker as _worker
 from repro.parallel.util import chunked
+
+if TYPE_CHECKING:
+    from repro.anchors.kernels.flat_backend import Tally
 
 #: First-dispatch fallback before any latency measurement exists: keep
 #: chunks small enough for load balancing but large enough to amortize
@@ -117,7 +121,7 @@ class CandidateScanPool:
     # ------------------------------------------------------------------
     @contextmanager
     def round(
-        self, evaluate: _worker.Evaluate, flush: _worker.Flush
+        self, evaluate: _worker.Evaluate, tally: "Tally"
     ) -> Iterator[None]:
         """Scan one round: install the evaluator, fork, and always close.
 
@@ -126,7 +130,7 @@ class CandidateScanPool:
         exit, so no worker outlives the round and no fork happens while
         an earlier executor's threads are alive.
         """
-        _worker.install((evaluate, flush))
+        _worker.install((evaluate, tally))
         try:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,

@@ -6,13 +6,16 @@ entries ordered by ``(shell-layer pair, canonical sort key, vertex)``.
 Of the state it reads only the graph and anchors; the decomposition and
 adjacency are a fresh ``peel_decomposition`` and ``TreeAdjacency``. It
 shares no table code with the flat kernel, which must match it byte for
-byte. The tests put it behind the ``repro.anchors.followers._explorer``
-seam; it maps the kernel's CSR ids to labels on entry.
+byte. :func:`dict_stream` runs it under the flat kernel's stream
+contract, and the tests put that behind the
+``repro.anchors.followers._stream`` seam; it maps the kernel's CSR ids
+to labels on entry and back on exit.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING
 
 from repro import obs, verify
@@ -21,7 +24,7 @@ from repro.core.tree import CoreComponentTree, TreeAdjacency
 from repro.graphs.graph import Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (layering)
-    from repro.anchors.kernels.flat_backend import Exploration
+    from repro.anchors.kernels.flat_backend import Evaluation, Tally
     from repro.anchors.state import AnchoredState
 
 # Exploration status tags. UNEXPLORED is represented by absence.
@@ -30,8 +33,14 @@ _SURVIVED = 2
 _DISCARDED = 3
 
 
-_Oracle = tuple["AnchoredState", frozenset[Vertex], CoreDecomposition, TreeAdjacency]
-#: The last oracle built, ``(state, anchors, decomposition, adjacency)``:
+_Oracle = tuple[
+    "AnchoredState",
+    frozenset[Vertex],
+    CoreDecomposition,
+    CoreComponentTree,
+    TreeAdjacency,
+]
+#: The last oracle built, ``(state, anchors, decomposition, tree, adjacency)``:
 #: ``apply_anchor`` replaces ``state.anchors`` on every anchoring, so
 #: identity means "same round" (one build per round, not per candidate).
 _last: "_Oracle | None" = None
@@ -47,7 +56,7 @@ def _oracle(state: "AnchoredState") -> _Oracle:
         decomposition = peel_decomposition(state.graph, state.anchors)
         tree = CoreComponentTree.build(state.graph, decomposition)
         adjacency = TreeAdjacency(state.graph, decomposition, tree, state.anchors)
-    _last = (state, state.anchors, decomposition, adjacency)
+    _last = (state, state.anchors, decomposition, tree, adjacency)
     return _last
 
 
@@ -72,7 +81,7 @@ class DictExplorer:
     )
 
     def __init__(self, state: "AnchoredState", xid: int) -> None:
-        _, _, decomposition, adjacency = _oracle(state)
+        _, _, decomposition, _, adjacency = _oracle(state)
         self.labels = state.tables.labels
         self.x = x = self.labels[xid]
         self.tca_x = adjacency.tca[x]
@@ -84,14 +93,7 @@ class DictExplorer:
         self.px = self.pairs[x]
         self.adj_x = state.graph.neighbors(x)
 
-    def explore_nodes(
-        self, todo: list[tuple[int, bool]], members: bool = False
-    ) -> "list[Exploration]":
-        """Explore each ``(node id, is_own_node)`` pair in order (verbatim loop)."""
-        out = [(nid, *self._explore(self.labels[nid], own)) for nid, own in todo]
-        return [(nid, len(s), pops, s if members else None) for nid, s, pops in out]
-
-    def _explore(self, nid: Vertex, is_own_node: bool) -> tuple[set[Vertex], int]:
+    def explore(self, nid: Vertex, is_own_node: bool) -> tuple[set[Vertex], int]:
         """Survivors and heap pops of the exploration within one tree node."""
         x = self.x
         anchors = self.anchors
@@ -180,3 +182,49 @@ def _shrink(
                 if dplus[v] < coreness[v] + 1:
                     status[v] = _DISCARDED
                     stack.append(v)
+
+
+def dict_stream(
+    state: "AnchoredState",
+    ids: Iterable[int],
+    tally: "Tally",
+    served: Mapping[int, Mapping[int, int]] | None = None,
+    *,
+    only_coreness: int | None = None,
+    members: dict[int, set[Vertex]] | None = None,
+) -> "Iterator[Evaluation]":
+    """:meth:`FlatTables.stream <repro.anchors.kernels.flat_backend.FlatTables.stream>`
+    on the oracle: the same yields, tallies and survivor sets.
+
+    ``sn(x)``, its order (ascending node CSR id) and ``x``'s own node
+    come from the oracle's label-keyed tree and adjacency, not from the
+    flat tables; each node is explored by :meth:`DictExplorer.explore`.
+    """
+    _, _, decomposition, tree, adjacency = _oracle(state)
+    index = state.tables.index
+    for xid in ids:
+        explorer = DictExplorer(state, xid)
+        x = explorer.x
+        own = tree.node_of[x].node_id if x in tree.node_of else None
+        sn = sorted(adjacency.sn[x], key=index.__getitem__)
+        if only_coreness is not None:
+            sn = [nid for nid in sn if decomposition.coreness[nid] == only_coreness]
+        row = served.get(xid) if served else None
+        counts: dict[int, int] = {}
+        todo: list[Vertex] = []
+        for nid in sn:
+            i = index[nid]
+            if row and i in row:
+                counts[i] = row[i]
+            else:
+                todo.append(nid)
+        tally.reused += len(counts)
+        tally.evaluated += 1
+        for nid in todo:
+            survivors, pops = explorer.explore(nid, nid == own)
+            counts[index[nid]] = len(survivors)
+            tally.visited += pops
+            if members is not None:
+                members[index[nid]] = survivors
+        tally.explored += len(todo)
+        yield xid, counts, sum(counts.values())

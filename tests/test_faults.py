@@ -156,16 +156,16 @@ def _follower_eval_crash_falls_back(monkeypatch, _tmp_path):
     # The follower search itself fails, but only in a worker process: the
     # serial fallback in the parent runs the same search unharmed.
     parent = os.getpid()
-    counts = FollowerSearch.counts
+    stream = FollowerSearch.stream
 
-    def counts_fails_in_workers(self, *args, **kwargs):
+    def stream_fails_in_workers(self, *args, **kwargs):
         if os.getpid() != parent:
             raise RuntimeError("injected by the test")
-        return counts(self, *args, **kwargs)
+        return stream(self, *args, **kwargs)
 
     _pool_run(
         monkeypatch,
-        lambda: monkeypatch.setattr(FollowerSearch, "counts", counts_fails_in_workers),
+        lambda: monkeypatch.setattr(FollowerSearch, "stream", stream_fails_in_workers),
         gauge="gac.parallel_fallback.scan_error",
     )
 

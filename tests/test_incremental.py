@@ -35,10 +35,8 @@ TABLE_FIELDS = (
     "is_anchor",
     "nid",
     "fixed",
-    "same",
     "higher",
     "loweq",
-    "support",
     "tca_ids",
     "sn_ids",
     "pn_ids",
@@ -75,7 +73,8 @@ def assert_states_equal(actual: AnchoredState, expected: AnchoredState) -> None:
         assert actual.pn(u) == oracle.pn[u], u
         i = index[u]
         assert tables.fixed[i] == oracle.fixed_support[u], u
-        assert [labels[j] for j in tables.same[i]] == oracle.same_shell[u], u
+        same = sorted(tables.higher[i] + tables.loweq[i])
+        assert [labels[j] for j in same] == oracle.same_shell[u], u
 
 
 class TestEquivalence:

@@ -1,16 +1,22 @@
 """Tests for the flat follower kernel against the dict oracle.
 
-The flat kernel is the only search production runs; ``DictExplorer``
-is kept as the oracle it must match byte for byte. These tests pin
-GAC identity across worker counts (with the Figure-13 counters and the
-reference-peel gain), GAC and OLAK counter parity with the oracle
-substituted into :func:`repro.anchors.followers.find_followers`, and
-the incremental flat-table maintenance (``apply_update``) across
-several anchorings against the oracle on a fresh build. See
+The flat kernel's candidate stream is the only search production runs;
+``dict_stream`` (the stream contract on ``DictExplorer``) is kept as the
+oracle it must match byte for byte. These tests pin GAC identity across
+worker counts (with the Figure-13 counters and the reference-peel
+gain), GAC and OLAK counter parity with the oracle substituted through
+the ``repro.anchors.followers._stream`` seam, the stream itself against
+the oracle (any id order, served rows, abandoned streams), and the
+incremental flat-table maintenance (``apply_update``) across several
+anchorings against the oracle on a fresh build. See
 ``docs/kernels.md`` for the contract.
 """
 
 from __future__ import annotations
+
+import importlib
+import itertools
+import os
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,15 +28,18 @@ from repro.anchors import kernels
 from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import gac
 from repro.anchors.incremental import apply_anchor
-from repro.anchors.kernels.flat_backend import flat_explorer
+from repro.anchors.kernels.flat_backend import Tally
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
 from repro.datasets import registry
 from repro.olak.olak import olak
-from repro.verify.dict_explorer import DictExplorer
+from repro.verify.dict_explorer import DictExplorer, dict_stream
 from repro.verify.reference import reference_gain
 
-from conftest import graph_strategy, string_labeled
+from conftest import graph_strategy, needs_fork, string_labeled
+
+gac_mod = importlib.import_module("repro.anchors.gac")
+flat_stream = followers_mod._flat_stream
 
 
 FAST = settings(max_examples=25, deadline=None)
@@ -51,7 +60,7 @@ class TestSelection:
 # ----------------------------------------------------------------------
 # Byte-identity against the dict oracle and across worker counts:
 # anchors, gains, follower sets, Figure-13 counters. The oracle is
-# substituted for the flat kernel through ``followers._explorer``.
+# substituted for the flat kernel through ``followers._stream``.
 
 
 def _gac_observables(result):
@@ -69,7 +78,7 @@ class TestMatrixIdentity:
     def test_gac_identical_across_kernels_and_workers(self, monkeypatch):
         graph = registry.load("arxiv")
         with monkeypatch.context() as patch:
-            patch.setattr(followers_mod, "_explorer", DictExplorer)
+            patch.setattr(followers_mod, "_stream", dict_stream)
             base = gac(graph, 3, workers=0)
         assert sum(base.gains) == reference_gain(graph, frozenset(base.anchors))
         reference = _gac_observables(base)
@@ -81,7 +90,8 @@ class TestMatrixIdentity:
         graph = registry.load("arxiv")
 
         def observed():
-            result = olak(graph, 3, 3)
+            # k = 9: arxiv has no candidate below k = 5
+            result = olak(graph, 9, 3)
             return (
                 result.anchors,
                 result.followers,
@@ -90,7 +100,7 @@ class TestMatrixIdentity:
             )
 
         flat = observed()
-        monkeypatch.setattr(followers_mod, "_explorer", DictExplorer)
+        monkeypatch.setattr(followers_mod, "_stream", dict_stream)
         assert observed() == flat
 
 
@@ -113,41 +123,120 @@ def test_counters_from_window_parity_across_backends_arxiv_b5(monkeypatch):
     """
     graph = registry.load("arxiv")
     flat = _windowed_gac(graph)
-    monkeypatch.setattr(followers_mod, "_explorer", DictExplorer)
+    monkeypatch.setattr(followers_mod, "_stream", dict_stream)
     assert _windowed_gac(graph) == flat
 
 
-def test_oracle_seam_reaches_the_dict_backend(monkeypatch):
-    """The substitution really runs ``DictExplorer``, not the flat kernel."""
-    built = []
+@needs_fork
+def test_oracle_seam_reaches_the_dict_backend(monkeypatch, tmp_path):
+    """The substitution really runs ``DictExplorer``, not the flat kernel:
+    in ``find_followers``, GAC's round, OLAK's round and the pool's
+    forked evaluator (which records into a file: it runs in a worker)."""
+    parent = os.getpid()
+    log = tmp_path / "built.txt"
+    init = DictExplorer.__init__
 
-    class Recording(DictExplorer):
-        def __init__(self, state, x):
-            built.append(x)
-            super().__init__(state, x)
+    def recording(self, state, xid):
+        with log.open("a") as out:
+            out.write(f"{os.getpid()} {xid}\n")
+        init(self, state, xid)
 
-    monkeypatch.setattr(followers_mod, "_explorer", Recording)
+    def built():
+        lines = log.read_text().split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [(int(pid), int(xid)) for pid, xid in zip(lines[::2], lines[1::2])]
+
+    monkeypatch.setattr(DictExplorer, "__init__", recording)
+    monkeypatch.setattr(followers_mod, "_stream", dict_stream)
+    monkeypatch.setattr(gac_mod, "_MIN_PARALLEL_CANDIDATES", 1)
     graph = registry.load("arxiv")
     state = AnchoredState.build(graph)
     x = sorted(graph.vertices(), key=_sort_key)[0]
     find_followers(state, x)
-    assert built == [x]
+    # (twice under REPRO_VERIFY, whose check re-searches the candidate)
+    assert set(built()) == {(parent, state.tables.index[x])}
+    gac(graph, 1, workers=0)
+    assert len(built()) > 1  # the round's candidates and the winner
+    olak(graph, 9, 1)  # 38 candidates in arxiv's 8-shell
+    assert len(built()) > 1
+    gac(graph, 1, workers=2, verify=False)  # a verified run stays serial
+    assert any(pid != parent for pid, _ in built())
+
+
+# ----------------------------------------------------------------------
+# The candidate stream against the oracle's, candidate by candidate:
+# per-node counts (served ones first), totals, survivor sets and the
+# Figure-13 tallies, for any id order and any served rows.
+
+
+def _evaluations(stream, state, ids, served=None):
+    """Per candidate: (id, counts in order, total, survivor sets, tallies)."""
+    tally = Tally()
+    members = {}
+    out = []
+    for i, counts, total in stream(state, ids, tally, served, members=members):
+        out.append((i, list(counts.items()), total, dict(members), tally.take()))
+        members.clear()
+    return out
+
+
+@st.composite
+def _stream_case(draw):
+    graph = string_labeled(draw(graph_strategy(max_vertices=16)))
+    labels = sorted(graph.vertices())
+    anchors = draw(st.lists(st.sampled_from(labels), max_size=2, unique=True))
+    assume(len(anchors) < len(labels))
+    state = AnchoredState.build(graph, anchors)
+    tables = state.tables
+    candidates = [i for i, a in enumerate(tables.is_anchor) if not a]
+    ids = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=12))
+    served = {}
+    for i in sorted(set(ids)):
+        nodes = draw(st.lists(st.sampled_from(tables.sn_ids[i]), unique=True)) if (
+            tables.sn_ids[i]
+        ) else []
+        if nodes:
+            served[i] = {nid: draw(st.integers(0, 9)) for nid in nodes}
+    stop = draw(st.integers(0, len(ids)))
+    return state, ids, served, stop
+
+
+@given(_stream_case())
+@FAST
+def test_stream_matches_the_oracle_per_candidate(case):
+    """Any id order (repeats included) and random served rows: the flat
+    stream yields what the oracle's does, candidate by candidate. A
+    stream abandoned after ``stop`` candidates, a second stream run to
+    the end meanwhile, and the first one resumed afterwards must all
+    still match: no generation word is aliased."""
+    state, ids, served, stop = case
+    expected = _evaluations(dict_stream, state, ids, served)
+    assert _evaluations(flat_stream, state, ids, served) == expected
+    assert _evaluations(flat_stream, state, ids) == _evaluations(
+        dict_stream, state, ids
+    )
+
+    tally = Tally()
+    members = {}
+    first = flat_stream(state, iter(ids), tally, served, members=members)
+    head = []
+    for i, counts, total in itertools.islice(first, stop):
+        head.append((i, list(counts.items()), total, dict(members), tally.take()))
+        members.clear()
+    assert head == expected[:stop]
+    assert _evaluations(flat_stream, state, ids, served) == expected
+    tail = []
+    for i, counts, total in first:
+        tail.append((i, list(counts.items()), total, dict(members), tally.take()))
+        members.clear()
+    assert head + tail == expected
 
 
 # ----------------------------------------------------------------------
 # Incremental table maintenance: after a sequence of apply_anchor calls
 # the cached flat tables must answer exactly like the dict oracle on a
 # from-scratch build (covers core moves, layer-only moves staling
-# neighbor splits, support-row and sn_ids refresh).
-
-
-def _explore_all(explorer, state, x):
-    """Every ``sn(x)`` node explored: (node id, count, heap pops, survivors)."""
-    tables = state.tables
-    xid = tables.index[x]
-    own = tables.nid[xid]
-    todo = [(nid, nid == own) for nid in tables.sn_ids[xid]]
-    return explorer(state, xid).explore_nodes(todo, True)
+# neighbor splits and sn_ids refresh).
 
 
 @st.composite
@@ -178,12 +267,13 @@ def test_incremental_tables_match_fresh_build(pair):
     for u in sorted(graph.vertices()):
         if u in anchors:
             continue
-        assert _explore_all(flat_explorer, state, u) == _explore_all(
-            DictExplorer, fresh, u
+        xid = tables.index[u]
+        assert _evaluations(flat_stream, state, [xid]) == _evaluations(
+            dict_stream, fresh, [xid]
         ), u
         incremental = find_followers(state, u)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(followers_mod, "_explorer", DictExplorer)
+            patch.setattr(followers_mod, "_stream", dict_stream)
             scratch = find_followers(fresh, u)
         assert incremental.counts == scratch.counts, u
         assert incremental.members == scratch.members, u

@@ -262,14 +262,14 @@ class TestChunkedDispatch:
         search = FollowerSearch(state)
 
         def evaluate(i):
-            counts = search.counts(i)
-            return sum(counts.values()), counts
+            ((_, counts, total),) = search.stream((i,))
+            return total, counts
 
         pool = CandidateScanPool(2)
         ids = list(range(10))
         chunks_before = obs.get(obs.PARALLEL_CHUNKS)
         dispatches_before = obs.get(obs.PARALLEL_DISPATCHES)
-        with pool.round(evaluate, search.flush):
+        with pool.round(evaluate, search):
             results = pool.evaluate(ids)
         pool.close()  # idempotent: the round already closed the executor
         assert multiprocessing.active_children() == []
@@ -277,12 +277,20 @@ class TestChunkedDispatch:
         assert obs.get(obs.PARALLEL_CHUNKS) - chunks_before == len(ids)
         assert obs.get(obs.PARALLEL_DISPATCHES) - dispatches_before == 1
         # the returned results reproduce the serial oracle
-        for (candidate, total, counts, deltas), i in zip(results, ids):
+        for (candidate, total, counts, tallies), i in zip(results, ids):
             assert candidate == i
+            window = obs.window()
             report = find_followers(state, state.tables.labels[i])
             assert total == report.total
             assert counts == dict(report.counts)
-            assert deltas[obs.EVALUATED_CANDIDATES] == 1
+            # (reused, explored, visited, evaluated): this task's work only
+            assert tallies == (
+                window.counter(obs.REUSED_NODES),
+                window.counter(obs.EXPLORED_NODES),
+                window.counter(obs.VISITED_VERTICES),
+                window.counter(obs.EVALUATED_CANDIDATES),
+            )
+            assert tallies[3] == 1
 
     @needs_fork
     def test_no_worker_outlives_a_round(self, tiny_pools, monkeypatch):

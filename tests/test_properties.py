@@ -322,9 +322,9 @@ def test_kill_and_resume_matches_the_uninterrupted_oracle(
 from repro import obs
 from repro.anchors import followers as followers_mod
 from repro.anchors.followers import FollowerCounters
-from repro.anchors.kernels.flat_backend import flat_explorer
+from repro.anchors.kernels.flat_backend import Tally
 from repro.graphs.graph import Graph, GraphError
-from repro.verify.dict_explorer import DictExplorer
+from repro.verify.dict_explorer import dict_stream
 
 
 
@@ -364,8 +364,16 @@ def _kernel_observables(graph, x):
 
 def _oracle_observables(graph, x):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(followers_mod, "_explorer", DictExplorer)
+        patch.setattr(followers_mod, "_stream", dict_stream)
         return _kernel_observables(graph, x)
+
+
+def _streamed(stream, state, xid):
+    """One candidate's stream result, survivor sets and tallies."""
+    tally = Tally()
+    members = {}
+    evaluations = list(stream(state, [xid], tally, members=members))
+    return evaluations, members, tally.take()
 
 
 @given(kernel_corner_graph_and_vertex())
@@ -375,15 +383,13 @@ def test_kernel_backends_byte_identical(pair):
     graph, x = pair
     state = AnchoredState.build(graph)
     xid = state.tables.index[x]
-    own = state.tables.nid[xid]
-    todo = [(nid, nid == own) for nid in state.tables.sn_ids[xid]]
-    assert flat_explorer(state, xid).explore_nodes(todo, True) == DictExplorer(
-        state, xid
-    ).explore_nodes(todo, True)
+    assert _streamed(followers_mod._flat_stream, state, xid) == _streamed(
+        dict_stream, state, xid
+    )
     assert _kernel_observables(graph, x) == _oracle_observables(graph, x)
     # ...and the oracle itself agrees with brute force.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(followers_mod, "_explorer", DictExplorer)
+        patch.setattr(followers_mod, "_stream", dict_stream)
         members = find_followers(AnchoredState.build(graph), x).all_members()
     assert members == followers_naive(graph, x)
 
@@ -406,7 +412,7 @@ def test_kernel_backends_identical_through_gac(pair):
 
     flat = observed()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(followers_mod, "_explorer", DictExplorer)
+        patch.setattr(followers_mod, "_stream", dict_stream)
         assert observed() == flat
 
 
@@ -429,5 +435,5 @@ def test_in_place_anchor_matches_fresh_build(pair):
     for u in graph.vertices():
         assert state.sn(u) == fresh.sn(u)
         assert state.tca(u) == fresh.tca(u)
-    for name in ("fixed", "same", "higher", "loweq", "support", "sn_ids"):
+    for name in ("fixed", "higher", "loweq", "sn_ids"):
         assert getattr(state.tables, name) == getattr(fresh.tables, name), name

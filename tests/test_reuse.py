@@ -5,13 +5,19 @@ every cached per-node follower count that *survives* invalidation equals
 the count a fresh computation produces in the new state.
 """
 
+import importlib
+
 import pytest
 
 from repro.anchors.followers import find_followers
+from repro.anchors.gac import gac
 from repro.anchors.reuse import FollowerCache, result_reuse
 from repro.anchors.state import AnchoredState
+from repro.datasets import registry
 
-from conftest import small_random_graph, string_labeled
+from conftest import Killed, kill_after_round, small_random_graph, string_labeled
+
+gac_mod = importlib.import_module("repro.anchors.gac")
 
 
 def _graph(seed):
@@ -50,6 +56,42 @@ class TestFollowerCache:
         dropped = cache.apply_removals({state.tables.index["v1"]: set(nids)})
         assert dropped == len(nids)
         assert _valid(cache, state, "v1") == {}
+
+    def test_rows_after_a_run_map_ints_to_ints(self, monkeypatch, tmp_path):
+        """After ``gac(gowalla, 20)`` every ``entries`` / ``cores`` /
+        ``live`` row maps ints to ints — no per-entry tuple — and a
+        checkpoint + resume rewrites the uninterrupted run's last
+        checkpoint byte for byte."""
+        caches = []
+
+        class Recording(FollowerCache):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+        monkeypatch.setattr(gac_mod, "FollowerCache", Recording)
+        monkeypatch.setattr(gac_mod, "_clock", lambda: 0.0)
+        graph = registry.load("gowalla")
+        whole = tmp_path / "whole.ckpt"
+        gac(graph, 20, seed=0, checkpoint=whole)
+        (cache,) = caches
+        for name in ("entries", "cores", "live"):
+            rows = getattr(cache, name)
+            assert rows, name
+            for i, row in rows.items():
+                assert type(i) is int and type(row) is dict, (name, i)
+                for nid, value in row.items():
+                    assert type(nid) is int and type(value) is int, (name, i, nid)
+        assert list(cache.entries) == list(cache.cores)
+        for i, row in cache.entries.items():
+            assert list(row) == list(cache.cores[i]), i
+        part = tmp_path / "part.ckpt"
+        with kill_after_round(10), pytest.raises(Killed):
+            gac(graph, 20, seed=0, checkpoint=part)
+        gac(graph, 20, seed=0, checkpoint=part, resume=part)
+        assert part.read_bytes() == whole.read_bytes()
 
     def test_forget(self):
         state = AnchoredState.build(_graph(0))

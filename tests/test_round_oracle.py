@@ -31,11 +31,11 @@ from repro.anchors.bounds import compute_upper_bounds, refined_total
 from repro.anchors.followers import FollowerCounters, find_followers
 from repro.anchors.gac import greedy_anchored_coreness
 from repro.anchors.incremental import apply_anchor
-from repro.anchors.kernels.flat_backend import flat_explorer
+from repro.anchors.kernels.flat_backend import Tally
 from repro.anchors.reuse import FollowerCache
 from repro.anchors.state import AnchoredState
 from repro.core.decomposition import _sort_key
-from repro.verify.dict_explorer import DictExplorer
+from repro.verify.dict_explorer import dict_stream
 
 from conftest import (
     graph_strategy,
@@ -215,15 +215,20 @@ def test_kernel_count_is_the_survivor_count(case):
     graph, prior, _, _ = case
     state = AnchoredState.build(graph, prior)
     tables = state.tables
-    for x in state.candidates():
-        xid = tables.index[x]
-        own = tables.nid[xid]
-        todo = [(nid, nid == own) for nid in tables.sn_ids[xid]]
-        for explorer in (flat_explorer, DictExplorer):
-            full = explorer(state, xid).explore_nodes(todo, True)
-            assert all(count == len(members) for _, count, _, members in full)
-            bare = explorer(state, xid).explore_nodes(todo)
-            assert bare == [(nid, count, pops, None) for nid, count, pops, _ in full]
+    ids = [tables.index[x] for x in state.candidates()]
+    for stream in (followers_mod._flat_stream, dict_stream):
+        members = {}
+        full, bare = Tally(), Tally()
+        counted = list(stream(state, ids, bare))
+        for (i, counts, total), again in zip(
+            stream(state, ids, full, members=members), counted
+        ):
+            assert list(counts) == tables.sn_ids[i]
+            assert counts == {nid: len(members[nid]) for nid in counts}
+            assert total == sum(counts.values())
+            assert again == (i, counts, total)
+            members.clear()
+        assert full.take() == bare.take()
 
 
 def _oracle_run(graph, budget, variant, tie_break):
@@ -272,7 +277,7 @@ def test_whole_run_matches_oracle_with_dict_kernel(variant, monkeypatch):
     graph = string_labeled(small_random_graph(3, n=60, m=180))
     expected = _oracle_run(graph, 4, variant, "ub")
     assert _run(graph, 4, variant, "ub", 0) == expected
-    monkeypatch.setattr(followers_mod, "_explorer", DictExplorer)
+    monkeypatch.setattr(followers_mod, "_stream", dict_stream)
     assert _run(graph, 4, variant, "ub", 0) == expected
 
 

@@ -28,8 +28,10 @@ def _fixed(state, u):
 
 
 def _same(state, u):
+    """``u``'s same-shell row: its ``higher`` and ``loweq`` rows merged."""
     tables = state.tables
-    return [tables.labels[j] for j in tables.same[tables.index[u]]]
+    i = tables.index[u]
+    return [tables.labels[j] for j in sorted(tables.higher[i] + tables.loweq[i])]
 
 
 class TestAnchoredState:
@@ -138,7 +140,8 @@ def _assert_matches_label_oracle(state):
         assert state.sn(u) == adjacency.sn[u], u
         assert state.pn(u) == adjacency.pn[u], u
         assert tables.fixed[i] == adjacency.fixed_support[u], u
-        assert [labels[j] for j in tables.same[i]] == adjacency.same_shell[u], u
+        same = sorted(tables.higher[i] + tables.loweq[i])
+        assert [labels[j] for j in same] == adjacency.same_shell[u], u
     return tree
 
 

@@ -269,20 +269,20 @@ class TestAnchorStateInvariant:
         g = small_random_graph(6, n=30, m=70)
         state = AnchoredState.build(g)
         apply_anchor(state, 0)
-        same = state.tables.same
-        i = next(i for i, row in enumerate(same) if len(row) > 1)
-        same[i].reverse()
-        with pytest.raises(VerificationError, match="same-shell row"):
+        higher = state.tables.higher
+        i = next(i for i, row in enumerate(higher) if len(row) > 1)
+        higher[i].reverse()
+        with pytest.raises(VerificationError, match="per-id higher"):
             verify_anchor_state(state)
 
-    def test_corrupted_support_row_fails(self):
+    def test_corrupted_loweq_row_fails(self):
         g = small_random_graph(6, n=30, m=70)
         state = AnchoredState.build(g)
         apply_anchor(state, 0)
-        support = state.tables.support
-        i = next(i for i, row in enumerate(support) if row)
-        support[i].pop()
-        with pytest.raises(VerificationError, match="per-id support"):
+        loweq = state.tables.loweq
+        i = next(i for i, row in enumerate(loweq) if row)
+        loweq[i].pop()
+        with pytest.raises(VerificationError, match="same-shell row"):
             verify_anchor_state(state)
 
     def test_stale_anchor_coreness_fails(self):
